@@ -3,7 +3,8 @@
 Exit codes: 0 success (and, for verify, antimagic); 1 verification
 failure; 2 usage error; 3 formula-coverage or search-capacity error.
 All output is exact-integer text or JSON with a fixed field order, so
-identical invocations produce byte-identical files.
+identical invocations produce byte-identical files, except ``search``,
+whose JSON carries the measured ``stats.wall_time_ms``.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ import json
 import sys
 
 from .conformance import FormulaCoverageError
-from .flower import flower_conformance, label_flower_product
+from .families import FAMILIES
 from .formula import Variant
-from .graphs import GraphError, WHEEL_FAMILIES, product_graph, write_edge_list
-from .helm import helm_conformance, label_helm_product
+from .graphs import GraphError, product_graph, write_edge_list
 from .labeling import parse_labeled_edge_list, verify_antimagic, vertex_sums
 from .search import (
     CapacityError,
@@ -25,24 +25,11 @@ from .search import (
     Strategy,
     search_antimagic,
 )
-from .wheel import label_wheel_product, wheel_conformance
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_COVERAGE = 3
-
-_LABELERS = {
-    "wheel": label_wheel_product,
-    "helm": label_helm_product,
-    "flower": label_flower_product,
-}
-
-_CONFORMANCE = {
-    "wheel": wheel_conformance,
-    "helm": helm_conformance,
-    "flower": flower_conformance,
-}
 
 
 class UsageError(Exception):
@@ -77,7 +64,7 @@ def _read(path: str) -> str:
 
 
 def _add_family_args(p: argparse.ArgumentParser, ranged: bool = False) -> None:
-    p.add_argument("--family", required=True, choices=sorted(WHEEL_FAMILIES))
+    p.add_argument("--family", required=True, choices=sorted(FAMILIES))
     if ranged:
         p.add_argument("--m", required=True, help="wheel size, N or LO..HI")
         p.add_argument("--n", required=True, help="star size, N or LO..HI")
@@ -148,7 +135,7 @@ def _cmd_construct(args) -> int:
 def _cmd_label(args) -> int:
     variant = _variant(args.variant)
     g = product_graph(args.family, args.m, args.n)
-    labeling = _LABELERS[args.family](args.m, args.n, variant)
+    labeling = FAMILIES[args.family].label(args.m, args.n, variant)
     _write(args.out, labeling.to_text(g))
     return EXIT_OK
 
@@ -203,7 +190,7 @@ def _cmd_grid_report(args) -> int:
     records = []
     for m in ms:
         for n in ns:
-            for report in _CONFORMANCE[args.family](m, n):
+            for report in FAMILIES[args.family].conformance(m, n):
                 records.append(report.to_json_dict())
     text = "\n".join(json.dumps(rec, separators=(",", ":")) for rec in records) + "\n"
     _write(args.out, text)
@@ -213,7 +200,7 @@ def _cmd_grid_report(args) -> int:
 def _cmd_export(args) -> int:
     variant = _variant(args.variant)
     g = product_graph(args.family, args.m, args.n)
-    labeling = _LABELERS[args.family](args.m, args.n, variant)
+    labeling = FAMILIES[args.family].label(args.m, args.n, variant)
     sums = vertex_sums(g, labeling)
     lines = ["graph antimagic {"]
     for v in g.vertices:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 
 from . import formula as F
 from .formula import CoverageError, Variant
-from .graphs import Edge, Graph, Vertex, edge_name
+from .graphs import Edge, Graph, Vertex, check_index, edge_name
 from .labeling import EdgeLabeling, VerificationReport, verify_antimagic
 
 
@@ -42,6 +42,42 @@ class OracleSums:
     branch_hits: Counter
 
 
+# Cell sets: each maps (m, n) to the cells (i, j) that one row evaluates.
+
+def cells_ij(m, n):
+    return ((i, j) for i in range(1, m + 1) for j in range(1, n + 1))
+
+
+def cells_rim(m, n):
+    return ((i, j) for i in range(1, m) for j in range(1, n + 1))
+
+
+def cells_close_first(m, n):
+    return ((1, j) for j in range(1, n + 1))
+
+
+def cells_close_last(m, n):
+    return ((m, j) for j in range(1, n + 1))
+
+
+def cells_hub_row(m, n):
+    return ((i, 0) for i in range(1, m + 1))
+
+
+def cells_leaf_col(m, n):
+    return ((0, j) for j in range(1, n + 1))
+
+
+def cell_center(m, n):
+    return ((0, 0),)
+
+
+def check_mn(m: int, n: int) -> None:
+    """The schemes' domain: m >= 3 and n >= 1; a GraphError (a ValueError) otherwise."""
+    check_index(m, "m", 3)
+    check_index(n, "n", 1)
+
+
 EdgeFamily = tuple[str, str, Callable, Callable]
 # (edge_class, formula id, cells(m, n) -> iterable[(i, j)], edge(m, n, i, j) -> Edge)
 
@@ -49,24 +85,23 @@ VertexFamily = tuple[str, Callable, Callable]
 # (formula id, cells(m, n) -> iterable[(i, j)], vertex(m, n, i, j) -> Vertex)
 
 
-def evaluate_edge_families(
-    families: Iterable[EdgeFamily], m: int, n: int, variant: Variant
-) -> SchemeLabels:
-    labels: dict[Edge, int] = {}
+def _evaluate(families: Iterable[VertexFamily], m: int, n: int, variant: Variant, describe):
+    """Evaluate each row's formula at its cells into a dict keyed by what the row maps to."""
+    values: dict = {}
     coverage: list[str] = []
     hits: Counter = Counter()
-    for _cls, fid, cells, mk_edge in families:
+    for fid, cells, key in families:
         for i, j in cells(m, n):
-            e = mk_edge(m, n, i, j)
-            if e in labels:
-                raise RuntimeError(f"edge {edge_name(e)} produced twice by the cell map")
+            k = key(m, n, i, j)
+            if k in values:
+                raise RuntimeError(f"{describe(k)} produced twice by the cell map")
             try:
                 value, _branch = F.evaluate(fid, variant, m, n, i, j, hits)
             except CoverageError as exc:
                 coverage.append(_coverage_message(fid, m, n, i, j, exc))
                 continue
-            labels[e] = value
-    return SchemeLabels(labels, coverage, hits)
+            values[k] = value
+    return values, coverage, hits
 
 
 def _coverage_message(fid: str, m: int, n: int, i: int, j: int, exc: CoverageError) -> str:
@@ -75,24 +110,17 @@ def _coverage_message(fid: str, m: int, n: int, i: int, j: int, exc: CoverageErr
     return f"{fid} at (m={m}, n={n}, i={i}, j={j}): cited formula fails: {exc}"
 
 
+def evaluate_edge_families(
+    families: Iterable[EdgeFamily], m: int, n: int, variant: Variant
+) -> SchemeLabels:
+    rows = ((fid, cells, mk_edge) for _cls, fid, cells, mk_edge in families)
+    return SchemeLabels(*_evaluate(rows, m, n, variant, lambda e: f"edge {edge_name(e)}"))
+
+
 def evaluate_vertex_families(
     families: Iterable[VertexFamily], m: int, n: int, variant: Variant
 ) -> OracleSums:
-    sums: dict[Vertex, int] = {}
-    coverage: list[str] = []
-    hits: Counter = Counter()
-    for fid, cells, mk_vertex in families:
-        for i, j in cells(m, n):
-            v = mk_vertex(m, n, i, j)
-            if v in sums:
-                raise RuntimeError(f"vertex {v.name} produced twice by the cell map")
-            try:
-                value, _branch = F.evaluate(fid, variant, m, n, i, j, hits)
-            except CoverageError as exc:
-                coverage.append(_coverage_message(fid, m, n, i, j, exc))
-                continue
-            sums[v] = value
-    return OracleSums(sums, coverage, hits)
+    return OracleSums(*_evaluate(families, m, n, variant, lambda v: f"vertex {v.name}"))
 
 
 class FormulaCoverageError(Exception):
@@ -107,6 +135,12 @@ def require_total(result: SchemeLabels, q: int) -> EdgeLabeling:
     if result.coverage:
         raise FormulaCoverageError(result.coverage)
     return EdgeLabeling(result.labels, q)
+
+
+def require_sums(result: OracleSums) -> dict[Vertex, int]:
+    if result.coverage:
+        raise FormulaCoverageError(result.coverage)
+    return result.sums
 
 
 @dataclass

@@ -53,6 +53,16 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def fl4(m: int) -> int:
+    """fl(m/4), the floor the printed window guards use."""
+    return m // 4
+
+
+def cl4(m: int) -> int:
+    """cl(m/4), the ceiling the printed window guards use."""
+    return ceil_div(m, 4)
+
+
 class CoverageError(Exception):
     """A cell matched no branch, or several, of a piecewise formula."""
 

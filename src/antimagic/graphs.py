@@ -9,6 +9,7 @@ equal graphs serialize to identical bytes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
@@ -43,15 +44,16 @@ class Vertex:
 
     @classmethod
     def parse(cls, name: str) -> Vertex:
-        try:
-            if name.startswith("w") and "_" in name:
-                a, b = name[1:].split("_", 1)
-                return cls(int(a), int(b))
-            if name.startswith("u"):
-                return cls(int(name[1:]))
-        except ValueError:
-            pass
-        raise GraphError(f"unrecognized vertex name {name!r}")
+        """Inverse of :attr:`name`; any other spelling is rejected."""
+        match = _VERTEX_NAME.fullmatch(name)
+        if match is None:
+            raise GraphError(f"unrecognized vertex name {name!r}")
+        u, i, j = match.groups()
+        return cls(int(u)) if u is not None else cls(int(i), int(j))
+
+
+# The names :attr:`Vertex.name` writes, in ASCII digits without leading zeros.
+_VERTEX_NAME = re.compile(r"u(0|[1-9][0-9]*)|w(0|[1-9][0-9]*)_(0|[1-9][0-9]*)")
 
 
 Edge = tuple[Vertex, Vertex]
@@ -128,7 +130,7 @@ def make_graph(family: str, params: tuple[int, ...], vertices, edges) -> Graph:
     return Graph(family, params, vs, es)
 
 
-def _check_index(value: int, name: str, minimum: int) -> None:
+def check_index(value: int, name: str, minimum: int) -> None:
     if not isinstance(value, int) or value < minimum:
         raise GraphError(f"{name} must be an integer >= {minimum}, got {value!r}")
     if value > MAX_INDEX:
@@ -137,7 +139,7 @@ def _check_index(value: int, name: str, minimum: int) -> None:
 
 def build_path(m: int) -> Graph:
     """Path on vertices u1..um."""
-    _check_index(m, "m", 1)
+    check_index(m, "m", 1)
     vs = [Vertex(i) for i in range(1, m + 1)]
     es = [(Vertex(i), Vertex(i + 1)) for i in range(1, m)]
     return make_graph("path", (m,), vs, es)
@@ -145,7 +147,7 @@ def build_path(m: int) -> Graph:
 
 def build_cycle(m: int) -> Graph:
     """Cycle u1..um; needs m >= 3."""
-    _check_index(m, "m", 3)
+    check_index(m, "m", 3)
     vs = [Vertex(i) for i in range(1, m + 1)]
     es = [(Vertex(i), Vertex(i % m + 1)) for i in range(1, m + 1)]
     return make_graph("cycle", (m,), vs, es)
@@ -153,7 +155,7 @@ def build_cycle(m: int) -> Graph:
 
 def build_star(n: int) -> Graph:
     """Star with centre u0 and leaves u1..un; n >= 1."""
-    _check_index(n, "n", 1)
+    check_index(n, "n", 1)
     vs = [Vertex(i) for i in range(n + 1)]
     es = [(Vertex(0), Vertex(i)) for i in range(1, n + 1)]
     return make_graph("star", (n,), vs, es)
@@ -161,7 +163,7 @@ def build_star(n: int) -> Graph:
 
 def build_wheel(m: int) -> Graph:
     """Cycle u1..um plus hub u0 joined to every rim vertex; m >= 3."""
-    _check_index(m, "m", 3)
+    check_index(m, "m", 3)
     cyc = build_cycle(m)
     vs = [Vertex(0), *cyc.vertices]
     es = list(cyc.edges) + [(Vertex(0), Vertex(i)) for i in range(1, m + 1)]
@@ -188,8 +190,6 @@ _FAMILY_BUILDERS = {
     "helm": build_helm,
     "flower": build_flower,
 }
-
-WHEEL_FAMILIES = tuple(_FAMILY_BUILDERS)
 
 
 def build_family(family: str, m: int) -> Graph:
@@ -287,22 +287,25 @@ def write_edge_list(g: Graph) -> str:
 
 def parse_edge_list(text: str) -> Graph:
     """Inverse of :func:`write_edge_list`; the family tag becomes ``other``."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    lines = ((k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip())
+    _k, header = next(lines, (0, None))
+    if header is None:
         raise GraphError("empty edge list")
-    head = lines[0].split()
+    head = header.split()
     if len(head) != 2:
-        raise GraphError(f"bad header {lines[0]!r}; expected 'p q'")
+        raise GraphError(f"bad header {header!r}; expected 'p q'")
     p, q = (int(x) for x in head)
     vertices: set[Vertex] = set()
-    edges = []
-    for ln in lines[1:]:
+    edges: set[Edge] = set()
+    for k, ln in lines:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"bad edge line {ln!r}")
-        a, b = (Vertex.parse(s) for s in parts)
-        vertices.update((a, b))
-        edges.append((a, b))
+        e = edge(*(Vertex.parse(s) for s in parts))
+        if e in edges:
+            raise GraphError(f"line {k}: edge {edge_name(e)} is listed twice")
+        vertices.update(e)
+        edges.add(e)
     g = make_graph("other", (), vertices, edges)
     if g.p != p or g.q != q:
         raise GraphError(f"header says p={p} q={q} but body has p={g.p} q={g.q}")

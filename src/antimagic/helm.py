@@ -16,14 +16,22 @@ from enum import Enum
 from . import formula as F
 from .conformance import (
     ConformanceReport,
-    FormulaCoverageError,
     build_report,
+    cell_center,
+    cells_close_first,
+    cells_hub_row,
+    cells_ij,
+    cells_leaf_col,
+    cells_rim,
+    check_mn,
     evaluate_edge_families,
     evaluate_vertex_families,
+    require_sums,
     require_total,
 )
 from .formula import ALWAYS, Variant, VARIANTS, br, ceil_div, even, odd, ref_value
-from .graphs import MAX_INDEX, Vertex, edge, product_graph
+from .formula import cl4 as _cl4, fl4 as _fl4
+from .graphs import Vertex, edge, product_graph
 from .labeling import EdgeLabeling
 
 
@@ -42,42 +50,6 @@ def helm_case_class(m: int, n: int) -> CaseClass:
     if even(n):
         return CaseClass.EVEN_STAR
     return CaseClass.BASE if m >= n else CaseClass.LARGE_STAR
-
-
-def _w(i: int, j: int) -> Vertex:
-    return Vertex(i, j)
-
-
-def _cells_ij(m, n):
-    return ((i, j) for i in range(1, m + 1) for j in range(1, n + 1))
-
-
-def _cells_rim(m, n):
-    return ((i, j) for i in range(1, m) for j in range(1, n + 1))
-
-
-def _cells_close(m, n):
-    return ((1, j) for j in range(1, n + 1))
-
-
-def _cells_hub_row(m, n):
-    return ((i, 0) for i in range(1, m + 1))
-
-
-def _cells_leaf_col(m, n):
-    return ((0, j) for j in range(1, n + 1))
-
-
-def _cell_center(m, n):
-    return ((0, 0),)
-
-
-def _fl4(m: int) -> int:
-    return m // 4
-
-
-def _cl4(m: int) -> int:
-    return ceil_div(m, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -826,137 +798,79 @@ F.define("helm.meven.even-star.sum_center_leaf",
 # ---------------------------------------------------------------------------
 
 
-def _prefix(m: int, n: int) -> str:
-    parity = "modd" if odd(m) else "meven"
-    cls = helm_case_class(m, n)
-    return f"helm.{parity}.{cls.value}"
-
-
-def _edge_families_n1():
-    p = "helm.n1"
-    return (
-        ("hub-spokes", f"{p}.hub", _cells_hub_row2, lambda m, n, i, j: edge(_w(0, 0), _w(i, 1))),
-        ("rim-pendant", f"{p}.rim_jv", _cells_rim1, lambda m, n, i, j: edge(_w(i, 1), _w(i + 1, 0))),
-        ("rim-pendant", f"{p}.rim_close_A", _cell_one, lambda m, n, i, j: edge(_w(1, 1), _w(m, 0))),
-        ("rim-pendant", f"{p}.rim_close_B", _cell_one, lambda m, n, i, j: edge(_w(m, 1), _w(1, 0))),
-        ("rim-pendant", f"{p}.rim_vj", _cells_rim1, lambda m, n, i, j: edge(_w(i, 0), _w(i + 1, 1))),
-        ("rim-pendant", f"{p}.pend_jv", _cells_hub_row2, lambda m, n, i, j: edge(_w(i, 1), _w(m + i, 0))),
-        ("rim-pendant", f"{p}.pend_vj", _cells_hub_row2, lambda m, n, i, j: edge(_w(i, 0), _w(m + i, 1))),
-        ("center-spokes", f"{p}.spoke", _cells_hub_row2, lambda m, n, i, j: edge(_w(i, 0), _w(0, 1))),
+def _families(m: int, n: int):
+    """The edge rows and vertex rows of the scheme for (m, n), in evaluation order."""
+    check_mn(m, n)
+    if n == 1:
+        p = "helm.n1"
+        edges = (
+            ("hub-spokes", f"{p}.hub", cells_ij, lambda m, n, i, j: edge(Vertex(0, 0), Vertex(i, 1))),
+            ("rim-pendant", f"{p}.rim_jv", cells_rim, lambda m, n, i, j: edge(Vertex(i, 1), Vertex(i + 1, 0))),
+            ("rim-pendant", f"{p}.rim_close_A", cells_close_first, lambda m, n, i, j: edge(Vertex(1, 1), Vertex(m, 0))),
+            ("rim-pendant", f"{p}.rim_close_B", cells_close_first, lambda m, n, i, j: edge(Vertex(m, 1), Vertex(1, 0))),
+            ("rim-pendant", f"{p}.rim_vj", cells_rim, lambda m, n, i, j: edge(Vertex(i, 0), Vertex(i + 1, 1))),
+            ("rim-pendant", f"{p}.pend_jv", cells_ij, lambda m, n, i, j: edge(Vertex(i, 1), Vertex(m + i, 0))),
+            ("rim-pendant", f"{p}.pend_vj", cells_ij, lambda m, n, i, j: edge(Vertex(i, 0), Vertex(m + i, 1))),
+            ("center-spokes", f"{p}.spoke", cells_ij, lambda m, n, i, j: edge(Vertex(i, 0), Vertex(0, 1))),
+        )
+    else:
+        p = f"helm.{'modd' if odd(m) else 'meven'}.{helm_case_class(m, n).value}"
+        edges = (
+            ("hub-spokes", f"{p}.hub", cells_ij, lambda m, n, i, j: edge(Vertex(0, 0), Vertex(i, j))),
+            ("rim-pendant", f"{p}.pend_in", cells_ij, lambda m, n, i, j: edge(Vertex(i, j), Vertex(m + i, 0))),
+            ("rim-pendant", f"{p}.pend_out", cells_ij, lambda m, n, i, j: edge(Vertex(m + i, j), Vertex(i, 0))),
+            ("rim-pendant", f"{p}.rim_vj", cells_rim, lambda m, n, i, j: edge(Vertex(i, 0), Vertex(i + 1, j))),
+            ("rim-pendant", f"{p}.rim_jv", cells_rim, lambda m, n, i, j: edge(Vertex(i, j), Vertex(i + 1, 0))),
+            ("rim-pendant", f"{p}.rim_close_A", cells_close_first, lambda m, n, i, j: edge(Vertex(1, j), Vertex(m, 0))),
+            ("rim-pendant", f"{p}.rim_close_B", cells_close_first, lambda m, n, i, j: edge(Vertex(m, j), Vertex(1, 0))),
+            ("center-spokes", f"{p}.spoke", cells_ij, lambda m, n, i, j: edge(Vertex(i, 0), Vertex(0, j))),
+        )
+    vertices = (
+        (f"{p}.sum_center", cell_center, lambda m, n, i, j: Vertex(0, 0)),
+        (f"{p}.sum_rim_leaf", cells_ij, lambda m, n, i, j: Vertex(i, j)),
+        (f"{p}.sum_outer_leaf", cells_ij, lambda m, n, i, j: Vertex(m + i, j)),
+        (f"{p}.sum_rim_hub", cells_hub_row, lambda m, n, i, j: Vertex(i, 0)),
+        (f"{p}.sum_outer_hub", cells_hub_row, lambda m, n, i, j: Vertex(m + i, 0)),
+        (f"{p}.sum_center_leaf", cells_leaf_col, lambda m, n, i, j: Vertex(0, j)),
     )
-
-
-def _cells_hub_row2(m, n):
-    return ((i, 1) for i in range(1, m + 1))
-
-
-def _cells_rim1(m, n):
-    return ((i, 1) for i in range(1, m))
-
-
-def _cell_one(m, n):
-    return ((1, 1),)
-
-
-def _vertex_families_n1():
-    p = "helm.n1"
-    return (
-        (f"{p}.sum_center", _cell_center, lambda m, n, i, j: _w(0, 0)),
-        (f"{p}.sum_rim_leaf", _cells_hub_row2, lambda m, n, i, j: _w(i, 1)),
-        (f"{p}.sum_outer_leaf", _cells_hub_row2, lambda m, n, i, j: _w(m + i, 1)),
-        (f"{p}.sum_rim_hub", _cells_hub_row, lambda m, n, i, j: _w(i, 0)),
-        (f"{p}.sum_outer_hub", _cells_hub_row, lambda m, n, i, j: _w(m + i, 0)),
-        (f"{p}.sum_center_leaf", _cell_one_leaf, lambda m, n, i, j: _w(0, 1)),
-    )
-
-
-def _cell_one_leaf(m, n):
-    return ((0, 1),)
-
-
-def _edge_families(prefix: str):
-    return (
-        ("hub-spokes", f"{prefix}.hub", _cells_ij, lambda m, n, i, j: edge(_w(0, 0), _w(i, j))),
-        ("rim-pendant", f"{prefix}.pend_in", _cells_ij, lambda m, n, i, j: edge(_w(i, j), _w(m + i, 0))),
-        ("rim-pendant", f"{prefix}.pend_out", _cells_ij, lambda m, n, i, j: edge(_w(m + i, j), _w(i, 0))),
-        ("rim-pendant", f"{prefix}.rim_vj", _cells_rim, lambda m, n, i, j: edge(_w(i, 0), _w(i + 1, j))),
-        ("rim-pendant", f"{prefix}.rim_jv", _cells_rim, lambda m, n, i, j: edge(_w(i, j), _w(i + 1, 0))),
-        ("rim-pendant", f"{prefix}.rim_close_A", _cells_close, lambda m, n, i, j: edge(_w(1, j), _w(m, 0))),
-        ("rim-pendant", f"{prefix}.rim_close_B", _cells_close, lambda m, n, i, j: edge(_w(m, j), _w(1, 0))),
-        ("center-spokes", f"{prefix}.spoke", _cells_ij, lambda m, n, i, j: edge(_w(i, 0), _w(0, j))),
-    )
-
-
-def _vertex_families(prefix: str):
-    return (
-        (f"{prefix}.sum_center", _cell_center, lambda m, n, i, j: _w(0, 0)),
-        (f"{prefix}.sum_rim_leaf", _cells_ij, lambda m, n, i, j: _w(i, j)),
-        (f"{prefix}.sum_outer_leaf", _cells_ij, lambda m, n, i, j: _w(m + i, j)),
-        (f"{prefix}.sum_rim_hub", _cells_hub_row, lambda m, n, i, j: _w(i, 0)),
-        (f"{prefix}.sum_outer_hub", _cells_hub_row, lambda m, n, i, j: _w(m + i, 0)),
-        (f"{prefix}.sum_center_leaf", _cells_leaf_col, lambda m, n, i, j: _w(0, j)),
-    )
-
-
-def _validate(m: int, n: int) -> None:
-    if not isinstance(m, int) or m < 3:
-        raise ValueError(f"m must be an integer >= 3, got {m!r}")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if m > MAX_INDEX or n > MAX_INDEX:
-        raise ValueError(f"m, n are capped at {MAX_INDEX}")
+    return edges, vertices
 
 
 def helm_labels(m: int, n: int, variant: Variant = Variant.ERRATA):
-    _validate(m, n)
-    if n == 1:
-        return evaluate_edge_families(_edge_families_n1(), m, 1, variant)
-    return evaluate_edge_families(_edge_families(_prefix(m, n)), m, n, variant)
+    return evaluate_edge_families(_families(m, n)[0], m, n, variant)
 
 
 def label_helm_n1(m: int, variant: Variant = Variant.ERRATA) -> EdgeLabeling:
     """The dedicated n=1 labeling onto {1..6m}."""
-    _validate(m, 1)
-    return require_total(helm_labels(m, 1, variant), 6 * m)
+    return label_helm_product(m, 1, variant)
 
 
 def label_helm_product(m: int, n: int, variant: Variant = Variant.ERRATA) -> EdgeLabeling:
     """Total labeling of the 6mn product edges; n=1 routes to its own scheme."""
-    if n == 1:
-        return label_helm_n1(m, variant)
     return require_total(helm_labels(m, n, variant), 6 * m * n)
 
 
 def helm_expected(m: int, n: int, variant: Variant = Variant.ERRATA):
-    _validate(m, n)
-    if n == 1:
-        return evaluate_vertex_families(_vertex_families_n1(), m, 1, variant)
-    return evaluate_vertex_families(_vertex_families(_prefix(m, n)), m, n, variant)
+    return evaluate_vertex_families(_families(m, n)[1], m, n, variant)
 
 
 def expected_helm_sums(m: int, n: int, variant: Variant = Variant.ERRATA) -> dict[Vertex, int]:
-    result = helm_expected(m, n, variant)
-    if result.coverage:
-        raise FormulaCoverageError(result.coverage)
-    return result.sums
+    return require_sums(helm_expected(m, n, variant))
 
 
 def helm_conformance(m: int, n: int, variants=VARIANTS) -> list[ConformanceReport]:
-    _validate(m, n)
     graph = product_graph("helm", m, n)
     case = None if n == 1 else helm_case_class(m, n).value
     notes = []
     if n >= 2 and even(m):
         notes.append("closing rim family read at i=1, the only remaining rim edge")
-    reports = []
-    for variant in variants:
-        reports.append(
-            build_report(
-                "helm", m, n, variant, graph,
-                helm_labels(m, n, variant),
-                helm_expected(m, n, variant),
-                case_class=case,
-                notes=notes,
-            )
+    return [
+        build_report(
+            "helm", m, n, variant, graph,
+            helm_labels(m, n, variant),
+            helm_expected(m, n, variant),
+            case_class=case,
+            notes=notes,
         )
-    return reports
+        for variant in variants
+    ]

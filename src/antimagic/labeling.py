@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .graphs import Edge, Graph, Vertex, edge_name
+from .graphs import Edge, Graph, GraphError, Vertex, edge, edge_name, make_graph
 
 
 class LabelingError(ValueError):
@@ -41,30 +41,26 @@ class EdgeLabeling:
 
 def parse_labeled_edge_list(text: str) -> tuple[Graph, EdgeLabeling]:
     """Read the ``u v label`` format back into a graph plus labeling."""
-    from .graphs import GraphError, make_graph
-
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    lines = ((k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip())
+    _k, header = next(lines, (0, None))
+    if header is None:
         raise GraphError("empty labeled edge list")
-    head = lines[0].split()
+    head = header.split()
     if len(head) != 2:
-        raise GraphError(f"bad header {lines[0]!r}; expected 'p q'")
+        raise GraphError(f"bad header {header!r}; expected 'p q'")
     p, q = (int(x) for x in head)
     labels: dict[Edge, int] = {}
     vertices: set[Vertex] = set()
-    edges = []
-    for ln in lines[1:]:
+    for k, ln in lines:
         parts = ln.split()
         if len(parts) != 3:
             raise GraphError(f"bad labeled edge line {ln!r}")
-        a, b = (Vertex.parse(s) for s in parts[:2])
-        from .graphs import edge as mk_edge
-
-        e = mk_edge(a, b)
-        vertices.update((a, b))
-        edges.append(e)
+        e = edge(Vertex.parse(parts[0]), Vertex.parse(parts[1]))
+        if e in labels:
+            raise GraphError(f"line {k}: edge {edge_name(e)} is listed twice")
+        vertices.update(e)
         labels[e] = int(parts[2])
-    g = make_graph("other", (), vertices, edges)
+    g = make_graph("other", (), vertices, labels)
     if g.p != p or g.q != q:
         raise GraphError(f"header says p={p} q={q} but body has p={g.p} q={g.q}")
     return g, EdgeLabeling(labels, q)

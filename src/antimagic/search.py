@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .conformance import FormulaCoverageError
+from .families import FAMILIES
 from .formula import Variant
 from .graphs import Graph, product_graph
 from .labeling import EdgeLabeling, verify_antimagic
@@ -227,18 +229,13 @@ class AgreementRecord:
 def cross_validate(m: int, n: int, family: str,
                    config: SearchConfig | None = None) -> AgreementRecord:
     """Run the published scheme (errata reading) and the searcher side by side."""
-    from .flower import flower_labels
-    from .helm import helm_labels
-    from .wheel import wheel_labels
-
-    evaluators = {"wheel": wheel_labels, "helm": helm_labels, "flower": flower_labels}
-    if family not in evaluators:
-        raise ValueError(f"unknown family {family!r}")
     g = product_graph(family, m, n)
-    scheme = evaluators[family](m, n, Variant.ERRATA)
-    scheme_ok = False
-    if not scheme.coverage:
-        scheme_ok = verify_antimagic(g, EdgeLabeling(scheme.labels, g.q)).antimagic
+    try:
+        labeling = FAMILIES[family].label(m, n, Variant.ERRATA)
+    except FormulaCoverageError:
+        scheme_ok = False
+    else:
+        scheme_ok = verify_antimagic(g, labeling).antimagic
     if config is None:
         config = SearchConfig(strategy=Strategy.LOCAL_SEARCH, max_iterations=2000, seed=7)
     result = search_antimagic(g, config)

@@ -12,52 +12,23 @@ from __future__ import annotations
 from . import formula as F
 from .conformance import (
     ConformanceReport,
-    FormulaCoverageError,
     build_report,
+    cell_center,
+    cells_close_last,
+    cells_hub_row,
+    cells_ij,
+    cells_leaf_col,
+    cells_rim,
+    check_mn,
     evaluate_edge_families,
     evaluate_vertex_families,
+    require_sums,
     require_total,
 )
 from .formula import ALWAYS, Variant, VARIANTS, br, even, odd
-from .graphs import MAX_INDEX, Vertex, edge, product_graph
+from .formula import cl4 as _cl4, fl4 as _fl4
+from .graphs import Vertex, edge, product_graph
 from .labeling import EdgeLabeling
-
-
-def _w(i: int, j: int) -> Vertex:
-    return Vertex(i, j)
-
-
-def _cells_ij(m, n):
-    return ((i, j) for i in range(1, m + 1) for j in range(1, n + 1))
-
-
-def _cells_rim(m, n):
-    return ((i, j) for i in range(1, m) for j in range(1, n + 1))
-
-
-def _cells_close(m, n):
-    return ((m, j) for j in range(1, n + 1))
-
-
-def _cells_hub_row(m, n):
-    return ((i, 0) for i in range(1, m + 1))
-
-
-def _cells_leaf_col(m, n):
-    return ((0, j) for j in range(1, n + 1))
-
-
-def _cell_center(m, n):
-    return ((0, 0),)
-
-
-def _fl4(m: int) -> int:
-    return m // 4
-
-
-def _cl4(m: int) -> int:
-    return F.ceil_div(m, 4)
-
 
 # ---------------------------------------------------------------------------
 # m odd
@@ -317,51 +288,36 @@ F.define(
 # ---------------------------------------------------------------------------
 
 
-def _prefix(m: int) -> str:
-    return "wheel.modd" if odd(m) else "wheel.meven"
-
-
-def _edge_families(m: int):
-    p = _prefix(m)
-    return (
-        ("hub-spokes", f"{p}.hub", _cells_ij,
-         lambda m, n, i, j: edge(_w(0, 0), _w(i, j))),
-        ("rim", f"{p}.rim_jv", _cells_rim,
-         lambda m, n, i, j: edge(_w(i, j), _w(i + 1, 0))),
-        ("rim", f"{p}.rim_vj", _cells_rim,
-         lambda m, n, i, j: edge(_w(i, 0), _w(i + 1, j))),
-        ("rim", f"{p}.rim_close_vj", _cells_close,
-         lambda m, n, i, j: edge(_w(m, 0), _w(1, j))),
-        ("rim", f"{p}.rim_close_jv", _cells_close,
-         lambda m, n, i, j: edge(_w(m, j), _w(1, 0))),
-        ("center-spokes", f"{p}.center", _cells_ij,
-         lambda m, n, i, j: edge(_w(i, 0), _w(0, j))),
+def _families(m: int, n: int):
+    """The edge rows and vertex rows of the scheme for (m, n), in evaluation order."""
+    check_mn(m, n)
+    p = "wheel.modd" if odd(m) else "wheel.meven"
+    edges = (
+        ("hub-spokes", f"{p}.hub", cells_ij,
+         lambda m, n, i, j: edge(Vertex(0, 0), Vertex(i, j))),
+        ("rim", f"{p}.rim_jv", cells_rim,
+         lambda m, n, i, j: edge(Vertex(i, j), Vertex(i + 1, 0))),
+        ("rim", f"{p}.rim_vj", cells_rim,
+         lambda m, n, i, j: edge(Vertex(i, 0), Vertex(i + 1, j))),
+        ("rim", f"{p}.rim_close_vj", cells_close_last,
+         lambda m, n, i, j: edge(Vertex(m, 0), Vertex(1, j))),
+        ("rim", f"{p}.rim_close_jv", cells_close_last,
+         lambda m, n, i, j: edge(Vertex(m, j), Vertex(1, 0))),
+        ("center-spokes", f"{p}.center", cells_ij,
+         lambda m, n, i, j: edge(Vertex(i, 0), Vertex(0, j))),
     )
-
-
-def _vertex_families(m: int):
-    p = _prefix(m)
-    return (
-        (f"{p}.sum_center", _cell_center, lambda m, n, i, j: _w(0, 0)),
-        (f"{p}.sum_rim_leaf", _cells_ij, lambda m, n, i, j: _w(i, j)),
-        (f"{p}.sum_rim_hub", _cells_hub_row, lambda m, n, i, j: _w(i, 0)),
-        (f"{p}.sum_center_leaf", _cells_leaf_col, lambda m, n, i, j: _w(0, j)),
+    vertices = (
+        (f"{p}.sum_center", cell_center, lambda m, n, i, j: Vertex(0, 0)),
+        (f"{p}.sum_rim_leaf", cells_ij, lambda m, n, i, j: Vertex(i, j)),
+        (f"{p}.sum_rim_hub", cells_hub_row, lambda m, n, i, j: Vertex(i, 0)),
+        (f"{p}.sum_center_leaf", cells_leaf_col, lambda m, n, i, j: Vertex(0, j)),
     )
-
-
-def _validate(m: int, n: int) -> None:
-    if not isinstance(m, int) or m < 3:
-        raise ValueError(f"m must be an integer >= 3, got {m!r}")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if m > MAX_INDEX or n > MAX_INDEX:
-        raise ValueError(f"m, n are capped at {MAX_INDEX}")
+    return edges, vertices
 
 
 def wheel_labels(m: int, n: int, variant: Variant = Variant.ERRATA):
     """Evaluate the scheme over all cells, keeping coverage problems as data."""
-    _validate(m, n)
-    return evaluate_edge_families(_edge_families(m), m, n, variant)
+    return evaluate_edge_families(_families(m, n)[0], m, n, variant)
 
 
 def label_wheel_product(m: int, n: int, variant: Variant = Variant.ERRATA) -> EdgeLabeling:
@@ -370,29 +326,22 @@ def label_wheel_product(m: int, n: int, variant: Variant = Variant.ERRATA) -> Ed
 
 
 def wheel_expected(m: int, n: int, variant: Variant = Variant.ERRATA):
-    _validate(m, n)
-    return evaluate_vertex_families(_vertex_families(m), m, n, variant)
+    return evaluate_vertex_families(_families(m, n)[1], m, n, variant)
 
 
 def expected_wheel_sums(m: int, n: int, variant: Variant = Variant.ERRATA) -> dict[Vertex, int]:
     """The proof's closed-form vertex sums, evaluated into a full profile."""
-    result = wheel_expected(m, n, variant)
-    if result.coverage:
-        raise FormulaCoverageError(result.coverage)
-    return result.sums
+    return require_sums(wheel_expected(m, n, variant))
 
 
 def wheel_conformance(m: int, n: int, variants=VARIANTS) -> list[ConformanceReport]:
     """One report per variant: bijectivity, distinctness, oracle agreement."""
-    _validate(m, n)
     graph = product_graph("wheel", m, n)
-    reports = []
-    for variant in variants:
-        reports.append(
-            build_report(
-                "wheel", m, n, variant, graph,
-                wheel_labels(m, n, variant),
-                wheel_expected(m, n, variant),
-            )
+    return [
+        build_report(
+            "wheel", m, n, variant, graph,
+            wheel_labels(m, n, variant),
+            wheel_expected(m, n, variant),
         )
-    return reports
+        for variant in variants
+    ]

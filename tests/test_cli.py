@@ -135,3 +135,14 @@ def test_verify_reads_stdin():
     proc2 = run_cli(["verify", "--in", "-"], input_text=proc1.stdout)
     assert proc2.returncode == 0
     assert json.loads(proc2.stdout)["antimagic"] is True
+
+
+def test_repeated_edge_line_is_a_usage_error(tmp_path):
+    # the third edge line repeats the first; it must not parse into a
+    # labeling that then fails verification for a duplicate label
+    bad = tmp_path / "dup.txt"
+    bad.write_text("3 2\nu0 u1 1\nu1 u2 2\nu0 u1 2\n")
+    for verb in ("verify", "sums"):
+        proc = run_cli([verb, "--in", str(bad)])
+        assert proc.returncode == 2
+        assert "line 4" in proc.stderr

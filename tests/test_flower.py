@@ -102,18 +102,6 @@ def test_outer_vertices_degree_two_in_product():
             assert sums[v] == sum(lab.labels[e] for e in g.incident[v])
 
 
-def test_eta_class_sizes():
-    m, n = 5, 3
-    from antimagic.flower import _edge_families, _prefix
-
-    sizes = {}
-    for cls, _fid, cells, _mk in _edge_families(_prefix(m, n)):
-        sizes[cls] = sizes.get(cls, 0) + sum(1 for _ in cells(m, n))
-    assert sizes["hub-spokes"] == 2 * m * n
-    assert sizes["rim-pendant"] == 4 * m * n
-    assert sizes["center-spokes"] == 2 * m * n
-
-
 @pytest.mark.parametrize("family_pair", [
     ("flower.modd.base.pend_in", "helm.modd.base.pend_in"),
     ("flower.modd.base.pend_out", "helm.modd.base.pend_out"),

@@ -164,3 +164,23 @@ def test_product_vertex_names():
     assert Vertex.parse("u7") == Vertex(7)
     with pytest.raises(GraphError):
         Vertex.parse("x1")
+
+
+@pytest.mark.parametrize("name", ["w1_2_3", "u1_0", "w-1_0", "u\uff11"])
+def test_vertex_parse_rejects_names_no_vertex_writes(name):
+    # an extra separator, a digit-group underscore, a sign or a non-ASCII
+    # digit would each otherwise read as some other vertex
+    with pytest.raises(GraphError):
+        Vertex.parse(name)
+
+
+@pytest.mark.parametrize("family", ["wheel", "helm", "flower"])
+def test_vertex_names_round_trip(family):
+    g = product_graph(family, 10, 10)
+    for v in g.vertices:
+        assert Vertex.parse(v.name) == v
+
+
+def test_parse_edge_list_rejects_repeated_edge():
+    with pytest.raises(GraphError, match="line 4"):
+        parse_edge_list("3 2\nu0 u1\nu1 u2\nu1 u0\n")

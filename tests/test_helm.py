@@ -115,18 +115,6 @@ def test_errata_scheme_verifies_and_matches_oracle(m, n):
     assert sum(expected.values()) == 6 * m * n * (6 * m * n + 1)
 
 
-def test_edge_class_sizes_partition_6mn():
-    m, n = 5, 2
-    from antimagic.helm import _edge_families, _prefix
-
-    sizes = {}
-    for cls, _fid, cells, _mk in _edge_families(_prefix(m, n)):
-        sizes[cls] = sizes.get(cls, 0) + sum(1 for _ in cells(m, n))
-    assert sizes["hub-spokes"] == m * n
-    assert sizes["center-spokes"] == m * n
-    assert sizes["rim-pendant"] == 4 * m * n
-
-
 def test_case_class_changes_labeling_never_the_graph():
     # (5,3), (5,4) and (3,5) land in three different classes, but each
     # labeling is total over exactly the same edge set its graph has

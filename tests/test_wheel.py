@@ -146,20 +146,6 @@ def test_branch_hits_partition_edges():
     assert label_hits == 4 * 5 * 2
 
 
-def test_edge_class_sizes_partition_4mn():
-    m, n = 5, 2
-    from antimagic.wheel import _edge_families
-
-    sizes = {}
-    for cls, _fid, cells, _mk in _edge_families(m):
-        sizes[cls] = sizes.get(cls, 0) + sum(1 for _ in cells(m, n))
-    assert sizes == {
-        "hub-spokes": m * n,
-        "rim": 2 * m * n,
-        "center-spokes": m * n,
-    }
-
-
 def test_expected_wheel_sums_raises_on_uncovered_cells():
     with pytest.raises(FormulaCoverageError):
         expected_wheel_sums(4, 1, Variant.AS_PRINTED)
