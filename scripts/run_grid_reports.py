@@ -3,17 +3,16 @@
 
 Writes one JSONL report per family under reports/ (both variants per
 cell) plus a cross-validation table at n=1, and prints a verdict
-summary.  Reruns write byte-identical conformance reports; the
-cross-validation rows carry the search's measured ``wall_time_ms``.
+summary.  Reruns write byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 
-from antimagic.families import FAMILIES
+from antimagic.conformance import to_jsonl
+from antimagic.families import grid_records
 from antimagic.search import cross_validate
 
 GRIDS = {
@@ -34,15 +33,9 @@ def main() -> None:
 
     tally = {}
     for family, (ms, ns) in GRIDS.items():
-        records = []
-        for m in ms:
-            for n in ns:
-                for report in FAMILIES[family].conformance(m, n):
-                    records.append(report.to_json_dict())
+        records = grid_records(family, ms, ns)
         path = out_dir / f"{family}_conformance.jsonl"
-        path.write_text(
-            "\n".join(json.dumps(r, separators=(",", ":")) for r in records) + "\n"
-        )
+        path.write_text(to_jsonl(records))
         passed = sum(1 for r in records if r["passed"])
         tally[family] = (passed, len(records))
         print(f"{family:7s} {passed}/{len(records)} cells pass -> {path}")
@@ -53,9 +46,7 @@ def main() -> None:
             for m in range(3, 7):
                 rows.append(cross_validate(m, 1, family).to_json_dict())
         path = out_dir / "cross_validation.jsonl"
-        path.write_text(
-            "\n".join(json.dumps(r, separators=(",", ":")) for r in rows) + "\n"
-        )
+        path.write_text(to_jsonl(rows))
         agree = sum(1 for r in rows if r["scheme_antimagic"] and r["search_status"] == "found")
         print(f"cross-validation: {agree}/{len(rows)} cells agree -> {path}")
 

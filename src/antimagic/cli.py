@@ -2,9 +2,11 @@
 
 Exit codes: 0 success (and, for verify, antimagic); 1 verification
 failure; 2 usage error; 3 formula-coverage or search-capacity error.
-All output is exact-integer text or JSON with a fixed field order, so
-identical invocations produce byte-identical files, except ``search``,
-whose JSON carries the measured ``stats.wall_time_ms``.
+Integers from the command line or a file are read only as ``str(int)``
+writes them; any other spelling is a usage error.  All output is
+exact-integer text or JSON with a fixed field order, so identical
+invocations produce byte-identical files, except ``search``, whose JSON
+carries the measured ``stats.wall_time_ms``.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ import argparse
 import json
 import sys
 
-from .conformance import FormulaCoverageError
-from .families import FAMILIES
+from .conformance import FormulaCoverageError, to_jsonl
+from .families import FAMILIES, grid_records
 from .formula import Variant
-from .graphs import GraphError, product_graph, write_edge_list
+from .graphs import GraphError, parse_int, product_graph, write_edge_list
 from .labeling import parse_labeled_edge_list, verify_antimagic, vertex_sums
 from .search import (
     CapacityError,
@@ -32,20 +34,13 @@ EXIT_USAGE = 2
 EXIT_COVERAGE = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_range(text: str) -> range:
     """'3..9' or a single number; both ends inclusive."""
+    lo, sep, hi = text.partition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return range(int(lo), int(hi) + 1)
-        v = int(text)
-        return range(v, v + 1)
-    except ValueError:
-        raise UsageError(f"bad range {text!r}; expected N or LO..HI")
+        return range(parse_int(lo), parse_int(hi if sep else lo) + 1)
+    except GraphError:
+        raise GraphError(f"bad range {text!r}; expected N or LO..HI") from None
 
 
 def _write(path: str | None, text: str) -> None:
@@ -69,15 +64,8 @@ def _add_family_args(p: argparse.ArgumentParser, ranged: bool = False) -> None:
         p.add_argument("--m", required=True, help="wheel size, N or LO..HI")
         p.add_argument("--n", required=True, help="star size, N or LO..HI")
     else:
-        p.add_argument("--m", required=True, type=int)
-        p.add_argument("--n", required=True, type=int)
-
-
-def _variant(text: str) -> Variant:
-    try:
-        return Variant.parse(text)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        p.add_argument("--m", required=True, type=parse_int)
+        p.add_argument("--n", required=True, type=parse_int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("label", help="emit the scheme labeling as a labeled edge list")
     _add_family_args(p)
-    p.add_argument("--variant", default="errata", help="as-printed or errata")
+    p.add_argument("--variant", default="errata", choices=[v.value for v in Variant])
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="verify a labeled edge list; exit 0 iff antimagic")
@@ -108,9 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(p)
     p.add_argument("--strategy", default="exhaustive",
                    choices=[s.value for s in Strategy])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iterations", type=int, default=20_000)
-    p.add_argument("--max-exhaustive-edges", type=int, default=10)
+    p.add_argument("--seed", type=parse_int, default=0)
+    p.add_argument("--max-iterations", type=parse_int, default=20_000)
+    p.add_argument("--max-exhaustive-edges", type=parse_int, default=10)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("grid-report", help="conformance reports over an (m, n) grid")
@@ -119,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="export a labeled product for rendering")
     _add_family_args(p)
-    p.add_argument("--variant", default="errata")
+    p.add_argument("--variant", default="errata", choices=[v.value for v in Variant])
     p.add_argument("--format", default="dot", choices=["dot"])
     p.add_argument("--out", default=None)
 
@@ -133,9 +121,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_label(args) -> int:
-    variant = _variant(args.variant)
     g = product_graph(args.family, args.m, args.n)
-    labeling = FAMILIES[args.family].label(args.m, args.n, variant)
+    labeling = FAMILIES[args.family].label(args.m, args.n, Variant(args.variant))
     _write(args.out, labeling.to_text(g))
     return EXIT_OK
 
@@ -186,21 +173,14 @@ def _cmd_grid_report(args) -> int:
     ms = _parse_range(args.m)
     ns = _parse_range(args.n)
     if len(ms) == 0 or len(ns) == 0:
-        raise UsageError("empty m or n range")
-    records = []
-    for m in ms:
-        for n in ns:
-            for report in FAMILIES[args.family].conformance(m, n):
-                records.append(report.to_json_dict())
-    text = "\n".join(json.dumps(rec, separators=(",", ":")) for rec in records) + "\n"
-    _write(args.out, text)
+        raise GraphError("empty m or n range")
+    _write(args.out, to_jsonl(grid_records(args.family, ms, ns)))
     return EXIT_OK
 
 
 def _cmd_export(args) -> int:
-    variant = _variant(args.variant)
     g = product_graph(args.family, args.m, args.n)
-    labeling = FAMILIES[args.family].label(args.m, args.n, variant)
+    labeling = FAMILIES[args.family].label(args.m, args.n, Variant(args.variant))
     sums = vertex_sums(g, labeling)
     lines = ["graph antimagic {"]
     for v in g.vertices:
@@ -231,13 +211,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.verb](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (FormulaCoverageError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COVERAGE
-    except (GraphError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -184,8 +184,10 @@ class ConformanceReport:
             "notes": self.notes,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+
+def to_jsonl(records: list[dict]) -> str:
+    """Compact JSON Lines: one record per line, fields in insertion order."""
+    return "\n".join(json.dumps(r, separators=(",", ":")) for r in records) + "\n"
 
 
 def build_report(

@@ -17,3 +17,9 @@ FAMILIES = {
     "helm": Family(helm.label_helm_product, helm.helm_conformance),
     "flower": Family(flower.label_flower_product, flower.flower_conformance),
 }
+
+
+def grid_records(family: str, ms: range, ns: range) -> list[dict]:
+    """The conformance records of every cell of ``ms`` x ``ns``, in (m, n, variant) order."""
+    conformance = FAMILIES[family].conformance
+    return [r.to_json_dict() for m in ms for n in ns for r in conformance(m, n)]

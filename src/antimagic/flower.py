@@ -776,11 +776,11 @@ def outer_sum_range_ok(m: int, sums: dict[str, int]) -> bool:
     return outer == set(range(2 * m + 2, 6 * m + 1, 2))
 
 
-def flower_conformance(m: int, n: int, variants=VARIANTS) -> list[ConformanceReport]:
+def flower_conformance(m: int, n: int) -> list[ConformanceReport]:
     graph = product_graph("flower", m, n)
     case = None if n == 1 else helm_case_class(m, n).value
     reports = []
-    for variant in variants:
+    for variant in VARIANTS:
         notes = []
         scheme = flower_labels(m, n, variant)
         oracle = flower_expected(m, n, variant)

@@ -25,13 +25,6 @@ class Variant(Enum):
     AS_PRINTED = "as-printed"
     ERRATA = "errata"
 
-    @classmethod
-    def parse(cls, text: str) -> Variant:
-        for v in cls:
-            if v.value == text:
-                return v
-        raise ValueError(f"unknown variant {text!r}; expected 'as-printed' or 'errata'")
-
 
 VARIANTS = (Variant.AS_PRINTED, Variant.ERRATA)
 

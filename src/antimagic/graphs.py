@@ -39,9 +39,6 @@ class Vertex:
             return f"u{self.i}"
         return f"w{self.i}_{self.j}"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name
-
     @classmethod
     def parse(cls, name: str) -> Vertex:
         """Inverse of :attr:`name`; any other spelling is rejected."""
@@ -54,6 +51,15 @@ class Vertex:
 
 # The names :attr:`Vertex.name` writes, in ASCII digits without leading zeros.
 _VERTEX_NAME = re.compile(r"u(0|[1-9][0-9]*)|w(0|[1-9][0-9]*)_(0|[1-9][0-9]*)")
+# What ``str(int)`` writes: ASCII digits, no ``+``, ``_``, ``-0`` or leading zeros.
+_INT = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def parse_int(text: str) -> int:
+    """Inverse of ``str`` on integers; any other spelling is rejected."""
+    if _INT.fullmatch(text) is None:
+        raise GraphError(f"bad integer {text!r}; expected an optional '-' and ASCII digits")
+    return int(text)
 
 
 Edge = tuple[Vertex, Vertex]
@@ -86,10 +92,6 @@ class Graph:
     @property
     def q(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def vertex_set(self) -> frozenset[Vertex]:
-        return frozenset(self.vertices)
 
     @cached_property
     def incident(self) -> dict[Vertex, tuple[Edge, ...]]:
@@ -285,28 +287,40 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Inverse of :func:`write_edge_list`; the family tag becomes ``other``."""
+def _read_edge_list(text: str, labeled: bool) -> tuple[Graph, dict[Edge, int | None]]:
+    """Both edge-list formats: the graph and each edge's label (None unless ``labeled``)."""
+    fields = 3 if labeled else 2
     lines = ((k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip())
-    _k, header = next(lines, (0, None))
+    k, header = next(lines, (0, None))
     if header is None:
         raise GraphError("empty edge list")
-    head = header.split()
-    if len(head) != 2:
-        raise GraphError(f"bad header {header!r}; expected 'p q'")
-    p, q = (int(x) for x in head)
-    vertices: set[Vertex] = set()
-    edges: set[Edge] = set()
-    for k, ln in lines:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphError(f"bad edge line {ln!r}")
-        e = edge(*(Vertex.parse(s) for s in parts))
-        if e in edges:
-            raise GraphError(f"line {k}: edge {edge_name(e)} is listed twice")
-        vertices.update(e)
-        edges.add(e)
-    g = make_graph("other", (), vertices, edges)
+    labels: dict[Edge, int | None] = {}
+    # one Vertex per name, parsed once per file rather than once per line
+    vertices: dict[str, Vertex] = {}
+    try:
+        head = header.split()
+        if len(head) != 2:
+            raise GraphError(f"bad header {header!r}; expected 'p q'")
+        p, q = parse_int(head[0]), parse_int(head[1])
+        for k, ln in lines:
+            parts = ln.split()
+            if len(parts) != fields:
+                raise GraphError(f"bad edge line {ln!r}; expected {fields} fields")
+            for name in parts[:2]:
+                if name not in vertices:
+                    vertices[name] = Vertex.parse(name)
+            e = edge(vertices[parts[0]], vertices[parts[1]])
+            if e in labels:
+                raise GraphError(f"edge {edge_name(e)} is listed twice")
+            labels[e] = parse_int(parts[2]) if labeled else None
+    except ValueError as exc:
+        raise GraphError(f"line {k}: {exc}") from None
+    g = make_graph("other", (), vertices.values(), labels)
     if g.p != p or g.q != q:
         raise GraphError(f"header says p={p} q={q} but body has p={g.p} q={g.q}")
-    return g
+    return g, labels
+
+
+def parse_edge_list(text: str) -> Graph:
+    """Inverse of :func:`write_edge_list`; the family tag becomes ``other``."""
+    return _read_edge_list(text, labeled=False)[0]

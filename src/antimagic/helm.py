@@ -858,7 +858,7 @@ def expected_helm_sums(m: int, n: int, variant: Variant = Variant.ERRATA) -> dic
     return require_sums(helm_expected(m, n, variant))
 
 
-def helm_conformance(m: int, n: int, variants=VARIANTS) -> list[ConformanceReport]:
+def helm_conformance(m: int, n: int) -> list[ConformanceReport]:
     graph = product_graph("helm", m, n)
     case = None if n == 1 else helm_case_class(m, n).value
     notes = []
@@ -872,5 +872,5 @@ def helm_conformance(m: int, n: int, variants=VARIANTS) -> list[ConformanceRepor
             case_class=case,
             notes=notes,
         )
-        for variant in variants
+        for variant in VARIANTS
     ]

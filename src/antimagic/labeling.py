@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .graphs import Edge, Graph, GraphError, Vertex, edge, edge_name, make_graph
+from .graphs import Edge, Graph, Vertex, _read_edge_list, edge_name
 
 
 class LabelingError(ValueError):
@@ -40,30 +40,9 @@ class EdgeLabeling:
 
 
 def parse_labeled_edge_list(text: str) -> tuple[Graph, EdgeLabeling]:
-    """Read the ``u v label`` format back into a graph plus labeling."""
-    lines = ((k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip())
-    _k, header = next(lines, (0, None))
-    if header is None:
-        raise GraphError("empty labeled edge list")
-    head = header.split()
-    if len(head) != 2:
-        raise GraphError(f"bad header {header!r}; expected 'p q'")
-    p, q = (int(x) for x in head)
-    labels: dict[Edge, int] = {}
-    vertices: set[Vertex] = set()
-    for k, ln in lines:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise GraphError(f"bad labeled edge line {ln!r}")
-        e = edge(Vertex.parse(parts[0]), Vertex.parse(parts[1]))
-        if e in labels:
-            raise GraphError(f"line {k}: edge {edge_name(e)} is listed twice")
-        vertices.update(e)
-        labels[e] = int(parts[2])
-    g = make_graph("other", (), vertices, labels)
-    if g.p != p or g.q != q:
-        raise GraphError(f"header says p={p} q={q} but body has p={g.p} q={g.q}")
-    return g, EdgeLabeling(labels, q)
+    """Inverse of :meth:`EdgeLabeling.to_text`: a graph plus its labeling."""
+    g, labels = _read_edge_list(text, labeled=True)
+    return g, EdgeLabeling(labels, g.q)
 
 
 def vertex_sums(g: Graph, labeling: EdgeLabeling) -> dict[Vertex, int]:

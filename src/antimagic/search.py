@@ -216,13 +216,16 @@ class AgreementRecord:
     search_stats: SearchStats
 
     def to_json_dict(self) -> dict:
+        stats = self.search_stats.to_json_dict()
+        # measured, so it would make identical runs write different records
+        del stats["wall_time_ms"]
         return {
             "family": self.family,
             "m": self.m,
             "n": self.n,
             "scheme_antimagic": self.scheme_antimagic,
             "search_status": self.search_status,
-            "search_stats": self.search_stats.to_json_dict(),
+            "search_stats": stats,
         }
 
 

@@ -334,7 +334,7 @@ def expected_wheel_sums(m: int, n: int, variant: Variant = Variant.ERRATA) -> di
     return require_sums(wheel_expected(m, n, variant))
 
 
-def wheel_conformance(m: int, n: int, variants=VARIANTS) -> list[ConformanceReport]:
+def wheel_conformance(m: int, n: int) -> list[ConformanceReport]:
     """One report per variant: bijectivity, distinctness, oracle agreement."""
     graph = product_graph("wheel", m, n)
     return [
@@ -343,5 +343,5 @@ def wheel_conformance(m: int, n: int, variants=VARIANTS) -> list[ConformanceRepo
             wheel_labels(m, n, variant),
             wheel_expected(m, n, variant),
         )
-        for variant in variants
+        for variant in VARIANTS
     ]

@@ -4,14 +4,20 @@ import json
 import subprocess
 import sys
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from antimagic.cli import main
+
+from . import src_env
 
 CLI = [sys.executable, "-m", "antimagic.cli"]
 
 
 def run_cli(args, tmp_path=None, input_text=None):
     proc = subprocess.run(
-        CLI + args, capture_output=True, text=True, input=input_text
+        CLI + args, capture_output=True, text=True, input=input_text, env=src_env()
     )
     return proc
 
@@ -105,6 +111,11 @@ def test_usage_errors():
     assert proc.returncode == 2
     proc = run_cli(["label", "--family", "wheel", "--m", "2", "--n", "1"])
     assert proc.returncode == 2
+    # int() would read these as wheel 10 x 1 and the grid m = 3..3
+    proc = run_cli(["label", "--family", "wheel", "--m", "1_0", "--n", "1"])
+    assert proc.returncode == 2
+    proc = run_cli(["grid-report", "--family", "wheel", "--m", "3..", "--n", "1"])
+    assert proc.returncode == 2
 
 
 def test_export_dot(tmp_path):
@@ -146,3 +157,54 @@ def test_repeated_edge_line_is_a_usage_error(tmp_path):
         proc = run_cli([verb, "--in", str(bad)])
         assert proc.returncode == 2
         assert "line 4" in proc.stderr
+
+
+@pytest.mark.parametrize("text, line", [
+    pytest.param("3 2\nu0 u1 1\nu1 u2 1_0\n", 3, id="underscore-label"),
+    pytest.param("3 2\nu0 u1 \uff12\nu1 u2 1\n", 2, id="full-width-label"),
+    pytest.param("3 0_2\nu0 u1 1\nu1 u2 2\n", 1, id="underscore-header"),
+])
+def test_integers_not_written_by_str_are_usage_errors(tmp_path, capsys, text, line):
+    # int() would read each as a valid labeling of the path u0-u1-u2
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    for verb in ("verify", "sums"):
+        assert main([verb, "--in", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert f"line {line}:" in capsys.readouterr().err
+
+
+def test_out_of_range_labels_are_evidence_not_errors(tmp_path):
+    lab = tmp_path / "lab.txt"
+    lab.write_text("3 2\nu0 u1 0\nu1 u2 -3\n")
+    sums = tmp_path / "sums.txt"
+    assert main(["sums", "--in", str(lab), "--out", str(sums)]) == 0
+    assert sums.read_text() == "u0 0\nu1 -3\nu2 -3\n"
+    report = tmp_path / "report.json"
+    assert main(["verify", "--in", str(lab), "--out", str(report)]) == 1
+    payload = json.loads(report.read_text())
+    assert payload["out_of_range_labels"] == [
+        {"label": -3, "edge": "u1-u2"}, {"label": 0, "edge": "u0-u1"},
+    ]
+
+
+# Lines of tokens near the edge-list grammar, so that most examples get
+# past the header and reach the edge and label checks.
+_TOKENS = st.sampled_from(
+    ["3", "2", "1", "0", "-3", "01", "1_0", "\uff12", "u0", "u1", "u2", "w1_0", "u1_0", "x", ""]
+)
+_NEAR_EDGE_LISTS = st.lists(st.lists(_TOKENS, max_size=4).map(" ".join), max_size=5).map(
+    lambda lines: "\n".join(lines) + "\n"
+)
+
+
+@given(data=st.one_of(_NEAR_EDGE_LISTS, st.text(), st.binary()))
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_input_file_gives_an_exit_code(tmp_path, data):
+    path = tmp_path / "in.txt"
+    if isinstance(data, str):
+        path.write_text(data, encoding="utf-8")
+    else:
+        path.write_bytes(data)
+    for verb in ("verify", "sums"):
+        assert main([verb, "--in", str(path), "--out", str(tmp_path / "out")]) in (0, 1, 2, 3)

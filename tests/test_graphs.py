@@ -18,6 +18,7 @@ from antimagic.graphs import (
     is_bipartite,
     is_connected,
     parse_edge_list,
+    parse_int,
     product_graph,
     tensor_product,
     weichsel_connected,
@@ -184,3 +185,17 @@ def test_vertex_names_round_trip(family):
 def test_parse_edge_list_rejects_repeated_edge():
     with pytest.raises(GraphError, match="line 4"):
         parse_edge_list("3 2\nu0 u1\nu1 u2\nu1 u0\n")
+
+
+@pytest.mark.parametrize("text", ["0", "7", "-3", "10", "-120"])
+def test_parse_int_reads_what_str_writes(text):
+    assert str(parse_int(text)) == text
+
+
+@pytest.mark.parametrize("text", [
+    "", "-", "-0", "01", "+1", "1_0", " 1", "1 ", "1.0", "1e3", "\uff12", "\u0661", "0x1",
+])
+def test_parse_int_rejects_other_spellings(text):
+    # each of these is either no integer or one int() would accept
+    with pytest.raises(GraphError):
+        parse_int(text)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antimagic.graphs import Vertex, build_path, edge, product_graph
+from antimagic.graphs import Vertex, build_path, edge, make_graph, product_graph
 from antimagic.labeling import (
     EdgeLabeling,
     LabelingError,
@@ -172,6 +172,32 @@ def test_labeled_edge_list_round_trip():
     assert g2.edges == g.edges
     assert lab2.labels == lab.labels
     assert lab2.to_text(g2) == text
+
+
+_VERTEX_POOL = st.sampled_from(
+    [Vertex(i) for i in range(4)] + [Vertex(i, j) for i in range(3) for j in range(2)]
+)
+_SMALL_EDGE_SETS = st.lists(
+    st.tuples(_VERTEX_POOL, _VERTEX_POOL).filter(lambda t: t[0] != t[1]),
+    max_size=12,
+    unique_by=frozenset,
+)
+
+
+@given(pairs=_SMALL_EDGE_SETS, data=st.data())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_labeled_edge_list_round_trips_any_integer_labels(pairs, data):
+    # labels 0 and negatives must survive the text boundary: the verifier
+    # reports them as out-of-range evidence, so the reader may not drop them
+    edges = [edge(a, b) for a, b in pairs]
+    g = make_graph("other", (), {v for e in edges for v in e}, edges)
+    labels = data.draw(st.lists(st.integers(-10**20, 10**20) | st.integers(-3, 3),
+                                min_size=g.q, max_size=g.q))
+    lab = EdgeLabeling(dict(zip(g.edges, labels)), g.q)
+    g2, lab2 = parse_labeled_edge_list(lab.to_text(g))
+    assert g2.edges == g.edges
+    assert lab2.labels == lab.labels
+    assert lab2.target_q == g.q
 
 
 def test_report_json_schema_fields():
