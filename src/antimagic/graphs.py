@@ -2,9 +2,9 @@
 
 Vertices carry structured identities: ``u<i>`` in a factor graph and
 ``w<i>_<j>`` in a product, where index 0 is always the hub of the
-wheel-like factor respectively the centre of the star.  Graphs are
-immutable values with a canonical vertex and edge order, so any two
-equal graphs serialize to identical bytes.
+wheel-like factor respectively the centre of the star.  A vertex is the
+tuple ``(i, j)`` with ``j = -1`` for ``u_i``, and tuple order is canonical:
+graphs are immutable and sorted, so equal graphs serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
+from typing import NamedTuple
 
 # Scheme sums grow like m^2 n^2; capping the indices keeps every sum
 # comfortably inside 64 bits for downstream consumers.
@@ -23,19 +24,15 @@ class GraphError(ValueError):
     """Raised for malformed graph parameters or serialized input."""
 
 
-@dataclass(frozen=True)
-class Vertex:
-    """``u_i`` of a factor graph when ``j`` is None, else product vertex ``w_i^j``."""
+class Vertex(NamedTuple):
+    """``u_i`` of a factor graph when ``j`` is -1, else ``w_i^j``; tuple order is canonical."""
 
     i: int
-    j: int | None = None
-
-    def key(self) -> tuple[int, int]:
-        return (self.i, -1 if self.j is None else self.j)
+    j: int = -1
 
     @property
     def name(self) -> str:
-        if self.j is None:
+        if self.j < 0:
             return f"u{self.i}"
         return f"w{self.i}_{self.j}"
 
@@ -69,7 +66,7 @@ def edge(a: Vertex, b: Vertex) -> Edge:
     """Canonical unordered edge: endpoints sorted, loops rejected."""
     if a == b:
         raise GraphError(f"loop at {a.name} is not allowed")
-    return (a, b) if a.key() < b.key() else (b, a)
+    return (a, b) if a < b else (b, a)
 
 
 def edge_name(e: Edge) -> str:
@@ -120,7 +117,7 @@ class Graph:
 
 def make_graph(family: str, params: tuple[int, ...], vertices, edges) -> Graph:
     """Canonicalize and validate the vertex/edge data."""
-    vs = tuple(sorted(set(vertices), key=Vertex.key))
+    vs = tuple(sorted(set(vertices)))
     vset = set(vs)
     canon = set()
     for a, b in edges:
@@ -128,7 +125,7 @@ def make_graph(family: str, params: tuple[int, ...], vertices, edges) -> Graph:
         if e[0] not in vset or e[1] not in vset:
             raise GraphError(f"edge {edge_name(e)} has an endpoint outside the vertex set")
         canon.add(e)
-    es = tuple(sorted(canon, key=lambda e: (e[0].key(), e[1].key())))
+    es = tuple(sorted(canon))
     return Graph(family, params, vs, es)
 
 
@@ -210,9 +207,8 @@ def tensor_product(g: Graph, h: Graph) -> Graph:
     """
     if g.p == 0 or h.p == 0:
         raise GraphError("tensor product needs nonempty factors")
-    for v in (*g.vertices, *h.vertices):
-        if v.j is not None:
-            raise GraphError("factors of a tensor product must not be product graphs")
+    if any(v.j >= 0 for v in (*g.vertices, *h.vertices)):
+        raise GraphError("factors of a tensor product must not be product graphs")
     vs = [Vertex(x.i, y.i) for x, y in iproduct(g.vertices, h.vertices)]
     es = []
     for x1, x2 in g.edges:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .graphs import Edge, Graph, Vertex, _read_edge_list, edge_name
 
@@ -54,9 +55,13 @@ def vertex_sums(g: Graph, labeling: EdgeLabeling) -> dict[Vertex, int]:
     for e in labeling.labels:
         if e not in edge_set:
             raise LabelingError(f"label on {edge_name(e)}, which is not a graph edge")
+    return _sums(g, labeling.labels)
+
+
+def _sums(g: Graph, labels: dict[Edge, int]) -> dict[Vertex, int]:
     sums = {v: 0 for v in g.vertices}
     for e in g.edges:
-        lab = labeling.labels[e]
+        lab = labels[e]
         sums[e[0]] += lab
         sums[e[1]] += lab
     return sums
@@ -131,18 +136,18 @@ def verify_antimagic(g: Graph, labeling: EdgeLabeling) -> VerificationReport:
     )
     total = not unlabeled
 
-    by_label: dict[int, list[str]] = {}
+    by_label: dict[int, list[Edge]] = {}
     out_of_range: list[tuple[int, str]] = []
     for e in g.edges:
         if e not in labeling.labels:
             continue
         lab = labeling.labels[e]
-        by_label.setdefault(lab, []).append(edge_name(e))
+        by_label.setdefault(lab, []).append(e)
         if not 1 <= lab <= q:
             out_of_range.append((lab, edge_name(e)))
     missing = sorted(set(range(1, q + 1)) - set(by_label))
     duplicates = sorted(
-        (lab, sorted(names)) for lab, names in by_label.items() if len(names) > 1
+        (lab, sorted(map(edge_name, es))) for lab, es in by_label.items() if len(es) > 1
     )
     out_of_range.sort()
     bijective = (
@@ -157,20 +162,14 @@ def verify_antimagic(g: Graph, labeling: EdgeLabeling) -> VerificationReport:
     sums_by_name: dict[str, int] | None = None
     collisions: list[tuple[str, str, int]] = []
     if total:
-        sums = {v: 0 for v in g.vertices}
-        for e in g.edges:
-            sums[e[0]] += labeling.labels[e]
-            sums[e[1]] += labeling.labels[e]
-        sums_by_name = {v.name: sums[v] for v in g.vertices}
+        sums = _sums(g, labeling.labels)
+        sums_by_name = {v.name: s for v, s in sums.items()}
         by_sum: dict[int, list[Vertex]] = {}
-        for v in g.vertices:
-            by_sum.setdefault(sums[v], []).append(v)
+        for v, s in sums.items():
+            by_sum.setdefault(s, []).append(v)
         for s, group in by_sum.items():
-            if len(group) > 1:
-                group = sorted(group, key=Vertex.key)
-                for a in range(len(group)):
-                    for b in range(a + 1, len(group)):
-                        collisions.append((group[a].name, group[b].name, s))
+            # groups fill in canonical vertex order, so each pair is already ordered
+            collisions.extend((a.name, b.name, s) for a, b in combinations(group, 2))
         collisions.sort(key=lambda t: (t[2], t[0], t[1]))
 
     return VerificationReport(

@@ -44,6 +44,10 @@ class SearchConfig:
     max_iterations: int = 20_000
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if min(self.max_exhaustive_edges, self.max_iterations) < 0:
+            raise ValueError(f"search budgets must be >= 0: {self}")
+
 
 @dataclass
 class SearchStats:

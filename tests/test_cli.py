@@ -1,5 +1,6 @@
 """The batch front door: round trips through serialized formats only."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -116,6 +117,13 @@ def test_usage_errors():
     assert proc.returncode == 2
     proc = run_cli(["grid-report", "--family", "wheel", "--m", "3..", "--n", "1"])
     assert proc.returncode == 2
+    # negative budgets: no iteration would run, or every instance be refused
+    proc = run_cli(["search", "--family", "wheel", "--m", "3", "--n", "1",
+                    "--strategy", "local-search", "--max-iterations", "-5"])
+    assert proc.returncode == 2
+    proc = run_cli(["search", "--family", "wheel", "--m", "3", "--n", "1",
+                    "--max-exhaustive-edges", "-1"])
+    assert proc.returncode == 2
 
 
 def test_export_dot(tmp_path):
@@ -208,3 +216,53 @@ def test_any_input_file_gives_an_exit_code(tmp_path, data):
         path.write_bytes(data)
     for verb in ("verify", "sums"):
         assert main([verb, "--in", str(path), "--out", str(tmp_path / "out")]) in (0, 1, 2, 3)
+
+
+# A hand-written labeled file mixing u and w vertices: label 0, label 9 > q,
+# label 2 twice, labels 4..6 missing, and u1, w2_0, w10_0 sharing the sum 3,
+# whose pairs name w2_0 before w10_0 (canonical order, not string order).
+_MIXED = "7 6\nu0 u1 3\nu0 w2_0 2\nw2_0 w10_0 1\nw10_0 w1_1 2\nw1_1 u2 0\nu2 w3_0 9\n"
+
+# sha256 of each invocation's stdout; a change that means to alter CLI
+# output updates these and says so in CHANGES.md.
+CLI_DIGESTS = {
+    "construct": "412273fe150885ce652a32c1cd309c42812a08941fd6b378a266bee669a05588",
+    "label": "dc8234184c564641d5801380e5f438c3bb67073d8183cd9add8f55fca5a7283c",
+    "export": "71c44388e46741e90a22570b2e425387ffa3980ac53c258105637e43dcb414a1",
+    "grid-report": "3c7c85c2d76456d2a3a5e555d8d1b8b49650802f60f82e835e392bd7d8ac201d",
+    "verify": "5e1dd0203649b07fecb8fbe07d4b4985308dd09ed06761dcefee1bcc06f7fc57",
+    "sums": "6253d54311368e99200fd9d0504ef4f0832870c80ee11b87dcf7d64b536bef0e",
+    "verify-mixed": "3fb76182385f88d66a88d6241fdc046ded395e5ec24dd0412f3965fef60318b6",
+    "search": "4a2cb80a99947b1a9ac15c7aecd37b0e21166a8aac58361621881e573b41bf55",
+}
+
+
+def test_cli_stdout_is_pinned(tmp_path, capsys):
+    def run(argv, code):
+        assert main(argv) == code
+        return capsys.readouterr().out
+
+    def product(verb, family, m, n):
+        return [verb, "--family", family, "--m", str(m), "--n", str(n)]
+
+    outputs = {
+        "construct": run(product("construct", "helm", 5, 3), 0),
+        "label": run(product("label", "flower", 4, 5), 0),
+        "export": run(product("export", "wheel", 5, 2), 0),
+        "grid-report": run(["grid-report", "--family", "flower", "--m", "3..6",
+                            "--n", "1..5"], 0),
+    }
+    # flower 4x5 is the large-star even-m FAIL, with duplicate-label evidence
+    labeled = tmp_path / "flower-4-5.txt"
+    labeled.write_text(outputs["label"])
+    outputs["verify"] = run(["verify", "--in", str(labeled)], 1)
+    outputs["sums"] = run(["sums", "--in", str(labeled)], 0)
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text(_MIXED)
+    outputs["verify-mixed"] = run(["verify", "--in", str(mixed)], 1)
+    search = json.loads(run(product("search", "helm", 3, 1)
+                            + ["--strategy", "local-search", "--seed", "3"], 0))
+    del search["stats"]["wall_time_ms"]  # measured, so it differs between runs
+    outputs["search"] = json.dumps(search, indent=2) + "\n"
+    digests = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in outputs.items()}
+    assert digests == CLI_DIGESTS

@@ -15,8 +15,10 @@ from antimagic.graphs import (
     build_path,
     build_star,
     build_wheel,
+    edge,
     is_bipartite,
     is_connected,
+    make_graph,
     parse_edge_list,
     parse_int,
     product_graph,
@@ -180,6 +182,38 @@ def test_vertex_names_round_trip(family):
     g = product_graph(family, 10, 10)
     for v in g.vertices:
         assert Vertex.parse(v.name) == v
+
+
+def test_vertex_tuple_order_is_canonical():
+    # u_i sorts before w_i^0, and i decides before j
+    vs = sorted([Vertex(2), Vertex(1, 1), Vertex(1), Vertex(1, 0)])
+    assert [v.name for v in vs] == ["u1", "w1_0", "w1_1", "u2"]
+    assert Vertex(3).j == -1
+    assert Vertex(3) == Vertex.parse("u3")
+    assert edge(Vertex(1, 0), Vertex(1)) == (Vertex(1), Vertex(1, 0))
+
+
+def test_edge_list_text_of_mixed_vertices():
+    # w2_0 precedes w10_0: the order is by index, not by name
+    es = [(Vertex(10, 0), Vertex(2)), (Vertex(2, 0), Vertex(10, 0)),
+          (Vertex(1, 0), Vertex(1)), (Vertex(2), Vertex(1, 0))]
+    g = make_graph("other", (), {v for e in es for v in e}, es)
+    assert write_edge_list(g) == "5 4\nu1 w1_0\nw1_0 u2\nu2 w10_0\nw2_0 w10_0\n"
+
+
+_INDICES = st.integers(0, 12)
+_MIXED_VERTICES = _INDICES.map(Vertex) | st.builds(Vertex, _INDICES, _INDICES)
+
+
+@given(pairs=st.lists(st.tuples(_MIXED_VERTICES, _MIXED_VERTICES).filter(lambda t: t[0] != t[1]),
+                      max_size=15, unique_by=frozenset))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_edge_list_round_trips_mixed_vertices(pairs):
+    g = make_graph("other", (), {v for e in pairs for v in e}, pairs)
+    text = write_edge_list(g)
+    back = parse_edge_list(text)
+    assert back == g
+    assert write_edge_list(back) == text
 
 
 def test_parse_edge_list_rejects_repeated_edge():
