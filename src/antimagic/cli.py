@@ -18,7 +18,7 @@ import sys
 from .conformance import FormulaCoverageError, to_jsonl
 from .families import FAMILIES, grid_records
 from .formula import Variant
-from .graphs import GraphError, parse_int, product_graph, write_edge_list
+from .graphs import GraphError, edge_name, parse_int, product_graph, write_edge_list
 from .labeling import parse_labeled_edge_list, verify_antimagic, vertex_sums
 from .search import (
     CapacityError,
@@ -162,9 +162,7 @@ def _cmd_search(args) -> int:
         "stats": result.stats.to_json_dict(),
     }
     if result.labeling is not None:
-        payload["labels"] = {
-            f"{e[0].name}-{e[1].name}": result.labeling.labels[e] for e in g.edges
-        }
+        payload["labels"] = {edge_name(e): result.labeling.labels[e] for e in g.edges}
     _write(args.out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK if result.status in (Status.FOUND, Status.NONE_EXISTS) else EXIT_VERIFY_FAIL
 

@@ -133,10 +133,7 @@ F.patch(
         "the i=m value n(m-1)+2j-1 stays inside the block the bijection needs "
         "(the odd-i value would reach 2mn+2j-1, colliding with the pendants)"
     ),
-    br("i even", lambda m, n, i, j: even(i),
-       lambda m, n, i, j, _: (i - 2) * n + 2 * j - 1),
-    br("i=m", lambda m, n, i, j: i == m,
-       lambda m, n, i, j, _: n * (m - 1) + 2 * j - 1),
+    "i even", "i=m",
     br("i odd, i!=m", lambda m, n, i, j: odd(i) and i != m,
        lambda m, n, i, j, _: n * (m - 1) + 2 * n + 2 * j - 1 + (i - 1) * n),
 )
@@ -189,10 +186,7 @@ F.patch(
         "same double coverage of i=m as the hub-to-outer labels; the i=m row "
         "is the sum of that vertex's two labels under the corrected scheme"
     ),
-    br("i even", lambda m, n, i, j: even(i),
-       lambda m, n, i, j, _: 2 * m * n + 4 * j - 1 + 2 * (i - 2) * n),
-    br("i=m", lambda m, n, i, j: i == m,
-       lambda m, n, i, j, _: 2 * (m - 1) * n + 4 * j + 2 * m * n - 1),
+    "i even", "i=m",
     br("i odd, i!=m", lambda m, n, i, j: odd(i) and i != m,
        lambda m, n, i, j, _: 2 * n * (m + i) + 4 * j - 1 + 2 * m * n),
 )
@@ -321,11 +315,10 @@ F.patch(
         "reassignment under which the m=3 labels form a bijection with "
         "distinct sums, confirmed cell by cell by the verifier"
     ),
-    br("m>=5: base", lambda m, n, i, j: m >= 5, ref_value("flower.modd.base.spoke")),
+    "m>=5: base",
     br("i=2, m=3: base - 6mn", lambda m, n, i, j: i == 2 and m == 3,
        ref_value("flower.modd.base.spoke", lambda m, n, i, j: -6 * m * n)),
-    br("i!=2, m=3: base - 6mn + 1", lambda m, n, i, j: i != 2 and m == 3,
-       ref_value("flower.modd.base.spoke", lambda m, n, i, j: -6 * m * n + 1)),
+    "i!=2, m=3: base - 6mn + 1",
 )
 F.define(
     "flower.modd.even-star.spoke_outer",
@@ -368,9 +361,7 @@ F.patch(
         "labels meeting w_{m+i}^j total the base row minus one (verified "
         "cell by cell, and required by the handshake identity)"
     ),
-    br("m>=5: base", lambda m, n, i, j: m >= 5, ref_value("flower.modd.base.sum_outer_leaf")),
-    br("i=2, m=3: base + 1", lambda m, n, i, j: i == 2 and m == 3,
-       ref_value("flower.modd.base.sum_outer_leaf", 1)),
+    "m>=5: base", "i=2, m=3: base + 1",
     br("i!=2, m=3: base - 1", lambda m, n, i, j: i != 2 and m == 3,
        ref_value("flower.modd.base.sum_outer_leaf", -1)),
 )
@@ -404,7 +395,8 @@ F.define("flower.meven.base.hub",
          br("2mn + helm row", ALWAYS,
             ref_value("helm.meven.base.hub", lambda m, n, i, j: 2 * m * n)))
 
-_MEVEN_HUB_OUTER_COMMON = (
+F.define(
+    "flower.meven.base.hub_outer",
     br("i even, 2<=i<=2fl(m/4)", lambda m, n, i, j: even(i) and 2 <= i <= 2 * _fl4(m),
        lambda m, n, i, j, _: 2 * j - 1 + n * (i - 2)),
     br("i=m", lambda m, n, i, j: i == m,
@@ -418,11 +410,6 @@ _MEVEN_HUB_OUTER_COMMON = (
        lambda m, n, i, j, _: 4 * n + 2 * j - 1),
     br("i=3, m=4", lambda m, n, i, j: i == 3 and m == 4,
        lambda m, n, i, j, _: 6 * n + 2 * j - 1),
-)
-
-F.define(
-    "flower.meven.base.hub_outer",
-    *_MEVEN_HUB_OUTER_COMMON,
     br("i odd, 2cl(m/4)+1<=i<=m-1",
        lambda m, n, i, j: odd(i) and 2 * _cl4(m) + 1 <= i <= m - 1,
        lambda m, n, i, j, _: n * (2 * m - 1 - i) + 2 * j - 1),
@@ -440,7 +427,8 @@ F.patch(
         "escapes its block (m=8, i=3 reaches 2mn) instead of following the "
         "descending form the bijection needs"
     ),
-    *_MEVEN_HUB_OUTER_COMMON,
+    "i even, 2<=i<=2fl(m/4)", "i=m", "i even, 2fl(m/4)+2<=i<=m-2", "i=1, m!=4", "i=1, m=4",
+    "i=3, m=4",
     br("i odd, 2cl(m/4)+1<=i<=m-1, m!=4",
        lambda m, n, i, j: odd(i) and 2 * _cl4(m) + 1 <= i <= m - 1 and m != 4,
        lambda m, n, i, j, _: n * (2 * m - 1 - i) + 2 * j - 1),
@@ -490,7 +478,8 @@ F.define("flower.meven.base.sum_rim_leaf",
          br("8mn + helm row", ALWAYS,
             ref_value("helm.meven.base.sum_rim_leaf", lambda m, n, i, j: 8 * m * n)))
 
-_MEVEN_SUM_OUTER_LEAF_COMMON = (
+F.define(
+    "flower.meven.base.sum_outer_leaf",
     br("i even, 2<=i<=2fl(m/4)", lambda m, n, i, j: even(i) and 2 <= i <= 2 * _fl4(m),
        lambda m, n, i, j, _: 4 * j - 2 + 2 * n * (i - 2) + 2 * m * n),
     br("i=m", lambda m, n, i, j: i == m,
@@ -504,11 +493,6 @@ _MEVEN_SUM_OUTER_LEAF_COMMON = (
        lambda m, n, i, j, _: 2 * m * n + 8 * n + 4 * j - 2),
     br("i=3, m=4", lambda m, n, i, j: i == 3 and m == 4,
        lambda m, n, i, j, _: 2 * m * n + 12 * n + 4 * j - 2),
-)
-
-F.define(
-    "flower.meven.base.sum_outer_leaf",
-    *_MEVEN_SUM_OUTER_LEAF_COMMON,
     br("i odd, 2cl(m/4)+1<=i<=m-1",
        lambda m, n, i, j: odd(i) and 2 * _cl4(m) + 1 <= i <= m - 1,
        lambda m, n, i, j, _: 6 * m * n - 2 * n * i + 4 * j - 2 * n - 2),
@@ -524,7 +508,8 @@ F.patch(
         "the same two defects; the corrected low odd row is the sum of the "
         "vertex's two corrected labels"
     ),
-    *_MEVEN_SUM_OUTER_LEAF_COMMON,
+    "i even, 2<=i<=2fl(m/4)", "i=m", "i even, 2fl(m/4)+2<=i<=m-2", "i=1, m!=4", "i=1, m=4",
+    "i=3, m=4",
     br("i odd, 2cl(m/4)+1<=i<=m-1, m!=4",
        lambda m, n, i, j: odd(i) and 2 * _cl4(m) + 1 <= i <= m - 1 and m != 4,
        lambda m, n, i, j, _: 6 * m * n - 2 * n * i + 4 * j - 2 * n - 2),
@@ -677,16 +662,10 @@ F.patch(
         "i=1 satisfies both its explicit row and the odd-i row, which differ "
         "by n; the explicit row matches the verified labeling"
     ),
-    br("n=2, i odd", lambda m, n, i, j: n == 2 and odd(i),
-       lambda m, n, i, j, _: 2 * m * n * n + 2 * i * n * n + n),
-    br("n=2, i even", lambda m, n, i, j: n == 2 and even(i),
-       lambda m, n, i, j, _: 6 * m * n * n + 2 * n * n - 2 * i * n * n + n),
-    br("n!=2, i=1", lambda m, n, i, j: n != 2 and i == 1,
-       lambda m, n, i, j, _: 2 * m * n * n + 2 * i * n * n),
+    "n=2, i odd", "n=2, i even", "n!=2, i=1",
     br("n!=2, i odd, i!=1", lambda m, n, i, j: n != 2 and odd(i) and i != 1,
        lambda m, n, i, j, _: 2 * m * n * n + 2 * i * n * n + n),
-    br("n!=2, i even", lambda m, n, i, j: n != 2 and even(i),
-       lambda m, n, i, j, _: 6 * m * n * n + 2 * n * n - 2 * i * n * n + n),
+    "n!=2, i even",
 )
 F.define(
     "flower.meven.even-star.sum_center_leaf",

@@ -9,9 +9,12 @@ conditions are the riskiest part of the printed schemes.
 Corrections live in an append-only ledger of :class:`Patch` entries.
 Each patch names the formula it replaces, the replacement branches and
 the evidence that forces the change, so the corrected and uncorrected
-readings stay inspectable side by side.  ``Variant.AS_PRINTED``
-evaluates the formulas verbatim; ``Variant.ERRATA`` applies the ledger.
-Only exact integer arithmetic is used (floors and ceilings included).
+readings stay inspectable side by side.  A patch lists the branches it
+changes and keeps the rest by label: a kept branch is the printed object
+itself, and every branch spelled out in a patch is a change.
+``Variant.AS_PRINTED`` evaluates the formulas verbatim;
+``Variant.ERRATA`` applies the ledger.  Only exact integer arithmetic
+is used (floors and ceilings included).
 """
 
 from __future__ import annotations
@@ -128,18 +131,39 @@ _PRINTED: dict[str, Piecewise] = {}
 _PATCHES: dict[str, Patch] = {}
 
 
+def _piecewise(fid: str, branches: tuple[Branch, ...]) -> Piecewise:
+    # Branch hits are counted as fid[label] and patches keep branches by
+    # label, so a label has to name one branch of its formula.
+    labels = [b.label for b in branches]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"formula {fid} repeats the branch label {label!r}")
+    return Piecewise(fid, branches)
+
+
 def define(fid: str, *branches: Branch) -> None:
     if fid in _PRINTED:
         raise ValueError(f"formula {fid} already defined")
-    _PRINTED[fid] = Piecewise(fid, tuple(branches))
+    _PRINTED[fid] = _piecewise(fid, branches)
 
 
-def patch(fid: str, note: str, evidence: str, *branches: Branch) -> None:
+def patch(fid: str, note: str, evidence: str, *branches: Branch | str) -> None:
+    """Record the erratum for ``fid``: its replacement, in the order given.
+
+    A patch lists the branches it changes; a branch it keeps is given as
+    the label of a printed branch and resolves to that printed
+    :class:`Branch` object itself.
+    """
     if fid not in _PRINTED:
         raise ValueError(f"cannot patch unknown formula {fid}")
     if fid in _PATCHES:
         raise ValueError(f"formula {fid} already patched; the ledger is append-only")
-    _PATCHES[fid] = Patch(fid, note, evidence, Piecewise(fid, tuple(branches)))
+    printed = {b.label: b for b in _PRINTED[fid].branches}
+    for b in branches:
+        if isinstance(b, str) and b not in printed:
+            raise ValueError(f"patch of {fid} keeps {b!r}, which is no printed branch label")
+    replacement = tuple(printed[b] if isinstance(b, str) else b for b in branches)
+    _PATCHES[fid] = Patch(fid, note, evidence, _piecewise(fid, replacement))
 
 
 def resolve(fid: str, variant: Variant) -> Piecewise:

@@ -153,19 +153,15 @@ F.patch(
         "printed list routes i=2 into three branches worth 38, 40 and 50 "
         "while the verified sum is 44, the corrected middle row"
     ),
-    br("i=1, m odd", lambda m, n, i, j: i == 1 and odd(m), lambda m, n, i, j, _: 14 * m + 8),
-    br("i=1, m even", lambda m, n, i, j: i == 1 and even(m), lambda m, n, i, j, _: 14 * m + 6),
+    "i=1, m odd", "i=1, m even",
     br("i=2, m!=3", lambda m, n, i, j: i == 2 and m != 3, lambda m, n, i, j, _: 8 * m + 14),
-    br("3<=i<=cl((m-1)/2)", lambda m, n, i, j: 3 <= i <= ceil_div(m - 1, 2),
-       lambda m, n, i, j, _: 8 * m + 12 * i - 8),
+    "3<=i<=cl((m-1)/2)",
     br("i=(m+1)/2, m odd", lambda m, n, i, j: odd(m) and i == (m + 1) // 2,
        lambda m, n, i, j, _: 10 * m + 8 * i - 2),
-    br("fl((m+3)/2)<=i<=m-2", lambda m, n, i, j: (m + 3) // 2 <= i <= m - 2,
-       lambda m, n, i, j, _: 8 * m + 12 * i),
+    "fl((m+3)/2)<=i<=m-2",
     br("i=m-1, i!=(m+1)/2", lambda m, n, i, j: i == m - 1 and not (odd(m) and i == (m + 1) // 2),
        lambda m, n, i, j, _: 10 * (2 * m - 1)),
-    br("i=m, m odd", lambda m, n, i, j: i == m and odd(m), lambda m, n, i, j, _: 14 * m - 4),
-    br("i=m, m even", lambda m, n, i, j: i == m and even(m), lambda m, n, i, j, _: 14 * m - 2),
+    "i=m, m odd", "i=m, m even",
 )
 
 # ---------------------------------------------------------------------------
@@ -403,16 +399,12 @@ F.patch(
         "removes 4mn from each of the n centre spokes; both corrections are "
         "what the verified bijective labeling and the handshake identity give"
     ),
-    br("n=2, i=2: base - n", lambda m, n, i, j: n == 2 and i == 2,
-       ref_value("helm.modd.base.sum_rim_hub", lambda m, n, i, j: -n)),
-    br("n=2, i!=2: base", lambda m, n, i, j: n == 2 and i != 2,
-       ref_value("helm.modd.base.sum_rim_hub")),
+    "n=2, i=2: base - n", "n=2, i!=2: base",
     br("n>=3, m=3: base - 4mn^2", lambda m, n, i, j: n >= 3 and m == 3,
        ref_value("helm.modd.base.sum_rim_hub", lambda m, n, i, j: -4 * m * n * n)),
     br("n>=3, i=2, m>=5", lambda m, n, i, j: n >= 3 and i == 2 and m >= 5,
        lambda m, n, i, j, _: 8 * m * n * n + 6 * n * n + 2 * n),
-    br("n>=3, i!=2, m>=5: base", lambda m, n, i, j: n >= 3 and i != 2 and m >= 5,
-       ref_value("helm.modd.base.sum_rim_hub")),
+    "n>=3, i!=2, m>=5: base",
 )
 F.define(
     "helm.modd.even-star.sum_outer_hub",
@@ -437,17 +429,13 @@ F.patch(
         "value plus n (m=5, n=2: w_7^0 sums to 30, printed 28); the printed "
         "m=3 row already carries the +n"
     ),
-    br("n=2, i=1", lambda m, n, i, j: n == 2 and i == 1, lambda m, n, i, j, _: n * (n + 1)),
+    "n=2, i=1",
     br("n=2, i!=1: base + n", lambda m, n, i, j: n == 2 and i != 1,
        ref_value("helm.modd.base.sum_outer_hub", lambda m, n, i, j: n)),
-    br("n>=3, i=1, m>=5", lambda m, n, i, j: n >= 3 and i == 1 and m >= 5,
-       lambda m, n, i, j, _: n * n),
+    "n>=3, i=1, m>=5",
     br("n>=3, i!=1, m>=5: base + n", lambda m, n, i, j: n >= 3 and i != 1 and m >= 5,
        ref_value("helm.modd.base.sum_outer_hub", lambda m, n, i, j: n)),
-    br("n>=3, i=1, m=3", lambda m, n, i, j: n >= 3 and i == 1 and m == 3,
-       lambda m, n, i, j, _: 4 * m * n * n + n * n),
-    br("n>=3, i!=1, m=3: base + 4mn^2 + n", lambda m, n, i, j: n >= 3 and i != 1 and m == 3,
-       ref_value("helm.modd.base.sum_outer_hub", lambda m, n, i, j: 4 * m * n * n + n)),
+    "n>=3, i=1, m=3", "n>=3, i!=1, m=3: base + 4mn^2 + n",
 )
 F.define(
     "helm.modd.even-star.sum_center_leaf",
@@ -490,7 +478,8 @@ F.define(
        lambda m, n, i, j, _: 2 * j + n * (2 * m - i)),
 )
 
-_MEVEN_PEND_OUT_COMMON = (
+F.define(
+    "helm.meven.base.pend_out",
     br("i even, 2<=i<=2fl(m/4)", lambda m, n, i, j: even(i) and 2 <= i <= 2 * _fl4(m),
        lambda m, n, i, j, _: 2 * j - 1 + n * (i - 2)),
     br("i=m", lambda m, n, i, j: i == m,
@@ -504,11 +493,6 @@ _MEVEN_PEND_OUT_COMMON = (
        lambda m, n, i, j, _: 4 * n + 2 * j - 1),
     br("i=3, m=4", lambda m, n, i, j: i == 3 and m == 4,
        lambda m, n, i, j, _: 6 * n + 2 * j - 1),
-)
-
-F.define(
-    "helm.meven.base.pend_out",
-    *_MEVEN_PEND_OUT_COMMON,
     br("i odd, 2cl(m/4)+1<=i<=m-1",
        lambda m, n, i, j: odd(i) and 2 * _cl4(m) + 1 <= i <= m - 1,
        lambda m, n, i, j, _: n * (2 * m - 1 - i) + 2 * j - 1),
@@ -528,7 +512,8 @@ F.patch(
         "so bijectivity and the centre-spoke analogue 6mn-(i-1)n+2j-1 force "
         "the descending form"
     ),
-    *_MEVEN_PEND_OUT_COMMON,
+    "i even, 2<=i<=2fl(m/4)", "i=m", "i even, 2fl(m/4)+2<=i<=m-2", "i=1, m!=4", "i=1, m=4",
+    "i=3, m=4",
     br("i odd, 2cl(m/4)+1<=i<=m-1, m!=4",
        lambda m, n, i, j: odd(i) and 2 * _cl4(m) + 1 <= i <= m - 1 and m != 4,
        lambda m, n, i, j, _: n * (2 * m - 1 - i) + 2 * j - 1),
@@ -559,7 +544,8 @@ F.define("helm.meven.base.rim_close_A",
 F.define("helm.meven.base.rim_close_B",
          br("always", ALWAYS, lambda m, n, i, j, _: 3 * m * n + j))
 
-_MEVEN_SPOKE_COMMON = (
+F.define(
+    "helm.meven.base.spoke",
     br("i even, 2<=i<=2fl(m/4)", lambda m, n, i, j: even(i) and 2 <= i <= 2 * _fl4(m),
        lambda m, n, i, j, _: 4 * m * n + (i - 2) * n + 2 * j - 1),
     br("i=m", lambda m, n, i, j: i == m,
@@ -576,11 +562,6 @@ _MEVEN_SPOKE_COMMON = (
        lambda m, n, i, j, _: 6 * m * n + n - 1 + 2 * j - n * i),
     br("i=3, m=4", lambda m, n, i, j: i == 3 and m == 4,
        lambda m, n, i, j, _: 4 * m * n + 6 * n + 2 * j - 1),
-)
-
-F.define(
-    "helm.meven.base.spoke",
-    *_MEVEN_SPOKE_COMMON,
     br("i odd, 2cl(m/4)+1<=i<=m-1",
        lambda m, n, i, j: odd(i) and 2 * _cl4(m) + 1 <= i <= m - 1,
        lambda m, n, i, j, _: 6 * m * n - n * (i + 1) + 2 * j - 1),
@@ -595,7 +576,8 @@ F.patch(
         "block, so the window carries the same m!=4 qualifier as the low "
         "odd row"
     ),
-    *_MEVEN_SPOKE_COMMON,
+    "i even, 2<=i<=2fl(m/4)", "i=m", "i even, 2fl(m/4)+2<=i<=m-2", "i=1, m!=4", "i=1, m=4",
+    "i odd, 3<=i<=2cl(m/4)-1, m!=4", "i=3, m=4",
     br("i odd, 2cl(m/4)+1<=i<=m-1, m!=4",
        lambda m, n, i, j: odd(i) and 2 * _cl4(m) + 1 <= i <= m - 1 and m != 4,
        lambda m, n, i, j, _: 6 * m * n - n * (i + 1) + 2 * j - 1),
@@ -617,7 +599,8 @@ F.define(
     br("label of its one edge", ALWAYS, ref_value("helm.meven.base.pend_out")),
 )
 
-_MEVEN_SUM_RIM_HUB_COMMON = (
+F.define(
+    "helm.meven.base.sum_rim_hub",
     br("i=1, m=4", lambda m, n, i, j: i == 1 and m == 4,
        lambda m, n, i, j, _: 13 * m * n * n + 2 * n * n + n),
     br("i=3, m=4", lambda m, n, i, j: i == 3 and m == 4,
@@ -632,11 +615,6 @@ _MEVEN_SUM_RIM_HUB_COMMON = (
        lambda m, n, i, j, _: 16 * m * n * n - 4 * i * n * n + 2 * n * n + n),
     br("i=m", lambda m, n, i, j: i == m,
        lambda m, n, i, j, _: 9 * m * n * n + 2 * n * n + 4 * n * n * _fl4(m) + n),
-)
-
-F.define(
-    "helm.meven.base.sum_rim_hub",
-    *_MEVEN_SUM_RIM_HUB_COMMON,
     br("i=1, m!=4", lambda m, n, i, j: i == 1 and m != 4,
        lambda m, n, i, j, _: 15 * m * n * n - 2 * n * n + n - 2 * n * n * _cl4(m)),
     br("i odd, 3<=i<=2cl(m/4)-1, m!=4",
@@ -654,11 +632,11 @@ F.patch(
         "i=2cl(m/4)-1, and the high odd window must exclude m=4 where the "
         "explicit i=3 row already applies"
     ),
-    *_MEVEN_SUM_RIM_HUB_COMMON[:4],
+    "i=1, m=4", "i=3, m=4", "i even, 2<=i<=2fl(m/4)", "i even, 2fl(m/4)+2<=i<=m-2",
     br("i odd, 2cl(m/4)+1<=i<=m-1, m!=4",
        lambda m, n, i, j: odd(i) and 2 * _cl4(m) + 1 <= i <= m - 1 and m != 4,
        lambda m, n, i, j, _: 16 * m * n * n - 4 * i * n * n + 2 * n * n + n),
-    _MEVEN_SUM_RIM_HUB_COMMON[5],
+    "i=m",
     br("i=1, m!=4", lambda m, n, i, j: i == 1 and m != 4,
        lambda m, n, i, j, _: (15 * m + 2 - 4 * _cl4(m)) * n * n + n),
     br("i odd, 3<=i<=2cl(m/4)-1, m!=4",

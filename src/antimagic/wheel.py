@@ -152,14 +152,10 @@ F.patch(
         "replacement, which fills the odd labels of (3mn, 4mn] in descending "
         "blocks exactly as the printed ordering observations require"
     ),
-    br("i!=1, i odd", lambda m, n, i, j: i != 1 and odd(i),
-       lambda m, n, i, j, _: (2 * m + i - 1) * n + 2 * j - 1),
+    "i!=1, i odd",
     br("i!=1, i even", lambda m, n, i, j: i != 1 and even(i),
        lambda m, n, i, j, _: (4 * m - i) * n + 2 * j - 1),
-    br("i=1, n odd", lambda m, n, i, j: i == 1 and odd(n),
-       lambda m, n, i, j, _: 2 * m * n + 2 * j - 1),
-    br("i=1, n even", lambda m, n, i, j: i == 1 and even(n),
-       lambda m, n, i, j, _: 2 * m * n + 2 * j),
+    "i=1, n odd", "i=1, n even",
 )
 
 F.define("wheel.meven.rim_close_vj", br("always", ALWAYS, lambda m, n, i, j, _: j))
@@ -226,17 +222,14 @@ F.patch(
         "(8m-3i+1)n+4j-1; the printed value (8m-3i+2)n+4j-5 matches only at "
         "n=4 and contradicts the handshake identity elsewhere"
     ),
-    br("i!=1, i odd", lambda m, n, i, j: i != 1 and odd(i),
-       lambda m, n, i, j, _: (2 * m + 3 * i - 2) * n + 4 * j - 1),
+    "i!=1, i odd",
     br("i!=1, i even", lambda m, n, i, j: i != 1 and even(i),
        lambda m, n, i, j, _: (8 * m - 3 * i + 1) * n + 4 * j - 1),
-    br("i=1, n odd", lambda m, n, i, j: i == 1 and odd(n),
-       lambda m, n, i, j, _: (2 * m + 3 * i - 2) * n + 4 * j - 1),
-    br("i=1, n even", lambda m, n, i, j: i == 1 and even(n),
-       lambda m, n, i, j, _: (2 * m + 3 * i - 2) * n + 4 * j),
+    "i=1, n odd", "i=1, n even",
 )
 
-_MEVEN_SUM_RIM_HUB_COMMON = (
+F.define(
+    "wheel.meven.sum_rim_hub",
     br("i=2, n odd", lambda m, n, i, j: i == 2 and odd(n),
        lambda m, n, i, j, _: n * n * (2 * m + 5) + 2 * n),
     br("i=2, n even", lambda m, n, i, j: i == 2 and even(n),
@@ -253,11 +246,6 @@ _MEVEN_SUM_RIM_HUB_COMMON = (
     br("i odd, 3<=i<=2cl(m/4)-1",
        lambda m, n, i, j: odd(i) and 3 <= i <= 2 * _cl4(m) - 1,
        lambda m, n, i, j, _: n * n * (8 * m - 3 * i + 4) + 2 * n),
-)
-
-F.define(
-    "wheel.meven.sum_rim_hub",
-    *_MEVEN_SUM_RIM_HUB_COMMON,
     br("i odd, m-1<=i<=2cl(m/4)-1",
        lambda m, n, i, j: odd(i) and m - 1 <= i <= 2 * _cl4(m) - 1,
        lambda m, n, i, j, _: n * n * (8 * m - 3 * i + 2) + 2 * n),
@@ -271,7 +259,8 @@ F.patch(
         "branch uses 2cl(m/4)+1<=i<=m-1 and that reading reproduces the sums "
         "of the verified labeling elementwise"
     ),
-    *_MEVEN_SUM_RIM_HUB_COMMON,
+    "i=2, n odd", "i=2, n even", "i even, 4<=i<=2fl(m/4)", "i=m", "i even, 2fl(m/4)+2<=i<=m-2",
+    "i=1", "i odd, 3<=i<=2cl(m/4)-1",
     br("i odd, 2cl(m/4)+1<=i<=m-1",
        lambda m, n, i, j: odd(i) and 2 * _cl4(m) + 1 <= i <= m - 1,
        lambda m, n, i, j, _: n * n * (8 * m - 3 * i + 2) + 2 * n),

@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from antimagic import flower, helm, wheel
+from antimagic.conformance import to_jsonl
+from antimagic.families import FAMILIES
 from antimagic.graphs import product_graph
 
 from . import ROOT, src_env
@@ -65,3 +67,22 @@ def test_sweep_reports_are_pinned(tmp_path):
         for name in SWEEP_DIGESTS
     }
     assert digests == SWEEP_DIGESTS
+
+
+# The large-star class (n odd, n > m) of helm and flower lies outside the
+# sweep grids: m 3..10 and odd n in (m, m+5], the 40 cells the benchmark's
+# sweep also checks.  Both variants, as grid-report writes them.
+LARGE_STAR_DIGESTS = {
+    "helm": "db7cc7ea497fa590a41920d1cfe55f169b1b449503c46c50f476007d7e1f6ff2",
+    "flower": "5567619c2dc4614a4e997eaad2f74acf10afd530c3b7f83e6e1df3f0dd9c615a",
+}
+
+
+@pytest.mark.parametrize("family", sorted(LARGE_STAR_DIGESTS))
+def test_large_star_reports_are_pinned(family):
+    cells = [(m, n) for m in range(3, 11) for n in range(m + 1, m + 6) if n % 2 == 1]
+    records = [r.to_json_dict() for m, n in cells for r in FAMILIES[family].conformance(m, n)]
+    failing = [(r["m"], r["n"]) for r in records if r["variant"] == "errata" and not r["passed"]]
+    # errata fails exactly the even-m flower cells: README's definitive FAIL
+    assert failing == [(m, n) for m, n in cells if family == "flower" and m % 2 == 0]
+    assert hashlib.sha256(to_jsonl(records).encode()).hexdigest() == LARGE_STAR_DIGESTS[family]
