@@ -15,6 +15,7 @@ from .flower import (
 )
 from .formula import Variant, errata
 from .graphs import (
+    CapacityError,
     Graph,
     Vertex,
     build_cycle,
@@ -46,7 +47,6 @@ from .labeling import (
 )
 from .search import (
     AgreementRecord,
-    CapacityError,
     SearchConfig,
     SearchResult,
     Status,

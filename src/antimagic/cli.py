@@ -1,7 +1,8 @@
 """Batch command line: construct, label, verify, and report on the products.
 
 Exit codes: 0 success (and, for verify, antimagic); 1 verification
-failure; 2 usage error; 3 formula-coverage or search-capacity error.
+failure; 2 usage error; 3 formula-coverage error, or a product or
+exhaustive search over its size budget.
 Integers from the command line or a file are read only as ``str(int)``
 writes them; any other spelling is a usage error.  All output is
 exact-integer text or JSON with a fixed field order, so identical
@@ -18,15 +19,16 @@ import sys
 from .conformance import FormulaCoverageError, to_jsonl
 from .families import FAMILIES, grid_records
 from .formula import Variant
-from .graphs import GraphError, edge_name, parse_int, product_graph, write_edge_list
-from .labeling import parse_labeled_edge_list, verify_antimagic, vertex_sums
-from .search import (
+from .graphs import (
     CapacityError,
-    SearchConfig,
-    Status,
-    Strategy,
-    search_antimagic,
+    GraphError,
+    edge_name,
+    parse_int,
+    product_graph,
+    write_edge_list,
 )
+from .labeling import parse_labeled_edge_list, verify_antimagic, vertex_sums
+from .search import SearchConfig, Status, Strategy, search_antimagic
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1

@@ -86,22 +86,26 @@ VertexFamily = tuple[str, Callable, Callable]
 
 
 def _evaluate(families: Iterable[VertexFamily], m: int, n: int, variant: Variant, describe):
-    """Evaluate each row's formula at its cells into a dict keyed by what the row maps to."""
+    """Evaluate each row's formula at its cells into a dict keyed by what the row maps to.
+
+    One :class:`formula.Resolver` serves the whole (m, n, variant), so each
+    formula, cited ones included, picks its branch once per (fid, i) and
+    reuses it for every j; no guard reads ``j``.  Hit counts and coverage
+    messages are still per cell.
+    """
     values: dict = {}
     coverage: list[str] = []
-    hits: Counter = Counter()
+    resolver = F.Resolver(variant)
     for fid, cells, key in families:
         for i, j in cells(m, n):
             k = key(m, n, i, j)
             if k in values:
                 raise RuntimeError(f"{describe(k)} produced twice by the cell map")
             try:
-                value, _branch = F.evaluate(fid, variant, m, n, i, j, hits)
+                values[k] = resolver(fid, m, n, i, j)
             except CoverageError as exc:
                 coverage.append(_coverage_message(fid, m, n, i, j, exc))
-                continue
-            values[k] = value
-    return values, coverage, hits
+    return values, coverage, resolver.hits
 
 
 def _coverage_message(fid: str, m: int, n: int, i: int, j: int, exc: CoverageError) -> str:

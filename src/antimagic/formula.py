@@ -15,10 +15,18 @@ itself, and every branch spelled out in a patch is a change.
 ``Variant.AS_PRINTED`` evaluates the formulas verbatim;
 ``Variant.ERRATA`` applies the ledger.  Only exact integer arithmetic
 is used (floors and ceilings included).
+
+One :class:`Resolver` evaluates formulas at one variant, cited formulas
+included.  It picks a formula's branch once per row ``(fid, m, n, i)``
+and reuses that choice for every ``j`` of the row.  This is sound only
+because no guard reads ``j``, which a tier-1 test checks on every
+printed and patch branch; a row that matches no branch, or several,
+still raises one :class:`CoverageError` per cell, naming that cell.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -110,12 +118,6 @@ class Piecewise:
     def matching(self, m: int, n: int, i: int, j: int) -> list[Branch]:
         return [b for b in self.branches if b.guard(m, n, i, j)]
 
-    def evaluate(self, m: int, n: int, i: int, j: int, ref: Callable) -> tuple[int, str]:
-        hits = self.matching(m, n, i, j)
-        if len(hits) != 1:
-            raise CoverageError(self.fid, (m, n, i, j), [b.label for b in hits])
-        return hits[0].value(m, n, i, j, ref), hits[0].label
-
 
 @dataclass(frozen=True)
 class Patch:
@@ -174,22 +176,52 @@ def resolve(fid: str, variant: Variant) -> Piecewise:
     return _PRINTED[fid]
 
 
+class Resolver:
+    """Evaluates formulas at one variant and counts every branch it takes.
+
+    The branch of ``fid`` is chosen once per row (m, n, i), with its hit
+    key ``fid[label]``, and reused for every j of that row: no guard
+    reads ``j``.  The resolver is also the ``ref`` every value callable
+    receives, so cited formulas share the same choices and counts.
+    """
+
+    def __init__(self, variant: Variant, hits: Counter | None = None):
+        self.variant = variant
+        self.hits = Counter() if hits is None else hits
+        # (fid, m, n, i) -> (value, hit key, label) of the branch taken,
+        # or the labels of the branches matched when that is not one
+        self._rows: dict[tuple[str, int, int, int], tuple[Value, str, str] | list[str]] = {}
+
+    def __call__(self, fid: str, m: int, n: int, i: int, j: int) -> int:
+        """The value of ``fid`` at the cell."""
+        row = self._rows.get((fid, m, n, i))
+        if row is None:
+            matched = resolve(fid, self.variant).matching(m, n, i, j)
+            if len(matched) == 1:
+                b = matched[0]
+                row = (b.value, f"{fid}[{b.label}]", b.label)
+            else:
+                row = [b.label for b in matched]
+            self._rows[fid, m, n, i] = row
+        if type(row) is list:
+            raise CoverageError(fid, (m, n, i, j), row)
+        value = row[0](m, n, i, j, self)
+        self.hits[row[1]] += 1
+        return value
+
+
 def evaluate(fid: str, variant: Variant, m: int, n: int, i: int, j: int,
              hits=None) -> tuple[int, str]:
     """Evaluate a formula at a cell; references resolve at the same variant.
 
     When ``hits`` (a Counter) is given, every branch taken is recorded,
     including branches of cited formulas, so reports can account for
-    which rows a cell actually exercised.
+    which rows a cell actually exercised.  The label is that of the branch
+    ``fid`` itself takes.
     """
-
-    def ref(fid2: str, m2: int, n2: int, i2: int, j2: int) -> int:
-        return evaluate(fid2, variant, m2, n2, i2, j2, hits)[0]
-
-    value, label = resolve(fid, variant).evaluate(m, n, i, j, ref)
-    if hits is not None:
-        hits[f"{fid}[{label}]"] += 1
-    return value, label
+    resolver = Resolver(variant, hits)
+    value = resolver(fid, m, n, i, j)
+    return value, resolver._rows[fid, m, n, i][2]
 
 
 def errata(prefix: str = "") -> list[Patch]:

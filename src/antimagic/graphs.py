@@ -12,16 +12,21 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iproduct
 from typing import NamedTuple
 
 # Scheme sums grow like m^2 n^2; capping the indices keeps every sum
 # comfortably inside 64 bits for downstream consumers.
 MAX_INDEX = 10_000
+# The most edges a product may have; 12.5x flower at m = n = 100.
+MAX_EDGES = 1_000_000
 
 
 class GraphError(ValueError):
     """Raised for malformed graph parameters or serialized input."""
+
+
+class CapacityError(ValueError):
+    """Refused before any work: the instance is larger than its budget."""
 
 
 class Vertex(NamedTuple):
@@ -184,19 +189,25 @@ def build_flower(m: int) -> Graph:
     return make_graph("flower", (m,), helm.vertices, es)
 
 
+# family -> (builder, a, b): the factor has a*m + 1 vertices and b*m edges
 _FAMILY_BUILDERS = {
-    "wheel": build_wheel,
-    "helm": build_helm,
-    "flower": build_flower,
+    "wheel": (build_wheel, 1, 2),
+    "helm": (build_helm, 2, 3),
+    "flower": (build_flower, 2, 4),
 }
 
 
-def build_family(family: str, m: int) -> Graph:
+def _family(family: str) -> tuple:
     try:
-        builder = _FAMILY_BUILDERS[family]
+        return _FAMILY_BUILDERS[family]
     except KeyError:
-        raise GraphError(f"unknown family {family!r}; expected one of {sorted(_FAMILY_BUILDERS)}")
-    return builder(m)
+        raise GraphError(
+            f"unknown family {family!r}; expected one of {sorted(_FAMILY_BUILDERS)}"
+        ) from None
+
+
+def build_family(family: str, m: int) -> Graph:
+    return _family(family)[0](m)
 
 
 def tensor_product(g: Graph, h: Graph) -> Graph:
@@ -204,25 +215,54 @@ def tensor_product(g: Graph, h: Graph) -> Graph:
 
     Factors must be plain graphs (no product vertices); product vertices
     are named w<i>_<j> with i drawn from ``g`` and j from ``h``.
+
+    Both factors are sorted, so the product vertices come out in canonical
+    order and a vertex's rank is its index there.  Each edge is encoded as
+    ``lo * p + hi`` over the ranks of its endpoints, the codes are sorted
+    once, and every edge shares the one ``Vertex`` object per vertex.  A
+    product of simple graphs has no loop and no repeated edge, so nothing
+    needs a second canonicalization.
     """
     if g.p == 0 or h.p == 0:
         raise GraphError("tensor product needs nonempty factors")
     if any(v.j >= 0 for v in (*g.vertices, *h.vertices)):
         raise GraphError("factors of a tensor product must not be product graphs")
-    vs = [Vertex(x.i, y.i) for x, y in iproduct(g.vertices, h.vertices)]
-    es = []
+    vs = tuple(Vertex(x.i, y.i) for x in g.vertices for y in h.vertices)
+    p = len(vs)
+    g_rank = {v: k * h.p for k, v in enumerate(g.vertices)}
+    h_rank = {v: k for k, v in enumerate(h.vertices)}
+    h_edges = [(h_rank[y1], h_rank[y2]) for y1, y2 in h.edges]
+    codes = []
     for x1, x2 in g.edges:
-        for y1, y2 in h.edges:
-            es.append((Vertex(x1.i, y1.i), Vertex(x2.i, y2.i)))
-            es.append((Vertex(x1.i, y2.i), Vertex(x2.i, y1.i)))
+        # x1 < x2, so every rank in row x1 is below every rank in row x2
+        a1, a2 = g_rank[x1], g_rank[x2]
+        codes.extend((a1 + b1) * p + a2 + b2 for b1, b2 in h_edges)
+        codes.extend((a1 + b2) * p + a2 + b1 for b1, b2 in h_edges)
+    codes.sort()
+    es = tuple((vs[c // p], vs[c % p]) for c in codes)
     params = ()
     if g.family in _FAMILY_BUILDERS and h.family == "star":
         params = (g.params[0], h.params[0])
-    return make_graph("product", params, vs, es)
+    return Graph("product", params, vs, es)
 
 
 def product_graph(family: str, m: int, n: int) -> Graph:
-    """The tensor product of a wheel-family graph with the star K_{1,n}."""
+    """The tensor product of a wheel-family graph with the star K_{1,n}.
+
+    Its size follows from (family, m, n): a factor with a*m + 1 vertices
+    and b*m edges times the star's n + 1 and n gives p = (a*m + 1)(n + 1)
+    and q = 2bmn.  A product with more than ``MAX_EDGES`` edges raises
+    :class:`CapacityError` before any factor is built.
+    """
+    _builder, a, b = _family(family)
+    check_index(m, "m", 3)
+    check_index(n, "n", 1)
+    p, q = (a * m + 1) * (n + 1), 2 * b * m * n
+    if q > MAX_EDGES:
+        raise CapacityError(
+            f"the {family} product at m={m}, n={n} has p={p} vertices and q={q} edges;"
+            f" the budget is {MAX_EDGES} edges"
+        )
     return tensor_product(build_family(family, m), build_star(n))
 
 
@@ -311,7 +351,9 @@ def _read_edge_list(text: str, labeled: bool) -> tuple[Graph, dict[Edge, int | N
             labels[e] = parse_int(parts[2]) if labeled else None
     except ValueError as exc:
         raise GraphError(f"line {k}: {exc}") from None
-    g = make_graph("other", (), vertices.values(), labels)
+    # every edge went through edge() and the repeat check, and the vertex
+    # set is their endpoints, so sorting is all make_graph would add
+    g = Graph("other", (), tuple(sorted(vertices.values())), tuple(sorted(labels)))
     if g.p != p or g.q != q:
         raise GraphError(f"header says p={p} q={q} but body has p={g.p} q={g.q}")
     return g, labels

@@ -32,11 +32,12 @@ class EdgeLabeling:
 
     def to_text(self, g: Graph) -> str:
         """Labeled edge-list text: header ``p q`` then ``u v label`` lines."""
+        name = {v: v.name for v in g.vertices}  # once per vertex, not per edge end
         lines = [f"{g.p} {g.q}"]
         for e in g.edges:
             if e not in self.labels:
                 raise LabelingError(f"edge {edge_name(e)} is unlabeled")
-            lines.append(f"{e[0].name} {e[1].name} {self.labels[e]}")
+            lines.append(f"{name[e[0]]} {name[e[1]]} {self.labels[e]}")
         return "\n".join(lines) + "\n"
 
 
@@ -55,15 +56,15 @@ def vertex_sums(g: Graph, labeling: EdgeLabeling) -> dict[Vertex, int]:
     for e in labeling.labels:
         if e not in edge_set:
             raise LabelingError(f"label on {edge_name(e)}, which is not a graph edge")
-    return _sums(g, labeling.labels)
+    return _sums(g, [labeling.labels[e] for e in g.edges])
 
 
-def _sums(g: Graph, labels: dict[Edge, int]) -> dict[Vertex, int]:
-    sums = {v: 0 for v in g.vertices}
-    for e in g.edges:
-        lab = labels[e]
-        sums[e[0]] += lab
-        sums[e[1]] += lab
+def _sums(g: Graph, labels: list[int]) -> dict[Vertex, int]:
+    """Vertex sums from ``labels``, aligned with ``g.edges``."""
+    sums = dict.fromkeys(g.vertices, 0)
+    for (a, b), lab in zip(g.edges, labels):
+        sums[a] += lab
+        sums[b] += lab
     return sums
 
 
@@ -125,31 +126,48 @@ class VerificationReport:
 
 
 def verify_antimagic(g: Graph, labeling: EdgeLabeling) -> VerificationReport:
-    """Check bijectivity onto {1..q} and sum distinctness; never raises."""
+    """Check bijectivity onto {1..q} and sum distinctness; never raises.
+
+    Every check runs on every input, and the sums are computed once.  An
+    evidence list is built only when its check fails: the unlabeled edges
+    when fewer edges than ``g.q`` carry a label, the keys that are no graph
+    edge when there are more keys than labeled edges, the missing, repeated
+    and out-of-range labels when the labels on the edges are not exactly a
+    permutation of 1..q, and the colliding pairs when there are fewer
+    distinct sums than vertices.  So a labeling that passes skips no check,
+    and one that fails gets the same evidence, in the same order, as a
+    verifier that always builds it.
+    """
     q = labeling.target_q
-    edge_set = set(g.edges)
-    unlabeled = sorted(
-        (edge_name(e) for e in g.edges if e not in labeling.labels)
-    )
-    unknown = sorted(
-        edge_name(e) for e in labeling.labels if e not in edge_set
-    )
+    labels = labeling.labels
+    present = [labels[e] for e in g.edges if e in labels]
+    unlabeled: list[str] = []
+    if len(present) < g.q:
+        unlabeled = sorted(edge_name(e) for e in g.edges if e not in labels)
     total = not unlabeled
 
-    by_label: dict[int, list[Edge]] = {}
+    unknown: list[str] = []
+    if len(labels) > len(present):
+        edge_set = set(g.edges)
+        unknown = sorted(edge_name(e) for e in labels if e not in edge_set)
+
+    missing: list[int] = []
+    duplicates: list[tuple[int, list[str]]] = []
     out_of_range: list[tuple[int, str]] = []
-    for e in g.edges:
-        if e not in labeling.labels:
-            continue
-        lab = labeling.labels[e]
-        by_label.setdefault(lab, []).append(e)
-        if not 1 <= lab <= q:
-            out_of_range.append((lab, edge_name(e)))
-    missing = sorted(set(range(1, q + 1)) - set(by_label))
-    duplicates = sorted(
-        (lab, sorted(map(edge_name, es))) for lab, es in by_label.items() if len(es) > 1
-    )
-    out_of_range.sort()
+    if len(present) != q or set(present) != set(range(1, q + 1)):
+        by_label: dict[int, list[Edge]] = {}
+        for e in g.edges:
+            if e not in labels:
+                continue
+            lab = labels[e]
+            by_label.setdefault(lab, []).append(e)
+            if not 1 <= lab <= q:
+                out_of_range.append((lab, edge_name(e)))
+        missing = sorted(set(range(1, q + 1)) - set(by_label))
+        duplicates = sorted(
+            (lab, sorted(map(edge_name, es))) for lab, es in by_label.items() if len(es) > 1
+        )
+        out_of_range.sort()
     bijective = (
         total
         and g.q == q
@@ -162,15 +180,16 @@ def verify_antimagic(g: Graph, labeling: EdgeLabeling) -> VerificationReport:
     sums_by_name: dict[str, int] | None = None
     collisions: list[tuple[str, str, int]] = []
     if total:
-        sums = _sums(g, labeling.labels)
+        sums = _sums(g, present)
         sums_by_name = {v.name: s for v, s in sums.items()}
-        by_sum: dict[int, list[Vertex]] = {}
-        for v, s in sums.items():
-            by_sum.setdefault(s, []).append(v)
-        for s, group in by_sum.items():
-            # groups fill in canonical vertex order, so each pair is already ordered
-            collisions.extend((a.name, b.name, s) for a, b in combinations(group, 2))
-        collisions.sort(key=lambda t: (t[2], t[0], t[1]))
+        if len(set(sums.values())) < len(sums):
+            by_sum: dict[int, list[Vertex]] = {}
+            for v, s in sums.items():
+                by_sum.setdefault(s, []).append(v)
+            for s, group in by_sum.items():
+                # groups fill in canonical vertex order, so each pair is already ordered
+                collisions.extend((a.name, b.name, s) for a, b in combinations(group, 2))
+            collisions.sort(key=lambda t: (t[2], t[0], t[1]))
 
     return VerificationReport(
         target_q=q,

@@ -18,7 +18,7 @@ from enum import Enum
 from .conformance import FormulaCoverageError
 from .families import FAMILIES
 from .formula import Variant
-from .graphs import Graph, product_graph
+from .graphs import CapacityError, Graph, product_graph
 from .labeling import EdgeLabeling, verify_antimagic
 
 
@@ -31,10 +31,6 @@ class Status(Enum):
     FOUND = "found"
     NONE_EXISTS = "none-exists"
     NOT_FOUND = "not-found"
-
-
-class CapacityError(ValueError):
-    """Exhaustive search refused: the instance is too large."""
 
 
 @dataclass(frozen=True)

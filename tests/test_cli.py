@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from antimagic import graphs
 from antimagic.cli import main
 
 from . import src_env
@@ -124,6 +125,20 @@ def test_usage_errors():
     proc = run_cli(["search", "--family", "wheel", "--m", "3", "--n", "1",
                     "--max-exhaustive-edges", "-1"])
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("verb", ["construct", "label", "export", "search", "grid-report"])
+def test_oversized_product_exits_3_before_construction(verb, monkeypatch, capsys):
+    # q = 8 * 10^8 lies within MAX_INDEX but far over the edge budget
+    def build(*args):
+        raise AssertionError("a factor was built")
+
+    monkeypatch.setattr(graphs, "build_family", build)
+    monkeypatch.setattr(graphs, "build_star", build)
+    assert main([verb, "--family", "flower", "--m", "10000", "--n", "10000"]) == 3
+    err = capsys.readouterr().err
+    assert "p=200030001" in err and "q=800000000" in err
+    assert main([verb, "--family", "flower", "--m", "10001", "--n", "1"]) == 2
 
 
 def test_export_dot(tmp_path):

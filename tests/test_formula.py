@@ -1,49 +1,51 @@
 """Piecewise formula machinery: coverage semantics and the erratum ledger."""
 
+import dis
 import inspect
+from collections import Counter
 from types import CodeType, FunctionType
 
 import pytest
 
+from antimagic import flower, helm, wheel
 from antimagic import formula as F
-from antimagic.formula import ALWAYS, CoverageError, Piecewise, Variant, br
+from antimagic.conformance import _coverage_message
+from antimagic.formula import ALWAYS, CoverageError, Variant, br
 
 SCHEMES = ("wheel.", "helm.", "flower.")
 
 
-def _pw(*branches):
-    return Piecewise("test.pw", tuple(branches))
-
-
-def _ref(fid, m, n, i, j):
-    raise AssertionError("no references expected")
+def _pw(fid, *branches):
+    """Register a printed formula and return a function evaluating it at a cell."""
+    F.define(fid, *branches)
+    return lambda m, n, i, j: F.evaluate(fid, Variant.AS_PRINTED, m, n, i, j)
 
 
 def test_single_branch_evaluates():
-    pw = _pw(br("always", ALWAYS, lambda m, n, i, j, _: m + n + i + j))
-    value, label = pw.evaluate(1, 2, 3, 4, _ref)
-    assert (value, label) == (10, "always")
+    pw = _pw("test.pw.single", br("always", ALWAYS, lambda m, n, i, j, _: m + n + i + j))
+    assert pw(1, 2, 3, 4) == (10, "always")
 
 
 def test_gap_raises_coverage_error():
-    pw = _pw(br("i odd", lambda m, n, i, j: i % 2 == 1, lambda m, n, i, j, _: 1))
+    pw = _pw("test.pw.gap", br("i odd", lambda m, n, i, j: i % 2 == 1, lambda m, n, i, j, _: 1))
     with pytest.raises(CoverageError, match="no branch matches"):
-        pw.evaluate(3, 1, 2, 1, _ref)
+        pw(3, 1, 2, 1)
 
 
 def test_overlap_raises_coverage_error():
     pw = _pw(
+        "test.pw.overlap",
         br("first", ALWAYS, lambda m, n, i, j, _: 1),
         br("second", lambda m, n, i, j: i == 2, lambda m, n, i, j, _: 2),
     )
     with pytest.raises(CoverageError, match="overlap"):
-        pw.evaluate(3, 1, 2, 1, _ref)
+        pw(3, 1, 2, 1)
 
 
 def test_zero_branch_formula_always_errors():
-    pw = Piecewise("test.empty", ())
+    pw = _pw("test.pw.empty")
     with pytest.raises(CoverageError):
-        pw.evaluate(3, 1, 1, 1, _ref)
+        pw(3, 1, 1, 1)
 
 
 def test_registry_variants_and_ledger():
@@ -159,3 +161,108 @@ def test_every_cited_formula_is_defined():
         direct |= {c for c in b.value.__code__.co_consts if isinstance(c, str)}
     assert len(ref_targets) == 67  # the printed schemes cite 67 formulas this way
     assert sorted((ref_targets | direct) - set(F._PRINTED)) == []
+
+
+def _reads_j(guard) -> bool:
+    """Whether a guard can read its fourth argument, ``j``.
+
+    Anything but a plain function of four named parameters counts as
+    reading it.  Otherwise the guard reads ``j`` when its code, or a code
+    object nested in it, loads a local, cell or free variable of that name:
+    a nested function sees ``j`` only through a closure the guard makes,
+    and a closed-over callable only through an argument the guard loads.
+    """
+    if not isinstance(guard, FunctionType):
+        return True
+    code = guard.__code__
+    if code.co_argcount != 4 or code.co_flags & (inspect.CO_VARARGS | inspect.CO_VARKEYWORDS):
+        return True
+    return _loads(code, code.co_varnames[3])
+
+
+def _loads(code: CodeType, name: str) -> bool:
+    for ins in dis.get_instructions(code):
+        local = any(k in ins.opname for k in ("FAST", "DEREF", "CLOSURE"))
+        names = ins.argval if isinstance(ins.argval, tuple) else (ins.argval,)
+        if ins.opname.startswith("LOAD") and local and name in names:
+            return True
+    return any(_loads(c, name) for c in code.co_consts if isinstance(c, CodeType))
+
+
+def test_no_guard_reads_j():
+    # A Resolver picks a formula's branch once per row (fid, m, n, i) and
+    # reuses it for every j of the row; that is sound only while no guard
+    # of any printed or patch branch reads j.
+    def nested(m, n, i, j):
+        return (lambda: j > 1)()
+
+    def calls(f):
+        return lambda m, n, i, j: f(m, n, i, j)
+
+    def row(k):
+        return lambda m, n, i, j: i == k
+
+    assert _reads_j(lambda m, n, i, j: j == 1)
+    assert _reads_j(nested)
+    assert _reads_j(lambda *cell: cell[3] == 1)
+    assert _reads_j(calls(ALWAYS))
+    assert not _reads_j(lambda m, n, i, j: i == m and n > 1)
+    assert not _reads_j(row(2))
+
+    branches = {
+        id(b): (fid, b)
+        for fid in F._PRINTED if fid.startswith(SCHEMES)
+        for v in F.VARIANTS for b in F.resolve(fid, v).branches
+    }
+    assert len(branches) == 463
+    assert [f"{fid}[{b.label}]" for fid, b in branches.values() if _reads_j(b.guard)] == []
+
+
+MODULES = {"wheel": wheel, "helm": helm, "flower": flower}
+
+
+def _rows(family, m, n):
+    """(what, fid, cells) of every edge and vertex row of the scheme at (m, n)."""
+    edges, vertices = MODULES[family]._families(m, n)
+    return [("labels", fid, cells) for _cls, fid, cells, _key in edges] + [
+        ("expected", fid, cells) for fid, cells, _key in vertices
+    ]
+
+
+# Cells whose as-printed formulas fail: helm 3x1 has an oracle overlap,
+# flower 3x1 label coverage errors, and the other two both, on rows of
+# more than one j.
+@pytest.mark.parametrize("family, m, n", [
+    ("helm", 3, 1), ("flower", 3, 1), ("helm", 4, 3), ("flower", 4, 4),
+])
+@pytest.mark.parametrize("variant", F.VARIANTS, ids=lambda v: v.value)
+def test_row_choice_equals_a_choice_per_cell(family, m, n, variant):
+    # Every cell evaluated on its own resolver, as if it were its own row.
+    per_cell = {"labels": (Counter(), []), "expected": (Counter(), [])}
+    for what, fid, cells in _rows(family, m, n):
+        hits, messages = per_cell[what]
+        row_hits: dict[int, list[Counter]] = {}
+        row_errors: dict[int, list[int]] = {}
+        for i, j in cells(m, n):
+            cell_hits = Counter()
+            try:
+                F.evaluate(fid, variant, m, n, i, j, cell_hits)
+            except CoverageError as exc:
+                message = _coverage_message(fid, m, n, i, j, exc)
+                assert message.startswith(f"{fid} at (m={m}, n={n}, i={i}, j={j}): ")
+                messages.append(message)
+                row_errors.setdefault(i, []).append(j)
+            hits.update(cell_hits)
+            row_hits.setdefault(i, []).append(cell_hits)
+        for i, per_j in row_hits.items():
+            # a row's hits are one cell's hits times the row length
+            assert per_j == [per_j[0]] * len(per_j)
+            # a failing row fails at each of its cells
+            assert row_errors.get(i, []) in ([], [j for ii, j in cells(m, n) if ii == i])
+    module = MODULES[family]
+    scheme = getattr(module, f"{family}_labels")(m, n, variant)
+    oracle = getattr(module, f"{family}_expected")(m, n, variant)
+    assert (scheme.branch_hits, scheme.coverage) == per_cell["labels"]
+    assert (oracle.branch_hits, oracle.coverage) == per_cell["expected"]
+    if variant is Variant.AS_PRINTED:
+        assert scheme.coverage or oracle.coverage

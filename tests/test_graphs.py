@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from antimagic import graphs
 from antimagic.graphs import (
+    CapacityError,
     GraphError,
     Vertex,
     build_cycle,
@@ -92,6 +94,20 @@ def test_product_degrees_multiply():
     for x in g.vertices:
         for y in h.vertices:
             assert prod.degree(Vertex(x.i, y.i)) == g.degree(x) * h.degree(y)
+
+
+@pytest.mark.parametrize("family", ["wheel", "helm", "flower"])
+def test_edge_budget_is_checked_from_the_computed_size(family, monkeypatch):
+    # the refusal reports the p and q the product would have had
+    for m in range(3, 8):
+        for n in range(1, 5):
+            g = product_graph(family, m, n)
+            monkeypatch.setattr(graphs, "MAX_EDGES", g.q)
+            assert product_graph(family, m, n) == g
+            monkeypatch.setattr(graphs, "MAX_EDGES", g.q - 1)
+            with pytest.raises(CapacityError, match=rf"p={g.p} vertices and q={g.q} edges"):
+                product_graph(family, m, n)
+            monkeypatch.undo()
 
 
 def test_bipartite_and_connected():

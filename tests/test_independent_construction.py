@@ -1,0 +1,63 @@
+"""The products checked against networkx's tensor product, built independently."""
+
+import pytest
+
+from antimagic.graphs import (
+    build_cycle,
+    build_family,
+    build_path,
+    build_star,
+    build_wheel,
+    is_connected,
+    product_graph,
+    tensor_product,
+    weichsel_connected,
+)
+
+nx = pytest.importorskip("networkx")
+
+CELLS = [(family, m, n) for family in ("wheel", "helm", "flower")
+         for m in range(3, 8) for n in range(1, 5)]
+
+
+def _nx_factor(family, m):
+    """W_m as networkx builds it, plus the helm's pendants and the flower's hub-to-outer edges."""
+    g = nx.wheel_graph(m + 1)  # hub 0, rim cycle 1..m
+    if family in ("helm", "flower"):
+        g.add_edges_from((i, m + i) for i in range(1, m + 1))
+    if family == "flower":
+        g.add_edges_from((0, m + i) for i in range(1, m + 1))
+    return g
+
+
+def _names(prod):
+    name = {v: f"w{v[0]}_{v[1]}" for v in prod.nodes}
+    return set(name.values()), {frozenset((name[a], name[b])) for a, b in prod.edges}
+
+
+@pytest.mark.parametrize("family, m, n", CELLS, ids=lambda x: str(x))
+def test_product_graph_equals_networkx(family, m, n):
+    expected = nx.tensor_product(_nx_factor(family, m), nx.star_graph(n))
+    g = product_graph(family, m, n)
+    vertices, edges = _names(expected)
+    assert {v.name for v in g.vertices} == vertices
+    assert {frozenset((a.name, b.name)) for a, b in g.edges} == edges
+    assert g.q == len(g.edges) == len(edges)
+    assert weichsel_connected(build_family(family, m), build_star(n)) == nx.is_connected(expected)
+
+
+def _to_nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(v.i for v in g.vertices)
+    h.add_edges_from((a.i, b.i) for a, b in g.edges)
+    return h
+
+
+def test_weichsel_equals_networkx_connectivity():
+    # bipartite factors (paths, even cycles, stars) give disconnected products
+    pool = [build_path(2), build_path(3), build_cycle(3), build_cycle(4), build_cycle(5),
+            build_star(1), build_star(3), build_wheel(3), build_wheel(4)]
+    for g in pool:
+        for h in pool:
+            connected = nx.is_connected(nx.tensor_product(_to_nx(g), _to_nx(h)))
+            assert weichsel_connected(g, h) == connected == is_connected(tensor_product(g, h))

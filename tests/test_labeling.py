@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from antimagic.families import FAMILIES
+from antimagic.formula import Variant
 from antimagic.graphs import Vertex, build_path, edge, make_graph, product_graph
 from antimagic.labeling import (
     EdgeLabeling,
@@ -208,3 +210,105 @@ def test_report_json_schema_fields():
         "bijective", "missing_labels", "duplicate_labels",
         "out_of_range_labels", "sums", "colliding_pairs", "antimagic",
     ]
+
+
+def _naive_report(g, labeling) -> dict:
+    """The verifier's report, recomputed from the definitions one field at a time."""
+    q, labels = labeling.target_q, labeling.labels
+
+    def name(e):
+        return f"{e[0].name}-{e[1].name}"
+
+    on_edges = [(labels[e], e) for e in g.edges if e in labels]
+    values = [lab for lab, _e in on_edges]
+    total = all(e in labels for e in g.edges)
+    unknown = sorted(name(e) for e in labels if e not in g.edges)
+    missing = [k for k in range(1, q + 1) if k not in values]
+    duplicates = [
+        {"label": lab, "edges": sorted(name(e) for other, e in on_edges if other == lab)}
+        for lab in sorted(set(values)) if values.count(lab) > 1
+    ]
+    out_of_range = sorted((lab, name(e)) for lab, e in on_edges if lab < 1 or lab > q)
+    bijective = (total and g.q == q and not unknown and not missing and not duplicates
+                 and not out_of_range)
+    sums = None
+    pairs = []
+    if total:
+        sums = {v.name: sum(lab for lab, e in on_edges if v in e) for v in g.vertices}
+        pairs = sorted(
+            ((u.name, v.name, sums[u.name]) for k, u in enumerate(g.vertices)
+             for v in g.vertices[k + 1:] if sums[u.name] == sums[v.name]),
+            key=lambda t: (t[2], t[0], t[1]),
+        )
+    return {
+        "target_q": q,
+        "graph_q": g.q,
+        "total": total,
+        "unlabeled_edges": sorted(name(e) for e in g.edges if e not in labels),
+        "unknown_edges": unknown,
+        "bijective": bijective,
+        "missing_labels": missing,
+        "duplicate_labels": duplicates,
+        "out_of_range_labels": [{"label": lab, "edge": e} for lab, e in out_of_range],
+        "sums": sums,
+        "colliding_pairs": [{"u": u, "v": v, "sum": s} for u, v, s in pairs],
+        "antimagic": bijective and not pairs,
+    }
+
+
+_SMALL_PRODUCTS = [(family, m, n) for family in ("wheel", "helm", "flower")
+                   for m in (3, 4) for n in (1, 2)]
+_MUTATIONS = ["none", "swap", "duplicate", "zero", "q+1", "drop", "extra", "target"]
+
+
+@pytest.mark.parametrize("family, m, n", _SMALL_PRODUCTS)
+def test_verifier_accepts_scheme_labelings_like_the_naive_reference(family, m, n):
+    g = product_graph(family, m, n)
+    labeling = FAMILIES[family].label(m, n, Variant.ERRATA)
+    report = verify_antimagic(g, labeling).to_json_dict()
+    assert report["antimagic"]
+    assert report == _naive_report(g, labeling)
+
+
+@given(cell=st.sampled_from(_SMALL_PRODUCTS), mutation=st.sampled_from(_MUTATIONS),
+       data=st.data())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_verifier_equals_naive_reference(cell, mutation, data):
+    family, m, n = cell
+    g = product_graph(family, m, n)
+    order = data.draw(st.permutations(range(1, g.q + 1)))
+    labels = dict(zip(g.edges, order))
+    target_q = g.q
+    pick = st.sampled_from(g.edges)
+    if mutation == "swap":
+        a, b = data.draw(pick), data.draw(pick)
+        labels[a], labels[b] = labels[b], labels[a]
+    elif mutation == "duplicate":
+        labels[data.draw(pick)] = labels[data.draw(pick)]
+    elif mutation in ("zero", "q+1"):
+        labels[data.draw(pick)] = 0 if mutation == "zero" else g.q + 1
+    elif mutation == "drop":
+        del labels[data.draw(pick)]
+    elif mutation == "extra":
+        a, b = data.draw(st.sampled_from(g.vertices)), data.draw(st.sampled_from(g.vertices))
+        non_edge = edge(a, b) if a != b else None
+        if non_edge is not None and non_edge not in labels:
+            labels[non_edge] = data.draw(st.integers(0, g.q + 1))
+    elif mutation == "target":
+        target_q = g.q + data.draw(st.sampled_from([-1, 1]))
+    labeling = EdgeLabeling(labels, target_q)
+    assert verify_antimagic(g, labeling).to_json_dict() == _naive_report(g, labeling)
+
+
+@given(pairs=_SMALL_EDGE_SETS, data=st.data())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_reader_sorts_shuffled_lines_like_make_graph(pairs, data):
+    # the reader builds its Graph with one sort of what it read, not make_graph
+    labels = data.draw(st.lists(st.integers(-3, 30), min_size=len(pairs), max_size=len(pairs)))
+    lines = [f"{a.name} {b.name} {lab}" for (a, b), lab in zip(pairs, labels)]
+    lines = data.draw(st.permutations(lines))
+    vertices = {v for e in pairs for v in e}
+    text = "\n".join([f"{len(vertices)} {len(pairs)}", *lines]) + "\n"
+    g, labeling = parse_labeled_edge_list(text)
+    assert g == make_graph("other", (), vertices, pairs)
+    assert labeling.labels == {edge(a, b): lab for (a, b), lab in zip(pairs, labels)}
