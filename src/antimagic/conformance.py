@@ -1,4 +1,9 @@
-"""Cross-checks a scheme's labeling against the verifier and its printed sum oracle.
+"""The schemes' one row table and evaluator, and the cross-check of their output.
+
+Wheel, helm and flower share one row-shape table, :data:`ROWS`, keyed by
+the last component of a formula id: the cells (i, j) a row evaluates and
+the edge it labels, or the vertex whose sum it gives, at each.  A family
+module picks a formula-id prefix and names its rows; one evaluator runs them.
 
 A conformance report is the deliverable for one (family, m, n, variant)
 cell: bijectivity and sum-distinctness verdicts from the independent
@@ -12,11 +17,11 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import formula as F
 from .formula import CoverageError, Variant
-from .graphs import Edge, Graph, Vertex, check_index, edge_name
+from .graphs import Edge, Graph, Vertex, check_index, edge, edge_name
 from .labeling import EdgeLabeling, VerificationReport, verify_antimagic
 
 
@@ -72,23 +77,44 @@ def cell_center(m, n):
     return ((0, 0),)
 
 
+# name -> (cells, key): key(m, n, i, j) is the Edge the row labels, or the
+# Vertex whose sum it gives, at cell (i, j).  The n=1 schemes' rows write j
+# where the paper writes 1; at n=1 they agree.
+ROWS = {
+    "hub": (cells_ij, lambda m, n, i, j: edge(Vertex(0, 0), Vertex(i, j))),
+    "hub_outer": (cells_ij, lambda m, n, i, j: edge(Vertex(0, 0), Vertex(m + i, j))),
+    "rim_jv": (cells_rim, lambda m, n, i, j: edge(Vertex(i, j), Vertex(i + 1, 0))),
+    "rim_vj": (cells_rim, lambda m, n, i, j: edge(Vertex(i, 0), Vertex(i + 1, j))),
+    "rim_close_vj": (cells_close_last, lambda m, n, i, j: edge(Vertex(m, 0), Vertex(1, j))),
+    "rim_close_jv": (cells_close_last, lambda m, n, i, j: edge(Vertex(m, j), Vertex(1, 0))),
+    "rim_close_A": (cells_close_first, lambda m, n, i, j: edge(Vertex(1, j), Vertex(m, 0))),
+    "rim_close_B": (cells_close_first, lambda m, n, i, j: edge(Vertex(m, j), Vertex(1, 0))),
+    "pend_in": (cells_ij, lambda m, n, i, j: edge(Vertex(i, j), Vertex(m + i, 0))),
+    "pend_out": (cells_ij, lambda m, n, i, j: edge(Vertex(m + i, j), Vertex(i, 0))),
+    "spoke": (cells_ij, lambda m, n, i, j: edge(Vertex(i, 0), Vertex(0, j))),
+    "spoke_outer": (cells_ij, lambda m, n, i, j: edge(Vertex(m + i, 0), Vertex(0, j))),
+    "sum_center": (cell_center, lambda m, n, i, j: Vertex(0, 0)),
+    "sum_rim_leaf": (cells_ij, lambda m, n, i, j: Vertex(i, j)),
+    "sum_outer_leaf": (cells_ij, lambda m, n, i, j: Vertex(m + i, j)),
+    "sum_rim_hub": (cells_hub_row, lambda m, n, i, j: Vertex(i, 0)),
+    "sum_outer_hub": (cells_hub_row, lambda m, n, i, j: Vertex(m + i, 0)),
+    "sum_center_leaf": (cells_leaf_col, lambda m, n, i, j: Vertex(0, j)),
+}
+# Formula ids are the paper's, so three shapes go by a second name.
+ROWS.update(center=ROWS["spoke"], pend_jv=ROWS["pend_in"], pend_vj=ROWS["pend_out"])
+
+
 def check_mn(m: int, n: int) -> None:
     """The schemes' domain: m >= 3 and n >= 1; a GraphError (a ValueError) otherwise."""
     check_index(m, "m", 3)
     check_index(n, "n", 1)
 
 
-EdgeFamily = tuple[str, str, Callable, Callable]
-# (edge_class, formula id, cells(m, n) -> iterable[(i, j)], edge(m, n, i, j) -> Edge)
+def _evaluate(prefix: str, names: Iterable[str], m: int, n: int, variant: Variant, describe):
+    """Evaluate each named row's formula at its cells into a dict keyed by what the row maps to.
 
-VertexFamily = tuple[str, Callable, Callable]
-# (formula id, cells(m, n) -> iterable[(i, j)], vertex(m, n, i, j) -> Vertex)
-
-
-def _evaluate(families: Iterable[VertexFamily], m: int, n: int, variant: Variant, describe):
-    """Evaluate each row's formula at its cells into a dict keyed by what the row maps to.
-
-    One :class:`formula.Resolver` serves the whole (m, n, variant), so each
+    Row ``name`` evaluates formula ``prefix.name``.  One
+    :class:`formula.Resolver` serves the whole (m, n, variant), so each
     formula, cited ones included, picks its branch once per (fid, i) and
     reuses it for every j; no guard reads ``j``.  Hit counts and coverage
     messages are still per cell.
@@ -96,7 +122,9 @@ def _evaluate(families: Iterable[VertexFamily], m: int, n: int, variant: Variant
     values: dict = {}
     coverage: list[str] = []
     resolver = F.Resolver(variant)
-    for fid, cells, key in families:
+    for name in names:
+        fid = f"{prefix}.{name}"
+        cells, key = ROWS[name]
         for i, j in cells(m, n):
             k = key(m, n, i, j)
             if k in values:
@@ -115,16 +143,15 @@ def _coverage_message(fid: str, m: int, n: int, i: int, j: int, exc: CoverageErr
 
 
 def evaluate_edge_families(
-    families: Iterable[EdgeFamily], m: int, n: int, variant: Variant
+    prefix: str, names: Iterable[str], m: int, n: int, variant: Variant
 ) -> SchemeLabels:
-    rows = ((fid, cells, mk_edge) for _cls, fid, cells, mk_edge in families)
-    return SchemeLabels(*_evaluate(rows, m, n, variant, lambda e: f"edge {edge_name(e)}"))
+    return SchemeLabels(*_evaluate(prefix, names, m, n, variant, lambda e: f"edge {edge_name(e)}"))
 
 
 def evaluate_vertex_families(
-    families: Iterable[VertexFamily], m: int, n: int, variant: Variant
+    prefix: str, names: Iterable[str], m: int, n: int, variant: Variant
 ) -> OracleSums:
-    return OracleSums(*_evaluate(families, m, n, variant, lambda v: f"vertex {v.name}"))
+    return OracleSums(*_evaluate(prefix, names, m, n, variant, lambda v: f"vertex {v.name}"))
 
 
 class FormulaCoverageError(Exception):

@@ -15,12 +15,6 @@ from . import formula as F
 from .conformance import (
     ConformanceReport,
     build_report,
-    cell_center,
-    cells_close_first,
-    cells_hub_row,
-    cells_ij,
-    cells_leaf_col,
-    cells_rim,
     check_mn,
     evaluate_edge_families,
     evaluate_vertex_families,
@@ -29,7 +23,7 @@ from .conformance import (
 )
 from .formula import ALWAYS, Variant, VARIANTS, br, even, odd, ref_value
 from .formula import cl4 as _cl4, fl4 as _fl4
-from .graphs import Vertex, edge, product_graph
+from .graphs import Vertex, product_graph, product_size
 from .helm import helm_case_class
 from .labeling import EdgeLabeling
 
@@ -678,56 +672,26 @@ F.define(
 
 
 def _families(m: int, n: int):
-    """The edge rows and vertex rows of the scheme for (m, n), in evaluation order.
+    """The prefix, edge rows and vertex rows of the scheme for (m, n), in evaluation order.
 
     The n=1 oracle is partial: only the degree-2 outer vertices have rows.
     """
     check_mn(m, n)
     if n == 1:
-        p = "flower.n1"
-        edges = (
-            ("hub-spokes", f"{p}.hub", cells_ij, lambda m, n, i, j: edge(Vertex(0, 0), Vertex(i, 1))),
-            ("hub-spokes", f"{p}.hub_outer", cells_ij, lambda m, n, i, j: edge(Vertex(0, 0), Vertex(m + i, 1))),
-            ("rim-pendant", f"{p}.rim_jv", cells_rim, lambda m, n, i, j: edge(Vertex(i, 1), Vertex(i + 1, 0))),
-            ("rim-pendant", f"{p}.rim_close_A", cells_close_first, lambda m, n, i, j: edge(Vertex(1, 1), Vertex(m, 0))),
-            ("rim-pendant", f"{p}.rim_close_B", cells_close_first, lambda m, n, i, j: edge(Vertex(m, 1), Vertex(1, 0))),
-            ("rim-pendant", f"{p}.rim_vj", cells_rim, lambda m, n, i, j: edge(Vertex(i, 0), Vertex(i + 1, 1))),
-            ("rim-pendant", f"{p}.pend_jv", cells_ij, lambda m, n, i, j: edge(Vertex(i, 1), Vertex(m + i, 0))),
-            ("rim-pendant", f"{p}.pend_vj", cells_ij, lambda m, n, i, j: edge(Vertex(i, 0), Vertex(m + i, 1))),
-            ("center-spokes", f"{p}.spoke_outer", cells_ij, lambda m, n, i, j: edge(Vertex(m + i, 0), Vertex(0, 1))),
-            ("center-spokes", f"{p}.spoke", cells_ij, lambda m, n, i, j: edge(Vertex(i, 0), Vertex(0, 1))),
-        )
-        vertices = (
-            (f"{p}.sum_outer_leaf", cells_ij, lambda m, n, i, j: Vertex(m + i, 1)),
-            (f"{p}.sum_outer_hub", cells_hub_row, lambda m, n, i, j: Vertex(m + i, 0)),
-        )
-        return edges, vertices
+        edges = ("hub", "hub_outer", "rim_jv", "rim_close_A", "rim_close_B", "rim_vj", "pend_jv",
+                 "pend_vj", "spoke_outer", "spoke")
+        return "flower.n1", edges, ("sum_outer_leaf", "sum_outer_hub")
     p = f"flower.{'modd' if odd(m) else 'meven'}.{helm_case_class(m, n).value}"
-    edges = (
-        ("hub-spokes", f"{p}.hub", cells_ij, lambda m, n, i, j: edge(Vertex(0, 0), Vertex(i, j))),
-        ("hub-spokes", f"{p}.hub_outer", cells_ij, lambda m, n, i, j: edge(Vertex(0, 0), Vertex(m + i, j))),
-        ("rim-pendant", f"{p}.pend_in", cells_ij, lambda m, n, i, j: edge(Vertex(i, j), Vertex(m + i, 0))),
-        ("rim-pendant", f"{p}.pend_out", cells_ij, lambda m, n, i, j: edge(Vertex(m + i, j), Vertex(i, 0))),
-        ("rim-pendant", f"{p}.rim_vj", cells_rim, lambda m, n, i, j: edge(Vertex(i, 0), Vertex(i + 1, j))),
-        ("rim-pendant", f"{p}.rim_jv", cells_rim, lambda m, n, i, j: edge(Vertex(i, j), Vertex(i + 1, 0))),
-        ("rim-pendant", f"{p}.rim_close_A", cells_close_first, lambda m, n, i, j: edge(Vertex(1, j), Vertex(m, 0))),
-        ("rim-pendant", f"{p}.rim_close_B", cells_close_first, lambda m, n, i, j: edge(Vertex(m, j), Vertex(1, 0))),
-        ("center-spokes", f"{p}.spoke", cells_ij, lambda m, n, i, j: edge(Vertex(i, 0), Vertex(0, j))),
-        ("center-spokes", f"{p}.spoke_outer", cells_ij, lambda m, n, i, j: edge(Vertex(m + i, 0), Vertex(0, j))),
-    )
-    vertices = (
-        (f"{p}.sum_center", cell_center, lambda m, n, i, j: Vertex(0, 0)),
-        (f"{p}.sum_rim_leaf", cells_ij, lambda m, n, i, j: Vertex(i, j)),
-        (f"{p}.sum_outer_leaf", cells_ij, lambda m, n, i, j: Vertex(m + i, j)),
-        (f"{p}.sum_rim_hub", cells_hub_row, lambda m, n, i, j: Vertex(i, 0)),
-        (f"{p}.sum_outer_hub", cells_hub_row, lambda m, n, i, j: Vertex(m + i, 0)),
-        (f"{p}.sum_center_leaf", cells_leaf_col, lambda m, n, i, j: Vertex(0, j)),
-    )
-    return edges, vertices
+    edges = ("hub", "hub_outer", "pend_in", "pend_out", "rim_vj", "rim_jv", "rim_close_A",
+             "rim_close_B", "spoke", "spoke_outer")
+    vertices = ("sum_center", "sum_rim_leaf", "sum_outer_leaf", "sum_rim_hub", "sum_outer_hub",
+                "sum_center_leaf")
+    return p, edges, vertices
 
 
 def flower_labels(m: int, n: int, variant: Variant = Variant.ERRATA):
-    return evaluate_edge_families(_families(m, n)[0], m, n, variant)
+    p, edges, _vertices = _families(m, n)
+    return evaluate_edge_families(p, edges, m, n, variant)
 
 
 def label_flower_n1(m: int, variant: Variant = Variant.ERRATA) -> EdgeLabeling:
@@ -737,11 +701,12 @@ def label_flower_n1(m: int, variant: Variant = Variant.ERRATA) -> EdgeLabeling:
 
 def label_flower_product(m: int, n: int, variant: Variant = Variant.ERRATA) -> EdgeLabeling:
     """Total labeling of the 8mn product edges; n=1 routes to its own scheme."""
-    return require_total(flower_labels(m, n, variant), 8 * m * n)
+    return require_total(flower_labels(m, n, variant), product_size("flower", m, n)[1])
 
 
 def flower_expected(m: int, n: int, variant: Variant = Variant.ERRATA):
-    return evaluate_vertex_families(_families(m, n)[1], m, n, variant)
+    p, _edges, vertices = _families(m, n)
+    return evaluate_vertex_families(p, vertices, m, n, variant)
 
 
 def expected_flower_sums(m: int, n: int, variant: Variant = Variant.ERRATA) -> dict[Vertex, int]:

@@ -246,18 +246,26 @@ def tensor_product(g: Graph, h: Graph) -> Graph:
     return Graph("product", params, vs, es)
 
 
+def product_size(family: str, m: int, n: int) -> tuple[int, int]:
+    """(p, q) of the product of a wheel-family graph with K_{1,n}, from arithmetic alone.
+
+    A factor with a*m + 1 vertices and b*m edges times the star's n + 1
+    and n gives p = (a*m + 1)(n + 1) and q = 2bmn.
+    """
+    _builder, a, b = _family(family)
+    return (a * m + 1) * (n + 1), 2 * b * m * n
+
+
 def product_graph(family: str, m: int, n: int) -> Graph:
     """The tensor product of a wheel-family graph with the star K_{1,n}.
 
-    Its size follows from (family, m, n): a factor with a*m + 1 vertices
-    and b*m edges times the star's n + 1 and n gives p = (a*m + 1)(n + 1)
-    and q = 2bmn.  A product with more than ``MAX_EDGES`` edges raises
+    A product with more than ``MAX_EDGES`` edges raises
     :class:`CapacityError` before any factor is built.
     """
-    _builder, a, b = _family(family)
+    _family(family)
     check_index(m, "m", 3)
     check_index(n, "n", 1)
-    p, q = (a * m + 1) * (n + 1), 2 * b * m * n
+    p, q = product_size(family, m, n)
     if q > MAX_EDGES:
         raise CapacityError(
             f"the {family} product at m={m}, n={n} has p={p} vertices and q={q} edges;"

@@ -13,12 +13,6 @@ from . import formula as F
 from .conformance import (
     ConformanceReport,
     build_report,
-    cell_center,
-    cells_close_last,
-    cells_hub_row,
-    cells_ij,
-    cells_leaf_col,
-    cells_rim,
     check_mn,
     evaluate_edge_families,
     evaluate_vertex_families,
@@ -27,7 +21,7 @@ from .conformance import (
 )
 from .formula import ALWAYS, Variant, VARIANTS, br, even, odd
 from .formula import cl4 as _cl4, fl4 as _fl4
-from .graphs import Vertex, edge, product_graph
+from .graphs import Vertex, product_graph, product_size
 from .labeling import EdgeLabeling
 
 # ---------------------------------------------------------------------------
@@ -278,44 +272,28 @@ F.define(
 
 
 def _families(m: int, n: int):
-    """The edge rows and vertex rows of the scheme for (m, n), in evaluation order."""
+    """The prefix, edge rows and vertex rows of the scheme for (m, n), in evaluation order."""
     check_mn(m, n)
     p = "wheel.modd" if odd(m) else "wheel.meven"
-    edges = (
-        ("hub-spokes", f"{p}.hub", cells_ij,
-         lambda m, n, i, j: edge(Vertex(0, 0), Vertex(i, j))),
-        ("rim", f"{p}.rim_jv", cells_rim,
-         lambda m, n, i, j: edge(Vertex(i, j), Vertex(i + 1, 0))),
-        ("rim", f"{p}.rim_vj", cells_rim,
-         lambda m, n, i, j: edge(Vertex(i, 0), Vertex(i + 1, j))),
-        ("rim", f"{p}.rim_close_vj", cells_close_last,
-         lambda m, n, i, j: edge(Vertex(m, 0), Vertex(1, j))),
-        ("rim", f"{p}.rim_close_jv", cells_close_last,
-         lambda m, n, i, j: edge(Vertex(m, j), Vertex(1, 0))),
-        ("center-spokes", f"{p}.center", cells_ij,
-         lambda m, n, i, j: edge(Vertex(i, 0), Vertex(0, j))),
-    )
-    vertices = (
-        (f"{p}.sum_center", cell_center, lambda m, n, i, j: Vertex(0, 0)),
-        (f"{p}.sum_rim_leaf", cells_ij, lambda m, n, i, j: Vertex(i, j)),
-        (f"{p}.sum_rim_hub", cells_hub_row, lambda m, n, i, j: Vertex(i, 0)),
-        (f"{p}.sum_center_leaf", cells_leaf_col, lambda m, n, i, j: Vertex(0, j)),
-    )
-    return edges, vertices
+    edges = ("hub", "rim_jv", "rim_vj", "rim_close_vj", "rim_close_jv", "center")
+    vertices = ("sum_center", "sum_rim_leaf", "sum_rim_hub", "sum_center_leaf")
+    return p, edges, vertices
 
 
 def wheel_labels(m: int, n: int, variant: Variant = Variant.ERRATA):
     """Evaluate the scheme over all cells, keeping coverage problems as data."""
-    return evaluate_edge_families(_families(m, n)[0], m, n, variant)
+    p, edges, _vertices = _families(m, n)
+    return evaluate_edge_families(p, edges, m, n, variant)
 
 
 def label_wheel_product(m: int, n: int, variant: Variant = Variant.ERRATA) -> EdgeLabeling:
     """Total labeling of the 4mn product edges; coverage gaps raise."""
-    return require_total(wheel_labels(m, n, variant), 4 * m * n)
+    return require_total(wheel_labels(m, n, variant), product_size("wheel", m, n)[1])
 
 
 def wheel_expected(m: int, n: int, variant: Variant = Variant.ERRATA):
-    return evaluate_vertex_families(_families(m, n)[1], m, n, variant)
+    p, _edges, vertices = _families(m, n)
+    return evaluate_vertex_families(p, vertices, m, n, variant)
 
 
 def expected_wheel_sums(m: int, n: int, variant: Variant = Variant.ERRATA) -> dict[Vertex, int]:

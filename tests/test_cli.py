@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from antimagic import graphs
+from antimagic import families, graphs
 from antimagic.cli import main
 
 from . import src_env
@@ -139,6 +139,28 @@ def test_oversized_product_exits_3_before_construction(verb, monkeypatch, capsys
     err = capsys.readouterr().err
     assert "p=200030001" in err and "q=800000000" in err
     assert main([verb, "--family", "flower", "--m", "10001", "--n", "1"]) == 2
+
+
+def test_oversized_grid_exits_3_before_any_cell(monkeypatch, capsys):
+    # the grid's total is checked: m 3..10000 by n 1..10000 is 10^8 cells
+    def conformance(*args):
+        raise AssertionError("a cell was built")
+
+    flower = families.FAMILIES["flower"]
+    monkeypatch.setitem(families.FAMILIES, "flower", flower._replace(conformance=conformance))
+    args = ["grid-report", "--family", "flower", "--n", "1..10000"]
+    assert main(args + ["--m", "3..10000"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "p=5002499899880000 vertices and q=20003998999880000 edges in all" in err
+    # an index out of range is still a usage error
+    assert main(args + ["--m", "2..10000"]) == 2
+    # the budget holds for the total: at it the cells run, one edge less refuses
+    monkeypatch.setattr(graphs, "MAX_EDGES", 8 * 7 * 3)  # flower q = 8mn, m 3..4, n 1..2
+    with pytest.raises(AssertionError, match="a cell was built"):
+        main(["grid-report", "--family", "flower", "--m", "3..4", "--n", "1..2"])
+    monkeypatch.setattr(graphs, "MAX_EDGES", 8 * 7 * 3 - 1)
+    assert main(["grid-report", "--family", "flower", "--m", "3..4", "--n", "1..2"]) == 3
 
 
 def test_export_dot(tmp_path):

@@ -1,4 +1,4 @@
-"""The schemes' row tables and the conformance sweep the ROADMAP gate pins."""
+"""The shared row table and the conformance sweep the ROADMAP gate pins."""
 
 import hashlib
 import subprocess
@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from antimagic import flower, helm, wheel
-from antimagic.conformance import to_jsonl
+from antimagic import formula as F
+from antimagic.conformance import ROWS, to_jsonl
 from antimagic.families import FAMILIES
 from antimagic.graphs import product_graph
 
@@ -15,33 +16,57 @@ from . import ROOT, src_env
 
 MODULES = {"wheel": wheel, "helm": helm, "flower": flower}
 
-WHEEL_CLASSES = {"hub-spokes": 1, "rim": 2, "center-spokes": 1}
-HELM_CLASSES = {"hub-spokes": 1, "rim-pendant": 4, "center-spokes": 1}
-FLOWER_CLASSES = {"hub-spokes": 2, "rim-pendant": 4, "center-spokes": 2}
+# The class of each edge row in the proofs' count of the product's edges.
+EDGE_CLASS = {
+    "hub": "hub-spokes", "hub_outer": "hub-spokes",
+    "rim_jv": "rim", "rim_vj": "rim", "rim_close_vj": "rim", "rim_close_jv": "rim",
+    "rim_close_A": "rim", "rim_close_B": "rim",
+    "pend_in": "pendant", "pend_out": "pendant", "pend_jv": "pendant", "pend_vj": "pendant",
+    "spoke": "center-spokes", "spoke_outer": "center-spokes", "center": "center-spokes",
+}
+PER_MN = {
+    "wheel": {"hub-spokes": 1, "rim": 2, "center-spokes": 1},
+    "helm": {"hub-spokes": 1, "rim": 2, "pendant": 2, "center-spokes": 1},
+    "flower": {"hub-spokes": 2, "rim": 2, "pendant": 2, "center-spokes": 2},
+}
+# At least one cell per scheme prefix: odd and even m, n = 1, and for
+# n >= 2 the base (n odd, n <= m), large-star (n odd, n > m) and even-star classes.
+ROW_CELLS = [("wheel", 5, 2), ("wheel", 4, 2)] + [
+    (family, m, n)
+    for family in ("helm", "flower")
+    for m, n in [(5, 2), (5, 1), (4, 1), (4, 2), (5, 3), (4, 3), (3, 5), (4, 5)]
+]
 
 
-@pytest.mark.parametrize("family, m, n, per_mn", [
-    pytest.param("wheel", 5, 2, WHEEL_CLASSES, id="wheel-5-2"),
-    pytest.param("helm", 5, 2, HELM_CLASSES, id="helm-5-2"),
-    pytest.param("helm", 5, 1, HELM_CLASSES, id="helm-5-1"),
-    pytest.param("flower", 5, 3, FLOWER_CLASSES, id="flower-5-3"),
-    pytest.param("flower", 5, 1, FLOWER_CLASSES, id="flower-5-1"),
-])
-def test_edge_class_sizes(family, m, n, per_mn):
+@pytest.mark.parametrize("family, m, n", ROW_CELLS, ids=[f"{f}-{m}-{n}" for f, m, n in ROW_CELLS])
+def test_edge_class_sizes(family, m, n):
     # the edge rows partition the product's edge set into the classes
     # the proofs count: each class has a fixed multiple of mn edges
-    edge_rows, _vertex_rows = MODULES[family]._families(m, n)
+    _prefix, edge_rows, _vertex_rows = MODULES[family]._families(m, n)
     sizes = {}
     edges = []
-    for cls, _fid, cells, mk_edge in edge_rows:
+    for name in edge_rows:
+        cells, key = ROWS[name]
         for i, j in cells(m, n):
-            sizes[cls] = sizes.get(cls, 0) + 1
-            edges.append(mk_edge(m, n, i, j))
+            sizes[EDGE_CLASS[name]] = sizes.get(EDGE_CLASS[name], 0) + 1
+            edges.append(key(m, n, i, j))
     g = product_graph(family, m, n)
-    assert sizes == {cls: k * m * n for cls, k in per_mn.items()}
+    assert sizes == {cls: k * m * n for cls, k in PER_MN[family].items()}
     assert sum(sizes.values()) == g.q
     assert len(edges) == g.q
     assert set(edges) == set(g.edges)
+
+
+def test_row_cells_reach_every_prefix_and_row_shape():
+    used_prefixes, used_names = set(), set()
+    for family, m, n in ROW_CELLS:
+        prefix, edge_rows, vertex_rows = MODULES[family]._families(m, n)
+        used_prefixes.add(prefix)
+        used_names.update(edge_rows, vertex_rows)
+    printed = {fid.rsplit(".", 1)[0] for fid in F._PRINTED if fid.startswith(tuple(MODULES))}
+    assert used_prefixes == printed
+    assert used_names == set(ROWS)
+    assert set(EDGE_CLASS) == {name for name in ROWS if not name.startswith("sum_")}
 
 
 SWEEP_DIGESTS = {

@@ -9,7 +9,7 @@ import pytest
 
 from antimagic import flower, helm, wheel
 from antimagic import formula as F
-from antimagic.conformance import _coverage_message
+from antimagic.conformance import ROWS, _coverage_message
 from antimagic.formula import ALWAYS, CoverageError, Variant, br
 
 SCHEMES = ("wheel.", "helm.", "flower.")
@@ -223,9 +223,11 @@ MODULES = {"wheel": wheel, "helm": helm, "flower": flower}
 
 def _rows(family, m, n):
     """(what, fid, cells) of every edge and vertex row of the scheme at (m, n)."""
-    edges, vertices = MODULES[family]._families(m, n)
-    return [("labels", fid, cells) for _cls, fid, cells, _key in edges] + [
-        ("expected", fid, cells) for fid, cells, _key in vertices
+    prefix, edges, vertices = MODULES[family]._families(m, n)
+    return [
+        (what, f"{prefix}.{name}", ROWS[name][0])
+        for what, names in (("labels", edges), ("expected", vertices))
+        for name in names
     ]
 
 

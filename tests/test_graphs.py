@@ -102,6 +102,7 @@ def test_edge_budget_is_checked_from_the_computed_size(family, monkeypatch):
     for m in range(3, 8):
         for n in range(1, 5):
             g = product_graph(family, m, n)
+            assert graphs.product_size(family, m, n) == (g.p, g.q)
             monkeypatch.setattr(graphs, "MAX_EDGES", g.q)
             assert product_graph(family, m, n) == g
             monkeypatch.setattr(graphs, "MAX_EDGES", g.q - 1)

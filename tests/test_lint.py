@@ -1,0 +1,48 @@
+"""Source checks that need only the standard library: no linter is a dependency."""
+
+import ast
+
+import pytest
+
+from . import ROOT
+
+SOURCES = sorted(
+    path
+    for path in [*(ROOT / "src" / "antimagic").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    if path.name != "__init__.py"  # the package's __init__ imports to re-export
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads; ``from __future__`` imports are exempt."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in read)
+
+
+def test_unused_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from typing import Callable, Iterable as It\n"
+        "from . import graphs as G\n"
+        "def f(x: It) -> None:\n"
+        "    G = os.path.join(x)\n"
+    )
+    assert unused_imports(source) == ["line 3: Callable", "line 4: G"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
