@@ -7,12 +7,7 @@ local-search oracles, and a conformance harness tying them together.
 """
 
 from .conformance import ConformanceReport, FormulaCoverageError
-from .flower import (
-    expected_flower_sums,
-    flower_conformance,
-    label_flower_n1,
-    label_flower_product,
-)
+from .flower import flower_conformance, label_flower_product
 from .formula import Variant, errata
 from .graphs import (
     CapacityError,
@@ -30,14 +25,7 @@ from .graphs import (
     tensor_product,
     weichsel_connected,
 )
-from .helm import (
-    CaseClass,
-    expected_helm_sums,
-    helm_case_class,
-    helm_conformance,
-    label_helm_n1,
-    label_helm_product,
-)
+from .helm import CaseClass, helm_case_class, helm_conformance, label_helm_product
 from .labeling import (
     EdgeLabeling,
     VerificationReport,
@@ -54,7 +42,7 @@ from .search import (
     cross_validate,
     search_antimagic,
 )
-from .wheel import expected_wheel_sums, label_wheel_product, wheel_conformance
+from .wheel import label_wheel_product, wheel_conformance
 
 __all__ = [
     "AgreementRecord",
@@ -79,18 +67,13 @@ __all__ = [
     "build_wheel",
     "cross_validate",
     "errata",
-    "expected_flower_sums",
-    "expected_helm_sums",
-    "expected_wheel_sums",
     "flower_conformance",
     "handshake_check",
     "helm_case_class",
     "helm_conformance",
     "is_bipartite",
     "is_connected",
-    "label_flower_n1",
     "label_flower_product",
-    "label_helm_n1",
     "label_helm_product",
     "label_wheel_product",
     "product_graph",

@@ -1,8 +1,8 @@
 """Batch command line: construct, label, verify, and report on the products.
 
 Exit codes: 0 success (and, for verify, antimagic); 1 verification
-failure; 2 usage error; 3 formula-coverage error, or a product or
-exhaustive search over its size budget.
+failure; 2 usage error; 3 formula-coverage error, or a product, grid
+or exhaustive search over its size budget.
 Integers from the command line or a file are read only as ``str(int)``
 writes them; any other spelling is a usage error.  All output is
 exact-integer text or JSON with a fixed field order, so identical

@@ -3,7 +3,8 @@
 Wheel, helm and flower share one row-shape table, :data:`ROWS`, keyed by
 the last component of a formula id: the cells (i, j) a row evaluates and
 the edge it labels, or the vertex whose sum it gives, at each.  A family
-module picks a formula-id prefix and names its rows; one evaluator runs them.
+module gives a :class:`Scheme` for each cell (m, n): its formula-id prefix,
+the names of its rows and its report policy; one evaluator runs them.
 
 A conformance report is the deliverable for one (family, m, n, variant)
 cell: bijectivity and sum-distinctness verdicts from the independent
@@ -17,12 +18,35 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import formula as F
 from .formula import CoverageError, Variant
-from .graphs import Edge, Graph, Vertex, check_index, edge, edge_name
+from .graphs import Edge, Graph, Vertex, edge, edge_name
 from .labeling import EdgeLabeling, VerificationReport, verify_antimagic
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """What differs between the families at one cell (m, n).
+
+    Row ``name`` evaluates formula ``prefix.name``; edge and vertex rows
+    run in the order given.  ``notes`` go into every report of the cell,
+    and ``oracle_partial`` marks an oracle that prints only part of the
+    vertex set (the flower n=1 case).
+    """
+
+    family: str
+    prefix: str
+    edges: tuple[str, ...]
+    vertices: tuple[str, ...]
+    notes: tuple[str, ...] = ()
+    oracle_partial: bool = False
+
+    @property
+    def case_class(self) -> str | None:
+        """The n >= 2 case class of helm and flower, the last of their prefix's three parts."""
+        parts = self.prefix.split(".")
+        return parts[2] if len(parts) == 3 else None
 
 
 @dataclass
@@ -104,13 +128,7 @@ ROWS = {
 ROWS.update(center=ROWS["spoke"], pend_jv=ROWS["pend_in"], pend_vj=ROWS["pend_out"])
 
 
-def check_mn(m: int, n: int) -> None:
-    """The schemes' domain: m >= 3 and n >= 1; a GraphError (a ValueError) otherwise."""
-    check_index(m, "m", 3)
-    check_index(n, "n", 1)
-
-
-def _evaluate(prefix: str, names: Iterable[str], m: int, n: int, variant: Variant, describe):
+def _evaluate(prefix: str, names: tuple[str, ...], m: int, n: int, variant: Variant, describe):
     """Evaluate each named row's formula at its cells into a dict keyed by what the row maps to.
 
     Row ``name`` evaluates formula ``prefix.name``.  One
@@ -142,20 +160,20 @@ def _coverage_message(fid: str, m: int, n: int, i: int, j: int, exc: CoverageErr
     return f"{fid} at (m={m}, n={n}, i={i}, j={j}): cited formula fails: {exc}"
 
 
-def evaluate_edge_families(
-    prefix: str, names: Iterable[str], m: int, n: int, variant: Variant
-) -> SchemeLabels:
-    return SchemeLabels(*_evaluate(prefix, names, m, n, variant, lambda e: f"edge {edge_name(e)}"))
+def evaluate_edge_families(scheme: Scheme, m: int, n: int, variant: Variant) -> SchemeLabels:
+    return SchemeLabels(
+        *_evaluate(scheme.prefix, scheme.edges, m, n, variant, lambda e: f"edge {edge_name(e)}")
+    )
 
 
-def evaluate_vertex_families(
-    prefix: str, names: Iterable[str], m: int, n: int, variant: Variant
-) -> OracleSums:
-    return OracleSums(*_evaluate(prefix, names, m, n, variant, lambda v: f"vertex {v.name}"))
+def evaluate_vertex_families(scheme: Scheme, m: int, n: int, variant: Variant) -> OracleSums:
+    return OracleSums(
+        *_evaluate(scheme.prefix, scheme.vertices, m, n, variant, lambda v: f"vertex {v.name}")
+    )
 
 
 class FormulaCoverageError(Exception):
-    """A labeling or oracle request hit piecewise coverage violations."""
+    """A labeling request hit piecewise coverage violations."""
 
     def __init__(self, problems: list[str]):
         self.problems = list(problems)
@@ -166,12 +184,6 @@ def require_total(result: SchemeLabels, q: int) -> EdgeLabeling:
     if result.coverage:
         raise FormulaCoverageError(result.coverage)
     return EdgeLabeling(result.labels, q)
-
-
-def require_sums(result: OracleSums) -> dict[Vertex, int]:
-    if result.coverage:
-        raise FormulaCoverageError(result.coverage)
-    return result.sums
 
 
 @dataclass
@@ -222,39 +234,35 @@ def to_jsonl(records: list[dict]) -> str:
 
 
 def build_report(
-    family: str,
+    scheme: Scheme,
     m: int,
     n: int,
     variant: Variant,
     graph: Graph,
-    scheme: SchemeLabels,
+    labels: SchemeLabels,
     oracle: OracleSums,
-    case_class: str | None = None,
-    notes: list[str] | None = None,
-    oracle_partial: bool = False,
 ) -> ConformanceReport:
     """Assemble the verdicts for one cell.
 
-    ``oracle_partial`` marks oracles that intentionally cover only part
-    of the vertex set (the flower n=1 case); vertices the oracle skips
-    are then not counted against the comparison.
+    When ``scheme.oracle_partial`` is set, vertices the oracle skips are
+    not counted against the comparison.
     """
     q = graph.q
     hits: Counter = Counter()
-    hits.update(scheme.branch_hits)
+    hits.update(labels.branch_hits)
     hits.update(oracle.branch_hits)
 
     verification = None
     handshake_ok = None
     mismatches: list[dict] = []
     center_computed = None
-    if scheme.total:
-        labeling = EdgeLabeling(scheme.labels, q)
+    if labels.total:
+        labeling = EdgeLabeling(labels.labels, q)
         verification = verify_antimagic(graph, labeling)
         if verification.total:
             handshake_ok = (
                 sum(verification.sums.values())
-                == 2 * sum(scheme.labels[e] for e in graph.edges)
+                == 2 * sum(labels.labels[e] for e in graph.edges)
             )
             center = Vertex(0, 0)
             center_computed = verification.sums.get(center.name)
@@ -271,10 +279,10 @@ def build_report(
     center_expected = oracle.sums.get(Vertex(0, 0))
 
     oracle_complete = not oracle.coverage and (
-        oracle_partial or len(oracle.sums) == graph.p
+        scheme.oracle_partial or len(oracle.sums) == graph.p
     )
     passed = (
-        scheme.total
+        labels.total
         and verification is not None
         and verification.antimagic
         and oracle_complete
@@ -283,8 +291,8 @@ def build_report(
     )
 
     first = None
-    if scheme.coverage:
-        first = f"label coverage: {scheme.coverage[0]}"
+    if labels.coverage:
+        first = f"label coverage: {labels.coverage[0]}"
     elif verification is not None and not verification.bijective:
         if verification.duplicate_labels:
             lab, edges = verification.duplicate_labels[0]
@@ -311,13 +319,13 @@ def build_report(
         first = "oracle does not cover the whole vertex set"
 
     return ConformanceReport(
-        family=family,
+        family=scheme.family,
         m=m,
         n=n,
         variant=variant.value,
-        case_class=case_class,
+        case_class=scheme.case_class,
         q=q,
-        label_coverage=list(scheme.coverage),
+        label_coverage=list(labels.coverage),
         oracle_coverage=list(oracle.coverage),
         branch_hits=dict(hits),
         verification=verification,
@@ -325,7 +333,7 @@ def build_report(
         sum_mismatches=mismatches,
         center_computed=center_computed,
         center_expected=center_expected,
-        notes=list(notes or []),
+        notes=list(scheme.notes),
         passed=passed,
         first_violation=first,
     )

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from . import flower, graphs, helm, wheel
-from .conformance import check_mn
 
 
 class Family(NamedTuple):
@@ -28,8 +27,8 @@ def grid_records(family: str, ms: range, ns: range) -> list[dict]:
     """
     conformance = FAMILIES[family].conformance
     if ms and ns:  # an index out of range is a usage error first, as for one product
-        check_mn(ms[0], ns[0])
-        check_mn(ms[-1], ns[-1])
+        graphs.check_mn(ms[0], ns[0])
+        graphs.check_mn(ms[-1], ns[-1])
     # q = 2bmn and p = (am + 1)(n + 1) each factor into a term in m times one in n
     q = graphs.product_size(family, sum(ms), sum(ns))[1]
     if q > graphs.MAX_EDGES:

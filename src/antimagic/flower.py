@@ -14,16 +14,15 @@ from __future__ import annotations
 from . import formula as F
 from .conformance import (
     ConformanceReport,
+    Scheme,
     build_report,
-    check_mn,
     evaluate_edge_families,
     evaluate_vertex_families,
-    require_sums,
     require_total,
 )
 from .formula import ALWAYS, Variant, VARIANTS, br, even, odd, ref_value
 from .formula import cl4 as _cl4, fl4 as _fl4
-from .graphs import Vertex, product_graph, product_size
+from .graphs import Vertex, check_mn, product_graph, product_size
 from .helm import helm_case_class
 from .labeling import EdgeLabeling
 
@@ -671,8 +670,8 @@ F.define(
 # ---------------------------------------------------------------------------
 
 
-def _families(m: int, n: int):
-    """The prefix, edge rows and vertex rows of the scheme for (m, n), in evaluation order.
+def _scheme(m: int, n: int) -> Scheme:
+    """The scheme at (m, n): its prefix, and its edge and vertex rows in evaluation order.
 
     The n=1 oracle is partial: only the degree-2 outer vertices have rows.
     """
@@ -680,23 +679,18 @@ def _families(m: int, n: int):
     if n == 1:
         edges = ("hub", "hub_outer", "rim_jv", "rim_close_A", "rim_close_B", "rim_vj", "pend_jv",
                  "pend_vj", "spoke_outer", "spoke")
-        return "flower.n1", edges, ("sum_outer_leaf", "sum_outer_hub")
-    p = f"flower.{'modd' if odd(m) else 'meven'}.{helm_case_class(m, n).value}"
+        return Scheme("flower", "flower.n1", edges, ("sum_outer_leaf", "sum_outer_hub"),
+                      oracle_partial=True)
+    prefix = f"flower.{'modd' if odd(m) else 'meven'}.{helm_case_class(m, n).value}"
     edges = ("hub", "hub_outer", "pend_in", "pend_out", "rim_vj", "rim_jv", "rim_close_A",
              "rim_close_B", "spoke", "spoke_outer")
     vertices = ("sum_center", "sum_rim_leaf", "sum_outer_leaf", "sum_rim_hub", "sum_outer_hub",
                 "sum_center_leaf")
-    return p, edges, vertices
+    return Scheme("flower", prefix, edges, vertices)
 
 
 def flower_labels(m: int, n: int, variant: Variant = Variant.ERRATA):
-    p, edges, _vertices = _families(m, n)
-    return evaluate_edge_families(p, edges, m, n, variant)
-
-
-def label_flower_n1(m: int, variant: Variant = Variant.ERRATA) -> EdgeLabeling:
-    """The dedicated n=1 labeling onto {1..8m}."""
-    return label_flower_product(m, 1, variant)
+    return evaluate_edge_families(_scheme(m, n), m, n, variant)
 
 
 def label_flower_product(m: int, n: int, variant: Variant = Variant.ERRATA) -> EdgeLabeling:
@@ -705,13 +699,8 @@ def label_flower_product(m: int, n: int, variant: Variant = Variant.ERRATA) -> E
 
 
 def flower_expected(m: int, n: int, variant: Variant = Variant.ERRATA):
-    p, _edges, vertices = _families(m, n)
-    return evaluate_vertex_families(p, vertices, m, n, variant)
-
-
-def expected_flower_sums(m: int, n: int, variant: Variant = Variant.ERRATA) -> dict[Vertex, int]:
     """Expected sums; for n=1 only the degree-2 outer vertices are printed."""
-    return require_sums(flower_expected(m, n, variant))
+    return evaluate_vertex_families(_scheme(m, n), m, n, variant)
 
 
 def outer_sum_range_ok(m: int, sums: dict[str, int]) -> bool:
@@ -722,23 +711,15 @@ def outer_sum_range_ok(m: int, sums: dict[str, int]) -> bool:
 
 def flower_conformance(m: int, n: int) -> list[ConformanceReport]:
     graph = product_graph("flower", m, n)
-    case = None if n == 1 else helm_case_class(m, n).value
-    reports = []
-    for variant in VARIANTS:
-        notes = []
-        scheme = flower_labels(m, n, variant)
-        oracle = flower_expected(m, n, variant)
-        report = build_report(
-            "flower", m, n, variant, graph, scheme, oracle,
-            case_class=case,
-            notes=notes,
-            oracle_partial=(n == 1),
-        )
-        if n == 1 and report.verification is not None and report.verification.total:
-            ok = outer_sum_range_ok(m, report.verification.sums)
-            notes.append(f"outer sums equal {{2m+2,..,6m}}: {'yes' if ok else 'NO'}")
-            if not ok and report.passed:
-                report.passed = False
-                report.first_violation = "outer sums leave the printed range"
-        reports.append(report)
+    scheme = _scheme(m, n)
+    reports = [
+        build_report(scheme, m, n, variant, graph,
+                     flower_labels(m, n, variant), flower_expected(m, n, variant))
+        for variant in VARIANTS
+    ]
+    # the n=1 proof also claims the outer sums are exactly {2m+2, .., 6m}
+    for report in reports:
+        if n == 1 and report.passed and not outer_sum_range_ok(m, report.verification.sums):
+            report.passed = False
+            report.first_violation = "outer sums leave the printed range"
     return reports

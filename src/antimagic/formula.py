@@ -185,12 +185,12 @@ class Resolver:
     receives, so cited formulas share the same choices and counts.
     """
 
-    def __init__(self, variant: Variant, hits: Counter | None = None):
+    def __init__(self, variant: Variant):
         self.variant = variant
-        self.hits = Counter() if hits is None else hits
-        # (fid, m, n, i) -> (value, hit key, label) of the branch taken,
-        # or the labels of the branches matched when that is not one
-        self._rows: dict[tuple[str, int, int, int], tuple[Value, str, str] | list[str]] = {}
+        self.hits: Counter = Counter()
+        # (fid, m, n, i) -> (value, hit key) of the branch taken, or the
+        # labels of the branches matched when that is not one
+        self._rows: dict[tuple[str, int, int, int], tuple[Value, str] | list[str]] = {}
 
     def __call__(self, fid: str, m: int, n: int, i: int, j: int) -> int:
         """The value of ``fid`` at the cell."""
@@ -199,7 +199,7 @@ class Resolver:
             matched = resolve(fid, self.variant).matching(m, n, i, j)
             if len(matched) == 1:
                 b = matched[0]
-                row = (b.value, f"{fid}[{b.label}]", b.label)
+                row = (b.value, f"{fid}[{b.label}]")
             else:
                 row = [b.label for b in matched]
             self._rows[fid, m, n, i] = row
@@ -208,20 +208,6 @@ class Resolver:
         value = row[0](m, n, i, j, self)
         self.hits[row[1]] += 1
         return value
-
-
-def evaluate(fid: str, variant: Variant, m: int, n: int, i: int, j: int,
-             hits=None) -> tuple[int, str]:
-    """Evaluate a formula at a cell; references resolve at the same variant.
-
-    When ``hits`` (a Counter) is given, every branch taken is recorded,
-    including branches of cited formulas, so reports can account for
-    which rows a cell actually exercised.  The label is that of the branch
-    ``fid`` itself takes.
-    """
-    resolver = Resolver(variant, hits)
-    value = resolver(fid, m, n, i, j)
-    return value, resolver._rows[fid, m, n, i][2]
 
 
 def errata(prefix: str = "") -> list[Patch]:

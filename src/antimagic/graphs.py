@@ -141,6 +141,12 @@ def check_index(value: int, name: str, minimum: int) -> None:
         raise GraphError(f"{name} = {value} exceeds the supported bound {MAX_INDEX}")
 
 
+def check_mn(m: int, n: int) -> None:
+    """The products' domain: m >= 3 and n >= 1; a GraphError (a ValueError) otherwise."""
+    check_index(m, "m", 3)
+    check_index(n, "n", 1)
+
+
 def build_path(m: int) -> Graph:
     """Path on vertices u1..um."""
     check_index(m, "m", 1)
@@ -263,8 +269,7 @@ def product_graph(family: str, m: int, n: int) -> Graph:
     :class:`CapacityError` before any factor is built.
     """
     _family(family)
-    check_index(m, "m", 3)
-    check_index(n, "n", 1)
+    check_mn(m, n)
     p, q = product_size(family, m, n)
     if q > MAX_EDGES:
         raise CapacityError(

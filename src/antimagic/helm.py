@@ -16,16 +16,15 @@ from enum import Enum
 from . import formula as F
 from .conformance import (
     ConformanceReport,
+    Scheme,
     build_report,
-    check_mn,
     evaluate_edge_families,
     evaluate_vertex_families,
-    require_sums,
     require_total,
 )
 from .formula import ALWAYS, Variant, VARIANTS, br, ceil_div, even, odd, ref_value
 from .formula import cl4 as _cl4, fl4 as _fl4
-from .graphs import Vertex, product_graph, product_size
+from .graphs import check_mn, product_graph, product_size
 from .labeling import EdgeLabeling
 
 
@@ -770,30 +769,24 @@ F.define("helm.meven.even-star.sum_center_leaf",
 # ---------------------------------------------------------------------------
 
 
-def _families(m: int, n: int):
-    """The prefix, edge rows and vertex rows of the scheme for (m, n), in evaluation order."""
+def _scheme(m: int, n: int) -> Scheme:
+    """The scheme at (m, n): its prefix, its rows in evaluation order, and its notes."""
     check_mn(m, n)
-    if n == 1:
-        p = "helm.n1"
-        edges = ("hub", "rim_jv", "rim_close_A", "rim_close_B", "rim_vj", "pend_jv", "pend_vj",
-                 "spoke")
-    else:
-        p = f"helm.{'modd' if odd(m) else 'meven'}.{helm_case_class(m, n).value}"
-        edges = ("hub", "pend_in", "pend_out", "rim_vj", "rim_jv", "rim_close_A", "rim_close_B",
-                 "spoke")
     vertices = ("sum_center", "sum_rim_leaf", "sum_outer_leaf", "sum_rim_hub", "sum_outer_hub",
                 "sum_center_leaf")
-    return p, edges, vertices
+    if n == 1:
+        edges = ("hub", "rim_jv", "rim_close_A", "rim_close_B", "rim_vj", "pend_jv", "pend_vj",
+                 "spoke")
+        return Scheme("helm", "helm.n1", edges, vertices)
+    edges = ("hub", "pend_in", "pend_out", "rim_vj", "rim_jv", "rim_close_A", "rim_close_B",
+             "spoke")
+    notes = ("closing rim family read at i=1, the only remaining rim edge",) if even(m) else ()
+    prefix = f"helm.{'modd' if odd(m) else 'meven'}.{helm_case_class(m, n).value}"
+    return Scheme("helm", prefix, edges, vertices, notes)
 
 
 def helm_labels(m: int, n: int, variant: Variant = Variant.ERRATA):
-    p, edges, _vertices = _families(m, n)
-    return evaluate_edge_families(p, edges, m, n, variant)
-
-
-def label_helm_n1(m: int, variant: Variant = Variant.ERRATA) -> EdgeLabeling:
-    """The dedicated n=1 labeling onto {1..6m}."""
-    return label_helm_product(m, 1, variant)
+    return evaluate_edge_families(_scheme(m, n), m, n, variant)
 
 
 def label_helm_product(m: int, n: int, variant: Variant = Variant.ERRATA) -> EdgeLabeling:
@@ -802,27 +795,14 @@ def label_helm_product(m: int, n: int, variant: Variant = Variant.ERRATA) -> Edg
 
 
 def helm_expected(m: int, n: int, variant: Variant = Variant.ERRATA):
-    p, _edges, vertices = _families(m, n)
-    return evaluate_vertex_families(p, vertices, m, n, variant)
-
-
-def expected_helm_sums(m: int, n: int, variant: Variant = Variant.ERRATA) -> dict[Vertex, int]:
-    return require_sums(helm_expected(m, n, variant))
+    return evaluate_vertex_families(_scheme(m, n), m, n, variant)
 
 
 def helm_conformance(m: int, n: int) -> list[ConformanceReport]:
     graph = product_graph("helm", m, n)
-    case = None if n == 1 else helm_case_class(m, n).value
-    notes = []
-    if n >= 2 and even(m):
-        notes.append("closing rim family read at i=1, the only remaining rim edge")
+    scheme = _scheme(m, n)
     return [
-        build_report(
-            "helm", m, n, variant, graph,
-            helm_labels(m, n, variant),
-            helm_expected(m, n, variant),
-            case_class=case,
-            notes=notes,
-        )
+        build_report(scheme, m, n, variant, graph,
+                     helm_labels(m, n, variant), helm_expected(m, n, variant))
         for variant in VARIANTS
     ]

@@ -12,16 +12,15 @@ from __future__ import annotations
 from . import formula as F
 from .conformance import (
     ConformanceReport,
+    Scheme,
     build_report,
-    check_mn,
     evaluate_edge_families,
     evaluate_vertex_families,
-    require_sums,
     require_total,
 )
 from .formula import ALWAYS, Variant, VARIANTS, br, even, odd
 from .formula import cl4 as _cl4, fl4 as _fl4
-from .graphs import Vertex, product_graph, product_size
+from .graphs import check_mn, product_graph, product_size
 from .labeling import EdgeLabeling
 
 # ---------------------------------------------------------------------------
@@ -271,19 +270,20 @@ F.define(
 # ---------------------------------------------------------------------------
 
 
-def _families(m: int, n: int):
-    """The prefix, edge rows and vertex rows of the scheme for (m, n), in evaluation order."""
+def _scheme(m: int, n: int) -> Scheme:
+    """The scheme at (m, n): its prefix, and its edge and vertex rows in evaluation order."""
     check_mn(m, n)
-    p = "wheel.modd" if odd(m) else "wheel.meven"
-    edges = ("hub", "rim_jv", "rim_vj", "rim_close_vj", "rim_close_jv", "center")
-    vertices = ("sum_center", "sum_rim_leaf", "sum_rim_hub", "sum_center_leaf")
-    return p, edges, vertices
+    return Scheme(
+        "wheel",
+        "wheel.modd" if odd(m) else "wheel.meven",
+        ("hub", "rim_jv", "rim_vj", "rim_close_vj", "rim_close_jv", "center"),
+        ("sum_center", "sum_rim_leaf", "sum_rim_hub", "sum_center_leaf"),
+    )
 
 
 def wheel_labels(m: int, n: int, variant: Variant = Variant.ERRATA):
     """Evaluate the scheme over all cells, keeping coverage problems as data."""
-    p, edges, _vertices = _families(m, n)
-    return evaluate_edge_families(p, edges, m, n, variant)
+    return evaluate_edge_families(_scheme(m, n), m, n, variant)
 
 
 def label_wheel_product(m: int, n: int, variant: Variant = Variant.ERRATA) -> EdgeLabeling:
@@ -292,23 +292,16 @@ def label_wheel_product(m: int, n: int, variant: Variant = Variant.ERRATA) -> Ed
 
 
 def wheel_expected(m: int, n: int, variant: Variant = Variant.ERRATA):
-    p, _edges, vertices = _families(m, n)
-    return evaluate_vertex_families(p, vertices, m, n, variant)
-
-
-def expected_wheel_sums(m: int, n: int, variant: Variant = Variant.ERRATA) -> dict[Vertex, int]:
-    """The proof's closed-form vertex sums, evaluated into a full profile."""
-    return require_sums(wheel_expected(m, n, variant))
+    """The proof's closed-form vertex sums, with coverage problems kept as data."""
+    return evaluate_vertex_families(_scheme(m, n), m, n, variant)
 
 
 def wheel_conformance(m: int, n: int) -> list[ConformanceReport]:
     """One report per variant: bijectivity, distinctness, oracle agreement."""
     graph = product_graph("wheel", m, n)
+    scheme = _scheme(m, n)
     return [
-        build_report(
-            "wheel", m, n, variant, graph,
-            wheel_labels(m, n, variant),
-            wheel_expected(m, n, variant),
-        )
+        build_report(scheme, m, n, variant, graph,
+                     wheel_labels(m, n, variant), wheel_expected(m, n, variant))
         for variant in VARIANTS
     ]

@@ -1,4 +1,4 @@
-"""Helpers shared by tests that start a fresh interpreter."""
+"""Helpers shared by the tests: a fresh interpreter's environment, and an oracle's full sums."""
 
 import os
 from pathlib import Path
@@ -13,3 +13,9 @@ def src_env() -> dict[str, str]:
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return env
+
+
+def covered_sums(oracle) -> dict:
+    """The sums of an ``OracleSums``, after asserting that every row it evaluated was covered."""
+    assert oracle.coverage == []
+    return oracle.sums

@@ -9,7 +9,7 @@ import itertools
 import json
 import time
 
-from antimagic.flower import flower_conformance, label_flower_n1
+from antimagic.flower import flower_conformance, label_flower_product
 from antimagic.formula import Variant
 from antimagic.graphs import (
     build_cycle,
@@ -22,17 +22,12 @@ from antimagic.graphs import (
     weichsel_connected,
     Vertex,
 )
-from antimagic.helm import (
-    expected_helm_sums,
-    helm_case_class,
-    helm_conformance,
-    label_helm_n1,
-    label_helm_product,
-)
+from antimagic.helm import helm_conformance, label_helm_product
 from antimagic.labeling import EdgeLabeling, verify_antimagic, vertex_sums
 from antimagic.search import Status, search_antimagic
-from antimagic.wheel import expected_wheel_sums, label_wheel_product, wheel_conformance
+from antimagic.wheel import label_wheel_product, wheel_conformance, wheel_expected
 
+from tests import covered_sums
 from tests.test_search import naive_has_antimagic
 
 
@@ -77,7 +72,7 @@ def test_criterion_3_wheel_errata_grid():
             report = verify_antimagic(g, labeling)
             assert report.bijective, f"({m},{n}): {report.missing_labels}"
             assert report.antimagic, f"({m},{n}): {report.colliding_pairs[:3]}"
-            expected = expected_wheel_sums(m, n, Variant.ERRATA)
+            expected = covered_sums(wheel_expected(m, n, Variant.ERRATA))
             sums = vertex_sums(g, labeling)
             for v in g.vertices:
                 assert sums[v] == expected[v], (m, n, v.name, sums[v], expected[v])
@@ -101,7 +96,7 @@ def test_criterion_4_wheel_as_printed_detection():
 
 
 def test_criterion_5_helm_flower_n1():
-    labelers = {"helm": label_helm_n1, "flower": label_flower_n1}
+    labelers = {"helm": label_helm_product, "flower": label_flower_product}
     conformance = {"helm": helm_conformance, "flower": flower_conformance}
     verified = []
     for family in ("helm", "flower"):
@@ -128,7 +123,7 @@ def test_criterion_5_helm_flower_n1():
     mutations = 0
     for family, m in [("helm", 3), ("helm", 6), ("flower", 4), ("flower", 7)]:
         g = product_graph(family, m, 1)
-        labeling = labelers[family](m)
+        labeling = labelers[family](m, 1)
         assert verify_antimagic(g, labeling).antimagic
         donor = g.edges[0]
         for e in g.edges:

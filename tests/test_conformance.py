@@ -42,10 +42,9 @@ ROW_CELLS = [("wheel", 5, 2), ("wheel", 4, 2)] + [
 def test_edge_class_sizes(family, m, n):
     # the edge rows partition the product's edge set into the classes
     # the proofs count: each class has a fixed multiple of mn edges
-    _prefix, edge_rows, _vertex_rows = MODULES[family]._families(m, n)
     sizes = {}
     edges = []
-    for name in edge_rows:
+    for name in MODULES[family]._scheme(m, n).edges:
         cells, key = ROWS[name]
         for i, j in cells(m, n):
             sizes[EDGE_CLASS[name]] = sizes.get(EDGE_CLASS[name], 0) + 1
@@ -60,9 +59,9 @@ def test_edge_class_sizes(family, m, n):
 def test_row_cells_reach_every_prefix_and_row_shape():
     used_prefixes, used_names = set(), set()
     for family, m, n in ROW_CELLS:
-        prefix, edge_rows, vertex_rows = MODULES[family]._families(m, n)
-        used_prefixes.add(prefix)
-        used_names.update(edge_rows, vertex_rows)
+        scheme = MODULES[family]._scheme(m, n)
+        used_prefixes.add(scheme.prefix)
+        used_names.update(scheme.edges, scheme.vertices)
     printed = {fid.rsplit(".", 1)[0] for fid in F._PRINTED if fid.startswith(tuple(MODULES))}
     assert used_prefixes == printed
     assert used_names == set(ROWS)

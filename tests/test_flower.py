@@ -4,11 +4,9 @@ import pytest
 
 from antimagic import formula as F
 from antimagic.flower import (
-    expected_flower_sums,
     flower_conformance,
     flower_expected,
     flower_labels,
-    label_flower_n1,
     label_flower_product,
     outer_sum_range_ok,
 )
@@ -16,9 +14,11 @@ from antimagic.formula import Variant
 from antimagic.graphs import Vertex, edge, product_graph
 from antimagic.labeling import verify_antimagic, vertex_sums
 
+from . import covered_sums
+
 
 def test_n1_anchor_labels():
-    lab = label_flower_n1(3)
+    lab = label_flower_product(3, 1)
     assert lab.labels[edge(Vertex(2, 1), Vertex(5, 0))] == 4
     assert lab.labels[edge(Vertex(4, 0), Vertex(0, 1))] == 8
     assert lab.labels[edge(Vertex(3, 1), Vertex(1, 0))] == 21
@@ -27,7 +27,7 @@ def test_n1_anchor_labels():
 @pytest.mark.parametrize("m", range(3, 11))
 def test_n1_scheme_verifies(m):
     g = product_graph("flower", m, 1)
-    lab = label_flower_n1(m)
+    lab = label_flower_product(m, 1)
     report = verify_antimagic(g, lab)
     assert report.antimagic
     assert outer_sum_range_ok(m, report.sums)
@@ -44,9 +44,9 @@ def test_n1_as_printed_flags_undefined_citations():
 def test_n1_outer_vertices_have_degree_two_and_matching_sums():
     for m in (3, 4, 6):
         g = product_graph("flower", m, 1)
-        lab = label_flower_n1(m)
+        lab = label_flower_product(m, 1)
         sums = vertex_sums(g, lab)
-        expected = expected_flower_sums(m, 1)
+        expected = covered_sums(flower_expected(m, 1))
         for i in range(1, m + 1):
             for v in (Vertex(m + i, 1), Vertex(m + i, 0)):
                 assert g.degree(v) == 2
@@ -62,16 +62,16 @@ def test_product_anchor_labels():
 
 
 def test_expected_center_anchors():
-    assert expected_flower_sums(5, 3)[Vertex(0, 0)] == 1815
+    assert covered_sums(flower_expected(5, 3))[Vertex(0, 0)] == 1815
 
 
 def test_center_leaf_formula_vs_class_aware_oracle():
     # the base-class row evaluates to 141 at (m=3, n=2, j=1), but that cell
     # belongs to the even-star class, whose own row gives 70; the verified
     # labeling settles it
-    base_row = F.evaluate("flower.modd.base.sum_center_leaf", Variant.ERRATA, 3, 2, 0, 1)[0]
+    base_row = F.Resolver(Variant.ERRATA)("flower.modd.base.sum_center_leaf", 3, 2, 0, 1)
     assert base_row == 8 * 9 * 2 - 2 * 3 * 2 + 3 * (4 * 1 - 1) == 141
-    class_aware = expected_flower_sums(3, 2)[Vertex(0, 1)]
+    class_aware = covered_sums(flower_expected(3, 2))[Vertex(0, 1)]
     assert class_aware == 70
     g = product_graph("flower", 3, 2)
     sums = vertex_sums(g, label_flower_product(3, 2))
@@ -85,7 +85,7 @@ def test_errata_scheme_verifies_and_matches_oracle(m, n):
     lab = label_flower_product(m, n)
     report = verify_antimagic(g, lab)
     assert report.antimagic, report.to_json()
-    expected = expected_flower_sums(m, n)
+    expected = covered_sums(flower_expected(m, n))
     sums = vertex_sums(g, lab)
     assert all(sums[v] == expected[v] for v in g.vertices)
     assert sum(expected.values()) == 8 * m * n * (8 * m * n + 1)
@@ -117,8 +117,8 @@ def test_offset_coherence_with_helm(family_pair):
              for j in range(1, n + 1)]
     shift = 2 * m * n
     for i, j in cells:
-        f_val = F.evaluate(flower_fid, Variant.ERRATA, m, n, i, j)[0]
-        h_val = F.evaluate(helm_fid, Variant.ERRATA, m, n, i, j)[0]
+        f_val = F.Resolver(Variant.ERRATA)(flower_fid, m, n, i, j)
+        h_val = F.Resolver(Variant.ERRATA)(helm_fid, m, n, i, j)
         assert f_val == h_val + shift
 
 

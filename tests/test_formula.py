@@ -15,10 +15,18 @@ from antimagic.formula import ALWAYS, CoverageError, Variant, br
 SCHEMES = ("wheel.", "helm.", "flower.")
 
 
+def _evaluate(fid, variant, m, n, i, j):
+    """The value of ``fid`` at a cell, from a fresh resolver, and the label of its branch."""
+    resolver = F.Resolver(variant)
+    value = resolver(fid, m, n, i, j)
+    (label,) = [key[len(fid) + 1:-1] for key in resolver.hits if key.startswith(f"{fid}[")]
+    return value, label
+
+
 def _pw(fid, *branches):
     """Register a printed formula and return a function evaluating it at a cell."""
     F.define(fid, *branches)
-    return lambda m, n, i, j: F.evaluate(fid, Variant.AS_PRINTED, m, n, i, j)
+    return lambda m, n, i, j: _evaluate(fid, Variant.AS_PRINTED, m, n, i, j)
 
 
 def test_single_branch_evaluates():
@@ -50,11 +58,11 @@ def test_zero_branch_formula_always_errors():
 
 def test_registry_variants_and_ledger():
     F.define("test.reg.demo", br("always", ALWAYS, lambda m, n, i, j, _: 5))
-    assert F.evaluate("test.reg.demo", Variant.AS_PRINTED, 3, 1, 1, 1) == (5, "always")
+    assert _evaluate("test.reg.demo", Variant.AS_PRINTED, 3, 1, 1, 1) == (5, "always")
     F.patch("test.reg.demo", "value is 6", "forced by the test",
             br("always", ALWAYS, lambda m, n, i, j, _: 6))
-    assert F.evaluate("test.reg.demo", Variant.AS_PRINTED, 3, 1, 1, 1) == (5, "always")
-    assert F.evaluate("test.reg.demo", Variant.ERRATA, 3, 1, 1, 1) == (6, "always")
+    assert _evaluate("test.reg.demo", Variant.AS_PRINTED, 3, 1, 1, 1) == (5, "always")
+    assert _evaluate("test.reg.demo", Variant.ERRATA, 3, 1, 1, 1) == (6, "always")
     ledger = F.errata("test.reg.")
     assert len(ledger) == 1
     assert ledger[0].note == "value is 6"
@@ -88,8 +96,8 @@ def test_references_resolve_at_same_variant():
     F.patch("test.refbase", "now 20", "test", br("always", ALWAYS, lambda m, n, i, j, _: 20))
     F.define("test.refuser",
              br("always", ALWAYS, F.ref_value("test.refbase", 1)))
-    assert F.evaluate("test.refuser", Variant.AS_PRINTED, 3, 1, 1, 1)[0] == 11
-    assert F.evaluate("test.refuser", Variant.ERRATA, 3, 1, 1, 1)[0] == 21
+    assert _evaluate("test.refuser", Variant.AS_PRINTED, 3, 1, 1, 1)[0] == 11
+    assert _evaluate("test.refuser", Variant.ERRATA, 3, 1, 1, 1)[0] == 21
 
 
 def test_repeated_branch_label_rejected():
@@ -115,7 +123,7 @@ def test_patch_keeps_printed_branches_by_label():
     F.patch("test.keep", "a dropped, c added", "test", "b", c)
     kept, added = F.errata("test.keep")[0].replacement.branches
     assert kept is b and added is c
-    assert F.evaluate("test.keep", Variant.ERRATA, 3, 1, 2, 1) == (2, "b")
+    assert _evaluate("test.keep", Variant.ERRATA, 3, 1, 2, 1) == (2, "b")
 
 
 def _shape(fn):
@@ -223,10 +231,10 @@ MODULES = {"wheel": wheel, "helm": helm, "flower": flower}
 
 def _rows(family, m, n):
     """(what, fid, cells) of every edge and vertex row of the scheme at (m, n)."""
-    prefix, edges, vertices = MODULES[family]._families(m, n)
+    scheme = MODULES[family]._scheme(m, n)
     return [
-        (what, f"{prefix}.{name}", ROWS[name][0])
-        for what, names in (("labels", edges), ("expected", vertices))
+        (what, f"{scheme.prefix}.{name}", ROWS[name][0])
+        for what, names in (("labels", scheme.edges), ("expected", scheme.vertices))
         for name in names
     ]
 
@@ -246,16 +254,16 @@ def test_row_choice_equals_a_choice_per_cell(family, m, n, variant):
         row_hits: dict[int, list[Counter]] = {}
         row_errors: dict[int, list[int]] = {}
         for i, j in cells(m, n):
-            cell_hits = Counter()
+            resolver = F.Resolver(variant)
             try:
-                F.evaluate(fid, variant, m, n, i, j, cell_hits)
+                resolver(fid, m, n, i, j)
             except CoverageError as exc:
                 message = _coverage_message(fid, m, n, i, j, exc)
                 assert message.startswith(f"{fid} at (m={m}, n={n}, i={i}, j={j}): ")
                 messages.append(message)
                 row_errors.setdefault(i, []).append(j)
-            hits.update(cell_hits)
-            row_hits.setdefault(i, []).append(cell_hits)
+            hits.update(resolver.hits)
+            row_hits.setdefault(i, []).append(resolver.hits)
         for i, per_j in row_hits.items():
             # a row's hits are one cell's hits times the row length
             assert per_j == [per_j[0]] * len(per_j)

@@ -6,15 +6,15 @@ from antimagic.formula import Variant
 from antimagic.graphs import Vertex, edge, product_graph
 from antimagic.helm import (
     CaseClass,
-    expected_helm_sums,
     helm_case_class,
     helm_conformance,
     helm_expected,
     helm_labels,
-    label_helm_n1,
     label_helm_product,
 )
 from antimagic.labeling import EdgeLabeling, verify_antimagic, vertex_sums
+
+from . import covered_sums
 
 
 def test_case_classification():
@@ -32,14 +32,14 @@ def test_exactly_one_class_per_cell():
 
 
 def test_n1_anchor_labels():
-    lab3 = label_helm_n1(3)
+    lab3 = label_helm_product(3, 1)
     assert lab3.labels[edge(Vertex(1, 1), Vertex(4, 0))] == 1
-    lab4 = label_helm_n1(4)
+    lab4 = label_helm_product(4, 1)
     assert lab4.labels[edge(Vertex(1, 0), Vertex(5, 1))] == 6
 
 
 def test_n1_label_sum_identity():
-    lab = label_helm_n1(3)
+    lab = label_helm_product(3, 1)
     assert sorted(lab.labels.values()) == list(range(1, 19))
     assert sum(lab.labels.values()) == 171
 
@@ -47,10 +47,10 @@ def test_n1_label_sum_identity():
 @pytest.mark.parametrize("m", range(3, 11))
 def test_n1_scheme_verifies_and_matches_oracle(m):
     g = product_graph("helm", m, 1)
-    lab = label_helm_n1(m)
+    lab = label_helm_product(m, 1)
     report = verify_antimagic(g, lab)
     assert report.antimagic
-    expected = expected_helm_sums(m, 1)
+    expected = covered_sums(helm_expected(m, 1))
     sums = vertex_sums(g, lab)
     assert all(sums[v] == expected[v] for v in expected)
     assert expected[Vertex(0, 0)] == 3 * m * m + m
@@ -67,7 +67,7 @@ def test_n1_as_printed_oracle_overlap_at_m3():
 @pytest.mark.parametrize("m", [5, 7, 9])
 def test_n1_as_printed_oracle_midpoint_mismatch(m):
     g = product_graph("helm", m, 1)
-    lab = label_helm_n1(m, Variant.AS_PRINTED)
+    lab = label_helm_product(m, 1, Variant.AS_PRINTED)
     sums = vertex_sums(g, lab)
     printed = helm_expected(m, 1, Variant.AS_PRINTED).sums
     mid = Vertex((m + 1) // 2, 0)
@@ -97,9 +97,9 @@ def test_product_anchor_labels():
 
 
 def test_expected_center_anchors():
-    assert expected_helm_sums(5, 3)[Vertex(0, 0)] == 1140
-    assert expected_helm_sums(3, 1)[Vertex(0, 0)] == 30
-    assert expected_helm_sums(5, 1)[Vertex(0, 1)] == 130
+    assert covered_sums(helm_expected(5, 3))[Vertex(0, 0)] == 1140
+    assert covered_sums(helm_expected(3, 1))[Vertex(0, 0)] == 30
+    assert covered_sums(helm_expected(5, 1))[Vertex(0, 1)] == 130
 
 
 @pytest.mark.parametrize("m", range(3, 9))
@@ -109,7 +109,7 @@ def test_errata_scheme_verifies_and_matches_oracle(m, n):
     lab = label_helm_product(m, n)
     report = verify_antimagic(g, lab)
     assert report.antimagic, report.to_json()
-    expected = expected_helm_sums(m, n)
+    expected = covered_sums(helm_expected(m, n))
     sums = vertex_sums(g, lab)
     assert all(sums[v] == expected[v] for v in g.vertices)
     assert sum(expected.values()) == 6 * m * n * (6 * m * n + 1)

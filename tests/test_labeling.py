@@ -166,9 +166,9 @@ def test_verification_is_idempotent_and_stable():
 
 def test_labeled_edge_list_round_trip():
     g = product_graph("helm", 3, 1)
-    from antimagic.helm import label_helm_n1
+    from antimagic.helm import label_helm_product
 
-    lab = label_helm_n1(3)
+    lab = label_helm_product(3, 1)
     text = lab.to_text(g)
     g2, lab2 = parse_labeled_edge_list(text)
     assert g2.edges == g.edges

@@ -4,12 +4,16 @@ import ast
 
 import pytest
 
+import antimagic
+
 from . import ROOT
 
+PACKAGE = ROOT / "src" / "antimagic"
 SOURCES = sorted(
     path
-    for path in [*(ROOT / "src" / "antimagic").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
-    if path.name != "__init__.py"  # the package's __init__ imports to re-export
+    for folder in (PACKAGE, ROOT / "scripts", ROOT / "tests")
+    for path in folder.glob("*.py")
+    if path != PACKAGE / "__init__.py"  # the package's __init__ imports to re-export
 )
 
 
@@ -46,3 +50,9 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_public_name_is_defined():
+    # a name deleted from the package must not stay behind in __all__
+    assert sorted(name for name in antimagic.__all__ if not hasattr(antimagic, name)) == []
+    assert len(set(antimagic.__all__)) == len(antimagic.__all__)

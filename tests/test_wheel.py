@@ -2,17 +2,12 @@
 
 import pytest
 
-from antimagic.conformance import FormulaCoverageError
 from antimagic.formula import Variant
 from antimagic.graphs import Vertex, edge, product_graph
 from antimagic.labeling import EdgeLabeling, verify_antimagic, vertex_sums
-from antimagic.wheel import (
-    expected_wheel_sums,
-    label_wheel_product,
-    wheel_conformance,
-    wheel_expected,
-    wheel_labels,
-)
+from antimagic.wheel import label_wheel_product, wheel_conformance, wheel_expected, wheel_labels
+
+from . import covered_sums
 
 
 def test_m3_n1_anchor_labels():
@@ -41,9 +36,9 @@ def test_m3_n1_as_printed_detection():
 
 
 def test_expected_sum_anchors():
-    assert expected_wheel_sums(3, 1)[Vertex(0, 0)] == 27
-    assert expected_wheel_sums(4, 2)[Vertex(0, 0)] == 3 * 16 * 4 + 2 == 194
-    assert expected_wheel_sums(3, 1)[Vertex(0, 1)] == 30
+    assert covered_sums(wheel_expected(3, 1))[Vertex(0, 0)] == 27
+    assert covered_sums(wheel_expected(4, 2))[Vertex(0, 0)] == 3 * 16 * 4 + 2 == 194
+    assert covered_sums(wheel_expected(3, 1))[Vertex(0, 1)] == 30
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
@@ -53,7 +48,7 @@ def test_errata_scheme_verifies_and_matches_oracle(m, n):
     lab = label_wheel_product(m, n)
     report = verify_antimagic(g, lab)
     assert report.antimagic
-    expected = expected_wheel_sums(m, n)
+    expected = covered_sums(wheel_expected(m, n))
     sums = vertex_sums(g, lab)
     assert all(sums[v] == expected[v] for v in g.vertices)
     assert sum(expected.values()) == 4 * m * n * (4 * m * n + 1)
@@ -61,7 +56,7 @@ def test_errata_scheme_verifies_and_matches_oracle(m, n):
 
 @pytest.mark.parametrize("m,n", [(3, 2), (5, 3), (6, 2), (7, 4)])
 def test_proof_orderings_hold_numerically(m, n):
-    sums = expected_wheel_sums(m, n)
+    sums = covered_sums(wheel_expected(m, n))
     center = sums[Vertex(0, 0)]
     assert all(center > s for v, s in sums.items() if v != Vertex(0, 0))
     chain = [sums[Vertex(0, j)] for j in range(1, n + 1)]
@@ -73,7 +68,7 @@ def test_proof_orderings_hold_numerically(m, n):
 
 @pytest.mark.parametrize("m,n", [(5, 2), (7, 3), (6, 2), (8, 3)])
 def test_rim_chains_match_the_stated_order(m, n):
-    sums = expected_wheel_sums(m, n)
+    sums = covered_sums(wheel_expected(m, n))
     j = 1
     if m % 2 == 1:
         leaf_chain = list(range(1, m + 1, 2)) + list(range(2, m, 2))
@@ -146,6 +141,5 @@ def test_branch_hits_partition_edges():
     assert label_hits == 4 * 5 * 2
 
 
-def test_expected_wheel_sums_raises_on_uncovered_cells():
-    with pytest.raises(FormulaCoverageError):
-        expected_wheel_sums(4, 1, Variant.AS_PRINTED)
+def test_wheel_expected_reports_uncovered_cells():
+    assert wheel_expected(4, 1, Variant.AS_PRINTED).coverage
