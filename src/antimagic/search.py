@@ -2,16 +2,19 @@
 
 Two strategies: exhaustive enumeration of label permutations in
 lexicographic order with pruning on finished vertex sums (complete, so a
-negative answer is definitive), and a seeded steepest-descent swap
-search (incomplete, so a miss is only 'not found').  Every labeling
-either strategy returns has passed the verifier before it is handed
-back.
+negative answer is definitive), and a steepest-descent swap search from
+the identity labeling (incomplete, so a miss is only 'not found').  Each
+descent iteration scores all q(q-1)/2 label swaps, each in O(1), and
+the seed only drives the shuffles that restart a stuck descent.  Every
+labeling either strategy returns has passed the verifier before it is
+handed back.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -78,6 +81,12 @@ def _checked(g: Graph, labels: dict) -> EdgeLabeling:
     return labeling
 
 
+def _endpoints(g: Graph) -> list[tuple[int, int]]:
+    """Each edge's two ends as ranks in ``g.vertices``, in edge order."""
+    rank = {v: k for k, v in enumerate(g.vertices)}
+    return [(rank[a], rank[b]) for a, b in g.edges]
+
+
 def _exhaustive(g: Graph, config: SearchConfig, stats: SearchStats) -> EdgeLabeling | None:
     q = g.q
     if q > config.max_exhaustive_edges:
@@ -85,8 +94,7 @@ def _exhaustive(g: Graph, config: SearchConfig, stats: SearchStats) -> EdgeLabel
             f"exhaustive search refuses q={q} > {config.max_exhaustive_edges} edges; "
             "use the local-search strategy"
         )
-    edges = g.edges
-    vertex_index = {v: k for k, v in enumerate(g.vertices)}
+    ends = _endpoints(g)
     remaining = [g.degree(v) for v in g.vertices]
     sums = [0] * g.p
     finished: set[int] = set()
@@ -96,8 +104,7 @@ def _exhaustive(g: Graph, config: SearchConfig, stats: SearchStats) -> EdgeLabel
     def place(pos: int) -> bool:
         if pos == q:
             return True
-        a, b = edges[pos]
-        ia, ib = vertex_index[a], vertex_index[b]
+        ia, ib = ends[pos]
         for label in range(1, q + 1):
             if used[label]:
                 continue
@@ -131,37 +138,86 @@ def _exhaustive(g: Graph, config: SearchConfig, stats: SearchStats) -> EdgeLabel
         return False
 
     if place(0):
-        return _checked(g, dict(zip(edges, assignment)))
+        return _checked(g, dict(zip(g.edges, assignment)))
     return None
 
 
-def _collision_count(g: Graph, labels: list[int]) -> int:
-    sums: dict = {}
-    for e, lab in zip(g.edges, labels):
-        sums[e[0]] = sums.get(e[0], 0) + lab
-        sums[e[1]] = sums.get(e[1], 0) + lab
-    seen: dict[int, int] = {}
-    for v in g.vertices:
-        seen[sums[v]] = seen.get(sums[v], 0) + 1
-    return sum(c * (c - 1) // 2 for c in seen.values())
+class _SwapTable:
+    """A labeling's vertex sums, a sum -> count table and the number of
+    vertex pairs with equal sums, kept exact under swaps of two labels.
+
+    Swapping the labels of edges a and b adds d = l_b - l_a at a's ends
+    and subtracts it at b's ends; a vertex on both edges nets to 0.  So a
+    swap moves at most four vertex sums, and scoring it costs O(1).
+    ``swap`` swaps the two entries of the caller's ``labels`` in place.
+    """
+
+    def __init__(self, ends: list[tuple[int, int]], p: int, labels: list[int]):
+        self.ends = ends
+        self.labels = labels
+        self.sums = [0] * p
+        for (u, v), label in zip(ends, labels):
+            self.sums[u] += label
+            self.sums[v] += label
+        self.count: defaultdict[int, int] = defaultdict(int)
+        for s in self.sums:
+            self.count[s] += 1
+        self.collisions = sum(c * (c - 1) // 2 for c in self.count.values())
+
+    def _moves(self, a: int, b: int) -> list[tuple[int, int]]:
+        """(vertex, its sum after the swap) for each vertex whose sum changes."""
+        ea, eb = self.ends[a], self.ends[b]
+        d = self.labels[b] - self.labels[a]
+        sums = self.sums
+        return ([(v, sums[v] + d) for v in ea if v not in eb]
+                + [(v, sums[v] - d) for v in eb if v not in ea])
+
+    def _recount(self, moves: list[tuple[int, int]]) -> int:
+        """Move the counts of ``moves`` to their new sums; return the new collisions."""
+        count, sums = self.count, self.sums
+        collisions = self.collisions
+        for v, _ in moves:
+            count[sums[v]] -= 1
+            collisions -= count[sums[v]]
+        for _, s in moves:
+            collisions += count[s]
+            count[s] += 1
+        return collisions
+
+    def score(self, a: int, b: int) -> int:
+        """Collisions after swapping the labels of edges a and b; the table is left as it was."""
+        moves = self._moves(a, b)
+        collisions = self._recount(moves)
+        count, sums = self.count, self.sums
+        for v, s in moves:
+            count[s] -= 1
+            count[sums[v]] += 1
+        return collisions
+
+    def swap(self, a: int, b: int) -> None:
+        moves = self._moves(a, b)
+        self.collisions = self._recount(moves)
+        for v, s in moves:
+            self.sums[v] = s
+        self.labels[a], self.labels[b] = self.labels[b], self.labels[a]
 
 
 def _local_search(g: Graph, config: SearchConfig, stats: SearchStats) -> EdgeLabeling | None:
     q = g.q
+    ends = _endpoints(g)
     rng = random.Random(config.seed)
     plateau_budget = 2 * q
     labels = list(range(1, q + 1))
     while stats.iterations < config.max_iterations:
-        cost = _collision_count(g, labels)
+        table = _SwapTable(ends, g.p, labels)
+        cost = table.collisions
         plateau = 0
         while cost > 0 and stats.iterations < config.max_iterations:
             stats.iterations += 1
             best = None
             for a in range(q):
                 for b in range(a + 1, q):
-                    labels[a], labels[b] = labels[b], labels[a]
-                    c = _collision_count(g, labels)
-                    labels[a], labels[b] = labels[b], labels[a]
+                    c = table.score(a, b)
                     if best is None or c < best[0]:
                         best = (c, a, b)
             if best is None or best[0] > cost:
@@ -173,7 +229,7 @@ def _local_search(g: Graph, config: SearchConfig, stats: SearchStats) -> EdgeLab
             else:
                 plateau = 0
             cost, a, b = best
-            labels[a], labels[b] = labels[b], labels[a]
+            table.swap(a, b)
         if cost == 0:
             return _checked(g, dict(zip(g.edges, labels)))
         stats.restarts += 1

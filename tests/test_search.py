@@ -1,9 +1,11 @@
 """Search oracle: exhaustive completeness, pruning safety, determinism."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antimagic.graphs import (
@@ -12,6 +14,7 @@ from antimagic.graphs import (
     build_path,
     build_star,
     build_wheel,
+    edge_name,
     make_graph,
     product_graph,
 )
@@ -21,6 +24,8 @@ from antimagic.search import (
     SearchConfig,
     Status,
     Strategy,
+    _endpoints,
+    _SwapTable,
     cross_validate,
     search_antimagic,
 )
@@ -127,3 +132,129 @@ def test_cross_validation_at_3_1(family):
     assert record.scheme_antimagic
     assert record.search_status == "found"
     assert record.to_json_dict()["family"] == family
+
+
+def recount_collisions(g, labels):
+    """Vertex pairs with equal sums, recounted from scratch: the reference
+    the incremental swap score must equal."""
+    sums = {}
+    for e, lab in zip(g.edges, labels):
+        sums[e[0]] = sums.get(e[0], 0) + lab
+        sums[e[1]] = sums.get(e[1], 0) + lab
+    seen = {}
+    for v in g.vertices:
+        seen[sums[v]] = seen.get(sums[v], 0) + 1
+    return sum(c * (c - 1) // 2 for c in seen.values())
+
+
+@st.composite
+def labeled_graphs(draw):
+    """A small product or a hand-built graph, with a random labeling."""
+    products = [product_graph(f, 3, 1) for f in ("wheel", "helm", "flower")]
+    all_pairs = list(itertools.combinations(range(6), 2))
+    hand_built = st.lists(st.sampled_from(all_pairs), min_size=1, max_size=9,
+                          unique=True).map(_graph_from_edge_set)
+    g = draw(st.one_of(st.sampled_from(products), hand_built))
+    return g, draw(st.permutations(range(1, g.q + 1)))
+
+
+def _table_state(table):
+    return list(table.sums), {s: c for s, c in table.count.items() if c}, table.collisions
+
+
+@given(case=labeled_graphs(), pick=st.integers(min_value=0))
+@example(case=(build_path(3), [1, 2]), pick=0)  # the two edges share u2
+@example(case=(_graph_from_edge_set([(0, 1), (2, 3)]), [1, 2]), pick=0)  # sums 1,1,2,2 -> 2,2,1,1
+@example(case=(build_star(3), [3, 1, 2]), pick=1)  # every swap shares the hub
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_incremental_score_equals_recount(case, pick):
+    g, labels = case
+    labels = list(labels)
+    table = _SwapTable(_endpoints(g), g.p, labels)
+    assert table.collisions == recount_collisions(g, labels)
+    before = _table_state(table)
+    pairs = list(itertools.combinations(range(g.q), 2))
+    for a, b in pairs:
+        swapped = list(labels)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        assert table.score(a, b) == recount_collisions(g, swapped), (a, b)
+        assert _table_state(table) == before  # score reverts what it moved
+    if pairs:
+        a, b = pairs[pick % len(pairs)]
+        table.swap(a, b)
+        assert table.labels is labels
+        assert _table_state(table) == _table_state(_SwapTable(_endpoints(g), g.p, labels))
+        assert table.collisions == recount_collisions(g, labels)
+
+
+def _matching(k):
+    """kK2: k disjoint edges, so every labeling repeats a vertex sum."""
+    return _graph_from_edge_set([(2 * i, 2 * i + 1) for i in range(k)])
+
+
+# sha256 of each search payload: status, labels by edge name, and stats
+# without wall_time_ms.  The local-search instances are the bench pool's
+# twelve plus wheel 6x3 (2 iterations); the exhaustive ones are the pool's
+# three.  No pool instance restarts, so P2, 2K2 and 3K2 (60, 12 and 9
+# restarts, not found) and a triangle with a 3-edge tail (found after one
+# restart, with a labeling the seed picks) pin the restart path.
+PINNED_PAYLOADS = {
+    "local-search-wheel-3-2": "782c06ed2e376bf7d3dc6c4923d63bbb2104d3eb4ddc2a6f1ed976399b1f700d",
+    "local-search-wheel-4-2": "fc0ad2e46f43ffdbf4a45e88bd0b76d1224d669a0828b67dc5d04bc10788f9cf",
+    "local-search-flower-4-1": "9b020b53b4d01b8d142f2fad0a9ce5892648dfa1fd44265050a3a41106351980",
+    "local-search-helm-3-2": "f5e38470797dc6df3b0511b0019a08f2e67055f3828eec0c3e5528957dbebbb6",
+    "local-search-wheel-3-3": "9dd49ab3f6fc26dfdd650ba46efa50a522811c6ad2d56dd635e777b56d209e46",
+    "local-search-wheel-5-2": "c0d47e0b70cb2716a710f86b599b017894896a9186939ffd5da371e2a5ddbcb5",
+    "local-search-helm-7-1": "2de87f7a3997da2f87bf0627d7b3b31bffffccaa01ce543343eb6dbcb12eb82e",
+    "local-search-flower-3-2": "f4d7961972b1cb8802038efd0f647eb0a8bfe26b7c76ad5cc82fcb323c95042f",
+    "local-search-helm-8-1": "eac94be2690fcf6e0d2e475389ff4018ff0b04faac2df42ac3d3ffbb453bb300",
+    "local-search-flower-7-1": "3a29ac00581ce482263d5618431735bbfeda4f139657d039c80b3e74091b6622",
+    "local-search-wheel-7-2": "d70d4e5a0fcdea7fd5783e8a22b89c5ed2071e791cd211054c26e53441f29061",
+    "local-search-helm-6-2": "d960bc4306838eada1febe98b52b37c99c9c42d2865aa56520218d5c49a2a14b",
+    "local-search-wheel-6-3": "d1a00214c0dde563935b23ed36db372e9dc4152b635d2fdf5a220a25069ae7b4",
+    "exhaustive-wheel-3-1": "6ea5844bd28b8e6f5da20b68490f84b9c15d12e78d6d68ca54c451f25fff7d44",
+    "exhaustive-wheel-4-1": "2e32ad1fa6e0748af74e1bc721855eb0f4cff85e7a5385a3158324568aebc9e0",
+    "exhaustive-helm-3-1": "ca5315e692a701c332e9fc8ac00532e9b9437140d6975557430c3341796fd95c",
+    "restart-P2-seed-0": "d45346540875311a0a0f8b7d1715096b222f25d35942388e8e0b406e9496129d",
+    "restart-P2-seed-5": "d45346540875311a0a0f8b7d1715096b222f25d35942388e8e0b406e9496129d",
+    "restart-2K2-seed-0": "96f4fe46e46812d9922f6e05ed0b811464e7f52ef041690a529b400a8ecc85f6",
+    "restart-2K2-seed-5": "96f4fe46e46812d9922f6e05ed0b811464e7f52ef041690a529b400a8ecc85f6",
+    "restart-3K2-seed-0": "b29ba658a3e23c848149b917759c821d5cf3d203230bb8deec89bfc59ebfa14d",
+    "restart-3K2-seed-5": "b29ba658a3e23c848149b917759c821d5cf3d203230bb8deec89bfc59ebfa14d",
+    "restart-tailed-triangle-seed-0":
+        "98d6edb22fb5629bada66a4af3da1f8be3d3fe0113771bc2f138c9a861fdbf64",
+    "restart-tailed-triangle-seed-5":
+        "1c211b24b884e2b92b421d150d6cf6a7a52d9bbf1534290fd19d61b52dc3a770",
+}
+
+_RESTART_GRAPHS = {
+    "P2": lambda: build_path(2),
+    "2K2": lambda: _matching(2),
+    "3K2": lambda: _matching(3),
+    "tailed-triangle": lambda: _graph_from_edge_set(
+        [(0, 2), (2, 4), (0, 4), (0, 5), (3, 5), (1, 3)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_PAYLOADS))
+def test_search_payloads_are_pinned(case):
+    kind, *rest = case.split("-", 1)
+    if kind == "restart":
+        name, _, seed = rest[0].rpartition("-seed-")
+        g = _RESTART_GRAPHS[name]()
+        config = SearchConfig(strategy=Strategy.LOCAL_SEARCH, max_iterations=60,
+                              seed=int(seed))
+    else:
+        strategy, family, m, n = case.rsplit("-", 3)
+        g = product_graph(family, int(m), int(n))
+        config = SearchConfig(strategy=Strategy(strategy), max_exhaustive_edges=g.q,
+                              max_iterations=2000)
+    result = search_antimagic(g, config)
+    stats = result.stats.to_json_dict()
+    del stats["wall_time_ms"]  # measured, so it differs between runs
+    labels = None
+    if result.labeling is not None:
+        labels = {edge_name(e): result.labeling.labels[e] for e in g.edges}
+    payload = {"status": result.status.value, "labels": labels, "stats": stats}
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_PAYLOADS[case]
