@@ -238,9 +238,8 @@ _RESTART_GRAPHS = {
 
 @pytest.mark.parametrize("case", sorted(PINNED_PAYLOADS))
 def test_search_payloads_are_pinned(case):
-    kind, *rest = case.split("-", 1)
-    if kind == "restart":
-        name, _, seed = rest[0].rpartition("-seed-")
+    if case.startswith("restart-"):
+        name, _, seed = case.removeprefix("restart-").rpartition("-seed-")
         g = _RESTART_GRAPHS[name]()
         config = SearchConfig(strategy=Strategy.LOCAL_SEARCH, max_iterations=60,
                               seed=int(seed))
