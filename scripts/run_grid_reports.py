@@ -12,8 +12,7 @@ import argparse
 from pathlib import Path
 
 from antimagic.conformance import to_jsonl
-from antimagic.families import grid_records
-from antimagic.search import cross_validate
+from antimagic.families import cross_validate, grid_records
 
 GRIDS = {
     "wheel": (range(3, 11), range(1, 6)),

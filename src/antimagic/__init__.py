@@ -7,6 +7,7 @@ local-search oracles, and a conformance harness tying them together.
 """
 
 from .conformance import ConformanceReport, FormulaCoverageError
+from .families import AgreementRecord, cross_validate
 from .flower import flower_conformance, label_flower_product
 from .formula import Variant, errata
 from .graphs import (
@@ -26,22 +27,8 @@ from .graphs import (
     weichsel_connected,
 )
 from .helm import CaseClass, helm_case_class, helm_conformance, label_helm_product
-from .labeling import (
-    EdgeLabeling,
-    VerificationReport,
-    handshake_check,
-    verify_antimagic,
-    vertex_sums,
-)
-from .search import (
-    AgreementRecord,
-    SearchConfig,
-    SearchResult,
-    Status,
-    Strategy,
-    cross_validate,
-    search_antimagic,
-)
+from .labeling import EdgeLabeling, VerificationReport, verify_antimagic, vertex_sums
+from .search import SearchConfig, SearchResult, Status, Strategy, search_antimagic
 from .wheel import label_wheel_product, wheel_conformance
 
 __all__ = [
@@ -68,7 +55,6 @@ __all__ = [
     "cross_validate",
     "errata",
     "flower_conformance",
-    "handshake_check",
     "helm_case_class",
     "helm_conformance",
     "is_bipartite",

@@ -260,20 +260,13 @@ def build_report(
         labeling = EdgeLabeling(labels.labels, q)
         verification = verify_antimagic(graph, labeling)
         if verification.total:
-            handshake_ok = (
-                sum(verification.sums.values())
-                == 2 * sum(labels.labels[e] for e in graph.edges)
-            )
-            center = Vertex(0, 0)
-            center_computed = verification.sums.get(center.name)
+            sums = verification.sums
+            handshake_ok = sum(sums.values()) == 2 * sum(labels.labels[e] for e in graph.edges)
+            center_computed = sums.get(Vertex(0, 0))
             for v in graph.vertices:
-                if v in oracle.sums and oracle.sums[v] != verification.sums[v.name]:
+                if v in oracle.sums and oracle.sums[v] != sums[v]:
                     mismatches.append(
-                        {
-                            "vertex": v.name,
-                            "computed": verification.sums[v.name],
-                            "expected": oracle.sums[v],
-                        }
+                        {"vertex": v.name, "computed": sums[v], "expected": oracle.sums[v]}
                     )
 
     center_expected = oracle.sums.get(Vertex(0, 0))

@@ -1,10 +1,16 @@
-"""The wheel, helm and flower schemes by family name, for callers given the name as text."""
+"""The wheel, helm and flower schemes by family name, for callers given the name as text,
+and the cross-check of each scheme against the searcher."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import flower, graphs, helm, wheel
+from .conformance import FormulaCoverageError
+from .formula import Variant
+from .labeling import verify_antimagic
+from .search import SearchConfig, SearchStats, Strategy, search_antimagic
 
 
 class Family(NamedTuple):
@@ -17,6 +23,9 @@ FAMILIES = {
     "helm": Family(helm.label_helm_product, helm.helm_conformance),
     "flower": Family(flower.label_flower_product, flower.flower_conformance),
 }
+
+# The searcher that :func:`cross_validate` runs beside each scheme.
+CROSS_VALIDATION_SEARCH = SearchConfig(strategy=Strategy.LOCAL_SEARCH, max_iterations=2000, seed=7)
 
 
 def grid_records(family: str, ms: range, ns: range) -> list[dict]:
@@ -38,3 +47,42 @@ def grid_records(family: str, ms: range, ns: range) -> list[dict]:
             f" p={p} vertices and q={q} edges in all; the budget is {graphs.MAX_EDGES} edges"
         )
     return [r.to_json_dict() for m in ms for n in ns for r in conformance(m, n)]
+
+
+@dataclass
+class AgreementRecord:
+    """Scheme vs. searcher on the same product graph; they need not agree
+    on the labeling, only both be checked by the same verifier."""
+
+    family: str
+    m: int
+    n: int
+    scheme_antimagic: bool
+    search_status: str
+    search_stats: SearchStats
+
+    def to_json_dict(self) -> dict:
+        stats = self.search_stats.to_json_dict()
+        # measured, so it would make identical runs write different records
+        del stats["wall_time_ms"]
+        return {
+            "family": self.family,
+            "m": self.m,
+            "n": self.n,
+            "scheme_antimagic": self.scheme_antimagic,
+            "search_status": self.search_status,
+            "search_stats": stats,
+        }
+
+
+def cross_validate(m: int, n: int, family: str) -> AgreementRecord:
+    """Run the published scheme (errata reading) and the searcher side by side."""
+    g = graphs.product_graph(family, m, n)
+    try:
+        labeling = FAMILIES[family].label(m, n, Variant.ERRATA)
+    except FormulaCoverageError:
+        scheme_ok = False
+    else:
+        scheme_ok = verify_antimagic(g, labeling).antimagic
+    result = search_antimagic(g, CROSS_VALIDATION_SEARCH)
+    return AgreementRecord(family, m, n, scheme_ok, result.status.value, result.stats)

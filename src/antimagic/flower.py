@@ -703,9 +703,9 @@ def flower_expected(m: int, n: int, variant: Variant = Variant.ERRATA):
     return evaluate_vertex_families(_scheme(m, n), m, n, variant)
 
 
-def outer_sum_range_ok(m: int, sums: dict[str, int]) -> bool:
+def outer_sum_range_ok(m: int, sums: dict[Vertex, int]) -> bool:
     """n=1 check: the 2m outer vertex sums are exactly {2m+2, 2m+4, .., 6m}."""
-    outer = {sums[Vertex(m + i, t).name] for i in range(1, m + 1) for t in (0, 1)}
+    outer = {sums[Vertex(m + i, t)] for i in range(1, m + 1) for t in (0, 1)}
     return outer == set(range(2 * m + 2, 6 * m + 1, 2))
 
 

@@ -1,10 +1,13 @@
-"""Wheel-family graphs, stars, and their tensor products.
+"""Wheel-family graphs, stars, their tensor products, and edge-list text.
 
 Vertices carry structured identities: ``u<i>`` in a factor graph and
 ``w<i>_<j>`` in a product, where index 0 is always the hub of the
 wheel-like factor respectively the centre of the star.  A vertex is the
-tuple ``(i, j)`` with ``j = -1`` for ``u_i``, and tuple order is canonical:
-graphs are immutable and sorted, so equal graphs serialize to identical bytes.
+tuple ``(i, j)`` with ``j = -1`` for ``u_i``, and tuple order is canonical.
+A graph is only its sorted vertices and edges, so it is exactly its
+edge-list text: equal graphs serialize to identical bytes, and reading
+that text back gives an equal graph.  Both edge-list formats, plain and
+labeled, are written and read here alone.
 """
 
 from __future__ import annotations
@@ -80,10 +83,8 @@ def edge_name(e: Edge) -> str:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph with a family tag and canonical ordering."""
+    """Simple undirected graph: its vertices and edges, each in canonical order."""
 
-    family: str
-    params: tuple[int, ...]
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
 
@@ -113,14 +114,8 @@ class Graph:
     def degree(self, v: Vertex) -> int:
         return len(self.incident[v])
 
-    @property
-    def tag(self) -> str:
-        if self.params:
-            return f"{self.family}({','.join(map(str, self.params))})"
-        return self.family
 
-
-def make_graph(family: str, params: tuple[int, ...], vertices, edges) -> Graph:
+def make_graph(vertices, edges) -> Graph:
     """Canonicalize and validate the vertex/edge data."""
     vs = tuple(sorted(set(vertices)))
     vset = set(vs)
@@ -131,7 +126,7 @@ def make_graph(family: str, params: tuple[int, ...], vertices, edges) -> Graph:
             raise GraphError(f"edge {edge_name(e)} has an endpoint outside the vertex set")
         canon.add(e)
     es = tuple(sorted(canon))
-    return Graph(family, params, vs, es)
+    return Graph(vs, es)
 
 
 def check_index(value: int, name: str, minimum: int) -> None:
@@ -152,7 +147,7 @@ def build_path(m: int) -> Graph:
     check_index(m, "m", 1)
     vs = [Vertex(i) for i in range(1, m + 1)]
     es = [(Vertex(i), Vertex(i + 1)) for i in range(1, m)]
-    return make_graph("path", (m,), vs, es)
+    return make_graph(vs, es)
 
 
 def build_cycle(m: int) -> Graph:
@@ -160,7 +155,7 @@ def build_cycle(m: int) -> Graph:
     check_index(m, "m", 3)
     vs = [Vertex(i) for i in range(1, m + 1)]
     es = [(Vertex(i), Vertex(i % m + 1)) for i in range(1, m + 1)]
-    return make_graph("cycle", (m,), vs, es)
+    return make_graph(vs, es)
 
 
 def build_star(n: int) -> Graph:
@@ -168,7 +163,7 @@ def build_star(n: int) -> Graph:
     check_index(n, "n", 1)
     vs = [Vertex(i) for i in range(n + 1)]
     es = [(Vertex(0), Vertex(i)) for i in range(1, n + 1)]
-    return make_graph("star", (n,), vs, es)
+    return make_graph(vs, es)
 
 
 def build_wheel(m: int) -> Graph:
@@ -177,7 +172,7 @@ def build_wheel(m: int) -> Graph:
     cyc = build_cycle(m)
     vs = [Vertex(0), *cyc.vertices]
     es = list(cyc.edges) + [(Vertex(0), Vertex(i)) for i in range(1, m + 1)]
-    return make_graph("wheel", (m,), vs, es)
+    return make_graph(vs, es)
 
 
 def build_helm(m: int) -> Graph:
@@ -185,14 +180,14 @@ def build_helm(m: int) -> Graph:
     wheel = build_wheel(m)
     vs = list(wheel.vertices) + [Vertex(m + i) for i in range(1, m + 1)]
     es = list(wheel.edges) + [(Vertex(i), Vertex(m + i)) for i in range(1, m + 1)]
-    return make_graph("helm", (m,), vs, es)
+    return make_graph(vs, es)
 
 
 def build_flower(m: int) -> Graph:
     """Helm plus edges from the hub u0 to every pendant vertex u_{m+i}."""
     helm = build_helm(m)
     es = list(helm.edges) + [(Vertex(0), Vertex(m + i)) for i in range(1, m + 1)]
-    return make_graph("flower", (m,), helm.vertices, es)
+    return make_graph(helm.vertices, es)
 
 
 # family -> (builder, a, b): the factor has a*m + 1 vertices and b*m edges
@@ -245,11 +240,7 @@ def tensor_product(g: Graph, h: Graph) -> Graph:
         codes.extend((a1 + b1) * p + a2 + b2 for b1, b2 in h_edges)
         codes.extend((a1 + b2) * p + a2 + b1 for b1, b2 in h_edges)
     codes.sort()
-    es = tuple((vs[c // p], vs[c % p]) for c in codes)
-    params = ()
-    if g.family in _FAMILY_BUILDERS and h.family == "star":
-        params = (g.params[0], h.params[0])
-    return Graph("product", params, vs, es)
+    return Graph(vs, tuple((vs[c // p], vs[c % p]) for c in codes))
 
 
 def product_size(family: str, m: int, n: int) -> tuple[int, int]:
@@ -329,10 +320,19 @@ def weichsel_connected(g: Graph, h: Graph) -> bool:
     return not is_bipartite(g) or not is_bipartite(h)
 
 
-def write_edge_list(g: Graph) -> str:
-    """Canonical edge-list text: header ``p q`` then one ``u v`` line per edge."""
+def write_edge_list(g: Graph, labels: dict[Edge, int] | None = None) -> str:
+    """Canonical edge-list text: header ``p q`` then one ``u v`` line per edge.
+
+    With ``labels`` each line is ``u v label``, the labeled format; an edge
+    without a label raises ``KeyError`` with that edge, the first such in
+    canonical order.  :func:`_read_edge_list` reads both formats back.
+    """
+    name = {v: v.name for v in g.vertices}  # once per vertex, not per edge end
     lines = [f"{g.p} {g.q}"]
-    lines.extend(f"{a.name} {b.name}" for a, b in g.edges)
+    if labels is None:
+        lines.extend(f"{name[e[0]]} {name[e[1]]}" for e in g.edges)
+    else:
+        lines.extend(f"{name[e[0]]} {name[e[1]]} {labels[e]}" for e in g.edges)
     return "\n".join(lines) + "\n"
 
 
@@ -366,12 +366,12 @@ def _read_edge_list(text: str, labeled: bool) -> tuple[Graph, dict[Edge, int | N
         raise GraphError(f"line {k}: {exc}") from None
     # every edge went through edge() and the repeat check, and the vertex
     # set is their endpoints, so sorting is all make_graph would add
-    g = Graph("other", (), tuple(sorted(vertices.values())), tuple(sorted(labels)))
+    g = Graph(tuple(sorted(vertices.values())), tuple(sorted(labels)))
     if g.p != p or g.q != q:
         raise GraphError(f"header says p={p} q={q} but body has p={g.p} q={g.q}")
     return g, labels
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Inverse of :func:`write_edge_list`; the family tag becomes ``other``."""
+    """Inverse of :func:`write_edge_list`: ``parse_edge_list(write_edge_list(g)) == g``."""
     return _read_edge_list(text, labeled=False)[0]

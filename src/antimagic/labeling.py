@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graphs import Edge, Graph, Vertex, _read_edge_list, edge_name
+from .graphs import Edge, Graph, Vertex, _read_edge_list, edge_name, write_edge_list
 
 
 class LabelingError(ValueError):
@@ -32,13 +32,10 @@ class EdgeLabeling:
 
     def to_text(self, g: Graph) -> str:
         """Labeled edge-list text: header ``p q`` then ``u v label`` lines."""
-        name = {v: v.name for v in g.vertices}  # once per vertex, not per edge end
-        lines = [f"{g.p} {g.q}"]
-        for e in g.edges:
-            if e not in self.labels:
-                raise LabelingError(f"edge {edge_name(e)} is unlabeled")
-            lines.append(f"{name[e[0]]} {name[e[1]]} {self.labels[e]}")
-        return "\n".join(lines) + "\n"
+        try:
+            return write_edge_list(g, self.labels)
+        except KeyError as exc:
+            raise LabelingError(f"edge {edge_name(exc.args[0])} is unlabeled") from None
 
 
 def parse_labeled_edge_list(text: str) -> tuple[Graph, EdgeLabeling]:
@@ -68,12 +65,6 @@ def _sums(g: Graph, labels: list[int]) -> dict[Vertex, int]:
     return sums
 
 
-def handshake_check(g: Graph, labeling: EdgeLabeling) -> bool:
-    """Conservation identity: the vertex sums total twice the label sum."""
-    sums = vertex_sums(g, labeling)
-    return sum(sums.values()) == 2 * sum(labeling.labels[e] for e in g.edges)
-
-
 @dataclass
 class VerificationReport:
     """Full evidence for one (graph, labeling) check.
@@ -92,7 +83,7 @@ class VerificationReport:
     missing_labels: list[int]
     duplicate_labels: list[tuple[int, list[str]]]
     out_of_range_labels: list[tuple[int, str]]
-    sums: dict[str, int] | None
+    sums: dict[Vertex, int] | None
     colliding_pairs: list[tuple[str, str, int]]
     antimagic: bool = field(init=False)
 
@@ -114,7 +105,7 @@ class VerificationReport:
             "out_of_range_labels": [
                 {"label": lab, "edge": e} for lab, e in self.out_of_range_labels
             ],
-            "sums": self.sums,
+            "sums": None if self.sums is None else {v.name: s for v, s in self.sums.items()},
             "colliding_pairs": [
                 {"u": u, "v": v, "sum": s} for u, v, s in self.colliding_pairs
             ],
@@ -177,11 +168,10 @@ def verify_antimagic(g: Graph, labeling: EdgeLabeling) -> VerificationReport:
         and not unknown
     )
 
-    sums_by_name: dict[str, int] | None = None
+    sums: dict[Vertex, int] | None = None
     collisions: list[tuple[str, str, int]] = []
     if total:
         sums = _sums(g, present)
-        sums_by_name = {v.name: s for v, s in sums.items()}
         if len(set(sums.values())) < len(sums):
             by_sum: dict[int, list[Vertex]] = {}
             for v, s in sums.items():
@@ -201,6 +191,6 @@ def verify_antimagic(g: Graph, labeling: EdgeLabeling) -> VerificationReport:
         missing_labels=missing,
         duplicate_labels=duplicates,
         out_of_range_labels=out_of_range,
-        sums=sums_by_name,
+        sums=sums,
         colliding_pairs=collisions,
     )

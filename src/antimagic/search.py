@@ -18,10 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .conformance import FormulaCoverageError
-from .families import FAMILIES
-from .formula import Variant
-from .graphs import CapacityError, Graph, product_graph
+from .graphs import CapacityError, Graph
 from .labeling import EdgeLabeling, verify_antimagic
 
 
@@ -257,45 +254,3 @@ def search_antimagic(g: Graph, config: SearchConfig = SearchConfig()) -> SearchR
     stats.wall_time_ms = (time.perf_counter() - start) * 1000.0
     status = Status.FOUND if labeling is not None else missing_status
     return SearchResult(status, labeling, stats)
-
-
-@dataclass
-class AgreementRecord:
-    """Scheme vs. searcher on the same product graph; they need not agree
-    on the labeling, only both be checked by the same verifier."""
-
-    family: str
-    m: int
-    n: int
-    scheme_antimagic: bool
-    search_status: str
-    search_stats: SearchStats
-
-    def to_json_dict(self) -> dict:
-        stats = self.search_stats.to_json_dict()
-        # measured, so it would make identical runs write different records
-        del stats["wall_time_ms"]
-        return {
-            "family": self.family,
-            "m": self.m,
-            "n": self.n,
-            "scheme_antimagic": self.scheme_antimagic,
-            "search_status": self.search_status,
-            "search_stats": stats,
-        }
-
-
-def cross_validate(m: int, n: int, family: str,
-                   config: SearchConfig | None = None) -> AgreementRecord:
-    """Run the published scheme (errata reading) and the searcher side by side."""
-    g = product_graph(family, m, n)
-    try:
-        labeling = FAMILIES[family].label(m, n, Variant.ERRATA)
-    except FormulaCoverageError:
-        scheme_ok = False
-    else:
-        scheme_ok = verify_antimagic(g, labeling).antimagic
-    if config is None:
-        config = SearchConfig(strategy=Strategy.LOCAL_SEARCH, max_iterations=2000, seed=7)
-    result = search_antimagic(g, config)
-    return AgreementRecord(family, m, n, scheme_ok, result.status.value, result.stats)

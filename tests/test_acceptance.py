@@ -176,7 +176,7 @@ def test_criterion_7_search_oracle():
                build_wheel(3)] + [build_star(n) for n in range(2, 6)]
     for g in targets:
         result = search_antimagic(g)
-        assert result.status is Status.FOUND, g.tag
+        assert result.status is Status.FOUND, g.edges
         assert verify_antimagic(g, result.labeling).antimagic
 
     # pruned verdicts equal the naive unpruned enumerator on q <= 6
@@ -186,7 +186,7 @@ def test_criterion_7_search_oracle():
     for g in small:
         assert g.q <= 6
         result = search_antimagic(g)
-        assert (result.status is Status.FOUND) == naive_has_antimagic(g), g.tag
+        assert (result.status is Status.FOUND) == naive_has_antimagic(g), g.edges
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"search suite took {elapsed:.2f}s"
     _report(7, f"P_2 none-exists; 10 graphs found and verified; naive "

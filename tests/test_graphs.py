@@ -166,7 +166,7 @@ def test_edge_list_round_trip():
     text = write_edge_list(g)
     assert text.splitlines()[0] == f"{g.p} {g.q}"
     back = parse_edge_list(text)
-    assert back.edges == g.edges
+    assert back == g
     assert write_edge_list(back) == text
 
 
@@ -214,7 +214,7 @@ def test_edge_list_text_of_mixed_vertices():
     # w2_0 precedes w10_0: the order is by index, not by name
     es = [(Vertex(10, 0), Vertex(2)), (Vertex(2, 0), Vertex(10, 0)),
           (Vertex(1, 0), Vertex(1)), (Vertex(2), Vertex(1, 0))]
-    g = make_graph("other", (), {v for e in es for v in e}, es)
+    g = make_graph({v for e in es for v in e}, es)
     assert write_edge_list(g) == "5 4\nu1 w1_0\nw1_0 u2\nu2 w10_0\nw2_0 w10_0\n"
 
 
@@ -226,7 +226,7 @@ _MIXED_VERTICES = _INDICES.map(Vertex) | st.builds(Vertex, _INDICES, _INDICES)
                       max_size=15, unique_by=frozenset))
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_edge_list_round_trips_mixed_vertices(pairs):
-    g = make_graph("other", (), {v for e in pairs for v in e}, pairs)
+    g = make_graph({v for e in pairs for v in e}, pairs)
     text = write_edge_list(g)
     back = parse_edge_list(text)
     assert back == g

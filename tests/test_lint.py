@@ -56,3 +56,40 @@ def test_every_public_name_is_defined():
     # a name deleted from the package must not stay behind in __all__
     assert sorted(name for name in antimagic.__all__ if not hasattr(antimagic, name)) == []
     assert len(set(antimagic.__all__)) == len(antimagic.__all__)
+
+
+# module -> the package modules it may import: text and graphs at the bottom,
+# then the verifier, then the scheme-independent searcher
+LAYERS = {"graphs": set(), "labeling": {"graphs"}, "search": {"graphs", "labeling"}}
+
+
+def package_imports(source: str) -> set[str]:
+    """The ``antimagic`` modules a package module imports, relatively or by full name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["antimagic" if node.level else "", node.module]))
+            names = [f"{module}.{a.name}" for a in node.names] if module == "antimagic" else [module]
+        else:
+            continue
+        found.update(n.split(".")[1] for n in names if n.startswith("antimagic."))
+    return found
+
+
+def test_package_imports_are_found():
+    source = (
+        "import os\n"
+        "from . import graphs, labeling as L\n"
+        "from .formula import Variant\n"
+        "from antimagic.search import Status\n"
+        "import antimagic.cli\n"
+        "from antimagic import wheel\n"
+    )
+    assert package_imports(source) == {"graphs", "labeling", "formula", "search", "cli", "wheel"}
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_import_layers(module):
+    assert package_imports((PACKAGE / f"{module}.py").read_text()) <= LAYERS[module]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from antimagic.families import cross_validate
 from antimagic.graphs import (
     Vertex,
     build_cycle,
@@ -26,7 +27,6 @@ from antimagic.search import (
     Strategy,
     _endpoints,
     _SwapTable,
-    cross_validate,
     search_antimagic,
 )
 
@@ -102,7 +102,7 @@ def test_determinism_same_config_same_everything():
 
 def _graph_from_edge_set(pairs):
     vertices = {Vertex(a) for a, b in pairs} | {Vertex(b) for a, b in pairs}
-    return make_graph("other", (), vertices, [(Vertex(a), Vertex(b)) for a, b in pairs])
+    return make_graph(vertices, [(Vertex(a), Vertex(b)) for a, b in pairs])
 
 
 @given(data=st.data())
