@@ -8,6 +8,8 @@ writes them; any other spelling is a usage error.  All output is
 exact-integer text or JSON with a fixed field order, so identical
 invocations produce byte-identical files, except ``search``, whose JSON
 carries the measured ``stats.wall_time_ms``.
+Only ``label``, ``export`` and ``grid-report`` import :mod:`.families`,
+and with it the formula tables; the other verbs never load them.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ import json
 import sys
 
 from .conformance import FormulaCoverageError, to_jsonl
-from .families import FAMILIES, grid_records
 from .formula import Variant
 from .graphs import (
     CapacityError,
     GraphError,
+    _FAMILY_BUILDERS,
     edge_name,
     parse_int,
     product_graph,
@@ -61,7 +63,7 @@ def _read(path: str) -> str:
 
 
 def _add_family_args(p: argparse.ArgumentParser, ranged: bool = False) -> None:
-    p.add_argument("--family", required=True, choices=sorted(FAMILIES))
+    p.add_argument("--family", required=True, choices=sorted(_FAMILY_BUILDERS))
     if ranged:
         p.add_argument("--m", required=True, help="wheel size, N or LO..HI")
         p.add_argument("--n", required=True, help="star size, N or LO..HI")
@@ -122,9 +124,16 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _scheme_labeling(args):
+    """The scheme labeling of the family, m, n and variant that ``args`` name."""
+    from .families import FAMILIES
+
+    return FAMILIES[args.family].label(args.m, args.n, Variant(args.variant))
+
+
 def _cmd_label(args) -> int:
     g = product_graph(args.family, args.m, args.n)
-    labeling = FAMILIES[args.family].label(args.m, args.n, Variant(args.variant))
+    labeling = _scheme_labeling(args)
     _write(args.out, labeling.to_text(g))
     return EXIT_OK
 
@@ -170,6 +179,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_grid_report(args) -> int:
+    from .families import grid_records
+
     ms = _parse_range(args.m)
     ns = _parse_range(args.n)
     if len(ms) == 0 or len(ns) == 0:
@@ -180,7 +191,7 @@ def _cmd_grid_report(args) -> int:
 
 def _cmd_export(args) -> int:
     g = product_graph(args.family, args.m, args.n)
-    labeling = FAMILIES[args.family].label(args.m, args.n, Variant(args.variant))
+    labeling = _scheme_labeling(args)
     sums = vertex_sums(g, labeling)
     lines = ["graph antimagic {"]
     for v in g.vertices:

@@ -211,5 +211,10 @@ class Resolver:
 
 
 def errata(prefix: str = "") -> list[Patch]:
-    """The erratum ledger, optionally narrowed to one formula-id prefix."""
+    """The erratum ledger, optionally narrowed to one formula-id prefix.
+
+    A scheme module records its patches when it is imported, so the ledger
+    holds those of the modules among ``wheel``, ``helm`` and ``flower``
+    imported so far.
+    """
     return [p for fid, p in sorted(_PATCHES.items()) if fid.startswith(prefix)]

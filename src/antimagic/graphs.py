@@ -4,10 +4,10 @@ Vertices carry structured identities: ``u<i>`` in a factor graph and
 ``w<i>_<j>`` in a product, where index 0 is always the hub of the
 wheel-like factor respectively the centre of the star.  A vertex is the
 tuple ``(i, j)`` with ``j = -1`` for ``u_i``, and tuple order is canonical.
-A graph is only its sorted vertices and edges, so it is exactly its
-edge-list text: equal graphs serialize to identical bytes, and reading
-that text back gives an equal graph.  Both edge-list formats, plain and
-labeled, are written and read here alone.
+A graph is only its sorted vertices and edges, and every vertex lies on
+an edge, so it is exactly its edge-list text: equal graphs serialize to
+identical bytes, and reading that text back gives an equal graph.  Both
+edge-list formats, plain and labeled, are written and read here alone.
 """
 
 from __future__ import annotations
@@ -116,7 +116,11 @@ class Graph:
 
 
 def make_graph(vertices, edges) -> Graph:
-    """Canonicalize and validate the vertex/edge data."""
+    """Canonicalize and validate the vertex/edge data.
+
+    Every vertex must lie on an edge: the edge-list text names only edges,
+    so a graph with an isolated vertex could not be read back from it.
+    """
     vs = tuple(sorted(set(vertices)))
     vset = set(vs)
     canon = set()
@@ -125,6 +129,9 @@ def make_graph(vertices, edges) -> Graph:
         if e[0] not in vset or e[1] not in vset:
             raise GraphError(f"edge {edge_name(e)} has an endpoint outside the vertex set")
         canon.add(e)
+    isolated = vset - {v for e in canon for v in e}
+    if isolated:
+        raise GraphError(f"vertex {min(isolated).name} lies on no edge")
     es = tuple(sorted(canon))
     return Graph(vs, es)
 
@@ -143,8 +150,8 @@ def check_mn(m: int, n: int) -> None:
 
 
 def build_path(m: int) -> Graph:
-    """Path on vertices u1..um."""
-    check_index(m, "m", 1)
+    """Path on vertices u1..um; needs m >= 2."""
+    check_index(m, "m", 2)
     vs = [Vertex(i) for i in range(1, m + 1)]
     es = [(Vertex(i), Vertex(i + 1)) for i in range(1, m)]
     return make_graph(vs, es)

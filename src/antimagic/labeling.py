@@ -31,11 +31,22 @@ class EdgeLabeling:
     target_q: int
 
     def to_text(self, g: Graph) -> str:
-        """Labeled edge-list text: header ``p q`` then ``u v label`` lines."""
+        """Labeled edge-list text: header ``p q`` then ``u v label`` lines.
+
+        Raises :class:`LabelingError` unless the labels are exactly on the
+        edges of ``g``: the text holds only edges, so a label elsewhere
+        would be lost and the text's verdict differ from this labeling's.
+        """
         try:
-            return write_edge_list(g, self.labels)
+            text = write_edge_list(g, self.labels)
         except KeyError as exc:
             raise LabelingError(f"edge {edge_name(exc.args[0])} is unlabeled") from None
+        # every edge carries a label, so any key beyond q is no edge
+        if len(self.labels) != g.q:
+            edge_set = set(g.edges)
+            extra = min(e for e in self.labels if e not in edge_set)
+            raise LabelingError(f"label on {edge_name(extra)}, which is not a graph edge")
+        return text
 
 
 def parse_labeled_edge_list(text: str) -> tuple[Graph, EdgeLabeling]:

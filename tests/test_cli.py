@@ -1,9 +1,11 @@
 """The batch front door: round trips through serialized formats only."""
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from antimagic import families, graphs
 from antimagic.cli import main
+from antimagic.labeling import parse_labeled_edge_list
 
 from . import src_env
 
@@ -125,6 +128,41 @@ def test_usage_errors():
     proc = run_cli(["search", "--family", "wheel", "--m", "3", "--n", "1",
                     "--max-exhaustive-edges", "-1"])
     assert proc.returncode == 2
+
+
+# Runs verify, sums, construct and search through cli.main in one process
+# and prints their exit codes and the package modules then loaded.
+_VERBS_WITHOUT_TABLES = """
+import json, sys
+from antimagic.cli import main
+out = sys.argv[1]
+with open(out + "/p3.txt", "w") as fh:
+    fh.write("3 2\\nu0 u1 1\\nu1 u2 2\\n")
+codes = [
+    main(["verify", "--in", out + "/p3.txt", "--out", out + "/report.json"]),
+    main(["sums", "--in", out + "/p3.txt", "--out", out + "/sums.txt"]),
+    main(["construct", "--family", "flower", "--m", "3", "--n", "1", "--out", out + "/g.txt"]),
+    main(["search", "--family", "helm", "--m", "3", "--n", "1", "--strategy", "local-search",
+          "--out", out + "/search.json"]),
+]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("antimagic"))]))
+"""
+
+
+def test_verbs_without_a_scheme_load_no_formula_table(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _VERBS_WITHOUT_TABLES, str(tmp_path)],
+                          capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [0, 0, 0, 0]
+    tables = {"antimagic.wheel", "antimagic.helm", "antimagic.flower", "antimagic.families"}
+    assert tables.isdisjoint(loaded)
+    assert "antimagic.search" in loaded  # the check sees what the verbs ran
+
+
+def test_family_choices_are_the_scheme_families():
+    # --family is offered from the graph builders, the schemes are looked up by name
+    assert sorted(graphs._FAMILY_BUILDERS) == sorted(families.FAMILIES)
 
 
 @pytest.mark.parametrize("verb", ["construct", "label", "export", "search", "grid-report"])
@@ -253,6 +291,58 @@ def test_any_input_file_gives_an_exit_code(tmp_path, data):
         path.write_bytes(data)
     for verb in ("verify", "sums"):
         assert main([verb, "--in", str(path), "--out", str(tmp_path / "out")]) in (0, 1, 2, 3)
+
+
+# Command lines for the verbs that take a product: a small valid cell or
+# grid (m <= 12, n <= 6), with at most one option replaced by a bad value.
+_BAD = {
+    "--family": ["pyramid", "Wheel"],
+    "--m": ["2", "03", "1_0", "-3", "x", "10001"],
+    "--n": ["0", "01", "-1", ""],
+    "--variant": ["verbatim"],
+}
+_BAD_RANGE = {"--m": ["9..3", "3..", "2..4", "1_0..12"], "--n": ["2..1", "0..2", "..2"]}
+
+
+@st.composite
+def _product_argv(draw):
+    verb = draw(st.sampled_from(["construct", "label", "export", "grid-report"]))
+    options = {"--family": draw(st.sampled_from(["wheel", "helm", "flower"]))}
+    m, n = draw(st.integers(3, 12)), draw(st.integers(1, 6))
+    if verb == "grid-report":
+        options["--m"] = f"{m}..{draw(st.integers(m, min(m + 3, 12)))}"
+        options["--n"] = f"{n}..{draw(st.integers(n, min(n + 2, 6)))}"
+    else:
+        options["--m"], options["--n"] = str(m), str(n)
+    if verb in ("label", "export"):
+        options["--variant"] = draw(st.sampled_from(["errata", "as-printed"]))
+    bad = draw(st.none() | st.sampled_from(list(options)))
+    if bad is not None:
+        pool = _BAD_RANGE if verb == "grid-report" and bad in _BAD_RANGE else _BAD
+        options[bad] = draw(st.sampled_from(pool[bad]))
+    return [verb, *(token for option in options.items() for token in option)]
+
+
+@given(argv=_product_argv())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_any_product_command_gives_an_exit_code_and_output_that_reads_back(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code != 0:
+        return
+    text = out.getvalue()
+    if argv[0] == "construct":
+        assert graphs.write_edge_list(graphs.parse_edge_list(text)) == text
+    elif argv[0] == "label":
+        g, labeling = parse_labeled_edge_list(text)
+        assert labeling.to_text(g) == text
+    elif argv[0] == "grid-report":
+        records = [json.loads(line) for line in text.splitlines()]
+        assert records and {r["family"] for r in records} == {argv[2]}
+    else:
+        assert text.startswith("graph antimagic {\n") and text.endswith("}\n")
 
 
 # A hand-written labeled file mixing u and w vertices: label 0, label 9 > q,

@@ -2,6 +2,9 @@
 
 import dis
 import inspect
+import re
+import subprocess
+import sys
 from collections import Counter
 from types import CodeType, FunctionType
 
@@ -11,6 +14,8 @@ from antimagic import flower, helm, wheel
 from antimagic import formula as F
 from antimagic.conformance import ROWS, _coverage_message
 from antimagic.formula import ALWAYS, CoverageError, Variant, br
+
+from . import ROOT, src_env
 
 SCHEMES = ("wheel.", "helm.", "flower.")
 
@@ -217,13 +222,48 @@ def test_no_guard_reads_j():
     assert not _reads_j(lambda m, n, i, j: i == m and n > 1)
     assert not _reads_j(row(2))
 
-    branches = {
+    branches = _scheme_branches()
+    assert len(branches) == 463
+    assert [f"{fid}[{b.label}]" for fid, b in branches if _reads_j(b.guard)] == []
+
+
+def _scheme_branches():
+    """(fid, branch) for every distinct printed and patch branch of the three schemes."""
+    return list({
         id(b): (fid, b)
         for fid in F._PRINTED if fid.startswith(SCHEMES)
         for v in F.VARIANTS for b in F.resolve(fid, v).branches
-    }
-    assert len(branches) == 463
-    assert [f"{fid}[{b.label}]" for fid, b in branches.values() if _reads_j(b.guard)] == []
+    }.values())
+
+
+def _degree_in_j(value) -> int | None:
+    """The degree in ``j`` of a value callable on symbols, with each cited formula
+    standing as a_f + b_f j' (a_f, b_f depend on the cited row, j' is the cited j);
+    None when the value is no polynomial in ``j``."""
+    sympy = pytest.importorskip("sympy")
+    m, n, i, j = sympy.symbols("m n i j", integer=True, positive=True)
+
+    def ref(fid, *cell):
+        *row, cited_j = cell
+        return sympy.Function(f"a[{fid}]")(*row) + sympy.Function(f"b[{fid}]")(*row) * cited_j
+
+    poly = sympy.sympify(value(m, n, i, j, ref)).as_poly(j)
+    return None if poly is None else poly.degree()
+
+
+def test_every_value_is_affine_in_j():
+    # Evaluating a row at two j and the rest as an arithmetic progression
+    # is sound only while every value is affine in j.
+    assert _degree_in_j(lambda m, n, i, j, g: 4 * m * n - j + g("x", m, n, i + 1, n - j)) == 1
+    assert _degree_in_j(lambda m, n, i, j, g: m // 4 + i) == 0
+    assert _degree_in_j(lambda m, n, i, j, g: j * j) == 2
+    assert _degree_in_j(lambda m, n, i, j, g: g("x", m, n, i, j) * j) == 2
+    assert _degree_in_j(lambda m, n, i, j, g: j // 2) is None
+    assert _degree_in_j(lambda m, n, i, j, g: g("x", m, n, j, 1)) is None  # j picks the row
+
+    degrees = [(f"{fid}[{b.label}]", _degree_in_j(b.value)) for fid, b in _scheme_branches()]
+    assert len(degrees) == 463
+    assert [(key, d) for key, d in degrees if d is None or d > 1] == []
 
 
 MODULES = {"wheel": wheel, "helm": helm, "flower": flower}
@@ -276,3 +316,14 @@ def test_row_choice_equals_a_choice_per_cell(family, m, n, variant):
     assert (oracle.branch_hits, oracle.coverage) == per_cell["expected"]
     if variant is Variant.AS_PRINTED:
         assert scheme.coverage or oracle.coverage
+
+
+def test_readme_ledger_snippet_lists_every_patch():
+    (snippet,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    proc = subprocess.run([sys.executable, "-c", snippet], capture_output=True, text=True,
+                          env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    # the ledger of a fresh interpreter: this one also holds the tests' patches
+    scheme_fids = sorted(p.fid for prefix in SCHEMES for p in F.errata(prefix))
+    assert len(scheme_fids) == 23
+    assert [line.split(" -- ")[0] for line in proc.stdout.splitlines()] == scheme_fids

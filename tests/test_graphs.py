@@ -233,6 +233,14 @@ def test_edge_list_round_trips_mixed_vertices(pairs):
     assert write_edge_list(back) == text
 
 
+def test_graph_with_an_isolated_vertex_is_refused():
+    # its edge-list text could not name the vertex, so it would not read back
+    with pytest.raises(GraphError, match="^vertex u3 lies on no edge$"):
+        make_graph([Vertex(1), Vertex(2), Vertex(3)], [(Vertex(1), Vertex(2))])
+    with pytest.raises(GraphError, match="m must be an integer >= 2"):
+        build_path(1)
+
+
 def test_parse_edge_list_rejects_repeated_edge():
     with pytest.raises(GraphError, match="line 4"):
         parse_edge_list("3 2\nu0 u1\nu1 u2\nu1 u0\n")

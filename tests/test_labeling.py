@@ -207,6 +207,16 @@ def test_to_text_names_the_first_unlabeled_edge():
         lab.to_text(g)
 
 
+def test_to_text_refuses_a_label_on_a_non_edge():
+    # the text names only edges, so the label on u1-u3 would vanish and the
+    # text's verdict turn antimagic while this labeling's is not
+    g = build_path(3)
+    lab = EdgeLabeling({g.edges[0]: 1, g.edges[1]: 2, edge(Vertex(1), Vertex(3)): 3}, 2)
+    assert verify_antimagic(g, lab).unknown_edges == ["u1-u3"]
+    with pytest.raises(LabelingError, match="^label on u1-u3, which is not a graph edge$"):
+        lab.to_text(g)
+
+
 def test_report_sums_are_the_vertex_sums():
     g = product_graph("flower", 4, 2)
     lab = label_flower_product(4, 2)
