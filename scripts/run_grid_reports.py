@@ -43,7 +43,7 @@ def main() -> None:
         rows = []
         for family in GRIDS:
             for m in range(3, 7):
-                rows.append(cross_validate(m, 1, family).to_json_dict())
+                rows.append(cross_validate(m, 1, family))
         path = out_dir / "cross_validation.jsonl"
         path.write_text(to_jsonl(rows))
         agree = sum(1 for r in rows if r["scheme_antimagic"] and r["search_status"] == "found")

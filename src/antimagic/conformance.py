@@ -35,12 +35,16 @@ class Scheme:
     vertex set (the flower n=1 case).
     """
 
-    family: str
     prefix: str
     edges: tuple[str, ...]
     vertices: tuple[str, ...]
     notes: tuple[str, ...] = ()
     oracle_partial: bool = False
+
+    @property
+    def family(self) -> str:
+        """The family, the first part of the prefix."""
+        return self.prefix.split(".")[0]
 
     @property
     def case_class(self) -> str | None:
@@ -180,10 +184,10 @@ class FormulaCoverageError(Exception):
         super().__init__("; ".join(self.problems))
 
 
-def require_total(result: SchemeLabels, q: int) -> EdgeLabeling:
+def require_total(result: SchemeLabels) -> EdgeLabeling:
     if result.coverage:
         raise FormulaCoverageError(result.coverage)
-    return EdgeLabeling(result.labels, q)
+    return EdgeLabeling(result.labels)
 
 
 @dataclass
@@ -257,8 +261,7 @@ def build_report(
     mismatches: list[dict] = []
     center_computed = None
     if labels.total:
-        labeling = EdgeLabeling(labels.labels, q)
-        verification = verify_antimagic(graph, labeling)
+        verification = verify_antimagic(graph, EdgeLabeling(labels.labels))
         if verification.total:
             sums = verification.sums
             handshake_ok = sum(sums.values()) == 2 * sum(labels.labels[e] for e in graph.edges)

@@ -1,16 +1,16 @@
-"""The wheel, helm and flower schemes by family name, for callers given the name as text,
-and the cross-check of each scheme against the searcher."""
+"""The wheel, helm and flower schemes by family name, for callers given the name as text;
+the cross-check of each scheme against the searcher, as the record the sweep writes; and
+the erratum ledger of all three."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import flower, graphs, helm, wheel
 from .conformance import FormulaCoverageError
-from .formula import Variant
+from .formula import _PATCHES, Patch, Variant
 from .labeling import verify_antimagic
-from .search import SearchConfig, SearchStats, Strategy, search_antimagic
+from .search import SearchConfig, Strategy, search_antimagic
 
 
 class Family(NamedTuple):
@@ -49,34 +49,12 @@ def grid_records(family: str, ms: range, ns: range) -> list[dict]:
     return [r.to_json_dict() for m in ms for n in ns for r in conformance(m, n)]
 
 
-@dataclass
-class AgreementRecord:
-    """Scheme vs. searcher on the same product graph; they need not agree
-    on the labeling, only both be checked by the same verifier."""
+def cross_validate(m: int, n: int, family: str) -> dict:
+    """Run the published scheme (errata reading) and the searcher side by side.
 
-    family: str
-    m: int
-    n: int
-    scheme_antimagic: bool
-    search_status: str
-    search_stats: SearchStats
-
-    def to_json_dict(self) -> dict:
-        stats = self.search_stats.to_json_dict()
-        # measured, so it would make identical runs write different records
-        del stats["wall_time_ms"]
-        return {
-            "family": self.family,
-            "m": self.m,
-            "n": self.n,
-            "scheme_antimagic": self.scheme_antimagic,
-            "search_status": self.search_status,
-            "search_stats": stats,
-        }
-
-
-def cross_validate(m: int, n: int, family: str) -> AgreementRecord:
-    """Run the published scheme (errata reading) and the searcher side by side."""
+    The record is the one the sweep writes.  The two need not agree on the
+    labeling, only both be checked by the same verifier.
+    """
     g = graphs.product_graph(family, m, n)
     try:
         labeling = FAMILIES[family].label(m, n, Variant.ERRATA)
@@ -85,4 +63,23 @@ def cross_validate(m: int, n: int, family: str) -> AgreementRecord:
     else:
         scheme_ok = verify_antimagic(g, labeling).antimagic
     result = search_antimagic(g, CROSS_VALIDATION_SEARCH)
-    return AgreementRecord(family, m, n, scheme_ok, result.status.value, result.stats)
+    stats = result.stats.to_json_dict()
+    # measured, so it would make identical runs write different records
+    del stats["wall_time_ms"]
+    return {
+        "family": family,
+        "m": m,
+        "n": n,
+        "scheme_antimagic": scheme_ok,
+        "search_status": result.status.value,
+        "search_stats": stats,
+    }
+
+
+def errata(prefix: str = "") -> list[Patch]:
+    """The erratum ledger of all three schemes, optionally narrowed to one formula-id prefix.
+
+    Each scheme module records its patches when it is imported, and this
+    module imports all three, so the ledger is whole.
+    """
+    return [p for fid, p in sorted(_PATCHES.items()) if fid.startswith(prefix)]

@@ -22,7 +22,7 @@ from .conformance import (
 )
 from .formula import ALWAYS, Variant, VARIANTS, br, even, odd, ref_value
 from .formula import cl4 as _cl4, fl4 as _fl4
-from .graphs import Vertex, check_mn, product_graph, product_size
+from .graphs import Vertex, check_mn, product_graph
 from .helm import helm_case_class
 from .labeling import EdgeLabeling
 
@@ -679,14 +679,14 @@ def _scheme(m: int, n: int) -> Scheme:
     if n == 1:
         edges = ("hub", "hub_outer", "rim_jv", "rim_close_A", "rim_close_B", "rim_vj", "pend_jv",
                  "pend_vj", "spoke_outer", "spoke")
-        return Scheme("flower", "flower.n1", edges, ("sum_outer_leaf", "sum_outer_hub"),
+        return Scheme("flower.n1", edges, ("sum_outer_leaf", "sum_outer_hub"),
                       oracle_partial=True)
     prefix = f"flower.{'modd' if odd(m) else 'meven'}.{helm_case_class(m, n).value}"
     edges = ("hub", "hub_outer", "pend_in", "pend_out", "rim_vj", "rim_jv", "rim_close_A",
              "rim_close_B", "spoke", "spoke_outer")
     vertices = ("sum_center", "sum_rim_leaf", "sum_outer_leaf", "sum_rim_hub", "sum_outer_hub",
                 "sum_center_leaf")
-    return Scheme("flower", prefix, edges, vertices)
+    return Scheme(prefix, edges, vertices)
 
 
 def flower_labels(m: int, n: int, variant: Variant = Variant.ERRATA):
@@ -695,7 +695,7 @@ def flower_labels(m: int, n: int, variant: Variant = Variant.ERRATA):
 
 def label_flower_product(m: int, n: int, variant: Variant = Variant.ERRATA) -> EdgeLabeling:
     """Total labeling of the 8mn product edges; n=1 routes to its own scheme."""
-    return require_total(flower_labels(m, n, variant), product_size("flower", m, n)[1])
+    return require_total(flower_labels(m, n, variant))
 
 
 def flower_expected(m: int, n: int, variant: Variant = Variant.ERRATA):

@@ -9,9 +9,11 @@ conditions are the riskiest part of the printed schemes.
 Corrections live in an append-only ledger of :class:`Patch` entries.
 Each patch names the formula it replaces, the replacement branches and
 the evidence that forces the change, so the corrected and uncorrected
-readings stay inspectable side by side.  A patch lists the branches it
-changes and keeps the rest by label: a kept branch is the printed object
-itself, and every branch spelled out in a patch is a change.
+readings stay inspectable side by side; ``families.errata`` lists them
+once every scheme module has recorded its patches.  A patch lists the
+branches it changes and keeps the rest by label: a kept branch is the
+printed object itself, and every branch spelled out in a patch is a
+change.
 ``Variant.AS_PRINTED`` evaluates the formulas verbatim;
 ``Variant.ERRATA`` applies the ledger.  Only exact integer arithmetic
 is used (floors and ceilings included).
@@ -209,12 +211,3 @@ class Resolver:
         self.hits[row[1]] += 1
         return value
 
-
-def errata(prefix: str = "") -> list[Patch]:
-    """The erratum ledger, optionally narrowed to one formula-id prefix.
-
-    A scheme module records its patches when it is imported, so the ledger
-    holds those of the modules among ``wheel``, ``helm`` and ``flower``
-    imported so far.
-    """
-    return [p for fid, p in sorted(_PATCHES.items()) if fid.startswith(prefix)]

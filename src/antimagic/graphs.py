@@ -327,19 +327,20 @@ def weichsel_connected(g: Graph, h: Graph) -> bool:
     return not is_bipartite(g) or not is_bipartite(h)
 
 
-def write_edge_list(g: Graph, labels: dict[Edge, int] | None = None) -> str:
+def write_edge_list(g: Graph, labels: list[int] | None = None) -> str:
     """Canonical edge-list text: header ``p q`` then one ``u v`` line per edge.
 
-    With ``labels`` each line is ``u v label``, the labeled format; an edge
-    without a label raises ``KeyError`` with that edge, the first such in
-    canonical order.  :func:`_read_edge_list` reads both formats back.
+    With ``labels``, aligned with ``g.edges``, each line is ``u v label``,
+    the labeled format.  :func:`_read_edge_list` reads both formats back.
     """
     name = {v: v.name for v in g.vertices}  # once per vertex, not per edge end
     lines = [f"{g.p} {g.q}"]
     if labels is None:
         lines.extend(f"{name[e[0]]} {name[e[1]]}" for e in g.edges)
     else:
-        lines.extend(f"{name[e[0]]} {name[e[1]]} {labels[e]}" for e in g.edges)
+        lines.extend(
+            f"{name[e[0]]} {name[e[1]]} {lab}" for e, lab in zip(g.edges, labels, strict=True)
+        )
     return "\n".join(lines) + "\n"
 
 

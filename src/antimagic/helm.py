@@ -24,7 +24,7 @@ from .conformance import (
 )
 from .formula import ALWAYS, Variant, VARIANTS, br, ceil_div, even, odd, ref_value
 from .formula import cl4 as _cl4, fl4 as _fl4
-from .graphs import check_mn, product_graph, product_size
+from .graphs import check_mn, product_graph
 from .labeling import EdgeLabeling
 
 
@@ -777,12 +777,12 @@ def _scheme(m: int, n: int) -> Scheme:
     if n == 1:
         edges = ("hub", "rim_jv", "rim_close_A", "rim_close_B", "rim_vj", "pend_jv", "pend_vj",
                  "spoke")
-        return Scheme("helm", "helm.n1", edges, vertices)
+        return Scheme("helm.n1", edges, vertices)
     edges = ("hub", "pend_in", "pend_out", "rim_vj", "rim_jv", "rim_close_A", "rim_close_B",
              "spoke")
     notes = ("closing rim family read at i=1, the only remaining rim edge",) if even(m) else ()
     prefix = f"helm.{'modd' if odd(m) else 'meven'}.{helm_case_class(m, n).value}"
-    return Scheme("helm", prefix, edges, vertices, notes)
+    return Scheme(prefix, edges, vertices, notes)
 
 
 def helm_labels(m: int, n: int, variant: Variant = Variant.ERRATA):
@@ -791,7 +791,7 @@ def helm_labels(m: int, n: int, variant: Variant = Variant.ERRATA):
 
 def label_helm_product(m: int, n: int, variant: Variant = Variant.ERRATA) -> EdgeLabeling:
     """Total labeling of the 6mn product edges; n=1 routes to its own scheme."""
-    return require_total(helm_labels(m, n, variant), product_size("helm", m, n)[1])
+    return require_total(helm_labels(m, n, variant))
 
 
 def helm_expected(m: int, n: int, variant: Variant = Variant.ERRATA):

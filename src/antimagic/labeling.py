@@ -2,8 +2,9 @@
 
 The verifier is the trusted oracle of the project: labeling schemes are
 the subjects under test, so verification never repairs a candidate, it
-only reports evidence.  A labeling is antimagic when it is a bijection
-onto {1..q} and all vertex sums are pairwise distinct.
+only reports evidence.  A labeling is only its labels: q and the edge
+set come from the graph it is checked against.  It is antimagic when it
+is a bijection onto {1..q} and all vertex sums are pairwise distinct.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ class LabelingError(ValueError):
 
 @dataclass
 class EdgeLabeling:
-    """Candidate assignment edge -> positive integer, aimed at {1..target_q}.
+    """Candidate assignment edge -> integer; q and the edge set are the graph's.
 
     Candidates may violate bijectivity; that is report content for the
     verifier, not a construction error.
     """
 
     labels: dict[Edge, int]
-    target_q: int
 
     def to_text(self, g: Graph) -> str:
         """Labeled edge-list text: header ``p q`` then ``u v label`` lines.
@@ -37,34 +37,38 @@ class EdgeLabeling:
         edges of ``g``: the text holds only edges, so a label elsewhere
         would be lost and the text's verdict differ from this labeling's.
         """
-        try:
-            text = write_edge_list(g, self.labels)
-        except KeyError as exc:
-            raise LabelingError(f"edge {edge_name(exc.args[0])} is unlabeled") from None
-        # every edge carries a label, so any key beyond q is no edge
-        if len(self.labels) != g.q:
-            edge_set = set(g.edges)
-            extra = min(e for e in self.labels if e not in edge_set)
-            raise LabelingError(f"label on {edge_name(extra)}, which is not a graph edge")
-        return text
+        return write_edge_list(g, _aligned(g, self))
 
 
 def parse_labeled_edge_list(text: str) -> tuple[Graph, EdgeLabeling]:
     """Inverse of :meth:`EdgeLabeling.to_text`: a graph plus its labeling."""
     g, labels = _read_edge_list(text, labeled=True)
-    return g, EdgeLabeling(labels, g.q)
+    return g, EdgeLabeling(labels)
 
 
 def vertex_sums(g: Graph, labeling: EdgeLabeling) -> dict[Vertex, int]:
     """Sum of incident edge labels per vertex; requires a total labeling."""
-    edge_set = set(g.edges)
-    for e in g.edges:
-        if e not in labeling.labels:
-            raise LabelingError(f"edge {edge_name(e)} is unlabeled")
-    for e in labeling.labels:
-        if e not in edge_set:
-            raise LabelingError(f"label on {edge_name(e)}, which is not a graph edge")
-    return _sums(g, [labeling.labels[e] for e in g.edges])
+    return _sums(g, _aligned(g, labeling))
+
+
+def _aligned(g: Graph, labeling: EdgeLabeling) -> list[int]:
+    """The labels in ``g.edges`` order, if they are exactly on the edges of ``g``.
+
+    Otherwise raises :class:`LabelingError` naming the first unlabeled edge
+    in canonical order or, when every edge has a label, the smallest key
+    that is no edge.
+    """
+    labels = labeling.labels
+    try:
+        aligned = [labels[e] for e in g.edges]
+    except KeyError as exc:
+        raise LabelingError(f"edge {edge_name(exc.args[0])} is unlabeled") from None
+    # every edge carries a label, so any key beyond q is no edge
+    if len(labels) != g.q:
+        edge_set = set(g.edges)
+        extra = min(e for e in labels if e not in edge_set)
+        raise LabelingError(f"label on {edge_name(extra)}, which is not a graph edge")
+    return aligned
 
 
 def _sums(g: Graph, labels: list[int]) -> dict[Vertex, int]:
@@ -81,12 +85,11 @@ class VerificationReport:
     """Full evidence for one (graph, labeling) check.
 
     ``antimagic`` is true exactly when the labeling is a bijection onto
-    {1..target_q} and no two vertices share a sum; every failure mode
-    carries concrete, canonically ordered evidence.
+    {1..q}, q the graph's edge count, and no two vertices share a sum;
+    every failure mode carries concrete, canonically ordered evidence.
     """
 
-    target_q: int
-    graph_q: int
+    q: int
     total: bool
     unlabeled_edges: list[str]
     unknown_edges: list[str]
@@ -103,8 +106,9 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "target_q": self.target_q,
-            "graph_q": self.graph_q,
+            # one q under both keys, which the pinned reports carry
+            "target_q": self.q,
+            "graph_q": self.q,
             "total": self.total,
             "unlabeled_edges": self.unlabeled_edges,
             "unknown_edges": self.unknown_edges,
@@ -140,11 +144,11 @@ def verify_antimagic(g: Graph, labeling: EdgeLabeling) -> VerificationReport:
     and one that fails gets the same evidence, in the same order, as a
     verifier that always builds it.
     """
-    q = labeling.target_q
+    q = g.q
     labels = labeling.labels
     present = [labels[e] for e in g.edges if e in labels]
     unlabeled: list[str] = []
-    if len(present) < g.q:
+    if len(present) < q:
         unlabeled = sorted(edge_name(e) for e in g.edges if e not in labels)
     total = not unlabeled
 
@@ -170,14 +174,7 @@ def verify_antimagic(g: Graph, labeling: EdgeLabeling) -> VerificationReport:
             (lab, sorted(map(edge_name, es))) for lab, es in by_label.items() if len(es) > 1
         )
         out_of_range.sort()
-    bijective = (
-        total
-        and g.q == q
-        and not missing
-        and not duplicates
-        and not out_of_range
-        and not unknown
-    )
+    bijective = total and not missing and not duplicates and not out_of_range and not unknown
 
     sums: dict[Vertex, int] | None = None
     collisions: list[tuple[str, str, int]] = []
@@ -193,8 +190,7 @@ def verify_antimagic(g: Graph, labeling: EdgeLabeling) -> VerificationReport:
             collisions.sort(key=lambda t: (t[2], t[0], t[1]))
 
     return VerificationReport(
-        target_q=q,
-        graph_q=g.q,
+        q=q,
         total=total,
         unlabeled_edges=unlabeled,
         unknown_edges=unknown,

@@ -71,7 +71,7 @@ class SearchResult:
 
 
 def _checked(g: Graph, labels: dict) -> EdgeLabeling:
-    labeling = EdgeLabeling(dict(labels), g.q)
+    labeling = EdgeLabeling(dict(labels))
     report = verify_antimagic(g, labeling)
     if not report.antimagic:
         raise RuntimeError("search produced a labeling the verifier rejects")

@@ -20,7 +20,7 @@ from .conformance import (
 )
 from .formula import ALWAYS, Variant, VARIANTS, br, even, odd
 from .formula import cl4 as _cl4, fl4 as _fl4
-from .graphs import check_mn, product_graph, product_size
+from .graphs import check_mn, product_graph
 from .labeling import EdgeLabeling
 
 # ---------------------------------------------------------------------------
@@ -274,7 +274,6 @@ def _scheme(m: int, n: int) -> Scheme:
     """The scheme at (m, n): its prefix, and its edge and vertex rows in evaluation order."""
     check_mn(m, n)
     return Scheme(
-        "wheel",
         "wheel.modd" if odd(m) else "wheel.meven",
         ("hub", "rim_jv", "rim_vj", "rim_close_vj", "rim_close_jv", "center"),
         ("sum_center", "sum_rim_leaf", "sum_rim_hub", "sum_center_leaf"),
@@ -288,7 +287,7 @@ def wheel_labels(m: int, n: int, variant: Variant = Variant.ERRATA):
 
 def label_wheel_product(m: int, n: int, variant: Variant = Variant.ERRATA) -> EdgeLabeling:
     """Total labeling of the 4mn product edges; coverage gaps raise."""
-    return require_total(wheel_labels(m, n, variant), product_size("wheel", m, n)[1])
+    return require_total(wheel_labels(m, n, variant))
 
 
 def wheel_expected(m: int, n: int, variant: Variant = Variant.ERRATA):

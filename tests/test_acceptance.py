@@ -130,7 +130,7 @@ def test_criterion_5_helm_flower_n1():
             corrupted = dict(labeling.labels)
             source = donor if e != donor else g.edges[1]
             corrupted[e] = corrupted[source]
-            report = verify_antimagic(g, EdgeLabeling(corrupted, g.q))
+            report = verify_antimagic(g, EdgeLabeling(corrupted))
             assert not report.antimagic
             assert report.duplicate_labels and report.missing_labels
             dup_label, dup_edges = report.duplicate_labels[0]

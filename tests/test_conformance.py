@@ -110,3 +110,21 @@ def test_large_star_reports_are_pinned(family):
     # errata fails exactly the even-m flower cells: README's definitive FAIL
     assert failing == [(m, n) for m, n in cells if family == "flower" and m % 2 == 0]
     assert hashlib.sha256(to_jsonl(records).encode()).hexdigest() == LARGE_STAR_DIGESTS[family]
+
+
+def test_benchmark_tracer_still_finds_every_name_it_wraps(monkeypatch):
+    # bench/tracing.py wraps the package's layer entry points by module
+    # attribute and bench/harness.py binds <family>_conformance on import,
+    # so a renamed or deleted name breaks `bench/run.py --trace 1`
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import harness
+    import tracing
+
+    tracer = tracing.Tracer()
+    with tracer.instrumented():
+        harness.sweep_cell(tracer, ("flower", 3, 2))
+    spans = {span[0] for span in tracer.spans}
+    assert {"graphs.product", "formula.scheme", "oracle.expected", "conformance.build_report",
+            "labeling.verify"} <= spans
+    assert tracer.counts["formula.evals"] > 0
+    assert tracer.counts["oracle.evals"] > 0

@@ -13,6 +13,7 @@ import pytest
 from antimagic import flower, helm, wheel
 from antimagic import formula as F
 from antimagic.conformance import ROWS, _coverage_message
+from antimagic.families import errata
 from antimagic.formula import ALWAYS, CoverageError, Variant, br
 
 from . import ROOT, src_env
@@ -68,7 +69,7 @@ def test_registry_variants_and_ledger():
             br("always", ALWAYS, lambda m, n, i, j, _: 6))
     assert _evaluate("test.reg.demo", Variant.AS_PRINTED, 3, 1, 1, 1) == (5, "always")
     assert _evaluate("test.reg.demo", Variant.ERRATA, 3, 1, 1, 1) == (6, "always")
-    ledger = F.errata("test.reg.")
+    ledger = errata("test.reg.")
     assert len(ledger) == 1
     assert ledger[0].note == "value is 6"
     assert ledger[0].evidence
@@ -88,7 +89,7 @@ def test_duplicate_definition_rejected():
 
 
 def test_every_scheme_erratum_has_evidence():
-    scheme_entries = [entry for prefix in SCHEMES for entry in F.errata(prefix)]
+    scheme_entries = [entry for prefix in SCHEMES for entry in errata(prefix)]
     assert len(scheme_entries) >= 10
     for entry in scheme_entries:
         assert entry.note
@@ -114,7 +115,7 @@ def test_repeated_branch_label_rejected():
              br("y", lambda m, n, i, j: i != 1, one))
     with pytest.raises(ValueError, match=r"test\.repeat .*'x'"):
         F.patch("test.repeat", "x twice", "test", "x", br("x", ALWAYS, one))
-    assert F.errata("test.repeat") == []
+    assert errata("test.repeat") == []
 
 
 def test_patch_keeps_printed_branches_by_label():
@@ -123,10 +124,10 @@ def test_patch_keeps_printed_branches_by_label():
     F.define("test.keep", a, b)
     with pytest.raises(ValueError, match=r"test\.keep .*'c'"):
         F.patch("test.keep", "c kept", "test", "a", "c")
-    assert F.errata("test.keep") == []
+    assert errata("test.keep") == []
     c = br("c", lambda m, n, i, j: i == 3, lambda m, n, i, j, _: 3)
     F.patch("test.keep", "a dropped, c added", "test", "b", c)
-    kept, added = F.errata("test.keep")[0].replacement.branches
+    kept, added = errata("test.keep")[0].replacement.branches
     assert kept is b and added is c
     assert _evaluate("test.keep", Variant.ERRATA, 3, 1, 2, 1) == (2, "b")
 
@@ -154,7 +155,7 @@ def test_patches_spell_out_only_changed_branches():
     # an explicit branch that computes what the printed one does is a copy
     # that could drift from it
     restated = []
-    for entry in (e for prefix in SCHEMES for e in F.errata(prefix)):
+    for entry in (e for prefix in SCHEMES for e in errata(prefix)):
         printed = {b.label: b for b in F.resolve(entry.fid, Variant.AS_PRINTED).branches}
         for b in entry.replacement.branches:
             old = printed.get(b.label)
@@ -324,6 +325,16 @@ def test_readme_ledger_snippet_lists_every_patch():
                           env=src_env())
     assert proc.returncode == 0, proc.stderr
     # the ledger of a fresh interpreter: this one also holds the tests' patches
-    scheme_fids = sorted(p.fid for prefix in SCHEMES for p in F.errata(prefix))
+    scheme_fids = sorted(p.fid for prefix in SCHEMES for p in errata(prefix))
     assert len(scheme_fids) == 23
     assert [line.split(" -- ")[0] for line in proc.stdout.splitlines()] == scheme_fids
+
+
+def test_a_fresh_interpreter_reads_the_whole_ledger():
+    # each scheme module records its patches when imported, and families imports all three
+    proc = subprocess.run(
+        [sys.executable, "-c", "from antimagic.families import errata; print(len(errata()))"],
+        capture_output=True, text=True, env=src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "23\n"

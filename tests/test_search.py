@@ -129,9 +129,9 @@ def test_exhaustive_order_is_lexicographic_first():
 @pytest.mark.parametrize("family", ["wheel", "helm", "flower"])
 def test_cross_validation_at_3_1(family):
     record = cross_validate(3, 1, family)
-    assert record.scheme_antimagic
-    assert record.search_status == "found"
-    assert record.to_json_dict()["family"] == family
+    assert record["scheme_antimagic"]
+    assert record["search_status"] == "found"
+    assert record["family"] == family
 
 
 def recount_collisions(g, labels):

@@ -29,7 +29,7 @@ def test_m3_n1_as_printed_detection():
     g = product_graph("wheel", 3, 1)
     result = wheel_labels(3, 1, Variant.AS_PRINTED)
     assert not result.coverage
-    report = verify_antimagic(g, EdgeLabeling(result.labels, 12))
+    report = verify_antimagic(g, EdgeLabeling(result.labels))
     assert not report.bijective
     assert (5, ["w1_0-w2_1", "w1_1-w2_0"]) in report.duplicate_labels
     assert 2 in report.missing_labels
@@ -100,7 +100,7 @@ def test_as_printed_even_m_labels_are_not_bijective():
     g = product_graph("wheel", 4, 1)
     result = wheel_labels(4, 1, Variant.AS_PRINTED)
     assert not result.coverage
-    report = verify_antimagic(g, EdgeLabeling(result.labels, 16))
+    report = verify_antimagic(g, EdgeLabeling(result.labels))
     assert not report.bijective
 
 
