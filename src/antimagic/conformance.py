@@ -31,8 +31,10 @@ class Scheme:
 
     Row ``name`` evaluates formula ``prefix.name``; edge and vertex rows
     run in the order given.  ``notes`` go into every report of the cell,
-    and ``oracle_partial`` marks an oracle that prints only part of the
-    vertex set (the flower n=1 case).
+    ``oracle_partial`` marks an oracle that prints only part of the
+    vertex set, and ``printed_sums`` is the set the sums at the oracle's
+    vertices must be exactly, where the source prints one (both are the
+    flower n=1 case).
     """
 
     prefix: str
@@ -40,6 +42,7 @@ class Scheme:
     vertices: tuple[str, ...]
     notes: tuple[str, ...] = ()
     oracle_partial: bool = False
+    printed_sums: range | None = None
 
     @property
     def family(self) -> str:
@@ -53,7 +56,7 @@ class Scheme:
         return parts[2] if len(parts) == 3 else None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchemeLabels:
     """Outcome of evaluating a scheme's edge formulas over all cells."""
 
@@ -66,7 +69,7 @@ class SchemeLabels:
         return not self.coverage
 
 
-@dataclass
+@dataclass(frozen=True)
 class OracleSums:
     """Outcome of evaluating the closed-form expected-sum formulas."""
 
@@ -179,18 +182,14 @@ def evaluate_vertex_families(scheme: Scheme, m: int, n: int, variant: Variant) -
 class FormulaCoverageError(Exception):
     """A labeling request hit piecewise coverage violations."""
 
-    def __init__(self, problems: list[str]):
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
-
 
 def require_total(result: SchemeLabels) -> EdgeLabeling:
     if result.coverage:
-        raise FormulaCoverageError(result.coverage)
+        raise FormulaCoverageError("; ".join(result.coverage))
     return EdgeLabeling(result.labels)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConformanceReport:
     family: str
     m: int
@@ -246,10 +245,11 @@ def build_report(
     labels: SchemeLabels,
     oracle: OracleSums,
 ) -> ConformanceReport:
-    """Assemble the verdicts for one cell.
+    """Assemble the verdicts for one cell: the only place a report's verdicts are written.
 
     When ``scheme.oracle_partial`` is set, vertices the oracle skips are
-    not counted against the comparison.
+    not counted against the comparison.  ``scheme.printed_sums`` is the
+    last check, so it runs only on a cell that passes every other one.
     """
     q = graph.q
     hits: Counter = Counter()
@@ -313,6 +313,11 @@ def build_report(
         )
     elif not oracle_complete:
         first = "oracle does not cover the whole vertex set"
+    elif scheme.printed_sums is not None and (
+        {verification.sums[v] for v in oracle.sums} != set(scheme.printed_sums)
+    ):
+        passed = False
+        first = "outer sums leave the printed range"
 
     return ConformanceReport(
         family=scheme.family,

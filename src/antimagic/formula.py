@@ -74,8 +74,6 @@ class CoverageError(Exception):
 
     def __init__(self, fid: str, cell: tuple[int, int, int, int], matched: list[str]):
         self.fid = fid
-        self.cell = cell
-        self.matched = matched
         m, n, i, j = cell
         where = f"{fid} at (m={m}, n={n}, i={i}, j={j})"
         if matched:
@@ -92,8 +90,7 @@ class Branch:
     value: Value
 
 
-def br(label: str, guard: Guard, value: Value) -> Branch:
-    return Branch(label, guard, value)
+br = Branch
 
 
 ALWAYS: Guard = lambda m, n, i, j: True
@@ -113,42 +110,33 @@ def ref_value(fid: str, offset=None) -> Value:
 
 
 @dataclass(frozen=True)
-class Piecewise:
-    fid: str
-    branches: tuple[Branch, ...]
-
-    def matching(self, m: int, n: int, i: int, j: int) -> list[Branch]:
-        return [b for b in self.branches if b.guard(m, n, i, j)]
-
-
-@dataclass(frozen=True)
 class Patch:
     """One erratum: the formula it replaces, the fix, and why it is forced."""
 
     fid: str
     note: str
     evidence: str
-    replacement: Piecewise
+    replacement: tuple[Branch, ...]
 
 
-_PRINTED: dict[str, Piecewise] = {}
+_PRINTED: dict[str, tuple[Branch, ...]] = {}
 _PATCHES: dict[str, Patch] = {}
 
 
-def _piecewise(fid: str, branches: tuple[Branch, ...]) -> Piecewise:
+def _unique_labels(fid: str, branches: tuple[Branch, ...]) -> tuple[Branch, ...]:
     # Branch hits are counted as fid[label] and patches keep branches by
     # label, so a label has to name one branch of its formula.
     labels = [b.label for b in branches]
     for label in labels:
         if labels.count(label) > 1:
             raise ValueError(f"formula {fid} repeats the branch label {label!r}")
-    return Piecewise(fid, branches)
+    return branches
 
 
 def define(fid: str, *branches: Branch) -> None:
     if fid in _PRINTED:
         raise ValueError(f"formula {fid} already defined")
-    _PRINTED[fid] = _piecewise(fid, branches)
+    _PRINTED[fid] = _unique_labels(fid, branches)
 
 
 def patch(fid: str, note: str, evidence: str, *branches: Branch | str) -> None:
@@ -162,15 +150,16 @@ def patch(fid: str, note: str, evidence: str, *branches: Branch | str) -> None:
         raise ValueError(f"cannot patch unknown formula {fid}")
     if fid in _PATCHES:
         raise ValueError(f"formula {fid} already patched; the ledger is append-only")
-    printed = {b.label: b for b in _PRINTED[fid].branches}
+    printed = {b.label: b for b in _PRINTED[fid]}
     for b in branches:
         if isinstance(b, str) and b not in printed:
             raise ValueError(f"patch of {fid} keeps {b!r}, which is no printed branch label")
     replacement = tuple(printed[b] if isinstance(b, str) else b for b in branches)
-    _PATCHES[fid] = Patch(fid, note, evidence, _piecewise(fid, replacement))
+    _PATCHES[fid] = Patch(fid, note, evidence, _unique_labels(fid, replacement))
 
 
-def resolve(fid: str, variant: Variant) -> Piecewise:
+def resolve(fid: str, variant: Variant) -> tuple[Branch, ...]:
+    """The branches of ``fid`` at ``variant``: the patch's if it has one, else the printed."""
     if fid not in _PRINTED:
         raise KeyError(f"unknown formula {fid}")
     if variant is Variant.ERRATA and fid in _PATCHES:
@@ -198,7 +187,7 @@ class Resolver:
         """The value of ``fid`` at the cell."""
         row = self._rows.get((fid, m, n, i))
         if row is None:
-            matched = resolve(fid, self.variant).matching(m, n, i, j)
+            matched = [b for b in resolve(fid, self.variant) if b.guard(m, n, i, j)]
             if len(matched) == 1:
                 b = matched[0]
                 row = (b.value, f"{fid}[{b.label}]")

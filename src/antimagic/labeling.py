@@ -10,7 +10,7 @@ is a bijection onto {1..q} and all vertex sums are pairwise distinct.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import Edge, Graph, Vertex, _read_edge_list, edge_name, write_edge_list
@@ -20,7 +20,7 @@ class LabelingError(ValueError):
     """Raised when a labeling is not total over the graph's edge set."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class EdgeLabeling:
     """Candidate assignment edge -> integer; q and the edge set are the graph's.
 
@@ -80,7 +80,7 @@ def _sums(g: Graph, labels: list[int]) -> dict[Vertex, int]:
     return sums
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
     """Full evidence for one (graph, labeling) check.
 
@@ -99,10 +99,10 @@ class VerificationReport:
     out_of_range_labels: list[tuple[int, str]]
     sums: dict[Vertex, int] | None
     colliding_pairs: list[tuple[str, str, int]]
-    antimagic: bool = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.antimagic = self.bijective and self.total and not self.colliding_pairs
+    @property
+    def antimagic(self) -> bool:
+        return self.bijective and self.total and not self.colliding_pairs
 
     def to_json_dict(self) -> dict:
         return {

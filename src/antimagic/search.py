@@ -63,7 +63,7 @@ class SearchStats:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchResult:
     status: Status
     labeling: EdgeLabeling | None

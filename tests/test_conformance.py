@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from antimagic import flower, helm, wheel
+from antimagic import cli, flower, helm, wheel
 from antimagic import formula as F
 from antimagic.conformance import ROWS, to_jsonl
 from antimagic.families import FAMILIES
@@ -112,19 +112,39 @@ def test_large_star_reports_are_pinned(family):
     assert hashlib.sha256(to_jsonl(records).encode()).hexdigest() == LARGE_STAR_DIGESTS[family]
 
 
-def test_benchmark_tracer_still_finds_every_name_it_wraps(monkeypatch):
+def _sweep_flower(harness, tracer, tmp_path):
+    harness.sweep_cell(tracer, ("flower", 3, 2))
+
+
+def _label_then_verify_flower(harness, tracer, tmp_path):
+    labeled = str(tmp_path / "flower.txt")
+    assert cli.main(["label", "--family", "flower", "--m", "3", "--n", "2", "--out", labeled]) == 0
+    assert cli.main(["verify", "--in", labeled, "--out", str(tmp_path / "report.json")]) == 0
+
+
+@pytest.mark.parametrize("run, spans, counts", [
+    (_sweep_flower,
+     {"graphs.product", "formula.scheme", "oracle.expected", "conformance.build_report",
+      "labeling.verify"},
+     ("formula.evals", "oracle.evals")),
+    (_label_then_verify_flower,
+     {"graphs.product", "formula.scheme", "labeling.to_text", "labeling.parse",
+      "labeling.verify"},
+     ("formula.evals", "labeling.text_bytes")),
+], ids=["sweep", "cli"])
+def test_benchmark_tracer_still_finds_every_name_it_wraps(monkeypatch, tmp_path, run, spans,
+                                                          counts):
     # bench/tracing.py wraps the package's layer entry points by module
     # attribute and bench/harness.py binds <family>_conformance on import,
-    # so a renamed or deleted name breaks `bench/run.py --trace 1`
+    # so a renamed or deleted name breaks `bench/run.py --trace 1`; the CLI
+    # verbs must also reach them through those attributes, or the large-cells
+    # counters read 0
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import harness
     import tracing
 
     tracer = tracing.Tracer()
     with tracer.instrumented():
-        harness.sweep_cell(tracer, ("flower", 3, 2))
-    spans = {span[0] for span in tracer.spans}
-    assert {"graphs.product", "formula.scheme", "oracle.expected", "conformance.build_report",
-            "labeling.verify"} <= spans
-    assert tracer.counts["formula.evals"] > 0
-    assert tracer.counts["oracle.evals"] > 0
+        run(harness, tracer, tmp_path)
+    assert spans <= {span[0] for span in tracer.spans}
+    assert all(tracer.counts[name] > 0 for name in counts)

@@ -1,14 +1,16 @@
 """Flower-star schemes: compositions over the helm, and their oracles."""
 
+import dataclasses
+
 import pytest
 
-from antimagic import formula as F
+from antimagic import flower, formula as F
+from antimagic.conformance import build_report
 from antimagic.flower import (
     flower_conformance,
     flower_expected,
     flower_labels,
     label_flower_product,
-    outer_sum_range_ok,
 )
 from antimagic.formula import Variant
 from antimagic.graphs import Vertex, edge, product_graph
@@ -30,7 +32,24 @@ def test_n1_scheme_verifies(m):
     lab = label_flower_product(m, 1)
     report = verify_antimagic(g, lab)
     assert report.antimagic
-    assert outer_sum_range_ok(m, report.sums)
+    outer = {report.sums[Vertex(m + i, t)] for i in range(1, m + 1) for t in (0, 1)}
+    assert outer == set(range(2 * m + 2, 6 * m + 1, 2))
+
+
+@pytest.mark.parametrize("m", range(3, 7))
+def test_n1_report_checks_the_printed_outer_sums(m):
+    # the n=1 proof prints the outer sums as exactly {2m+2, .., 6m}; a scheme
+    # that prints another set fails on that claim alone
+    g = product_graph("flower", m, 1)
+    scheme = flower._scheme(m, 1)
+    shifted = dataclasses.replace(scheme, printed_sums=range(2 * m + 4, 6 * m + 3, 2))
+    labels = flower_labels(m, 1)
+    expected = flower_expected(m, 1)
+    report = build_report(scheme, m, 1, Variant.ERRATA, g, labels, expected)
+    assert report.passed and report.first_violation is None
+    report = build_report(shifted, m, 1, Variant.ERRATA, g, labels, expected)
+    assert not report.passed
+    assert report.first_violation == "outer sums leave the printed range"
 
 
 def test_n1_as_printed_flags_undefined_citations():

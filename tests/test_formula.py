@@ -94,7 +94,7 @@ def test_every_scheme_erratum_has_evidence():
     for entry in scheme_entries:
         assert entry.note
         assert len(entry.evidence) > 40
-        assert entry.replacement.branches
+        assert entry.replacement
 
 
 def test_references_resolve_at_same_variant():
@@ -127,7 +127,7 @@ def test_patch_keeps_printed_branches_by_label():
     assert errata("test.keep") == []
     c = br("c", lambda m, n, i, j: i == 3, lambda m, n, i, j, _: 3)
     F.patch("test.keep", "a dropped, c added", "test", "b", c)
-    kept, added = errata("test.keep")[0].replacement.branches
+    kept, added = errata("test.keep")[0].replacement
     assert kept is b and added is c
     assert _evaluate("test.keep", Variant.ERRATA, 3, 1, 2, 1) == (2, "b")
 
@@ -156,8 +156,8 @@ def test_patches_spell_out_only_changed_branches():
     # that could drift from it
     restated = []
     for entry in (e for prefix in SCHEMES for e in errata(prefix)):
-        printed = {b.label: b for b in F.resolve(entry.fid, Variant.AS_PRINTED).branches}
-        for b in entry.replacement.branches:
+        printed = {b.label: b for b in F.resolve(entry.fid, Variant.AS_PRINTED)}
+        for b in entry.replacement:
             old = printed.get(b.label)
             if old is not None and old is not b and _computes(old) == _computes(b):
                 restated.append(f"{entry.fid}[{b.label}]")
@@ -166,7 +166,7 @@ def test_patches_spell_out_only_changed_branches():
 
 def test_every_cited_formula_is_defined():
     fids = [fid for fid in F._PRINTED if fid.startswith(SCHEMES)]
-    branches = [b for fid in fids for v in F.VARIANTS for b in F.resolve(fid, v).branches]
+    branches = [b for fid in fids for v in F.VARIANTS for b in F.resolve(fid, v)]
     ref_targets = set()
     direct = set()  # values that call the resolver themselves: g("fid", m, n, i, j)
     for b in branches:
@@ -233,7 +233,7 @@ def _scheme_branches():
     return list({
         id(b): (fid, b)
         for fid in F._PRINTED if fid.startswith(SCHEMES)
-        for v in F.VARIANTS for b in F.resolve(fid, v).branches
+        for v in F.VARIANTS for b in F.resolve(fid, v)
     }.values())
 
 

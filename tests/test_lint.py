@@ -105,3 +105,46 @@ def test_layers_name_every_package_module():
 @pytest.mark.parametrize("module", sorted(LAYERS))
 def test_import_layers(module):
     assert package_imports((PACKAGE / f"{module}.py").read_text()) == LAYERS[module]
+
+
+def mutable_dataclasses(source: str) -> list[str]:
+    """The classes decorated ``@dataclass`` without ``frozen=True``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for deco in node.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            name = call.func if call else deco
+            if not (isinstance(name, ast.Name) and name.id == "dataclass"):
+                continue
+            frozen = call is not None and any(
+                k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value is True
+                for k in call.keywords
+            )
+            if not frozen:
+                found.append(node.name)
+    return found
+
+
+def test_mutable_dataclasses_are_found():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\nclass A: pass\n"
+        "@dataclass(order=True)\nclass B: pass\n"
+        "@dataclass(frozen=False)\nclass C: pass\n"
+        "@dataclass(frozen=True)\nclass D: pass\n"
+    )
+    assert mutable_dataclasses(source) == ["A", "B", "C"]
+
+
+def test_every_package_dataclass_is_frozen():
+    # reports, results and labelings are values: whoever builds one writes
+    # every verdict in it.  SearchStats alone is mutable, because the search
+    # counts into it in place as it runs.
+    mutable = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in mutable_dataclasses(path.read_text())
+    ]
+    assert mutable == ["search.SearchStats"]
