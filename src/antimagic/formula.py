@@ -187,7 +187,12 @@ class Resolver:
         """The value of ``fid`` at the cell."""
         row = self._rows.get((fid, m, n, i))
         if row is None:
-            matched = [b for b in resolve(fid, self.variant) if b.guard(m, n, i, j)]
+            # a loop, not a comprehension: one would make m, n, i and j
+            # closure cells on every call, cache hits included
+            matched = []
+            for b in resolve(fid, self.variant):
+                if b.guard(m, n, i, j):
+                    matched.append(b)
             if len(matched) == 1:
                 b = matched[0]
                 row = (b.value, f"{fid}[{b.label}]")
