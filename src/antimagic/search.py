@@ -4,10 +4,12 @@ Two strategies: exhaustive enumeration of label permutations in
 lexicographic order with pruning on finished vertex sums (complete, so a
 negative answer is definitive), and a steepest-descent swap search from
 the identity labeling (incomplete, so a miss is only 'not found').  Each
-descent iteration scores all q(q-1)/2 label swaps, each in O(1), and
-the seed only drives the shuffles that restart a stuck descent.  Every
-labeling either strategy returns has passed the verifier before it is
-handed back.
+descent iteration takes the best of the q(q-1)/2 label swaps, but scores
+a swap, in O(1), only if a lower bound on its result can beat the best
+so far, so mostly swaps next to a vertex whose sum collides.  The seed
+only drives the shuffles that restart a stuck descent.  Every labeling
+either strategy returns has passed the verifier before it is handed
+back.
 """
 
 from __future__ import annotations
@@ -145,8 +147,13 @@ class _SwapTable:
 
     Swapping the labels of edges a and b adds d = l_b - l_a at a's ends
     and subtracts it at b's ends; a vertex on both edges nets to 0.  So a
-    swap moves at most four vertex sums, and scoring it costs O(1).
-    ``swap`` swaps the two entries of the caller's ``labels`` in place.
+    swap moves at most four vertex sums, and scoring it costs O(1).  A
+    vertex that leaves a sum shared by c vertices removes at most c - 1
+    collisions, so with gain[e] = count[sums[u]] + count[sums[v]] - 2 for
+    edge e = (u, v), swapping a and b leaves at least
+    ``collisions - gain[a] - gain[b]``; ``best_swap`` scores no pair whose
+    bound cannot beat the best so far.  ``swap`` swaps the two entries of
+    the caller's ``labels`` in place.
     """
 
     def __init__(self, ends: list[tuple[int, int]], p: int, labels: list[int]):
@@ -191,6 +198,26 @@ class _SwapTable:
             count[sums[v]] += 1
         return collisions
 
+    def best_swap(self) -> tuple[int, int, int] | None:
+        """The first pair a < b, in lexicographic order, whose swap leaves
+        the fewest collisions, as (collisions, a, b); None when q < 2.
+
+        A pair whose bound is not below the best score so far cannot
+        replace it under the strict ``<``, so it is not scored.
+        """
+        cost, count, sums = self.collisions, self.count, self.sums
+        gain = [count[sums[u]] + count[sums[v]] - 2 for u, v in self.ends]
+        best = None
+        limit = -1  # score (a, b) only if gain[a] + gain[b] > limit
+        for a, gain_a in enumerate(gain):
+            for b in range(a + 1, len(gain)):
+                if gain_a + gain[b] > limit:
+                    c = self.score(a, b)
+                    if best is None or c < best[0]:
+                        best = (c, a, b)
+                        limit = cost - c
+        return best
+
     def swap(self, a: int, b: int) -> None:
         moves = self._moves(a, b)
         self.collisions = self._recount(moves)
@@ -211,12 +238,7 @@ def _local_search(g: Graph, config: SearchConfig, stats: SearchStats) -> EdgeLab
         plateau = 0
         while cost > 0 and stats.iterations < config.max_iterations:
             stats.iterations += 1
-            best = None
-            for a in range(q):
-                for b in range(a + 1, q):
-                    c = table.score(a, b)
-                    if best is None or c < best[0]:
-                        best = (c, a, b)
+            best = table.best_swap()
             if best is None or best[0] > cost:
                 break
             if best[0] == cost:

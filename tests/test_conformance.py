@@ -122,6 +122,10 @@ def _label_then_verify_flower(harness, tracer, tmp_path):
     assert cli.main(["verify", "--in", labeled, "--out", str(tmp_path / "report.json")]) == 0
 
 
+def _search_wheel(harness, tracer, tmp_path):
+    harness.search_instance(tracer, ("local-search", "wheel", 3, 2), 0)
+
+
 @pytest.mark.parametrize("run, spans, counts", [
     (_sweep_flower,
      {"graphs.product", "formula.scheme", "oracle.expected", "conformance.build_report",
@@ -131,14 +135,17 @@ def _label_then_verify_flower(harness, tracer, tmp_path):
      {"graphs.product", "formula.scheme", "labeling.to_text", "labeling.parse",
       "labeling.verify"},
      ("formula.evals", "labeling.text_bytes")),
-], ids=["sweep", "cli"])
+    (_search_wheel,
+     {"graphs.product", "search.search", "labeling.verify"},
+     ("search.iterations", "labeling.verify_accepts")),
+], ids=["sweep", "cli", "search"])
 def test_benchmark_tracer_still_finds_every_name_it_wraps(monkeypatch, tmp_path, run, spans,
                                                           counts):
     # bench/tracing.py wraps the package's layer entry points by module
     # attribute and bench/harness.py binds <family>_conformance on import,
     # so a renamed or deleted name breaks `bench/run.py --trace 1`; the CLI
-    # verbs must also reach them through those attributes, or the large-cells
-    # counters read 0
+    # verbs and the search must also reach them through those attributes, or
+    # the large-cells and search counters read 0
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import harness
     import tracing

@@ -30,6 +30,8 @@ from antimagic.search import (
     search_antimagic,
 )
 
+from . import ROOT
+
 
 def naive_has_antimagic(g):
     """Unpruned full enumeration; the reference the pruned search must equal."""
@@ -185,6 +187,64 @@ def test_incremental_score_equals_recount(case, pick):
         assert table.labels is labels
         assert _table_state(table) == _table_state(_SwapTable(_endpoints(g), g.p, labels))
         assert table.collisions == recount_collisions(g, labels)
+
+
+def _full_scan(table):
+    """Score every pair, keeping the first of the fewest collisions: the
+    reference the bounded scan must equal."""
+    best = None
+    for a, b in itertools.combinations(range(len(table.labels)), 2):
+        c = table.score(a, b)
+        if best is None or c < best[0]:
+            best = (c, a, b)
+    return best
+
+
+@given(case=labeled_graphs())
+@example(case=(build_path(3), [1, 2]))
+@example(case=(_graph_from_edge_set([(0, 1), (2, 3)]), [1, 2]))
+@example(case=(build_star(3), [3, 1, 2]))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_best_swap_equals_a_full_scan(case):
+    g, labels = case
+    table = _SwapTable(_endpoints(g), g.p, list(labels))
+    for _ in range(3):  # the first steps of a descent, so later tables are checked too
+        cost, count, sums = table.collisions, table.count, table.sums
+        gain = [count[sums[u]] + count[sums[v]] - 2 for u, v in table.ends]
+        for a, b in itertools.combinations(range(g.q), 2):
+            assert table.score(a, b) >= cost - gain[a] - gain[b], (a, b)
+        best = table.best_swap()
+        assert best == _full_scan(table)
+        if best is None:
+            break
+        table.swap(best[1], best[2])
+
+
+def test_best_swap_scores_a_tenth_of_the_pairs(monkeypatch):
+    # the bench pool's local-search instances; a scan that scores every
+    # pair makes one score call per pair considered (12,691 here)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import harness
+
+    calls = 0
+    score = _SwapTable.score
+
+    def counted(table, a, b):
+        nonlocal calls
+        calls += 1
+        return score(table, a, b)
+
+    monkeypatch.setattr(_SwapTable, "score", counted)
+    config = SearchConfig(strategy=Strategy.LOCAL_SEARCH, max_iterations=2000, seed=0)
+    considered = 0
+    for strategy, family, m, n in harness.SEARCH_POOL:
+        if strategy == Strategy.LOCAL_SEARCH.value:
+            g = product_graph(family, m, n)
+            result = search_antimagic(g, config)
+            assert result.status is Status.FOUND
+            considered += result.stats.iterations * g.q * (g.q - 1) // 2
+    assert considered == 12_691
+    assert calls < considered / 10
 
 
 def _matching(k):
