@@ -1,8 +1,9 @@
 """The schemes' one row table and evaluator, and the cross-check of their output.
 
 Wheel, helm and flower share one row-shape table, :data:`ROWS`, keyed by
-the last component of a formula id: the cells (i, j) a row evaluates and
-the edge it labels, or the vertex whose sum it gives, at each.  A family
+the last component of a formula id: the rows i a formula is evaluated on,
+the j of each row, and the edge a row labels, or the vertex whose sum it
+gives, at each j.  A family
 module gives a :class:`Scheme` for each cell (m, n): its formula-id prefix,
 the names of its rows and its report policy; one evaluator runs them.
 
@@ -17,11 +18,12 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import islice
 from dataclasses import dataclass
 
 from . import formula as F
 from .formula import CoverageError, Variant
-from .graphs import Edge, Graph, Vertex, edge, edge_name
+from .graphs import Edge, Graph, Vertex, edge_name
 from .labeling import EdgeLabeling, VerificationReport, verify_antimagic
 
 
@@ -78,86 +80,121 @@ class OracleSums:
     branch_hits: Counter
 
 
-# Cell sets: each maps (m, n) to the cells (i, j) that one row evaluates.
+# Row sets: each maps (m, n) to the i of its rows and the j of every row.
 
-def cells_ij(m, n):
-    return ((i, j) for i in range(1, m + 1) for j in range(1, n + 1))
-
-
-def cells_rim(m, n):
-    return ((i, j) for i in range(1, m) for j in range(1, n + 1))
+def rows_ij(m, n):
+    return range(1, m + 1), range(1, n + 1)
 
 
-def cells_close_first(m, n):
-    return ((1, j) for j in range(1, n + 1))
+def rows_rim(m, n):
+    return range(1, m), range(1, n + 1)
 
 
-def cells_close_last(m, n):
-    return ((m, j) for j in range(1, n + 1))
+def rows_close_first(m, n):
+    return range(1, 2), range(1, n + 1)
 
 
-def cells_hub_row(m, n):
-    return ((i, 0) for i in range(1, m + 1))
+def rows_close_last(m, n):
+    return range(m, m + 1), range(1, n + 1)
 
 
-def cells_leaf_col(m, n):
-    return ((0, j) for j in range(1, n + 1))
+def rows_hub(m, n):
+    return range(1, m + 1), range(0, 1)
 
 
-def cell_center(m, n):
-    return ((0, 0),)
+def rows_leaf(m, n):
+    return range(0, 1), range(1, n + 1)
 
 
-# name -> (cells, key): key(m, n, i, j) is the Edge the row labels, or the
-# Vertex whose sum it gives, at cell (i, j).  The n=1 schemes' rows write j
-# where the paper writes 1; at n=1 they agree.
+def row_center(m, n):
+    return range(0, 1), range(0, 1)
+
+
+# name -> (rows, ends): ends(m, i) is (a, c), and row i maps its cell (i, j)
+# to the edge between the vertices (a, j) and (c, 0) or, where c is None, to
+# the vertex (a, j) whose sum it gives.  A product edge joins two different
+# first indices, so the smaller one comes first.  The n=1 schemes' rows
+# write j where the paper writes 1; at n=1 they agree.
 ROWS = {
-    "hub": (cells_ij, lambda m, n, i, j: edge(Vertex(0, 0), Vertex(i, j))),
-    "hub_outer": (cells_ij, lambda m, n, i, j: edge(Vertex(0, 0), Vertex(m + i, j))),
-    "rim_jv": (cells_rim, lambda m, n, i, j: edge(Vertex(i, j), Vertex(i + 1, 0))),
-    "rim_vj": (cells_rim, lambda m, n, i, j: edge(Vertex(i, 0), Vertex(i + 1, j))),
-    "rim_close_vj": (cells_close_last, lambda m, n, i, j: edge(Vertex(m, 0), Vertex(1, j))),
-    "rim_close_jv": (cells_close_last, lambda m, n, i, j: edge(Vertex(m, j), Vertex(1, 0))),
-    "rim_close_A": (cells_close_first, lambda m, n, i, j: edge(Vertex(1, j), Vertex(m, 0))),
-    "rim_close_B": (cells_close_first, lambda m, n, i, j: edge(Vertex(m, j), Vertex(1, 0))),
-    "pend_in": (cells_ij, lambda m, n, i, j: edge(Vertex(i, j), Vertex(m + i, 0))),
-    "pend_out": (cells_ij, lambda m, n, i, j: edge(Vertex(m + i, j), Vertex(i, 0))),
-    "spoke": (cells_ij, lambda m, n, i, j: edge(Vertex(i, 0), Vertex(0, j))),
-    "spoke_outer": (cells_ij, lambda m, n, i, j: edge(Vertex(m + i, 0), Vertex(0, j))),
-    "sum_center": (cell_center, lambda m, n, i, j: Vertex(0, 0)),
-    "sum_rim_leaf": (cells_ij, lambda m, n, i, j: Vertex(i, j)),
-    "sum_outer_leaf": (cells_ij, lambda m, n, i, j: Vertex(m + i, j)),
-    "sum_rim_hub": (cells_hub_row, lambda m, n, i, j: Vertex(i, 0)),
-    "sum_outer_hub": (cells_hub_row, lambda m, n, i, j: Vertex(m + i, 0)),
-    "sum_center_leaf": (cells_leaf_col, lambda m, n, i, j: Vertex(0, j)),
+    "hub": (rows_ij, lambda m, i: (i, 0)),
+    "hub_outer": (rows_ij, lambda m, i: (m + i, 0)),
+    "rim_jv": (rows_rim, lambda m, i: (i, i + 1)),
+    "rim_vj": (rows_rim, lambda m, i: (i + 1, i)),
+    "rim_close_vj": (rows_close_last, lambda m, i: (1, m)),
+    "rim_close_jv": (rows_close_last, lambda m, i: (m, 1)),
+    "rim_close_A": (rows_close_first, lambda m, i: (1, m)),
+    "rim_close_B": (rows_close_first, lambda m, i: (m, 1)),
+    "pend_in": (rows_ij, lambda m, i: (i, m + i)),
+    "pend_out": (rows_ij, lambda m, i: (m + i, i)),
+    "spoke": (rows_ij, lambda m, i: (0, i)),
+    "spoke_outer": (rows_ij, lambda m, i: (0, m + i)),
+    "sum_center": (row_center, lambda m, i: (0, None)),
+    "sum_rim_leaf": (rows_ij, lambda m, i: (i, None)),
+    "sum_outer_leaf": (rows_ij, lambda m, i: (m + i, None)),
+    "sum_rim_hub": (rows_hub, lambda m, i: (i, None)),
+    "sum_outer_hub": (rows_hub, lambda m, i: (m + i, None)),
+    "sum_center_leaf": (rows_leaf, lambda m, i: (0, None)),
 }
 # Formula ids are the paper's, so three shapes go by a second name.
 ROWS.update(center=ROWS["spoke"], pend_jv=ROWS["pend_in"], pend_vj=ROWS["pend_out"])
+
+
+class _Columns(dict):
+    """First index a -> [Vertex(a, 0), .., Vertex(a, n)], made when a row first reaches a."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, a: int) -> list[Vertex]:
+        column = self[a] = [Vertex(a, b) for b in range(self.n + 1)]
+        return column
 
 
 def _evaluate(prefix: str, names: tuple[str, ...], m: int, n: int, variant: Variant, describe):
     """Evaluate each named row's formula at its cells into a dict keyed by what the row maps to.
 
     Row ``name`` evaluates formula ``prefix.name``.  One
-    :class:`formula.Resolver` serves the whole (m, n, variant), so each
-    formula, cited ones included, picks its branch once per (fid, i) and
-    reuses it for every j; no guard reads ``j``.  Hit counts and coverage
-    messages are still per cell.
+    :class:`formula.Resolver` serves the whole (m, n, variant) and
+    evaluates each row i as a progression in j from its first two cells
+    (:meth:`formula.Resolver.row`); cited formulas share its branch
+    choices.  A row that raises a :class:`CoverageError` is evaluated
+    cell by cell, so each of its cells has its own message.  The keys of
+    a row are made from one :class:`Vertex` per vertex, shared by every
+    row that reaches it.
     """
     values: dict = {}
     coverage: list[str] = []
     resolver = F.Resolver(variant)
+    columns = _Columns(n)
     for name in names:
         fid = f"{prefix}.{name}"
-        cells, key = ROWS[name]
-        for i, j in cells(m, n):
-            k = key(m, n, i, j)
-            if k in values:
-                raise RuntimeError(f"{describe(k)} produced twice by the cell map")
-            try:
-                values[k] = resolver(fid, m, n, i, j)
-            except CoverageError as exc:
-                coverage.append(_coverage_message(fid, m, n, i, j, exc))
+        rows, ends = ROWS[name]
+        i_s, js = rows(m, n)
+        start, stop, width = js.start, js.stop, len(js)
+        for i in i_s:
+            a, c = ends(m, i)
+            keys = columns[a][start:stop]
+            if c is not None:
+                v = columns[c][0]
+                keys = [(u, v) for u in keys] if a < c else [(v, u) for u in keys]
+            row, failed = resolver.row(fid, m, n, i, js)
+            if failed:
+                errors = dict(failed)
+                for j, k, value in zip(js, keys, row):
+                    if k in values:
+                        raise RuntimeError(f"{describe(k)} produced twice by the cell map")
+                    if j in errors:
+                        coverage.append(_coverage_message(fid, m, n, i, j, errors[j]))
+                    else:
+                        values[k] = value
+                continue
+            size = len(values)
+            values.update(zip(keys, row))
+            if len(values) != size + width:
+                seen = set(islice(values, size))  # the keys of the rows before
+                repeated = next(k for k in keys if k in seen or seen.add(k))
+                raise RuntimeError(f"{describe(repeated)} produced twice by the cell map")
     return values, coverage, resolver.hits
 
 

@@ -20,18 +20,21 @@ is used (floors and ceilings included).
 
 One :class:`Resolver` evaluates formulas at one variant, cited formulas
 included.  It picks a formula's branch once per row ``(fid, m, n, i)``
-and reuses that choice for every ``j`` of the row.  This is sound only
-because no guard reads ``j``, which a tier-1 test checks on every
-printed and patch branch; a row that matches no branch, or several,
-still raises one :class:`CoverageError` per cell, naming that cell.
+and reuses that choice for every ``j`` of the row, and it evaluates a
+whole row as an arithmetic progression: the values at the row's first
+two ``j`` give the start and the step of the rest.  Both are sound only
+because no guard reads ``j`` and every value is affine in ``j``, which
+tier-1 tests check on every printed and patch branch.  A row that
+matches no branch, or several, still raises one :class:`CoverageError`
+per cell, naming that cell.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 
 class Variant(Enum):
@@ -174,6 +177,9 @@ class Resolver:
     key ``fid[label]``, and reused for every j of that row: no guard
     reads ``j``.  The resolver is also the ``ref`` every value callable
     receives, so cited formulas share the same choices and counts.
+    :meth:`row` evaluates a row of consecutive j from the calls at its
+    first two j: every value is affine in ``j``, and a cell takes the same
+    branches, cited ones included, at every j of its row.
     """
 
     def __init__(self, variant: Variant):
@@ -182,6 +188,9 @@ class Resolver:
         # (fid, m, n, i) -> (value, hit key) of the branch taken, or the
         # labels of the branches matched when that is not one
         self._rows: dict[tuple[str, int, int, int], tuple[Value, str] | list[str]] = {}
+        # the hits of the cells :meth:`row` evaluates, while it does; a
+        # defaultdict counts a new key without a call back into Python
+        self._taken: defaultdict = defaultdict(int)
 
     def __call__(self, fid: str, m: int, n: int, i: int, j: int) -> int:
         """The value of ``fid`` at the cell."""
@@ -205,3 +214,42 @@ class Resolver:
         self.hits[row[1]] += 1
         return value
 
+    def row(
+        self, fid: str, m: int, n: int, i: int, js: range
+    ) -> tuple[Sequence[int | None], list[tuple[int, CoverageError]]]:
+        """The values of ``fid`` at (i, j) for each j of ``js``, a range of step 1,
+        and the (j, error) of each cell that raises, whose value is None.
+
+        A row of three or more cells evaluates its first two cells; the
+        others continue the progression of their values and count the same
+        hits as each of them.  A shorter row, or one with a cell that
+        raises, is evaluated cell by cell, so its hits and errors are its
+        cells' own.
+        """
+        count = len(js)
+        if count > 2:
+            hits, taken = self.hits, self._taken
+            taken.clear()
+            self.hits = taken
+            try:
+                first = self(fid, m, n, i, js[0])
+                step = self(fid, m, n, i, js[1]) - first
+            except CoverageError:
+                step = None  # the hits taken so far are dropped
+            finally:
+                self.hits = hits
+            if step is not None:
+                for key, k in taken.items():
+                    hits[key] += k // 2 * count
+                if step:
+                    return range(first, first + step * count, step), []
+                return [first] * count, []
+        values: list[int | None] = []
+        failed: list[tuple[int, CoverageError]] = []
+        for j in js:
+            try:
+                values.append(self(fid, m, n, i, j))
+            except CoverageError as exc:
+                values.append(None)
+                failed.append((j, exc))
+        return values, failed

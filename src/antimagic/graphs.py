@@ -345,34 +345,60 @@ def write_edge_list(g: Graph, labels: list[int] | None = None) -> str:
 
 
 def _read_edge_list(text: str, labeled: bool) -> tuple[Graph, dict[Edge, int | None]]:
-    """Both edge-list formats: the graph and each edge's label (None unless ``labeled``)."""
+    """Both edge-list formats: the graph and each edge's label (None unless ``labeled``).
+
+    A label of ASCII digits without a leading zero is read by ``int``;
+    every other spelling, 0 and negative labels included, goes to
+    :func:`parse_int`.  Either way a label is read after its line's edge
+    is checked, so each error names what it always has.
+    """
     fields = 3 if labeled else 2
-    lines = ((k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip())
-    k, header = next(lines, (0, None))
-    if header is None:
+    lines = enumerate(text.splitlines(), 1)
+    for k, header in lines:
+        head = header.split()
+        if head:
+            break
+    else:
         raise GraphError("empty edge list")
     labels: dict[Edge, int | None] = {}
     # one Vertex per name, parsed once per file rather than once per line
     vertices: dict[str, Vertex] = {}
     try:
-        head = header.split()
         if len(head) != 2:
             raise GraphError(f"bad header {header!r}; expected 'p q'")
         p, q = parse_int(head[0]), parse_int(head[1])
         for k, ln in lines:
             parts = ln.split()
             if len(parts) != fields:
+                if not parts:
+                    continue
                 raise GraphError(f"bad edge line {ln!r}; expected {fields} fields")
-            for name in parts[:2]:
-                if name not in vertices:
-                    vertices[name] = Vertex.parse(name)
-            e = edge(vertices[parts[0]], vertices[parts[1]])
-            if e in labels:
+            # a Vertex is a nonempty tuple, so a name is parsed only when new
+            a = vertices.get(parts[0]) or vertices.setdefault(parts[0], Vertex.parse(parts[0]))
+            b = vertices.get(parts[1]) or vertices.setdefault(parts[1], Vertex.parse(parts[1]))
+            if a < b:
+                e = (a, b)
+            elif b < a:
+                e = (b, a)
+            else:
+                raise GraphError(f"loop at {a.name} is not allowed")
+            value = None
+            if labeled:
+                label = parts[2]
+                if label.isdigit() and label.isascii() and label[0] != "0":
+                    try:
+                        value = int(label)
+                    except ValueError:  # longer than int() reads; parse_int says so
+                        pass
+            size = len(labels)
+            labels[e] = value  # the one lookup of this edge
+            if len(labels) == size:
                 raise GraphError(f"edge {edge_name(e)} is listed twice")
-            labels[e] = parse_int(parts[2]) if labeled else None
+            if labeled and value is None:
+                labels[e] = parse_int(label)
     except ValueError as exc:
         raise GraphError(f"line {k}: {exc}") from None
-    # every edge went through edge() and the repeat check, and the vertex
+    # every edge went through the loop and repeat checks, and the vertex
     # set is their endpoints, so sorting is all make_graph would add
     g = Graph(tuple(sorted(vertices.values())), tuple(sorted(labels)))
     if g.p != p or g.q != q:

@@ -146,7 +146,8 @@ def verify_antimagic(g: Graph, labeling: EdgeLabeling) -> VerificationReport:
     """
     q = g.q
     labels = labeling.labels
-    present = [labels[e] for e in g.edges if e in labels]
+    # one lookup per edge; a labeling's labels are integers, never None
+    present = [lab for lab in map(labels.get, g.edges) if lab is not None]
     unlabeled: list[str] = []
     if len(present) < q:
         unlabeled = sorted(edge_name(e) for e in g.edges if e not in labels)

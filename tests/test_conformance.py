@@ -10,7 +10,8 @@ from antimagic import cli, flower, helm, wheel
 from antimagic import formula as F
 from antimagic.conformance import ROWS, to_jsonl
 from antimagic.families import FAMILIES
-from antimagic.graphs import product_graph
+from antimagic.formula import Variant
+from antimagic.graphs import Vertex, edge, product_graph
 
 from . import ROOT, src_env
 
@@ -45,15 +46,32 @@ def test_edge_class_sizes(family, m, n):
     sizes = {}
     edges = []
     for name in MODULES[family]._scheme(m, n).edges:
-        cells, key = ROWS[name]
-        for i, j in cells(m, n):
-            sizes[EDGE_CLASS[name]] = sizes.get(EDGE_CLASS[name], 0) + 1
-            edges.append(key(m, n, i, j))
+        rows, ends = ROWS[name]
+        i_s, js = rows(m, n)
+        for i in i_s:
+            a, c = ends(m, i)
+            assert c is not None
+            for j in js:
+                sizes[EDGE_CLASS[name]] = sizes.get(EDGE_CLASS[name], 0) + 1
+                edges.append(edge(Vertex(a, j), Vertex(c, 0)))
     g = product_graph(family, m, n)
     assert sizes == {cls: k * m * n for cls, k in PER_MN[family].items()}
     assert sum(sizes.values()) == g.q
     assert len(edges) == g.q
     assert set(edges) == set(g.edges)
+
+
+@pytest.mark.parametrize("family, twice, first, repeated", [
+    ("wheel", "rim_vj", "rim_jv", "w1_1-w2_0"),
+    ("helm", "pend_out", "pend_in", "w1_1-w6_0"),
+])
+def test_a_key_produced_twice_is_refused(monkeypatch, family, twice, first, repeated):
+    # a row table that maps two rows onto one edge is a bug in the table,
+    # not a labeling; the evaluator names the first repeated edge
+    monkeypatch.setitem(ROWS, twice, ROWS[first])
+    labels = getattr(MODULES[family], f"{family}_labels")
+    with pytest.raises(RuntimeError, match=f"^edge {repeated} produced twice by the cell map$"):
+        labels(5, 2)
 
 
 def test_row_cells_reach_every_prefix_and_row_shape():
@@ -74,6 +92,23 @@ SWEEP_DIGESTS = {
     "flower_conformance.jsonl": "985f88856724bc36316ea4b875c196fd7880ba4131a938d12d89aa2d04711804",
     "cross_validation.jsonl": "df4dce9f841c2e32bca123ce64e8a4d61224601d57c0768c1b6665365215343f",
 }
+
+
+# bench/reference.json's label_sha256 of the 100x100 cells: the text of
+# `antimagic label` at the errata reading.  Their rows have 100 cells; the
+# sweep's have at most 15.
+LARGE_CELL_LABEL_DIGESTS = {
+    "wheel": "46728fa1cebba6f8bcb613ee288db6c151e4b304e33e08aab6545bb22f4ff6ed",
+    "helm": "90c15cc3b6a8f2a9c65461a4685f907d886d8f4b665f8e09bab2f5b4d273ea96",
+    "flower": "6ccb34ad2a7e77619ad6a102a3865349e17e48310588414688b606a31d78034e",
+}
+
+
+@pytest.mark.parametrize("family", ["wheel", "helm", "flower"])
+def test_large_cell_labels_are_pinned(family):
+    g = product_graph(family, 100, 100)
+    text = FAMILIES[family].label(100, 100, Variant.ERRATA).to_text(g)
+    assert hashlib.sha256(text.encode()).hexdigest() == LARGE_CELL_LABEL_DIGESTS[family]
 
 
 def test_sweep_reports_are_pinned(tmp_path):

@@ -15,6 +15,7 @@ from antimagic import formula as F
 from antimagic.conformance import ROWS, _coverage_message
 from antimagic.families import errata
 from antimagic.formula import ALWAYS, CoverageError, Variant, br
+from antimagic.graphs import Vertex, edge
 
 from . import ROOT, src_env
 
@@ -271,33 +272,59 @@ MODULES = {"wheel": wheel, "helm": helm, "flower": flower}
 
 
 def _rows(family, m, n):
-    """(what, fid, cells) of every edge and vertex row of the scheme at (m, n)."""
+    """(what, fid, cells) of every edge and vertex row of the scheme at (m, n).
+
+    ``cells`` lists (i, j, key) for each cell of the row, the key built by
+    :func:`graphs.edge` from the vertices the row's ends name.
+    """
     scheme = MODULES[family]._scheme(m, n)
-    return [
-        (what, f"{scheme.prefix}.{name}", ROWS[name][0])
-        for what, names in (("labels", scheme.edges), ("expected", scheme.vertices))
-        for name in names
-    ]
+    found = []
+    for what, names in (("labels", scheme.edges), ("expected", scheme.vertices)):
+        for name in names:
+            rows, ends = ROWS[name]
+            i_s, js = rows(m, n)
+            cells = []
+            for i in i_s:
+                a, c = ends(m, i)
+                for j in js:
+                    key = Vertex(a, j) if c is None else edge(Vertex(a, j), Vertex(c, 0))
+                    cells.append((i, j, key))
+            found.append((what, f"{scheme.prefix}.{name}", cells))
+    return found
 
 
-# Cells whose as-printed formulas fail: helm 3x1 has an oracle overlap,
-# flower 3x1 label coverage errors, and the other two both, on rows of
-# more than one j.
-@pytest.mark.parametrize("family, m, n", [
-    ("helm", 3, 1), ("flower", 3, 1), ("helm", 4, 3), ("flower", 4, 4),
-])
+# The cells the sweep and the benchmark check (the standard grids and the
+# large-star class), and a 20x20 cell of each family, whose rows are long.
+# As printed, helm 3x1 has an oracle overlap, flower 3x1 label coverage
+# errors, and helm 4x3 and flower 4x4 both, on rows of more than one j.
+AS_PRINTED_FAILS = [("helm", 3, 1), ("flower", 3, 1), ("helm", 4, 3), ("flower", 4, 4)]
+EQUIVALENCE_CELLS = AS_PRINTED_FAILS + [
+    cell for cell in (
+        [("wheel", m, n) for m in range(3, 11) for n in range(1, 6)]
+        + [(f, m, n) for f in ("helm", "flower") for m in range(3, 9) for n in range(1, 5)]
+        + [(f, m, n) for f in ("helm", "flower") for m in range(3, 11)
+           for n in range(m + 1, m + 6) if n % 2 == 1]
+        + [(f, 20, 20) for f in ("wheel", "helm", "flower")]
+    )
+    if cell not in AS_PRINTED_FAILS
+]
+
+
+@pytest.mark.parametrize("family, m, n", EQUIVALENCE_CELLS)
 @pytest.mark.parametrize("variant", F.VARIANTS, ids=lambda v: v.value)
 def test_row_choice_equals_a_choice_per_cell(family, m, n, variant):
-    # Every cell evaluated on its own resolver, as if it were its own row.
-    per_cell = {"labels": (Counter(), []), "expected": (Counter(), [])}
+    # Every cell evaluated on its own resolver, as if it were its own row:
+    # the evaluator's progressions must give the same values, hits and
+    # coverage messages, in the same order.
+    per_cell = {what: ({}, Counter(), []) for what in ("labels", "expected")}
     for what, fid, cells in _rows(family, m, n):
-        hits, messages = per_cell[what]
+        values, hits, messages = per_cell[what]
         row_hits: dict[int, list[Counter]] = {}
         row_errors: dict[int, list[int]] = {}
-        for i, j in cells(m, n):
+        for i, j, key in cells:
             resolver = F.Resolver(variant)
             try:
-                resolver(fid, m, n, i, j)
+                values[key] = resolver(fid, m, n, i, j)
             except CoverageError as exc:
                 message = _coverage_message(fid, m, n, i, j, exc)
                 assert message.startswith(f"{fid} at (m={m}, n={n}, i={i}, j={j}): ")
@@ -309,14 +336,36 @@ def test_row_choice_equals_a_choice_per_cell(family, m, n, variant):
             # a row's hits are one cell's hits times the row length
             assert per_j == [per_j[0]] * len(per_j)
             # a failing row fails at each of its cells
-            assert row_errors.get(i, []) in ([], [j for ii, j in cells(m, n) if ii == i])
+            assert row_errors.get(i, []) in ([], [j for ii, j, _k in cells if ii == i])
     module = MODULES[family]
     scheme = getattr(module, f"{family}_labels")(m, n, variant)
     oracle = getattr(module, f"{family}_expected")(m, n, variant)
-    assert (scheme.branch_hits, scheme.coverage) == per_cell["labels"]
-    assert (oracle.branch_hits, oracle.coverage) == per_cell["expected"]
-    if variant is Variant.AS_PRINTED:
+    labels, label_hits, label_messages = per_cell["labels"]
+    sums, sum_hits, sum_messages = per_cell["expected"]
+    assert list(scheme.labels.items()) == list(labels.items())
+    assert (scheme.branch_hits, scheme.coverage) == (label_hits, label_messages)
+    assert list(oracle.sums.items()) == list(sums.items())
+    assert (oracle.branch_hits, oracle.coverage) == (sum_hits, sum_messages)
+    if variant is Variant.AS_PRINTED and (family, m, n) in AS_PRINTED_FAILS:
         assert scheme.coverage or oracle.coverage
+
+
+def test_a_row_costs_the_resolver_calls_of_two_cells(monkeypatch):
+    # Evaluated cell by cell, flower 100x100 calls the resolver 199,800
+    # times, about 2.5 per cell; as progressions, a row of 100 cells costs
+    # the calls of its first two.
+    calls = 0
+    call = F.Resolver.__call__
+
+    def counted(self, *cell):
+        nonlocal calls
+        calls += 1
+        return call(self, *cell)
+
+    monkeypatch.setattr(F.Resolver, "__call__", counted)
+    labels = flower.flower_labels(100, 100, Variant.ERRATA)
+    assert len(labels.labels) == 80_000 and labels.total
+    assert calls < 0.05 * 80_000
 
 
 def test_readme_ledger_snippet_lists_every_patch():

@@ -28,6 +28,7 @@ from antimagic.graphs import (
     weichsel_connected,
     write_edge_list,
 )
+from antimagic.labeling import parse_labeled_edge_list
 
 
 def degree_sequence(g):
@@ -251,10 +252,31 @@ def test_parse_int_reads_what_str_writes(text):
     assert str(parse_int(text)) == text
 
 
-@pytest.mark.parametrize("text", [
+# Each is either no integer or one int() would accept; str.isdigit also
+# accepts the superscript two, which int() rejects.
+NOT_WRITTEN_BY_STR = [
     "", "-", "-0", "01", "+1", "1_0", " 1", "1 ", "1.0", "1e3", "\uff12", "\u0661", "0x1",
-])
+    "\u00b2",
+]
+
+
+@pytest.mark.parametrize("text", NOT_WRITTEN_BY_STR)
 def test_parse_int_rejects_other_spellings(text):
-    # each of these is either no integer or one int() would accept
     with pytest.raises(GraphError):
         parse_int(text)
+
+
+@pytest.mark.parametrize("text", [t for t in NOT_WRITTEN_BY_STR if t.split() == [t]])
+def test_labeled_reader_rejects_other_spellings_of_a_label(text):
+    # the reader reads plain ASCII digits itself and hands every other
+    # spelling to parse_int, so each is still an error on its own line
+    with pytest.raises(GraphError, match=r"^line 2: bad integer "):
+        parse_labeled_edge_list(f"3 2\nu0 u1 {text}\nu1 u2 1\n")
+
+
+def test_labeled_reader_names_a_repeated_edge_in_canonical_order():
+    with pytest.raises(GraphError, match=r"^line 3: edge u0-u1 is listed twice$"):
+        parse_labeled_edge_list("2 1\nu0 u1 2\nu1 u0 1\n")
+    # the repeat is found before the label is read
+    with pytest.raises(GraphError, match=r"^line 3: edge u0-u1 is listed twice$"):
+        parse_labeled_edge_list("2 1\nu0 u1 2\nu1 u0 01\n")
