@@ -3,9 +3,9 @@
 Wheel, helm and flower share one row-shape table, :data:`ROWS`, keyed by
 the last component of a formula id: the rows i a formula is evaluated on,
 the j of each row, and the edge a row labels, or the vertex whose sum it
-gives, at each j.  A family
-module gives a :class:`Scheme` for each cell (m, n): its formula-id prefix,
-the names of its rows and its report policy; one evaluator runs them.
+gives, at each j.  A family module gives a :class:`Scheme` for each cell
+(m, n): its formula-id prefix, the names of its rows and its report
+policy; one evaluator runs them.
 
 A conformance report is the deliverable for one (family, m, n, variant)
 cell: bijectivity and sum-distinctness verdicts from the independent
@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import islice
 from dataclasses import dataclass
+from itertools import islice
 
 from . import formula as F
 from .formula import CoverageError, Variant
@@ -156,12 +156,12 @@ def _evaluate(prefix: str, names: tuple[str, ...], m: int, n: int, variant: Vari
 
     Row ``name`` evaluates formula ``prefix.name``.  One
     :class:`formula.Resolver` serves the whole (m, n, variant) and
-    evaluates each row i as a progression in j from its first two cells
-    (:meth:`formula.Resolver.row`); cited formulas share its branch
-    choices.  A row that raises a :class:`CoverageError` is evaluated
-    cell by cell, so each of its cells has its own message.  The keys of
-    a row are made from one :class:`Vertex` per vertex, shared by every
-    row that reaches it.
+    evaluates each row i with :meth:`formula.Resolver.row`: as a
+    progression in j from its first two cells, or cell by cell where the
+    row is shorter or a cell raises a :class:`CoverageError`, so each such
+    cell has its own message.  Cited formulas share the resolver's branch
+    choices.  The keys of a row are made from one :class:`Vertex` per
+    vertex, shared by every row that reaches it.
     """
     values: dict = {}
     coverage: list[str] = []
