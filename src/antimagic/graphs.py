@@ -6,15 +6,15 @@ wheel-like factor respectively the centre of the star.  A vertex is the
 tuple ``(i, j)`` with ``j = -1`` for ``u_i``, and tuple order is canonical.
 A graph is only its sorted vertices and edges, and every vertex lies on
 an edge, so it is exactly its edge-list text: equal graphs serialize to
-identical bytes, and reading that text back gives an equal graph.  Both
-edge-list formats, plain and labeled, are written and read here alone.
+identical bytes.  Both edge-list formats, plain and labeled, are written
+here by one writer; only the labeled format is read back, and reading it
+gives an equal graph.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 # Scheme sums grow like m^2 n^2; capping the indices keeps every sum
@@ -96,24 +96,6 @@ class Graph:
     def q(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def incident(self) -> dict[Vertex, tuple[Edge, ...]]:
-        inc: dict[Vertex, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            inc[e[0]].append(e)
-            inc[e[1]].append(e)
-        return {v: tuple(es) for v, es in inc.items()}
-
-    @cached_property
-    def adjacency(self) -> dict[Vertex, tuple[Vertex, ...]]:
-        return {
-            v: tuple(b if a == v else a for a, b in es)
-            for v, es in self.incident.items()
-        }
-
-    def degree(self, v: Vertex) -> int:
-        return len(self.incident[v])
-
 
 def make_graph(vertices, edges) -> Graph:
     """Canonicalize and validate the vertex/edge data.
@@ -147,14 +129,6 @@ def check_mn(m: int, n: int) -> None:
     """The products' domain: m >= 3 and n >= 1; a GraphError (a ValueError) otherwise."""
     check_index(m, "m", 3)
     check_index(n, "n", 1)
-
-
-def build_path(m: int) -> Graph:
-    """Path on vertices u1..um; needs m >= 2."""
-    check_index(m, "m", 2)
-    vs = [Vertex(i) for i in range(1, m + 1)]
-    es = [(Vertex(i), Vertex(i + 1)) for i in range(1, m)]
-    return make_graph(vs, es)
 
 
 def build_cycle(m: int) -> Graph:
@@ -277,61 +251,11 @@ def product_graph(family: str, m: int, n: int) -> Graph:
     return tensor_product(build_family(family, m), build_star(n))
 
 
-def is_connected(g: Graph) -> bool:
-    """BFS connectivity; the empty graph counts as connected."""
-    if g.p == 0:
-        return True
-    seen = {g.vertices[0]}
-    frontier = [g.vertices[0]]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in g.adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return len(seen) == g.p
-
-
-def is_bipartite(g: Graph) -> bool:
-    """True iff the graph contains no odd cycle (2-colorable)."""
-    color: dict[Vertex, int] = {}
-    for start in g.vertices:
-        if start in color:
-            continue
-        color[start] = 0
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in g.adjacency[v]:
-                    if u not in color:
-                        color[u] = color[v] ^ 1
-                        nxt.append(u)
-                    elif color[u] == color[v]:
-                        return False
-            frontier = nxt
-    return True
-
-
-def weichsel_connected(g: Graph, h: Graph) -> bool:
-    """Connectivity of the tensor product of two connected factors.
-
-    The product is connected iff at least one factor has an odd cycle;
-    disconnected factors are rejected because the criterion is stated
-    for connected ones.
-    """
-    if not is_connected(g) or not is_connected(h):
-        raise GraphError("weichsel_connected requires connected factors")
-    return not is_bipartite(g) or not is_bipartite(h)
-
-
 def write_edge_list(g: Graph, labels: list[int] | None = None) -> str:
     """Canonical edge-list text: header ``p q`` then one ``u v`` line per edge.
 
     With ``labels``, aligned with ``g.edges``, each line is ``u v label``,
-    the labeled format.  :func:`_read_edge_list` reads both formats back.
+    the labeled format, which alone :func:`_read_edge_list` reads back.
     """
     name = {v: v.name for v in g.vertices}  # once per vertex, not per edge end
     lines = [f"{g.p} {g.q}"]
@@ -344,15 +268,14 @@ def write_edge_list(g: Graph, labels: list[int] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_edge_list(text: str, labeled: bool) -> tuple[Graph, dict[Edge, int | None]]:
-    """Both edge-list formats: the graph and each edge's label (None unless ``labeled``).
+def _read_edge_list(text: str) -> tuple[Graph, dict[Edge, int]]:
+    """The labeled edge-list format: the graph and each edge's label.
 
     A label of ASCII digits without a leading zero is read by ``int``;
     every other spelling, 0 and negative labels included, goes to
     :func:`parse_int`.  Either way a label is read after its line's edge
     is checked, so each error names what it always has.
     """
-    fields = 3 if labeled else 2
     lines = enumerate(text.splitlines(), 1)
     for k, header in lines:
         head = header.split()
@@ -369,10 +292,10 @@ def _read_edge_list(text: str, labeled: bool) -> tuple[Graph, dict[Edge, int | N
         p, q = parse_int(head[0]), parse_int(head[1])
         for k, ln in lines:
             parts = ln.split()
-            if len(parts) != fields:
+            if len(parts) != 3:
                 if not parts:
                     continue
-                raise GraphError(f"bad edge line {ln!r}; expected {fields} fields")
+                raise GraphError(f"bad edge line {ln!r}; expected 3 fields")
             # a Vertex is a nonempty tuple, so a name is parsed only when new
             a = vertices.get(parts[0]) or vertices.setdefault(parts[0], Vertex.parse(parts[0]))
             b = vertices.get(parts[1]) or vertices.setdefault(parts[1], Vertex.parse(parts[1]))
@@ -382,19 +305,18 @@ def _read_edge_list(text: str, labeled: bool) -> tuple[Graph, dict[Edge, int | N
                 e = (b, a)
             else:
                 raise GraphError(f"loop at {a.name} is not allowed")
+            label = parts[2]
             value = None
-            if labeled:
-                label = parts[2]
-                if label.isdigit() and label.isascii() and label[0] != "0":
-                    try:
-                        value = int(label)
-                    except ValueError:  # longer than int() reads; parse_int says so
-                        pass
+            if label.isdigit() and label.isascii() and label[0] != "0":
+                try:
+                    value = int(label)
+                except ValueError:  # longer than int() reads; parse_int says so
+                    pass
             size = len(labels)
             labels[e] = value  # the one lookup of this edge
             if len(labels) == size:
                 raise GraphError(f"edge {edge_name(e)} is listed twice")
-            if labeled and value is None:
+            if value is None:
                 labels[e] = parse_int(label)
     except ValueError as exc:
         raise GraphError(f"line {k}: {exc}") from None
@@ -405,7 +327,3 @@ def _read_edge_list(text: str, labeled: bool) -> tuple[Graph, dict[Edge, int | N
         raise GraphError(f"header says p={p} q={q} but body has p={g.p} q={g.q}")
     return g, labels
 
-
-def parse_edge_list(text: str) -> Graph:
-    """Inverse of :func:`write_edge_list`: ``parse_edge_list(write_edge_list(g)) == g``."""
-    return _read_edge_list(text, labeled=False)[0]

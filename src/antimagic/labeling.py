@@ -42,7 +42,7 @@ class EdgeLabeling:
 
 def parse_labeled_edge_list(text: str) -> tuple[Graph, EdgeLabeling]:
     """Inverse of :meth:`EdgeLabeling.to_text`: a graph plus its labeling."""
-    g, labels = _read_edge_list(text, labeled=True)
+    g, labels = _read_edge_list(text)
     return g, EdgeLabeling(labels)
 
 

@@ -94,7 +94,10 @@ def _exhaustive(g: Graph, config: SearchConfig, stats: SearchStats) -> EdgeLabel
             "use the local-search strategy"
         )
     ends = _endpoints(g)
-    remaining = [g.degree(v) for v in g.vertices]
+    remaining = [0] * g.p  # each vertex's degree, then its edges still unlabeled
+    for ia, ib in ends:
+        remaining[ia] += 1
+        remaining[ib] += 1
     sums = [0] * g.p
     finished: set[int] = set()
     used = [False] * (q + 1)

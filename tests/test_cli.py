@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from antimagic import families, graphs
 from antimagic.cli import main
-from antimagic.labeling import parse_labeled_edge_list
+from antimagic.labeling import EdgeLabeling, parse_labeled_edge_list
 
 from . import src_env
 
@@ -334,7 +334,11 @@ def test_any_product_command_gives_an_exit_code_and_output_that_reads_back(argv)
         return
     text = out.getvalue()
     if argv[0] == "construct":
-        assert graphs.write_edge_list(graphs.parse_edge_list(text)) == text
+        # the labeled text of the same product, with each line's label dropped
+        options = dict(zip(argv[1::2], argv[2::2]))
+        g = graphs.product_graph(options["--family"], int(options["--m"]), int(options["--n"]))
+        labeled = EdgeLabeling(dict(zip(g.edges, range(1, g.q + 1)))).to_text(g)
+        assert text == "".join(" ".join(ln.split()[:2]) + "\n" for ln in labeled.splitlines())
     elif argv[0] == "label":
         g, labeling = parse_labeled_edge_list(text)
         assert labeling.to_text(g) == text

@@ -47,6 +47,102 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+# Where a package name may be read: the package, its scripts and the benchmark,
+# not tests.  A name that only tests call is code no verb, script or benchmark runs.
+READERS = sorted(
+    path for folder in (PACKAGE, ROOT / "scripts", ROOT / "bench")
+    for path in folder.glob("*.py") if not path.name.startswith("test_")
+)
+
+
+def definitions(source: str) -> list[str]:
+    """A module's top-level functions and classes, and its classes' non-dunder methods."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found.extend(
+                f"{node.name}.{item.name}" for item in node.body
+                if isinstance(item, ast.FunctionDef)
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            )
+    return found
+
+
+def names_read(source: str) -> set[str]:
+    """The names a module reads anywhere but in the body that defines them.
+
+    A read is a loaded name, an attribute, or a string constant, since
+    ``getattr`` and ``setattr`` take names as strings.  A name imported
+    ``as`` an alias is read wherever the alias is.
+    """
+    tree = ast.parse(source)
+    alias = {
+        a.asname: a.name.rpartition(".")[2]
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for a in node.names if a.asname
+    }
+    found = set()
+
+    def visit(node, own):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            own = own | {node.name}
+        name = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        name = alias.get(name, name)
+        if name not in own:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(tree, frozenset())
+    return found
+
+
+def dead_names(package: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.name`` for each definition in ``package`` that no reader reads.
+
+    Names match by spelling alone, so a method counts as read wherever any
+    attribute of that name is.
+    """
+    read = set().union(*map(names_read, readers))
+    return [
+        f"{module}.{name}" for module, source in package.items()
+        for name in definitions(source) if name.rpartition(".")[2] not in read
+    ]
+
+
+def test_dead_names_are_found():
+    package = (
+        "def used(f): return f\n"
+        "def helper(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "class C:\n"
+        "    def __init__(self): pass\n"
+        "    def method(self): pass\n"
+        "    def dead(self): return self.dead()\n"
+        "def only_tested(): pass\n"
+    )
+    reader = (
+        "from .a import C, helper as _h, used\n"
+        "def main():\n"
+        "    return getattr(C(), 'method'), used(_h)\n"
+    )
+    dead = dead_names({"a": package}, [package, reader])
+    assert dead == ["a.recursive", "a.C.dead", "a.only_tested"]
+
+
+def test_every_package_name_has_a_reader():
+    package = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert dead_names(package, [path.read_text() for path in READERS]) == []
+
+
 # module -> the package modules it imports, at module level or inside a
 # function.  Text and graphs sit at the bottom, beside the formula ledger;
 # then the verifier, the scheme-independent searcher and the report layer;

@@ -12,7 +12,6 @@ from antimagic.families import cross_validate
 from antimagic.graphs import (
     Vertex,
     build_cycle,
-    build_path,
     build_star,
     build_wheel,
     edge_name,
@@ -30,7 +29,7 @@ from antimagic.search import (
     search_antimagic,
 )
 
-from . import ROOT
+from . import ROOT, build_path
 
 
 def naive_has_antimagic(g):
