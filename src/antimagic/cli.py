@@ -8,13 +8,15 @@ writes them; any other spelling is a usage error.  All output is
 exact-integer text or JSON with a fixed field order, so identical
 invocations produce byte-identical files, except ``search``, whose JSON
 carries the measured ``stats.wall_time_ms``.
-Only ``label``, ``export`` and ``grid-report`` import :mod:`.families`,
-and with it the formula tables; the other verbs never load them.
+``label`` and ``export`` import the one formula table of the family
+they name, and ``grid-report`` imports :mod:`.families`, and with it all
+three; the other verbs never load one.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 
@@ -24,9 +26,11 @@ from .graphs import (
     CapacityError,
     GraphError,
     _FAMILY_BUILDERS,
+    edge_ends,
     edge_name,
     parse_int,
     product_graph,
+    vertex_name,
     write_edge_list,
 )
 from .labeling import parse_labeled_edge_list, verify_antimagic, vertex_sums
@@ -125,10 +129,13 @@ def _cmd_construct(args) -> int:
 
 
 def _scheme_labeling(args):
-    """The scheme labeling of the family, m, n and variant that ``args`` name."""
-    from .families import FAMILIES
+    """The scheme labeling of the family, m, n and variant that ``args`` name.
 
-    return FAMILIES[args.family].label(args.m, args.n, Variant(args.variant))
+    Only that family's module is imported, not the other formula tables.
+    """
+    module = importlib.import_module(f".{args.family}", __package__)
+    label = getattr(module, f"label_{args.family}_product")
+    return label(args.m, args.n, Variant(args.variant))
 
 
 def _cmd_label(args) -> int:
@@ -148,7 +155,7 @@ def _cmd_verify(args) -> int:
 def _cmd_sums(args) -> int:
     g, labeling = parse_labeled_edge_list(_read(args.infile))
     sums = vertex_sums(g, labeling)
-    lines = [f"{v.name} {sums[v]}" for v in g.vertices]
+    lines = [f"{vertex_name(v)} {sums[v]}" for v in g.vertices]
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -195,9 +202,11 @@ def _cmd_export(args) -> int:
     sums = vertex_sums(g, labeling)
     lines = ["graph antimagic {"]
     for v in g.vertices:
-        lines.append(f'  "{v.name}" [label="{v.name}\\nsum={sums[v]}"];')
+        name = vertex_name(v)
+        lines.append(f'  "{name}" [label="{name}\\nsum={sums[v]}"];')
     for e in g.edges:
-        lines.append(f'  "{e[0].name}" -- "{e[1].name}" [label="{labeling.labels[e]}"];')
+        a, b = map(vertex_name, edge_ends(e))
+        lines.append(f'  "{a}" -- "{b}" [label="{labeling.labels[e]}"];')
     lines.append("}")
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK

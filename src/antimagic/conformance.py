@@ -23,7 +23,7 @@ from itertools import islice
 
 from . import formula as F
 from .formula import CoverageError, Variant
-from .graphs import Edge, Graph, Vertex, edge_name
+from .graphs import Graph, edge, edge_name, vertex, vertex_name
 from .labeling import EdgeLabeling, VerificationReport, verify_antimagic
 
 
@@ -62,7 +62,7 @@ class Scheme:
 class SchemeLabels:
     """Outcome of evaluating a scheme's edge formulas over all cells."""
 
-    labels: dict[Edge, int]
+    labels: dict[int, int]
     coverage: list[str]
     branch_hits: Counter
 
@@ -75,7 +75,7 @@ class SchemeLabels:
 class OracleSums:
     """Outcome of evaluating the closed-form expected-sum formulas."""
 
-    sums: dict[Vertex, int]
+    sums: dict[int, int]
     coverage: list[str]
     branch_hits: Counter
 
@@ -139,18 +139,6 @@ ROWS = {
 ROWS.update(center=ROWS["spoke"], pend_jv=ROWS["pend_in"], pend_vj=ROWS["pend_out"])
 
 
-class _Columns(dict):
-    """First index a -> [Vertex(a, 0), .., Vertex(a, n)], made when a row first reaches a."""
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
-
-    def __missing__(self, a: int) -> list[Vertex]:
-        column = self[a] = [Vertex(a, b) for b in range(self.n + 1)]
-        return column
-
-
 def _evaluate(prefix: str, names: tuple[str, ...], m: int, n: int, variant: Variant, describe):
     """Evaluate each named row's formula at its cells into a dict keyed by what the row maps to.
 
@@ -160,24 +148,27 @@ def _evaluate(prefix: str, names: tuple[str, ...], m: int, n: int, variant: Vari
     progression in j from its first two cells, or cell by cell where the
     row is shorter or a cell raises a :class:`CoverageError`, so each such
     cell has its own message.  Cited formulas share the resolver's branch
-    choices.  The keys of a row are made from one :class:`Vertex` per
-    vertex, shared by every row that reaches it.
+    choices.  The keys of a row are a progression too: the code of the
+    vertex (a, j), or of the edge from it to (c, 0), is affine in j, so a
+    row's keys are the range its first two codes start.
     """
     values: dict = {}
     coverage: list[str] = []
     resolver = F.Resolver(variant)
-    columns = _Columns(n)
     for name in names:
         fid = f"{prefix}.{name}"
         rows, ends = ROWS[name]
         i_s, js = rows(m, n)
-        start, stop, width = js.start, js.stop, len(js)
+        start, width = js.start, len(js)
         for i in i_s:
             a, c = ends(m, i)
-            keys = columns[a][start:stop]
-            if c is not None:
-                v = columns[c][0]
-                keys = [(u, v) for u in keys] if a < c else [(v, u) for u in keys]
+            if c is None:
+                first, second = vertex(a, start), vertex(a, start + 1)
+            else:
+                other = vertex(c, 0)
+                first, second = edge(vertex(a, start), other), edge(vertex(a, start + 1), other)
+            step = second - first
+            keys = range(first, first + step * width, step)
             row, failed = resolver.row(fid, m, n, i, js)
             if failed:
                 errors = dict(failed)
@@ -212,7 +203,9 @@ def evaluate_edge_families(scheme: Scheme, m: int, n: int, variant: Variant) -> 
 
 def evaluate_vertex_families(scheme: Scheme, m: int, n: int, variant: Variant) -> OracleSums:
     return OracleSums(
-        *_evaluate(scheme.prefix, scheme.vertices, m, n, variant, lambda v: f"vertex {v.name}")
+        *_evaluate(
+            scheme.prefix, scheme.vertices, m, n, variant, lambda v: f"vertex {vertex_name(v)}"
+        )
     )
 
 
@@ -302,14 +295,14 @@ def build_report(
         if verification.total:
             sums = verification.sums
             handshake_ok = sum(sums.values()) == 2 * sum(labels.labels[e] for e in graph.edges)
-            center_computed = sums.get(Vertex(0, 0))
+            center_computed = sums.get(vertex(0, 0))
             for v in graph.vertices:
                 if v in oracle.sums and oracle.sums[v] != sums[v]:
                     mismatches.append(
-                        {"vertex": v.name, "computed": sums[v], "expected": oracle.sums[v]}
+                        {"vertex": vertex_name(v), "computed": sums[v], "expected": oracle.sums[v]}
                     )
 
-    center_expected = oracle.sums.get(Vertex(0, 0))
+    center_expected = oracle.sums.get(vertex(0, 0))
 
     oracle_complete = not oracle.coverage and (
         scheme.oracle_partial or len(oracle.sums) == graph.p

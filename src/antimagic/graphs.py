@@ -2,26 +2,32 @@
 
 Vertices carry structured identities: ``u<i>`` in a factor graph and
 ``w<i>_<j>`` in a product, where index 0 is always the hub of the
-wheel-like factor respectively the centre of the star.  A vertex is the
-tuple ``(i, j)`` with ``j = -1`` for ``u_i``, and tuple order is canonical.
-A graph is only its sorted vertices and edges, and every vertex lies on
-an edge, so it is exactly its edge-list text: equal graphs serialize to
-identical bytes.  Both edge-list formats, plain and labeled, are written
-here by one writer; only the labeled format is read back, and reading it
-gives an equal graph.
+wheel-like factor respectively the centre of the star.  Inside, a vertex
+is the integer ``i << 16 | (j + 1)``, with ``j = -1`` for ``u_i``, and an
+edge is the integer ``lo << 32 | hi`` of its two ends, the smaller first.
+Integer order is then the canonical order of both, (i, j) as a tuple,
+and an edge decodes to its ends and names without its graph; names
+exist only in text.  A graph is only its sorted vertices and edges, and
+every vertex lies on an edge, so it is exactly its edge-list text: equal
+graphs serialize to identical bytes.  Both edge-list formats, plain and
+labeled, are written here by one writer; only the labeled format is read
+back, and reading it gives an equal graph.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 # Scheme sums grow like m^2 n^2; capping the indices keeps every sum
 # comfortably inside 64 bits for downstream consumers.
 MAX_INDEX = 10_000
 # The most edges a product may have; 12.5x flower at m = n = 100.
 MAX_EDGES = 1_000_000
+
+# A vertex holds i and j + 1 in 16 bits each, an edge its two ends in 32.
+_LOW = (1 << 16) - 1
+_END = (1 << 32) - 1
 
 
 class GraphError(ValueError):
@@ -32,29 +38,29 @@ class CapacityError(ValueError):
     """Refused before any work: the instance is larger than its budget."""
 
 
-class Vertex(NamedTuple):
-    """``u_i`` of a factor graph when ``j`` is -1, else ``w_i^j``; tuple order is canonical."""
-
-    i: int
-    j: int = -1
-
-    @property
-    def name(self) -> str:
-        if self.j < 0:
-            return f"u{self.i}"
-        return f"w{self.i}_{self.j}"
-
-    @classmethod
-    def parse(cls, name: str) -> Vertex:
-        """Inverse of :attr:`name`; any other spelling is rejected."""
-        match = _VERTEX_NAME.fullmatch(name)
-        if match is None:
-            raise GraphError(f"unrecognized vertex name {name!r}")
-        u, i, j = match.groups()
-        return cls(int(u)) if u is not None else cls(int(i), int(j))
+def vertex(i: int, j: int = -1) -> int:
+    """``u_i`` of a factor graph when ``j`` is -1, else ``w_i^j``; integer order is canonical."""
+    return i << 16 | (j + 1)
 
 
-# The names :attr:`Vertex.name` writes, in ASCII digits without leading zeros.
+def vertex_name(v: int) -> str:
+    i, j = v >> 16, (v & _LOW) - 1
+    return f"u{i}" if j < 0 else f"w{i}_{j}"
+
+
+def parse_vertex(name: str) -> int:
+    """Inverse of :func:`vertex_name`; any other spelling, or an index too large, is rejected."""
+    match = _VERTEX_NAME.fullmatch(name)
+    if match is None:
+        raise GraphError(f"unrecognized vertex name {name!r}")
+    u, i, j = match.groups()
+    i, j = (int(u), -1) if u is not None else (int(i), int(j))
+    if i > _LOW or j >= _LOW:
+        raise GraphError(f"vertex {name!r} has an index beyond what a vertex id holds")
+    return vertex(i, j)
+
+
+# The names :func:`vertex_name` writes, in ASCII digits without leading zeros.
 _VERTEX_NAME = re.compile(r"u(0|[1-9][0-9]*)|w(0|[1-9][0-9]*)_(0|[1-9][0-9]*)")
 # What ``str(int)`` writes: ASCII digits, no ``+``, ``_``, ``-0`` or leading zeros.
 _INT = re.compile(r"0|-?[1-9][0-9]*")
@@ -67,26 +73,28 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
-Edge = tuple[Vertex, Vertex]
-
-
-def edge(a: Vertex, b: Vertex) -> Edge:
-    """Canonical unordered edge: endpoints sorted, loops rejected."""
+def edge(a: int, b: int) -> int:
+    """Canonical unordered edge of two vertices: its code, loops rejected."""
     if a == b:
-        raise GraphError(f"loop at {a.name} is not allowed")
-    return (a, b) if a < b else (b, a)
+        raise GraphError(f"loop at {vertex_name(a)} is not allowed")
+    return a << 32 | b if a < b else b << 32 | a
 
 
-def edge_name(e: Edge) -> str:
-    return f"{e[0].name}-{e[1].name}"
+def edge_ends(e: int) -> tuple[int, int]:
+    """The two vertices of an edge, the smaller first."""
+    return e >> 32, e & _END
+
+
+def edge_name(e: int) -> str:
+    return f"{vertex_name(e >> 32)}-{vertex_name(e & _END)}"
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph: its vertices and edges, each in canonical order."""
+    """Simple undirected graph: its vertex and edge codes, each in ascending order."""
 
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
+    vertices: tuple[int, ...]
+    edges: tuple[int, ...]
 
     @property
     def p(self) -> int:
@@ -97,8 +105,17 @@ class Graph:
         return len(self.edges)
 
 
+def incident_sums(g: Graph, weights: list[int]) -> dict[int, int]:
+    """Each vertex's sum of the weights of its edges; ``weights`` is aligned with ``g.edges``."""
+    sums = dict.fromkeys(g.vertices, 0)
+    for e, w in zip(g.edges, weights):  # edge_ends inlined: it would be a call per edge
+        sums[e >> 32] += w
+        sums[e & _END] += w
+    return sums
+
+
 def make_graph(vertices, edges) -> Graph:
-    """Canonicalize and validate the vertex/edge data.
+    """Canonicalize and validate the vertex data and the edges, given as vertex pairs.
 
     Every vertex must lie on an edge: the edge-list text names only edges,
     so a graph with an isolated vertex could not be read back from it.
@@ -108,14 +125,13 @@ def make_graph(vertices, edges) -> Graph:
     canon = set()
     for a, b in edges:
         e = edge(a, b)
-        if e[0] not in vset or e[1] not in vset:
+        if a not in vset or b not in vset:
             raise GraphError(f"edge {edge_name(e)} has an endpoint outside the vertex set")
         canon.add(e)
-    isolated = vset - {v for e in canon for v in e}
+    isolated = vset - {v for e in canon for v in edge_ends(e)}
     if isolated:
-        raise GraphError(f"vertex {min(isolated).name} lies on no edge")
-    es = tuple(sorted(canon))
-    return Graph(vs, es)
+        raise GraphError(f"vertex {vertex_name(min(isolated))} lies on no edge")
+    return Graph(vs, tuple(sorted(canon)))
 
 
 def check_index(value: int, name: str, minimum: int) -> None:
@@ -134,16 +150,16 @@ def check_mn(m: int, n: int) -> None:
 def build_cycle(m: int) -> Graph:
     """Cycle u1..um; needs m >= 3."""
     check_index(m, "m", 3)
-    vs = [Vertex(i) for i in range(1, m + 1)]
-    es = [(Vertex(i), Vertex(i % m + 1)) for i in range(1, m + 1)]
+    vs = [vertex(i) for i in range(1, m + 1)]
+    es = [(vertex(i), vertex(i % m + 1)) for i in range(1, m + 1)]
     return make_graph(vs, es)
 
 
 def build_star(n: int) -> Graph:
     """Star with centre u0 and leaves u1..un; n >= 1."""
     check_index(n, "n", 1)
-    vs = [Vertex(i) for i in range(n + 1)]
-    es = [(Vertex(0), Vertex(i)) for i in range(1, n + 1)]
+    vs = [vertex(i) for i in range(n + 1)]
+    es = [(vertex(0), vertex(i)) for i in range(1, n + 1)]
     return make_graph(vs, es)
 
 
@@ -151,23 +167,23 @@ def build_wheel(m: int) -> Graph:
     """Cycle u1..um plus hub u0 joined to every rim vertex; m >= 3."""
     check_index(m, "m", 3)
     cyc = build_cycle(m)
-    vs = [Vertex(0), *cyc.vertices]
-    es = list(cyc.edges) + [(Vertex(0), Vertex(i)) for i in range(1, m + 1)]
+    vs = [vertex(0), *cyc.vertices]
+    es = [*map(edge_ends, cyc.edges), *((vertex(0), vertex(i)) for i in range(1, m + 1))]
     return make_graph(vs, es)
 
 
 def build_helm(m: int) -> Graph:
     """Wheel plus a pendant u_{m+i} attached to each rim vertex u_i."""
     wheel = build_wheel(m)
-    vs = list(wheel.vertices) + [Vertex(m + i) for i in range(1, m + 1)]
-    es = list(wheel.edges) + [(Vertex(i), Vertex(m + i)) for i in range(1, m + 1)]
+    vs = [*wheel.vertices, *(vertex(m + i) for i in range(1, m + 1))]
+    es = [*map(edge_ends, wheel.edges), *((vertex(i), vertex(m + i)) for i in range(1, m + 1))]
     return make_graph(vs, es)
 
 
 def build_flower(m: int) -> Graph:
     """Helm plus edges from the hub u0 to every pendant vertex u_{m+i}."""
     helm = build_helm(m)
-    es = list(helm.edges) + [(Vertex(0), Vertex(m + i)) for i in range(1, m + 1)]
+    es = [*map(edge_ends, helm.edges), *((vertex(0), vertex(m + i)) for i in range(1, m + 1))]
     return make_graph(helm.vertices, es)
 
 
@@ -198,30 +214,23 @@ def tensor_product(g: Graph, h: Graph) -> Graph:
     Factors must be plain graphs (no product vertices); product vertices
     are named w<i>_<j> with i drawn from ``g`` and j from ``h``.
 
-    Both factors are sorted, so the product vertices come out in canonical
-    order and a vertex's rank is its index there.  Each edge is encoded as
-    ``lo * p + hi`` over the ranks of its endpoints, the codes are sorted
-    once, and every edge shares the one ``Vertex`` object per vertex.  A
+    The product vertex (u_x, u_y) is the code of u_x plus y + 1, so both
+    products of a factor edge x1 < x2 with an edge y1 < y2 are its code
+    plus one of two offsets of the h edge: (x1, y1)-(x2, y2) and
+    (x1, y2)-(x2, y1), the end on x1 first.  The codes are sorted once.  A
     product of simple graphs has no loop and no repeated edge, so nothing
     needs a second canonicalization.
     """
     if g.p == 0 or h.p == 0:
         raise GraphError("tensor product needs nonempty factors")
-    if any(v.j >= 0 for v in (*g.vertices, *h.vertices)):
+    if any(v & _LOW for v in (*g.vertices, *h.vertices)):
         raise GraphError("factors of a tensor product must not be product graphs")
-    vs = tuple(Vertex(x.i, y.i) for x in g.vertices for y in h.vertices)
-    p = len(vs)
-    g_rank = {v: k * h.p for k, v in enumerate(g.vertices)}
-    h_rank = {v: k for k, v in enumerate(h.vertices)}
-    h_edges = [(h_rank[y1], h_rank[y2]) for y1, y2 in h.edges]
-    codes = []
-    for x1, x2 in g.edges:
-        # x1 < x2, so every rank in row x1 is below every rank in row x2
-        a1, a2 = g_rank[x1], g_rank[x2]
-        codes.extend((a1 + b1) * p + a2 + b2 for b1, b2 in h_edges)
-        codes.extend((a1 + b2) * p + a2 + b1 for b1, b2 in h_edges)
+    vs = tuple(x + (y >> 16) + 1 for x in g.vertices for y in h.vertices)
+    ys = [((a >> 16) + 1, (b >> 16) + 1) for a, b in map(edge_ends, h.edges)]
+    offsets = [*(y1 << 32 | y2 for y1, y2 in ys), *(y2 << 32 | y1 for y1, y2 in ys)]
+    codes = [e + k for e in g.edges for k in offsets]
     codes.sort()
-    return Graph(vs, tuple((vs[c // p], vs[c % p]) for c in codes))
+    return Graph(vs, tuple(codes))
 
 
 def product_size(family: str, m: int, n: int) -> tuple[int, int]:
@@ -257,18 +266,28 @@ def write_edge_list(g: Graph, labels: list[int] | None = None) -> str:
     With ``labels``, aligned with ``g.edges``, each line is ``u v label``,
     the labeled format, which alone :func:`_read_edge_list` reads back.
     """
-    name = {v: v.name for v in g.vertices}  # once per vertex, not per edge end
+    name = {v: vertex_name(v) for v in g.vertices}  # once per vertex, not per edge end
     lines = [f"{g.p} {g.q}"]
     if labels is None:
-        lines.extend(f"{name[e[0]]} {name[e[1]]}" for e in g.edges)
+        lines.extend(f"{name[e >> 32]} {name[e & _END]}" for e in g.edges)
     else:
         lines.extend(
-            f"{name[e[0]]} {name[e[1]]} {lab}" for e, lab in zip(g.edges, labels, strict=True)
+            f"{name[e >> 32]} {name[e & _END]} {lab}"
+            for e, lab in zip(g.edges, labels, strict=True)
         )
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the last line's newline, without a copy of the whole text
+    return "\n".join(lines)
 
 
-def _read_edge_list(text: str) -> tuple[Graph, dict[Edge, int]]:
+class _Names(dict):
+    """Vertex name -> vertex, each name parsed when it is first looked up."""
+
+    def __missing__(self, name: str) -> int:
+        v = self[name] = parse_vertex(name)
+        return v
+
+
+def _read_edge_list(text: str) -> tuple[Graph, dict[int, int]]:
     """The labeled edge-list format: the graph and each edge's label.
 
     A label of ASCII digits without a leading zero is read by ``int``;
@@ -283,9 +302,8 @@ def _read_edge_list(text: str) -> tuple[Graph, dict[Edge, int]]:
             break
     else:
         raise GraphError("empty edge list")
-    labels: dict[Edge, int | None] = {}
-    # one Vertex per name, parsed once per file rather than once per line
-    vertices: dict[str, Vertex] = {}
+    labels: dict[int, int] = {}
+    vertices = _Names()  # each name parsed once per file rather than once per line
     try:
         if len(head) != 2:
             raise GraphError(f"bad header {header!r}; expected 'p q'")
@@ -296,15 +314,16 @@ def _read_edge_list(text: str) -> tuple[Graph, dict[Edge, int]]:
                 if not parts:
                     continue
                 raise GraphError(f"bad edge line {ln!r}; expected 3 fields")
-            # a Vertex is a nonempty tuple, so a name is parsed only when new
-            a = vertices.get(parts[0]) or vertices.setdefault(parts[0], Vertex.parse(parts[0]))
-            b = vertices.get(parts[1]) or vertices.setdefault(parts[1], Vertex.parse(parts[1]))
+            a = vertices[parts[0]]
+            b = vertices[parts[1]]
             if a < b:
-                e = (a, b)
+                e = a << 32 | b
             elif b < a:
-                e = (b, a)
+                e = b << 32 | a
             else:
-                raise GraphError(f"loop at {a.name} is not allowed")
+                raise GraphError(f"loop at {parts[0]} is not allowed")
+            if e in labels:
+                raise GraphError(f"edge {edge_name(e)} is listed twice")
             label = parts[2]
             value = None
             if label.isdigit() and label.isascii() and label[0] != "0":
@@ -312,12 +331,7 @@ def _read_edge_list(text: str) -> tuple[Graph, dict[Edge, int]]:
                     value = int(label)
                 except ValueError:  # longer than int() reads; parse_int says so
                     pass
-            size = len(labels)
-            labels[e] = value  # the one lookup of this edge
-            if len(labels) == size:
-                raise GraphError(f"edge {edge_name(e)} is listed twice")
-            if value is None:
-                labels[e] = parse_int(label)
+            labels[e] = parse_int(label) if value is None else value
     except ValueError as exc:
         raise GraphError(f"line {k}: {exc}") from None
     # every edge went through the loop and repeat checks, and the vertex
@@ -326,4 +340,3 @@ def _read_edge_list(text: str) -> tuple[Graph, dict[Edge, int]]:
     if g.p != p or g.q != q:
         raise GraphError(f"header says p={p} q={q} but body has p={g.p} q={g.q}")
     return g, labels
-

@@ -13,7 +13,14 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Edge, Graph, Vertex, _read_edge_list, edge_name, write_edge_list
+from .graphs import (
+    Graph,
+    _read_edge_list,
+    edge_name,
+    incident_sums,
+    vertex_name,
+    write_edge_list,
+)
 
 
 class LabelingError(ValueError):
@@ -22,13 +29,13 @@ class LabelingError(ValueError):
 
 @dataclass(frozen=True)
 class EdgeLabeling:
-    """Candidate assignment edge -> integer; q and the edge set are the graph's.
+    """Candidate assignment edge code -> integer; q and the edge set are the graph's.
 
     Candidates may violate bijectivity; that is report content for the
     verifier, not a construction error.
     """
 
-    labels: dict[Edge, int]
+    labels: dict[int, int]
 
     def to_text(self, g: Graph) -> str:
         """Labeled edge-list text: header ``p q`` then ``u v label`` lines.
@@ -46,9 +53,9 @@ def parse_labeled_edge_list(text: str) -> tuple[Graph, EdgeLabeling]:
     return g, EdgeLabeling(labels)
 
 
-def vertex_sums(g: Graph, labeling: EdgeLabeling) -> dict[Vertex, int]:
+def vertex_sums(g: Graph, labeling: EdgeLabeling) -> dict[int, int]:
     """Sum of incident edge labels per vertex; requires a total labeling."""
-    return _sums(g, _aligned(g, labeling))
+    return incident_sums(g, _aligned(g, labeling))
 
 
 def _aligned(g: Graph, labeling: EdgeLabeling) -> list[int]:
@@ -71,15 +78,6 @@ def _aligned(g: Graph, labeling: EdgeLabeling) -> list[int]:
     return aligned
 
 
-def _sums(g: Graph, labels: list[int]) -> dict[Vertex, int]:
-    """Vertex sums from ``labels``, aligned with ``g.edges``."""
-    sums = dict.fromkeys(g.vertices, 0)
-    for (a, b), lab in zip(g.edges, labels):
-        sums[a] += lab
-        sums[b] += lab
-    return sums
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Full evidence for one (graph, labeling) check.
@@ -97,7 +95,7 @@ class VerificationReport:
     missing_labels: list[int]
     duplicate_labels: list[tuple[int, list[str]]]
     out_of_range_labels: list[tuple[int, str]]
-    sums: dict[Vertex, int] | None
+    sums: dict[int, int] | None
     colliding_pairs: list[tuple[str, str, int]]
 
     @property
@@ -120,7 +118,9 @@ class VerificationReport:
             "out_of_range_labels": [
                 {"label": lab, "edge": e} for lab, e in self.out_of_range_labels
             ],
-            "sums": None if self.sums is None else {v.name: s for v, s in self.sums.items()},
+            "sums": None if self.sums is None else {
+                vertex_name(v): s for v, s in self.sums.items()
+            },
             "colliding_pairs": [
                 {"u": u, "v": v, "sum": s} for u, v, s in self.colliding_pairs
             ],
@@ -162,7 +162,7 @@ def verify_antimagic(g: Graph, labeling: EdgeLabeling) -> VerificationReport:
     duplicates: list[tuple[int, list[str]]] = []
     out_of_range: list[tuple[int, str]] = []
     if len(present) != q or set(present) != set(range(1, q + 1)):
-        by_label: dict[int, list[Edge]] = {}
+        by_label: dict[int, list[int]] = {}
         for e in g.edges:
             if e not in labels:
                 continue
@@ -177,17 +177,19 @@ def verify_antimagic(g: Graph, labeling: EdgeLabeling) -> VerificationReport:
         out_of_range.sort()
     bijective = total and not missing and not duplicates and not out_of_range and not unknown
 
-    sums: dict[Vertex, int] | None = None
+    sums: dict[int, int] | None = None
     collisions: list[tuple[str, str, int]] = []
     if total:
-        sums = _sums(g, present)
+        sums = incident_sums(g, present)
         if len(set(sums.values())) < len(sums):
-            by_sum: dict[int, list[Vertex]] = {}
+            by_sum: dict[int, list[int]] = {}
             for v, s in sums.items():
                 by_sum.setdefault(s, []).append(v)
             for s, group in by_sum.items():
                 # groups fill in canonical vertex order, so each pair is already ordered
-                collisions.extend((a.name, b.name, s) for a, b in combinations(group, 2))
+                collisions.extend(
+                    (vertex_name(a), vertex_name(b), s) for a, b in combinations(group, 2)
+                )
             collisions.sort(key=lambda t: (t[2], t[0], t[1]))
 
     return VerificationReport(

@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .graphs import CapacityError, Graph
+from .graphs import CapacityError, Graph, edge_ends
 from .labeling import EdgeLabeling, verify_antimagic
 
 
@@ -83,7 +83,7 @@ def _checked(g: Graph, labels: dict) -> EdgeLabeling:
 def _endpoints(g: Graph) -> list[tuple[int, int]]:
     """Each edge's two ends as ranks in ``g.vertices``, in edge order."""
     rank = {v: k for k, v in enumerate(g.vertices)}
-    return [(rank[a], rank[b]) for a, b in g.edges]
+    return [(rank[a], rank[b]) for a, b in map(edge_ends, g.edges)]
 
 
 def _exhaustive(g: Graph, config: SearchConfig, stats: SearchStats) -> EdgeLabeling | None:

@@ -4,7 +4,7 @@ and the paths, incidences and degrees the package has no verb for."""
 import os
 from pathlib import Path
 
-from antimagic.graphs import Edge, Graph, Vertex, make_graph
+from antimagic.graphs import Graph, edge_ends, make_graph, vertex
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,18 +26,28 @@ def covered_sums(oracle) -> dict:
 
 def build_path(m: int) -> Graph:
     """The path u1..um; m >= 2, since a lone vertex lies on no edge."""
-    vs = [Vertex(i) for i in range(1, m + 1)]
+    vs = [vertex(i) for i in range(1, m + 1)]
     return make_graph(vs, zip(vs, vs[1:]))
 
 
-def incident(g: Graph) -> dict[Vertex, list[Edge]]:
+def incident(g: Graph) -> dict[int, list[int]]:
     """Each vertex's edges, in ``g.edges`` order."""
     inc = {v: [] for v in g.vertices}
     for e in g.edges:
-        inc[e[0]].append(e)
-        inc[e[1]].append(e)
+        for v in edge_ends(e):
+            inc[v].append(e)
     return inc
 
 
-def degrees(g: Graph) -> dict[Vertex, int]:
+def indices(v: int) -> tuple[int, int]:
+    """The (i, j) of a vertex code, j = -1 for ``u_i``: the inverse of ``graphs.vertex``."""
+    return v >> 16, (v & 0xFFFF) - 1
+
+
+def pairs(g: Graph) -> list[tuple[int, int]]:
+    """Each edge as its two vertices, in ``g.edges`` order, as networkx reads edges."""
+    return [edge_ends(e) for e in g.edges]
+
+
+def degrees(g: Graph) -> dict[int, int]:
     return {v: len(es) for v, es in incident(g).items()}

@@ -18,14 +18,15 @@ from antimagic.graphs import (
     build_wheel,
     product_graph,
     tensor_product,
-    Vertex,
+    vertex,
+    vertex_name,
 )
 from antimagic.helm import helm_conformance, label_helm_product
 from antimagic.labeling import EdgeLabeling, verify_antimagic, vertex_sums
 from antimagic.search import Status, search_antimagic
 from antimagic.wheel import label_wheel_product, wheel_conformance, wheel_expected
 
-from tests import build_path, covered_sums
+from tests import build_path, covered_sums, pairs
 from tests.test_search import naive_has_antimagic
 
 
@@ -57,7 +58,7 @@ def test_criterion_2_weichsel_agreement():
         for m in range(3, 9):
             for n in range(1, 5):
                 g = product_graph(family, m, n)
-                assert nx.is_connected(nx.Graph(g.edges)), (family, m, n)
+                assert nx.is_connected(nx.Graph(pairs(g))), (family, m, n)
                 cells += 1
     _report(2, f"{cells} products are connected")
 
@@ -75,9 +76,9 @@ def test_criterion_3_wheel_errata_grid():
             expected = covered_sums(wheel_expected(m, n, Variant.ERRATA))
             sums = vertex_sums(g, labeling)
             for v in g.vertices:
-                assert sums[v] == expected[v], (m, n, v.name, sums[v], expected[v])
+                assert sums[v] == expected[v], (m, n, vertex_name(v), sums[v], expected[v])
             center = 3 * m * m * n * n + (n if n % 2 == 0 else 0)
-            assert sums[Vertex(0, 0)] == center
+            assert sums[vertex(0, 0)] == center
             cells += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"wheel grid took {elapsed:.2f}s"

@@ -160,6 +160,30 @@ def test_verbs_without_a_scheme_load_no_formula_table(tmp_path):
     assert "antimagic.search" in loaded  # the check sees what the verbs ran
 
 
+# Runs label and export of one wheel product through cli.main in one process
+# and prints their exit codes and the package modules then loaded.
+_WHEEL_VERBS = """
+import json, sys
+from antimagic.cli import main
+out = sys.argv[1]
+codes = [
+    main(["label", "--family", "wheel", "--m", "3", "--n", "1", "--out", out + "/w.txt"]),
+    main(["export", "--family", "wheel", "--m", "3", "--n", "1", "--out", out + "/w.dot"]),
+]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("antimagic"))]))
+"""
+
+
+def test_label_and_export_load_only_their_family_table(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _WHEEL_VERBS, str(tmp_path)],
+                          capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [0, 0]
+    assert "antimagic.wheel" in loaded
+    assert {"antimagic.helm", "antimagic.flower", "antimagic.families"}.isdisjoint(loaded)
+
+
 def test_family_choices_are_the_scheme_families():
     # --family is offered from the graph builders, the schemes are looked up by name
     assert sorted(graphs._FAMILY_BUILDERS) == sorted(families.FAMILIES)

@@ -11,7 +11,7 @@ from antimagic import formula as F
 from antimagic.conformance import ROWS, to_jsonl
 from antimagic.families import FAMILIES
 from antimagic.formula import Variant
-from antimagic.graphs import Vertex, edge, product_graph
+from antimagic.graphs import edge, vertex, product_graph
 
 from . import ROOT, src_env
 
@@ -53,7 +53,7 @@ def test_edge_class_sizes(family, m, n):
             assert c is not None
             for j in js:
                 sizes[EDGE_CLASS[name]] = sizes.get(EDGE_CLASS[name], 0) + 1
-                edges.append(edge(Vertex(a, j), Vertex(c, 0)))
+                edges.append(edge(vertex(a, j), vertex(c, 0)))
     g = product_graph(family, m, n)
     assert sizes == {cls: k * m * n for cls, k in PER_MN[family].items()}
     assert sum(sizes.values()) == g.q
@@ -104,11 +104,26 @@ LARGE_CELL_LABEL_DIGESTS = {
 }
 
 
+# bench/reference.json's verify_sha256 of the same cells: the report of
+# `antimagic verify` on that text, which exits 0 on each.
+LARGE_CELL_VERIFY_DIGESTS = {
+    "wheel": "104f30048541296bb3450fc9cd140b3e47bd72daa604303981cab0fa6a250bfd",
+    "helm": "d8791f2f3853f3f270ffffddb639bf97e3d97174f1980692b8c2a8e71cae866f",
+    "flower": "e30f158bcad7445ff4b0d978824f7ddc0e3083cdb13b5ade3b83f86feb757612",
+}
+
+
 @pytest.mark.parametrize("family", ["wheel", "helm", "flower"])
-def test_large_cell_labels_are_pinned(family):
+def test_large_cell_labels_are_pinned(family, tmp_path):
     g = product_graph(family, 100, 100)
     text = FAMILIES[family].label(100, 100, Variant.ERRATA).to_text(g)
     assert hashlib.sha256(text.encode()).hexdigest() == LARGE_CELL_LABEL_DIGESTS[family]
+    # the text read back and verified as `antimagic verify` does it
+    labeled, report = tmp_path / "label.txt", tmp_path / "verify.json"
+    labeled.write_text(text)
+    code = cli.main(["verify", "--in", str(labeled), "--out", str(report)])
+    digest = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert (code, digest) == (0, LARGE_CELL_VERIFY_DIGESTS[family])
 
 
 def test_sweep_reports_are_pinned(tmp_path):

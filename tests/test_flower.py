@@ -13,7 +13,7 @@ from antimagic.flower import (
     label_flower_product,
 )
 from antimagic.formula import Variant
-from antimagic.graphs import Vertex, edge, product_graph
+from antimagic.graphs import edge, vertex, product_graph
 from antimagic.labeling import verify_antimagic, vertex_sums
 
 from . import covered_sums, incident
@@ -21,9 +21,9 @@ from . import covered_sums, incident
 
 def test_n1_anchor_labels():
     lab = label_flower_product(3, 1)
-    assert lab.labels[edge(Vertex(2, 1), Vertex(5, 0))] == 4
-    assert lab.labels[edge(Vertex(4, 0), Vertex(0, 1))] == 8
-    assert lab.labels[edge(Vertex(3, 1), Vertex(1, 0))] == 21
+    assert lab.labels[edge(vertex(2, 1), vertex(5, 0))] == 4
+    assert lab.labels[edge(vertex(4, 0), vertex(0, 1))] == 8
+    assert lab.labels[edge(vertex(3, 1), vertex(1, 0))] == 21
 
 
 @pytest.mark.parametrize("m", range(3, 11))
@@ -32,7 +32,7 @@ def test_n1_scheme_verifies(m):
     lab = label_flower_product(m, 1)
     report = verify_antimagic(g, lab)
     assert report.antimagic
-    outer = {report.sums[Vertex(m + i, t)] for i in range(1, m + 1) for t in (0, 1)}
+    outer = {report.sums[vertex(m + i, t)] for i in range(1, m + 1) for t in (0, 1)}
     assert outer == set(range(2 * m + 2, 6 * m + 1, 2))
 
 
@@ -57,7 +57,7 @@ def test_n1_as_printed_flags_undefined_citations():
     assert any("rim_leaf_pair" in msg for msg in result.coverage)
     assert any("flower.n1.rim_close_A" in msg for msg in result.coverage)
     # the well-defined families still label
-    assert edge(Vertex(1, 1), Vertex(4, 0)) in result.labels
+    assert edge(vertex(1, 1), vertex(4, 0)) in result.labels
 
 
 def test_n1_outer_vertices_have_degree_two_and_matching_sums():
@@ -68,7 +68,7 @@ def test_n1_outer_vertices_have_degree_two_and_matching_sums():
         expected = covered_sums(flower_expected(m, 1))
         inc = incident(g)
         for i in range(1, m + 1):
-            for v in (Vertex(m + i, 1), Vertex(m + i, 0)):
+            for v in (vertex(m + i, 1), vertex(m + i, 0)):
                 assert len(inc[v]) == 2
                 assert sums[v] == sum(lab.labels[e] for e in inc[v])
                 assert expected[v] == sums[v]
@@ -76,13 +76,13 @@ def test_n1_outer_vertices_have_degree_two_and_matching_sums():
 
 def test_product_anchor_labels():
     lab = label_flower_product(5, 3)
-    assert lab.labels[edge(Vertex(0, 0), Vertex(3, 1))] == 98
+    assert lab.labels[edge(vertex(0, 0), vertex(3, 1))] == 98
     lab42 = label_flower_product(4, 2)
-    assert lab42.labels[edge(Vertex(1, 2), Vertex(4, 0))] == 34
+    assert lab42.labels[edge(vertex(1, 2), vertex(4, 0))] == 34
 
 
 def test_expected_center_anchors():
-    assert covered_sums(flower_expected(5, 3))[Vertex(0, 0)] == 1815
+    assert covered_sums(flower_expected(5, 3))[vertex(0, 0)] == 1815
 
 
 def test_center_leaf_formula_vs_class_aware_oracle():
@@ -91,11 +91,11 @@ def test_center_leaf_formula_vs_class_aware_oracle():
     # labeling settles it
     base_row = F.Resolver(Variant.ERRATA)("flower.modd.base.sum_center_leaf", 3, 2, 0, 1)
     assert base_row == 8 * 9 * 2 - 2 * 3 * 2 + 3 * (4 * 1 - 1) == 141
-    class_aware = covered_sums(flower_expected(3, 2))[Vertex(0, 1)]
+    class_aware = covered_sums(flower_expected(3, 2))[vertex(0, 1)]
     assert class_aware == 70
     g = product_graph("flower", 3, 2)
     sums = vertex_sums(g, label_flower_product(3, 2))
-    assert sums[Vertex(0, 1)] == class_aware
+    assert sums[vertex(0, 1)] == class_aware
 
 
 @pytest.mark.parametrize("m", range(3, 9))
@@ -118,7 +118,7 @@ def test_outer_vertices_degree_two_in_product():
     inc = incident(g)
     for i in range(1, 5):
         for j in range(1, 3):
-            v = Vertex(4 + i, j)
+            v = vertex(4 + i, j)
             assert len(inc[v]) == 2
             assert sums[v] == sum(lab.labels[e] for e in inc[v])
 

@@ -15,7 +15,7 @@ from antimagic import formula as F
 from antimagic.conformance import ROWS, _coverage_message
 from antimagic.families import errata
 from antimagic.formula import ALWAYS, CoverageError, Variant, br
-from antimagic.graphs import Vertex, edge
+from antimagic.graphs import edge, vertex
 
 from . import ROOT, src_env
 
@@ -287,7 +287,7 @@ def _rows(family, m, n):
             for i in i_s:
                 a, c = ends(m, i)
                 for j in js:
-                    key = Vertex(a, j) if c is None else edge(Vertex(a, j), Vertex(c, 0))
+                    key = vertex(a, j) if c is None else edge(vertex(a, j), vertex(c, 0))
                     cells.append((i, j, key))
             found.append((what, f"{scheme.prefix}.{name}", cells))
     return found

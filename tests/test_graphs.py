@@ -3,29 +3,34 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antimagic import graphs
+from antimagic.cli import main
 from antimagic.graphs import (
     CapacityError,
     GraphError,
-    Vertex,
+    vertex,
     build_cycle,
     build_flower,
     build_helm,
     build_star,
     build_wheel,
     edge,
+    edge_ends,
+    edge_name,
     make_graph,
     parse_int,
+    parse_vertex,
     product_graph,
     tensor_product,
+    vertex_name,
     write_edge_list,
 )
 from antimagic.labeling import parse_labeled_edge_list
 
-from . import build_path, degrees
+from . import build_path, degrees, indices, pairs
 
 
 def degree_sequence(g):
@@ -39,7 +44,7 @@ def test_star_shapes():
     assert (s3.p, s3.q) == (4, 3)
     assert degree_sequence(s3) == [1, 1, 1, 3]
     s5 = build_star(5)
-    assert degrees(s5)[Vertex(0)] == 5
+    assert degrees(s5)[vertex(0)] == 5
     assert degree_sequence(s5).count(1) == 5
 
 
@@ -60,7 +65,7 @@ def test_wheel_helm_flower_shapes():
 
     f4 = build_flower(4)
     assert (f4.p, f4.q) == (9, 16)
-    assert degrees(f4)[Vertex(0)] == 8
+    assert degrees(f4)[vertex(0)] == 8
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -91,7 +96,7 @@ def test_product_degrees_multiply():
     prod, dg, dh = degrees(tensor_product(g, h)), degrees(g), degrees(h)
     for x in g.vertices:
         for y in h.vertices:
-            assert prod[Vertex(x.i, y.i)] == dg[x] * dh[y]
+            assert prod[vertex(indices(x)[0], indices(y)[0])] == dg[x] * dh[y]
 
 
 @pytest.mark.parametrize("family", ["wheel", "helm", "flower"])
@@ -111,10 +116,10 @@ def test_edge_budget_is_checked_from_the_computed_size(family, monkeypatch):
 
 def test_bipartite_and_connected():
     nx = pytest.importorskip("networkx")
-    assert nx.is_bipartite(nx.Graph(build_cycle(4).edges))
-    assert not nx.is_bipartite(nx.Graph(build_cycle(3).edges))
-    assert not nx.is_connected(nx.Graph(tensor_product(build_path(2), build_path(2)).edges))
-    assert nx.is_connected(nx.Graph(tensor_product(build_wheel(5), build_star(3)).edges))
+    assert nx.is_bipartite(nx.Graph(pairs(build_cycle(4))))
+    assert not nx.is_bipartite(nx.Graph(pairs(build_cycle(3))))
+    assert not nx.is_connected(nx.Graph(pairs(tensor_product(build_path(2), build_path(2)))))
+    assert nx.is_connected(nx.Graph(pairs(tensor_product(build_wheel(5), build_star(3)))))
 
 
 def _factor_pool():
@@ -130,10 +135,10 @@ def test_weichsel_agrees_with_traversal_on_pool():
     # Weichsel: a product of connected factors is connected iff a factor has an odd cycle
     nx = pytest.importorskip("networkx")
     pool = _factor_pool()
-    odd_cycle = [not nx.is_bipartite(nx.Graph(g.edges)) for g in pool]
+    odd_cycle = [not nx.is_bipartite(nx.Graph(pairs(g))) for g in pool]
     for g, g_odd in zip(pool, odd_cycle):
         for h, h_odd in zip(pool, odd_cycle):
-            assert nx.is_connected(nx.Graph(tensor_product(g, h).edges)) == (g_odd or h_odd)
+            assert nx.is_connected(nx.Graph(pairs(tensor_product(g, h)))) == (g_odd or h_odd)
 
 
 @given(
@@ -169,12 +174,12 @@ def test_edge_list_is_deterministic():
 
 def test_product_vertex_names():
     g = product_graph("wheel", 3, 1)
-    names = {v.name for v in g.vertices}
+    names = {vertex_name(v) for v in g.vertices}
     assert "w0_0" in names and "w3_1" in names
-    assert Vertex.parse("w2_1") == Vertex(2, 1)
-    assert Vertex.parse("u7") == Vertex(7)
+    assert parse_vertex("w2_1") == vertex(2, 1)
+    assert parse_vertex("u7") == vertex(7)
     with pytest.raises(GraphError):
-        Vertex.parse("x1")
+        parse_vertex("x1")
 
 
 @pytest.mark.parametrize("name", ["w1_2_3", "u1_0", "w-1_0", "u\uff11"])
@@ -182,42 +187,79 @@ def test_vertex_parse_rejects_names_no_vertex_writes(name):
     # an extra separator, a digit-group underscore, a sign or a non-ASCII
     # digit would each otherwise read as some other vertex
     with pytest.raises(GraphError):
-        Vertex.parse(name)
+        parse_vertex(name)
 
 
 @pytest.mark.parametrize("family", ["wheel", "helm", "flower"])
 def test_vertex_names_round_trip(family):
     g = product_graph(family, 10, 10)
     for v in g.vertices:
-        assert Vertex.parse(v.name) == v
+        assert parse_vertex(vertex_name(v)) == v
 
 
 def test_vertex_tuple_order_is_canonical():
     # u_i sorts before w_i^0, and i decides before j
-    vs = sorted([Vertex(2), Vertex(1, 1), Vertex(1), Vertex(1, 0)])
-    assert [v.name for v in vs] == ["u1", "w1_0", "w1_1", "u2"]
-    assert Vertex(3).j == -1
-    assert Vertex(3) == Vertex.parse("u3")
-    assert edge(Vertex(1, 0), Vertex(1)) == (Vertex(1), Vertex(1, 0))
+    vs = sorted([vertex(2), vertex(1, 1), vertex(1), vertex(1, 0)])
+    assert [vertex_name(v) for v in vs] == ["u1", "w1_0", "w1_1", "u2"]
+    assert vertex(3) == vertex(3, -1) != vertex(3, 0)
+    assert vertex(3) == parse_vertex("u3")
+    assert edge(vertex(1, 0), vertex(1)) == edge(vertex(1), vertex(1, 0))
+    assert edge_ends(edge(vertex(1, 0), vertex(1))) == (vertex(1), vertex(1, 0))
+    assert edge_name(edge(vertex(1, 0), vertex(1))) == "u1-w1_0"
+
+
+# Every index a product can have: i <= 2 * MAX_INDEX and j <= MAX_INDEX.
+_I = st.integers(0, 2 * graphs.MAX_INDEX)
+_J = st.integers(-1, graphs.MAX_INDEX)
+
+
+@given(a=st.tuples(_I, _J), b=st.tuples(_I, _J))
+@example(a=(7, -1), b=(7, 0))  # u_i sorts just before w_i^0
+@example(a=(2 * graphs.MAX_INDEX, graphs.MAX_INDEX), b=(2 * graphs.MAX_INDEX + 1, -1))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_vertex_codes_keep_tuple_order_and_round_trip(a, b):
+    va, vb = vertex(*a), vertex(*b)
+    assert (va < vb, va == vb) == (a < b, a == b)
+    i, j = a
+    assert vertex_name(va) == (f"u{i}" if j < 0 else f"w{i}_{j}")
+    assert parse_vertex(vertex_name(va)) == va
+    if va != vb:
+        assert edge_ends(edge(va, vb)) == (min(va, vb), max(va, vb))
+        assert edge(va, vb) == edge(vb, va)
+
+
+@pytest.mark.parametrize("name", ["u65536", "w65536_0", "w0_65535", "w70000_0"])
+def test_vertex_names_beyond_a_vertex_id_are_refused(name):
+    # i and j + 1 have 16 bits each; a larger index would alias another vertex
+    with pytest.raises(GraphError, match="beyond what a vertex id holds"):
+        parse_vertex(name)
+    assert parse_vertex("w65535_65534") == vertex(65535, 65534)
+
+
+def test_verify_refuses_a_vertex_beyond_a_vertex_id(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("2 1\nw70000_0 w0_0 1\n")
+    assert main(["verify", "--in", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: vertex 'w70000_0' has an index")
 
 
 def test_edge_list_text_of_mixed_vertices():
     # w2_0 precedes w10_0: the order is by index, not by name
-    es = [(Vertex(10, 0), Vertex(2)), (Vertex(2, 0), Vertex(10, 0)),
-          (Vertex(1, 0), Vertex(1)), (Vertex(2), Vertex(1, 0))]
+    es = [(vertex(10, 0), vertex(2)), (vertex(2, 0), vertex(10, 0)),
+          (vertex(1, 0), vertex(1)), (vertex(2), vertex(1, 0))]
     g = make_graph({v for e in es for v in e}, es)
     assert write_edge_list(g) == "5 4\nu1 w1_0\nw1_0 u2\nu2 w10_0\nw2_0 w10_0\n"
 
 
 _INDICES = st.integers(0, 12)
-_MIXED_VERTICES = _INDICES.map(Vertex) | st.builds(Vertex, _INDICES, _INDICES)
+_MIXED_VERTICES = _INDICES.map(vertex) | st.builds(vertex, _INDICES, _INDICES)
 
 
-@given(pairs=st.lists(st.tuples(_MIXED_VERTICES, _MIXED_VERTICES).filter(lambda t: t[0] != t[1]),
-                      max_size=15, unique_by=frozenset))
+@given(ends=st.lists(st.tuples(_MIXED_VERTICES, _MIXED_VERTICES).filter(lambda t: t[0] != t[1]),
+                     max_size=15, unique_by=frozenset))
 @settings(max_examples=200, derandomize=True, deadline=None)
-def test_edge_list_round_trips_mixed_vertices(pairs):
-    g = make_graph({v for e in pairs for v in e}, pairs)
+def test_edge_list_round_trips_mixed_vertices(ends):
+    g = make_graph({v for e in ends for v in e}, ends)
     text = write_edge_list(g, list(range(1, g.q + 1)))
     back, labeling = parse_labeled_edge_list(text)
     assert back == g
@@ -227,7 +269,7 @@ def test_edge_list_round_trips_mixed_vertices(pairs):
 def test_graph_with_an_isolated_vertex_is_refused():
     # its edge-list text could not name the vertex, so it would not read back
     with pytest.raises(GraphError, match="^vertex u3 lies on no edge$"):
-        make_graph([Vertex(1), Vertex(2), Vertex(3)], [(Vertex(1), Vertex(2))])
+        make_graph([vertex(1), vertex(2), vertex(3)], [(vertex(1), vertex(2))])
     with pytest.raises(GraphError, match="m must be an integer >= 3"):
         build_cycle(2)
 

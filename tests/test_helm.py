@@ -3,7 +3,7 @@
 import pytest
 
 from antimagic.formula import Variant
-from antimagic.graphs import Vertex, edge, product_graph
+from antimagic.graphs import edge, vertex, product_graph
 from antimagic.helm import (
     CaseClass,
     helm_case_class,
@@ -33,9 +33,9 @@ def test_exactly_one_class_per_cell():
 
 def test_n1_anchor_labels():
     lab3 = label_helm_product(3, 1)
-    assert lab3.labels[edge(Vertex(1, 1), Vertex(4, 0))] == 1
+    assert lab3.labels[edge(vertex(1, 1), vertex(4, 0))] == 1
     lab4 = label_helm_product(4, 1)
-    assert lab4.labels[edge(Vertex(1, 0), Vertex(5, 1))] == 6
+    assert lab4.labels[edge(vertex(1, 0), vertex(5, 1))] == 6
 
 
 def test_n1_label_sum_identity():
@@ -53,8 +53,8 @@ def test_n1_scheme_verifies_and_matches_oracle(m):
     expected = covered_sums(helm_expected(m, 1))
     sums = vertex_sums(g, lab)
     assert all(sums[v] == expected[v] for v in expected)
-    assert expected[Vertex(0, 0)] == 3 * m * m + m
-    assert expected[Vertex(0, 1)] == 5 * m * m + m
+    assert expected[vertex(0, 0)] == 3 * m * m + m
+    assert expected[vertex(0, 1)] == 5 * m * m + m
 
 
 def test_n1_as_printed_oracle_overlap_at_m3():
@@ -70,7 +70,7 @@ def test_n1_as_printed_oracle_midpoint_mismatch(m):
     lab = label_helm_product(m, 1, Variant.AS_PRINTED)
     sums = vertex_sums(g, lab)
     printed = helm_expected(m, 1, Variant.AS_PRINTED).sums
-    mid = Vertex((m + 1) // 2, 0)
+    mid = vertex((m + 1) // 2, 0)
     assert printed[mid] == 9 * m + 8 * ((m + 1) // 2) - 3
     assert sums[mid] == 10 * m + 8 * ((m + 1) // 2) - 2
     assert printed[mid] != sums[mid]
@@ -84,7 +84,7 @@ def test_pendant_vertices_sum_to_their_label():
         inc = incident(g)
         for i in range(1, m + 1):
             for j in range(1, n + 1):
-                v = Vertex(m + i, j)
+                v = vertex(m + i, j)
                 assert len(inc[v]) == 1
                 (e,) = inc[v]
                 assert sums[v] == lab.labels[e]
@@ -92,15 +92,15 @@ def test_pendant_vertices_sum_to_their_label():
 
 def test_product_anchor_labels():
     lab = label_helm_product(5, 3)
-    assert lab.labels[edge(Vertex(0, 0), Vertex(3, 1))] == 68
+    assert lab.labels[edge(vertex(0, 0), vertex(3, 1))] == 68
     lab32 = label_helm_product(3, 2)
-    assert lab32.labels[edge(Vertex(0, 0), Vertex(1, 1))] == 26
+    assert lab32.labels[edge(vertex(0, 0), vertex(1, 1))] == 26
 
 
 def test_expected_center_anchors():
-    assert covered_sums(helm_expected(5, 3))[Vertex(0, 0)] == 1140
-    assert covered_sums(helm_expected(3, 1))[Vertex(0, 0)] == 30
-    assert covered_sums(helm_expected(5, 1))[Vertex(0, 1)] == 130
+    assert covered_sums(helm_expected(5, 3))[vertex(0, 0)] == 1140
+    assert covered_sums(helm_expected(3, 1))[vertex(0, 0)] == 30
+    assert covered_sums(helm_expected(5, 1))[vertex(0, 1)] == 130
 
 
 @pytest.mark.parametrize("m", range(3, 9))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from antimagic.graphs import product_graph
+from antimagic.graphs import edge_ends, product_graph, vertex_name
 
 nx = pytest.importorskip("networkx")
 
@@ -30,7 +30,7 @@ def test_product_graph_equals_networkx(family, m, n):
     expected = nx.tensor_product(_nx_factor(family, m), nx.star_graph(n))
     g = product_graph(family, m, n)
     vertices, edges = _names(expected)
-    assert {v.name for v in g.vertices} == vertices
-    assert {frozenset((a.name, b.name)) for a, b in g.edges} == edges
+    assert {vertex_name(v) for v in g.vertices} == vertices
+    assert {frozenset(map(vertex_name, edge_ends(e))) for e in g.edges} == edges
     assert g.q == len(g.edges) == len(edges)
     assert nx.is_connected(expected)

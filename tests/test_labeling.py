@@ -1,5 +1,7 @@
 """The verifier: vertex sums, handshake identity, evidence quality, and edge-list text."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,16 +10,18 @@ from antimagic.families import FAMILIES
 from antimagic.formula import Variant
 from antimagic.flower import label_flower_product
 from antimagic.graphs import (
-    Vertex,
     build_cycle,
     build_flower,
     build_helm,
     build_star,
     build_wheel,
     edge,
+    edge_ends,
     edge_name,
     make_graph,
     product_graph,
+    vertex,
+    vertex_name,
 )
 from antimagic.labeling import (
     EdgeLabeling,
@@ -28,7 +32,7 @@ from antimagic.labeling import (
 )
 from antimagic.wheel import label_wheel_product
 
-from . import build_path
+from . import build_path, indices
 
 
 def _path_labeling(labels):
@@ -51,7 +55,7 @@ def test_vertex_sums_requires_totality():
     partial = EdgeLabeling({g.edges[0]: 1})
     with pytest.raises(LabelingError, match="u2-u3"):
         vertex_sums(g, partial)
-    extraneous = EdgeLabeling({g.edges[0]: 1, g.edges[1]: 2, edge(Vertex(1), Vertex(3)): 3})
+    extraneous = EdgeLabeling({g.edges[0]: 1, g.edges[1]: 2, edge(vertex(1), vertex(3)): 3})
     with pytest.raises(LabelingError, match="u1-u3"):
         vertex_sums(g, extraneous)
 
@@ -59,7 +63,7 @@ def test_vertex_sums_requires_totality():
 def test_wheel_product_sums_match_hand_evaluation():
     g = product_graph("wheel", 3, 1)
     lab = label_wheel_product(3, 1)
-    sums = {v.name: s for v, s in vertex_sums(g, lab).items()}
+    sums = {vertex_name(v): s for v, s in vertex_sums(g, lab).items()}
     assert sums == {
         "w0_0": 27, "w1_1": 10, "w2_1": 22, "w3_1": 16,
         "w1_0": 21, "w2_0": 13, "w3_0": 17, "w0_1": 30,
@@ -86,7 +90,7 @@ def test_all_colliding_pairs_are_listed():
     report = verify_antimagic(g, EdgeLabeling(labels))
     groups = {}
     for v in g.vertices:
-        groups.setdefault(report.sums[v], []).append(v.name)
+        groups.setdefault(report.sums[v], []).append(vertex_name(v))
     expected_pairs = sum(
         len(vs) * (len(vs) - 1) // 2 for vs in groups.values() if len(vs) > 1
     )
@@ -138,11 +142,10 @@ def test_relabeling_automorphism_preserves_verdict():
     lab = label_wheel_product(3, 1)
 
     def rot(v):
-        if v.i == 0:
-            return v
-        return Vertex(v.i % 3 + 1, v.j)
+        i, j = indices(v)
+        return v if i == 0 else vertex(i % 3 + 1, j)
 
-    rotated = {edge(rot(a), rot(b)): val for (a, b), val in lab.labels.items()}
+    rotated = {edge(*map(rot, edge_ends(e))): val for e, val in lab.labels.items()}
     assert verify_antimagic(g, EdgeLabeling(rotated)).antimagic
 
 
@@ -213,8 +216,8 @@ def test_to_text_refuses_a_label_on_a_non_edge(refuser):
     # name the smallest non-edge, whatever order the labels were set in
     g = build_path(4)
     labels = dict(zip(g.edges, (1, 2, 3)))
-    labels[edge(Vertex(2), Vertex(4))] = 4
-    labels[edge(Vertex(1), Vertex(3))] = 5
+    labels[edge(vertex(2), vertex(4))] = 4
+    labels[edge(vertex(1), vertex(3))] = 5
     lab = EdgeLabeling(labels)
     assert verify_antimagic(g, lab).unknown_edges == ["u1-u3", "u2-u4"]
     with pytest.raises(LabelingError, match="^label on u1-u3, which is not a graph edge$"):
@@ -227,11 +230,23 @@ def test_report_sums_are_the_vertex_sums():
     sums = vertex_sums(g, lab)
     report = verify_antimagic(g, lab)
     assert report.sums == sums
-    assert report.to_json_dict()["sums"] == {v.name: s for v, s in sums.items()}
+    assert report.to_json_dict()["sums"] == {vertex_name(v): s for v, s in sums.items()}
+
+
+def test_graphs_and_labelings_hold_nothing_the_cycle_collector_scans():
+    # integers, and dicts of only integers, are never tracked by CPython's
+    # cyclic garbage collector; a tuple subclass per vertex would be, and so
+    # would every edge and every dict keyed by one, at each collection
+    g = product_graph("flower", 4, 3)
+    assert not any(map(gc.is_tracked, g.vertices + g.edges))
+    scheme = label_flower_product(4, 3)
+    g2, parsed = parse_labeled_edge_list(scheme.to_text(g))
+    for labels in (scheme.labels, parsed.labels, verify_antimagic(g2, parsed).sums):
+        assert not gc.is_tracked(labels)
 
 
 _VERTEX_POOL = st.sampled_from(
-    [Vertex(i) for i in range(4)] + [Vertex(i, j) for i in range(3) for j in range(2)]
+    [vertex(i) for i in range(4)] + [vertex(i, j) for i in range(3) for j in range(2)]
 )
 _SMALL_EDGE_SETS = st.lists(
     st.tuples(_VERTEX_POOL, _VERTEX_POOL).filter(lambda t: t[0] != t[1]),
@@ -245,8 +260,7 @@ _SMALL_EDGE_SETS = st.lists(
 def test_labeled_edge_list_round_trips_any_integer_labels(pairs, data):
     # labels 0 and negatives must survive the text boundary: the verifier
     # reports them as out-of-range evidence, so the reader may not drop them
-    edges = [edge(a, b) for a, b in pairs]
-    g = make_graph({v for e in edges for v in e}, edges)
+    g = make_graph({v for e in pairs for v in e}, pairs)
     labels = data.draw(st.lists(st.integers(-10**20, 10**20) | st.integers(-3, 3),
                                 min_size=g.q, max_size=g.q))
     lab = EdgeLabeling(dict(zip(g.edges, labels)))
@@ -270,7 +284,7 @@ def _naive_report(g, labeling) -> dict:
     q, labels = g.q, labeling.labels
 
     def name(e):
-        return f"{e[0].name}-{e[1].name}"
+        return "-".join(map(vertex_name, edge_ends(e)))
 
     on_edges = [(labels[e], e) for e in g.edges if e in labels]
     values = [lab for lab, _e in on_edges]
@@ -286,10 +300,14 @@ def _naive_report(g, labeling) -> dict:
     sums = None
     pairs = []
     if total:
-        sums = {v.name: sum(lab for lab, e in on_edges if v in e) for v in g.vertices}
+        sums = {
+            vertex_name(v): sum(lab for lab, e in on_edges if v in edge_ends(e))
+            for v in g.vertices
+        }
+        names = list(sums)
         pairs = sorted(
-            ((u.name, v.name, sums[u.name]) for k, u in enumerate(g.vertices)
-             for v in g.vertices[k + 1:] if sums[u.name] == sums[v.name]),
+            ((u, v, sums[u]) for k, u in enumerate(names)
+             for v in names[k + 1:] if sums[u] == sums[v]),
             key=lambda t: (t[2], t[0], t[1]),
         )
     return {
@@ -354,7 +372,7 @@ def test_verifier_equals_naive_reference(cell, mutation, data):
 def test_reader_sorts_shuffled_lines_like_make_graph(pairs, data):
     # the reader builds its Graph with one sort of what it read, not make_graph
     labels = data.draw(st.lists(st.integers(-3, 30), min_size=len(pairs), max_size=len(pairs)))
-    lines = [f"{a.name} {b.name} {lab}" for (a, b), lab in zip(pairs, labels)]
+    lines = [f"{vertex_name(a)} {vertex_name(b)} {lab}" for (a, b), lab in zip(pairs, labels)]
     lines = data.draw(st.permutations(lines))
     vertices = {v for e in pairs for v in e}
     text = "\n".join([f"{len(vertices)} {len(pairs)}", *lines]) + "\n"

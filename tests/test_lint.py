@@ -147,9 +147,11 @@ def test_every_package_name_has_a_reader():
 # function.  Text and graphs sit at the bottom, beside the formula ledger;
 # then the verifier, the scheme-independent searcher and the report layer;
 # then the three formula tables; then the lookup by family name.  The
-# package's __init__ re-exports nothing, and only the CLI's label, export
-# and grid-report verbs reach families, so verify, sums, construct and
-# search never load a formula table.
+# package's __init__ re-exports nothing, and only the CLI's grid-report
+# verb reaches families; label and export import the one formula table
+# they name by its module name, which this table cannot see.  So verify,
+# sums, construct and search never load a formula table (tests/test_cli.py
+# checks what each verb loads).
 LAYERS = {
     "__init__": set(),
     "graphs": set(),

@@ -3,7 +3,7 @@
 import pytest
 
 from antimagic.formula import Variant
-from antimagic.graphs import Vertex, edge, product_graph
+from antimagic.graphs import edge, vertex, product_graph
 from antimagic.labeling import EdgeLabeling, verify_antimagic, vertex_sums
 from antimagic.wheel import label_wheel_product, wheel_conformance, wheel_expected, wheel_labels
 
@@ -12,15 +12,15 @@ from . import covered_sums
 
 def test_m3_n1_anchor_labels():
     lab = label_wheel_product(3, 1)
-    assert lab.labels[edge(Vertex(3, 0), Vertex(1, 1))] == 1
-    assert lab.labels[edge(Vertex(0, 0), Vertex(1, 1))] == 7
+    assert lab.labels[edge(vertex(3, 0), vertex(1, 1))] == 1
+    assert lab.labels[edge(vertex(0, 0), vertex(1, 1))] == 7
 
 
 def test_m3_n1_label_multiset_and_steps():
     lab = label_wheel_product(3, 1)
     assert sorted(lab.labels.values()) == list(range(1, 13))
-    hub = {lab.labels[edge(Vertex(0, 0), Vertex(i, 1))] for i in (1, 2, 3)}
-    spokes = {lab.labels[edge(Vertex(i, 0), Vertex(0, 1))] for i in (1, 2, 3)}
+    hub = {lab.labels[edge(vertex(0, 0), vertex(i, 1))] for i in (1, 2, 3)}
+    spokes = {lab.labels[edge(vertex(i, 0), vertex(0, 1))] for i in (1, 2, 3)}
     assert hub == {7, 9, 11}
     assert spokes == {8, 10, 12}
 
@@ -36,9 +36,9 @@ def test_m3_n1_as_printed_detection():
 
 
 def test_expected_sum_anchors():
-    assert covered_sums(wheel_expected(3, 1))[Vertex(0, 0)] == 27
-    assert covered_sums(wheel_expected(4, 2))[Vertex(0, 0)] == 3 * 16 * 4 + 2 == 194
-    assert covered_sums(wheel_expected(3, 1))[Vertex(0, 1)] == 30
+    assert covered_sums(wheel_expected(3, 1))[vertex(0, 0)] == 27
+    assert covered_sums(wheel_expected(4, 2))[vertex(0, 0)] == 3 * 16 * 4 + 2 == 194
+    assert covered_sums(wheel_expected(3, 1))[vertex(0, 1)] == 30
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
@@ -57,12 +57,12 @@ def test_errata_scheme_verifies_and_matches_oracle(m, n):
 @pytest.mark.parametrize("m,n", [(3, 2), (5, 3), (6, 2), (7, 4)])
 def test_proof_orderings_hold_numerically(m, n):
     sums = covered_sums(wheel_expected(m, n))
-    center = sums[Vertex(0, 0)]
-    assert all(center > s for v, s in sums.items() if v != Vertex(0, 0))
-    chain = [sums[Vertex(0, j)] for j in range(1, n + 1)]
+    center = sums[vertex(0, 0)]
+    assert all(center > s for v, s in sums.items() if v != vertex(0, 0))
+    chain = [sums[vertex(0, j)] for j in range(1, n + 1)]
     assert chain == sorted(chain) and len(set(chain)) == n
     for i in range(1, m + 1):
-        row = [sums[Vertex(i, j)] for j in range(1, n + 1)]
+        row = [sums[vertex(i, j)] for j in range(1, n + 1)]
         assert row == sorted(row) and len(set(row)) == n
 
 
@@ -74,7 +74,7 @@ def test_rim_chains_match_the_stated_order(m, n):
         leaf_chain = list(range(1, m + 1, 2)) + list(range(2, m, 2))
     else:
         leaf_chain = list(range(1, m, 2)) + [m] + list(range(m - 2, 1, -2))
-    values = [sums[Vertex(i, j)] for i in leaf_chain]
+    values = [sums[vertex(i, j)] for i in leaf_chain]
     assert values == sorted(values) and len(set(values)) == m
     if m % 2 == 1:
         hub_chain = (list(range(2, m, 2)) + [m] + list(range(1, m - 1, 2)))
@@ -84,7 +84,7 @@ def test_rim_chains_match_the_stated_order(m, n):
                      + list(range(2 * fl4 + 2, m - 1, 2))
                      + list(range(m - 1, 2 * cl4, -2)) + [1]
                      + list(range(2 * cl4 - 1, 2, -2)))
-    values = [sums[Vertex(i, 0)] for i in hub_chain]
+    values = [sums[vertex(i, 0)] for i in hub_chain]
     assert sorted(set(hub_chain)) == list(range(1, m + 1))
     assert values == sorted(values) and len(set(values)) == m
 
