@@ -28,6 +28,7 @@ from .graphs import (
     _FAMILY_BUILDERS,
     edge_ends,
     edge_name,
+    join_lines,
     parse_int,
     product_graph,
     vertex_name,
@@ -155,8 +156,7 @@ def _cmd_verify(args) -> int:
 def _cmd_sums(args) -> int:
     g, labeling = parse_labeled_edge_list(_read(args.infile))
     sums = vertex_sums(g, labeling)
-    lines = [f"{vertex_name(v)} {sums[v]}" for v in g.vertices]
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, join_lines(f"{vertex_name(v)} {sums[v]}" for v in g.vertices))
     return EXIT_OK
 
 
@@ -196,19 +196,22 @@ def _cmd_grid_report(args) -> int:
     return EXIT_OK
 
 
+def _dot_lines(g, labeling, sums):
+    yield "graph antimagic {"
+    for v in g.vertices:
+        name = vertex_name(v)
+        yield f'  "{name}" [label="{name}\\nsum={sums[v]}"];'
+    for e in g.edges:
+        a, b = map(vertex_name, edge_ends(e))
+        yield f'  "{a}" -- "{b}" [label="{labeling.labels[e]}"];'
+    yield "}"
+
+
 def _cmd_export(args) -> int:
     g = product_graph(args.family, args.m, args.n)
     labeling = _scheme_labeling(args)
     sums = vertex_sums(g, labeling)
-    lines = ["graph antimagic {"]
-    for v in g.vertices:
-        name = vertex_name(v)
-        lines.append(f'  "{name}" [label="{name}\\nsum={sums[v]}"];')
-    for e in g.edges:
-        a, b = map(vertex_name, edge_ends(e))
-        lines.append(f'  "{a}" -- "{b}" [label="{labeling.labels[e]}"];')
-    lines.append("}")
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, join_lines(_dot_lines(g, labeling, sums)))
     return EXIT_OK
 
 

@@ -17,7 +17,9 @@ back, and reading it gives an equal graph.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain, islice
 
 # Scheme sums grow like m^2 n^2; capping the indices keeps every sum
 # comfortably inside 64 bits for downstream consumers.
@@ -28,6 +30,11 @@ MAX_EDGES = 1_000_000
 # A vertex holds i and j + 1 in 16 bits each, an edge its two ends in 32.
 _LOW = (1 << 16) - 1
 _END = (1 << 32) - 1
+
+# Text is assembled this many lines at a time, and read back a slice of
+# about this many characters at a time, so no list holds every line.
+_CHUNK_LINES = 4096
+_SLICE_CHARS = 1 << 16
 
 
 class GraphError(ValueError):
@@ -260,23 +267,50 @@ def product_graph(family: str, m: int, n: int) -> Graph:
     return tensor_product(build_family(family, m), build_star(n))
 
 
+def join_lines(lines: Iterable[str]) -> str:
+    """The lines, each ended by a newline, as one ``str``.
+
+    The lines are joined ``_CHUNK_LINES`` at a time and then the chunks,
+    so no list holds every line: as its own string a line costs several
+    times its characters.
+    """
+    lines = iter(lines)
+    chunks = []
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        chunks.append("\n".join(chunk))
+    chunks.append("")  # the last line's newline
+    return "\n".join(chunks)
+
+
 def write_edge_list(g: Graph, labels: list[int] | None = None) -> str:
     """Canonical edge-list text: header ``p q`` then one ``u v`` line per edge.
 
     With ``labels``, aligned with ``g.edges``, each line is ``u v label``,
     the labeled format, which alone :func:`_read_edge_list` reads back.
+    The lines are joined by :func:`join_lines`, never all held at once.
     """
     name = {v: vertex_name(v) for v in g.vertices}  # once per vertex, not per edge end
-    lines = [f"{g.p} {g.q}"]
     if labels is None:
-        lines.extend(f"{name[e >> 32]} {name[e & _END]}" for e in g.edges)
+        body = (f"{name[e >> 32]} {name[e & _END]}" for e in g.edges)
     else:
-        lines.extend(
+        body = (
             f"{name[e >> 32]} {name[e & _END]} {lab}"
             for e, lab in zip(g.edges, labels, strict=True)
         )
-    lines.append("")  # the last line's newline, without a copy of the whole text
-    return "\n".join(lines)
+    return join_lines(chain([f"{g.p} {g.q}"], body))
+
+
+def _slices(text: str) -> Iterable[str]:
+    """``text`` in slices of about ``_SLICE_CHARS``, all but the last ending in ``\\n``.
+
+    A cut after ``\\n`` ends a line and never parts ``\\r\\n``, so the
+    slices' ``splitlines`` are, in order, exactly ``text.splitlines()``.
+    """
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _SLICE_CHARS - 1) + 1 or size
+        yield text[start:end]
+        start = end
 
 
 class _Names(dict):
@@ -290,12 +324,14 @@ class _Names(dict):
 def _read_edge_list(text: str) -> tuple[Graph, dict[int, int]]:
     """The labeled edge-list format: the graph and each edge's label.
 
+    Its lines are ``text.splitlines()``, numbered from 1 in errors, but
+    split a slice at a time (:func:`_slices`), so no list holds them all.
     A label of ASCII digits without a leading zero is read by ``int``;
     every other spelling, 0 and negative labels included, goes to
     :func:`parse_int`.  Either way a label is read after its line's edge
     is checked, so each error names what it always has.
     """
-    lines = enumerate(text.splitlines(), 1)
+    lines = enumerate(chain.from_iterable(map(str.splitlines, _slices(text))), 1)
     for k, header in lines:
         head = header.split()
         if head:

@@ -138,11 +138,13 @@ def verify_antimagic(g: Graph, labeling: EdgeLabeling) -> VerificationReport:
     evidence list is built only when its check fails: the unlabeled edges
     when fewer edges than ``g.q`` carry a label, the keys that are no graph
     edge when there are more keys than labeled edges, the missing, repeated
-    and out-of-range labels when the labels on the edges are not exactly a
+    and out-of-range labels when the labels on the edges are not a
     permutation of 1..q, and the colliding pairs when there are fewer
     distinct sums than vertices.  So a labeling that passes skips no check,
     and one that fails gets the same evidence, in the same order, as a
-    verifier that always builds it.
+    verifier that always builds it.  The permutation test is a pigeonhole:
+    q labels, all distinct and each between 1 and q, are 1..q, so it needs
+    their count, minimum, maximum and one set of them, not a set of 1..q.
     """
     q = g.q
     labels = labeling.labels
@@ -161,7 +163,10 @@ def verify_antimagic(g: Graph, labeling: EdgeLabeling) -> VerificationReport:
     missing: list[int] = []
     duplicates: list[tuple[int, list[str]]] = []
     out_of_range: list[tuple[int, str]] = []
-    if len(present) != q or set(present) != set(range(1, q + 1)):
+    permutation = len(present) == q and (
+        q == 0 or 1 <= min(present) and max(present) <= q and len(set(present)) == q
+    )
+    if not permutation:
         by_label: dict[int, list[int]] = {}
         for e in g.edges:
             if e not in labels:
@@ -170,7 +175,7 @@ def verify_antimagic(g: Graph, labeling: EdgeLabeling) -> VerificationReport:
             by_label.setdefault(lab, []).append(e)
             if not 1 <= lab <= q:
                 out_of_range.append((lab, edge_name(e)))
-        missing = sorted(set(range(1, q + 1)) - set(by_label))
+        missing = [lab for lab in range(1, q + 1) if lab not in by_label]
         duplicates = sorted(
             (lab, sorted(map(edge_name, es))) for lab, es in by_label.items() if len(es) > 1
         )

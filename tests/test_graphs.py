@@ -307,3 +307,76 @@ def test_labeled_reader_names_a_repeated_edge_in_canonical_order():
     # the repeat is found before the label is read
     with pytest.raises(GraphError, match=r"^line 3: edge u0-u1 is listed twice$"):
         parse_labeled_edge_list("2 1\nu0 u1 2\nu1 u0 01\n")
+
+
+# Every line boundary str.splitlines knows; "\r" and "\n" alone also make "\r\n".
+LINE_BREAKS = [
+    "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+]
+SPLIT_TEXTS = st.lists(st.sampled_from([*LINE_BREAKS, "a", " ", "u0"]), max_size=40).map(
+    "".join
+)
+
+
+@given(text=SPLIT_TEXTS, size=st.integers(1, 8))
+@settings(max_examples=300, derandomize=True, deadline=None)
+@example(text="a\r\nb\r\n\r\n", size=1)
+@example(text="\r\r\n\n\r", size=2)
+def test_reader_slices_split_like_splitlines(text, size):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_SLICE_CHARS", size)
+        slices = list(graphs._slices(text))
+    assert "".join(slices) == text
+    assert all(s.endswith("\n") for s in slices[:-1])
+    assert [ln for s in slices for ln in s.splitlines()] == text.splitlines()
+
+
+EDGE_LIST_LINES = ["3 2", "u0 u1 1", "u1 u2 2", "u1 u0 3", "u2 u2 1", "u0 u1 01", "u0 u1", "", " "]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Lines of a labeled edge list, right or wrong, each ended by any line boundary."""
+    lines = draw(st.lists(st.sampled_from(EDGE_LIST_LINES), max_size=8))
+    return "".join(ln + draw(st.sampled_from(LINE_BREAKS)) for ln in lines)
+
+
+def _read_outcome(text, slice_chars):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_SLICE_CHARS", slice_chars)
+        try:
+            g, labeling = parse_labeled_edge_list(text)
+        except GraphError as exc:
+            return str(exc)
+    return g, labeling.labels
+
+
+@given(text=edge_list_texts(), size=st.integers(1, 8))
+@settings(max_examples=300, derandomize=True, deadline=None)
+@example(text="3 2\r\nu0 u1 1\r\n\r\nu1 u2 2\u2028", size=1)
+@example(text="3 2\r\nu0 u1 1\r\nu1 u0 3\r\n", size=3)
+def test_reader_reads_small_slices_like_one_slice(text, size):
+    # one slice is text.splitlines(), so every result, error and line
+    # number is the one a reader of the whole split text gives
+    assert _read_outcome(text, size) == _read_outcome(text, len(text) + 1)
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_reader_numbers_lines_across_slices(size):
+    text = "2 1\r\n\r\nu0 u1 2\x85u1 u0 1\n"
+    assert _read_outcome(text, size) == "line 4: edge u0-u1 is listed twice"
+    text = "3 2\r\nu0 u1 1\r\n\u2028u1 u2 x\r\n"
+    assert _read_outcome(text, size).startswith("line 4: bad integer 'x'")
+
+
+@pytest.mark.parametrize("chunk", [2, 3])
+@pytest.mark.parametrize("labeled", [False, True])
+@pytest.mark.parametrize("q", range(8))
+def test_writer_joins_chunks_like_one_join(chunk, labeled, q, monkeypatch):
+    g = make_graph([], []) if q == 0 else build_path(q + 1)
+    labels = list(range(q, 0, -1)) if labeled else None
+    lines = [" ".join(map(vertex_name, edge_ends(e))) for e in g.edges]
+    if labeled:
+        lines = [f"{ln} {lab}" for ln, lab in zip(lines, labels)]
+    monkeypatch.setattr(graphs, "_CHUNK_LINES", chunk)
+    assert write_edge_list(g, labels) == "\n".join([f"{g.p} {g.q}", *lines, ""])

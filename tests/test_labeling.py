@@ -255,6 +255,15 @@ _SMALL_EDGE_SETS = st.lists(
 )
 
 
+def test_verifier_reports_on_a_graph_without_edges():
+    g = make_graph([], [])
+    report = verify_antimagic(g, EdgeLabeling({}))
+    assert report.antimagic and report.q == 0
+    assert report.to_json_dict() == _naive_report(g, EdgeLabeling({}))
+    stray = EdgeLabeling({edge(vertex(1), vertex(2)): 1})
+    assert verify_antimagic(g, stray).to_json_dict() == _naive_report(g, stray)
+
+
 @given(pairs=_SMALL_EDGE_SETS, data=st.data())
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_labeled_edge_list_round_trips_any_integer_labels(pairs, data):
@@ -328,7 +337,10 @@ def _naive_report(g, labeling) -> dict:
 
 _SMALL_PRODUCTS = [(family, m, n) for family in ("wheel", "helm", "flower")
                    for m in (3, 4) for n in (1, 2)]
-_MUTATIONS = ["none", "swap", "duplicate", "zero", "q+1", "drop", "extra"]
+# "shift" gives q distinct labels, 2..q+1: only the verifier's min/max test sees it
+_MUTATIONS = [
+    "none", "swap", "duplicate", "zero", "q+1", "shift", "negative", "drop", "extra",
+]
 
 
 @pytest.mark.parametrize("family, m, n", _SMALL_PRODUCTS)
@@ -356,6 +368,10 @@ def test_verifier_equals_naive_reference(cell, mutation, data):
         labels[data.draw(pick)] = labels[data.draw(pick)]
     elif mutation in ("zero", "q+1"):
         labels[data.draw(pick)] = 0 if mutation == "zero" else g.q + 1
+    elif mutation == "shift":
+        labels = {e: lab + 1 for e, lab in labels.items()}
+    elif mutation == "negative":
+        labels[data.draw(pick)] = -data.draw(st.integers(1, g.q))
     elif mutation == "drop":
         del labels[data.draw(pick)]
     elif mutation == "extra":
