@@ -255,15 +255,6 @@ _SMALL_EDGE_SETS = st.lists(
 )
 
 
-def test_verifier_reports_on_a_graph_without_edges():
-    g = make_graph([], [])
-    report = verify_antimagic(g, EdgeLabeling({}))
-    assert report.antimagic and report.q == 0
-    assert report.to_json_dict() == _naive_report(g, EdgeLabeling({}))
-    stray = EdgeLabeling({edge(vertex(1), vertex(2)): 1})
-    assert verify_antimagic(g, stray).to_json_dict() == _naive_report(g, stray)
-
-
 @given(pairs=_SMALL_EDGE_SETS, data=st.data())
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_labeled_edge_list_round_trips_any_integer_labels(pairs, data):
@@ -381,6 +372,15 @@ def test_verifier_equals_naive_reference(cell, mutation, data):
             labels[non_edge] = data.draw(st.integers(0, g.q + 1))
     labeling = EdgeLabeling(labels)
     assert verify_antimagic(g, labeling).to_json_dict() == _naive_report(g, labeling)
+
+
+def test_verifier_reports_on_a_graph_without_edges():
+    g = make_graph([], [])
+    report = verify_antimagic(g, EdgeLabeling({}))
+    assert report.antimagic and report.q == 0
+    assert report.to_json_dict() == _naive_report(g, EdgeLabeling({}))
+    stray = EdgeLabeling({edge(vertex(1), vertex(2)): 1})
+    assert verify_antimagic(g, stray).to_json_dict() == _naive_report(g, stray)
 
 
 @given(pairs=_SMALL_EDGE_SETS, data=st.data())
