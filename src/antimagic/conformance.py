@@ -139,7 +139,7 @@ ROWS = {
 ROWS.update(center=ROWS["spoke"], pend_jv=ROWS["pend_in"], pend_vj=ROWS["pend_out"])
 
 
-def _evaluate(prefix: str, names: tuple[str, ...], m: int, n: int, variant: Variant, describe):
+def _evaluate(prefix: str, names: tuple[str, ...], m: int, n: int, variant: Variant):
     """Evaluate each named row's formula at its cells into a dict keyed by what the row maps to.
 
     Row ``name`` evaluates formula ``prefix.name``.  One
@@ -147,10 +147,10 @@ def _evaluate(prefix: str, names: tuple[str, ...], m: int, n: int, variant: Vari
     evaluates each row i with :meth:`formula.Resolver.row`: as a
     progression in j from its first two cells, or cell by cell where the
     row is shorter or a cell raises a :class:`CoverageError`, so each such
-    cell has its own message.  Cited formulas share the resolver's branch
-    choices.  The keys of a row are a progression too: the code of the
-    vertex (a, j), or of the edge from it to (c, 0), is affine in j, so a
-    row's keys are the range its first two codes start.
+    cell has its own message and no value.  Cited formulas share the
+    resolver's branch choices.  The keys of a row are a progression too:
+    the code of the vertex (a, j), or of the edge from it to (c, 0), is
+    affine in j, so a row's keys are the range its first two codes start.
     """
     values: dict = {}
     coverage: list[str] = []
@@ -170,22 +170,16 @@ def _evaluate(prefix: str, names: tuple[str, ...], m: int, n: int, variant: Vari
             step = second - first
             keys = range(first, first + step * width, step)
             row, failed = resolver.row(fid, m, n, i, js)
-            if failed:
-                errors = dict(failed)
-                for j, k, value in zip(js, keys, row):
-                    if k in values:
-                        raise RuntimeError(f"{describe(k)} produced twice by the cell map")
-                    if j in errors:
-                        coverage.append(_coverage_message(fid, m, n, i, j, errors[j]))
-                    else:
-                        values[k] = value
-                continue
             size = len(values)
             values.update(zip(keys, row))
             if len(values) != size + width:
                 seen = set(islice(values, size))  # the keys of the rows before
                 repeated = next(k for k in keys if k in seen or seen.add(k))
-                raise RuntimeError(f"{describe(repeated)} produced twice by the cell map")
+                kind, name_of = ("vertex", vertex_name) if c is None else ("edge", edge_name)
+                raise RuntimeError(f"{kind} {name_of(repeated)} produced twice by the cell map")
+            for j, exc in failed:  # its value is None: the cell keeps only its message
+                coverage.append(_coverage_message(fid, m, n, i, j, exc))
+                del values[keys[j - start]]
     return values, coverage, resolver.hits
 
 
@@ -196,17 +190,11 @@ def _coverage_message(fid: str, m: int, n: int, i: int, j: int, exc: CoverageErr
 
 
 def evaluate_edge_families(scheme: Scheme, m: int, n: int, variant: Variant) -> SchemeLabels:
-    return SchemeLabels(
-        *_evaluate(scheme.prefix, scheme.edges, m, n, variant, lambda e: f"edge {edge_name(e)}")
-    )
+    return SchemeLabels(*_evaluate(scheme.prefix, scheme.edges, m, n, variant))
 
 
 def evaluate_vertex_families(scheme: Scheme, m: int, n: int, variant: Variant) -> OracleSums:
-    return OracleSums(
-        *_evaluate(
-            scheme.prefix, scheme.vertices, m, n, variant, lambda v: f"vertex {vertex_name(v)}"
-        )
-    )
+    return OracleSums(*_evaluate(scheme.prefix, scheme.vertices, m, n, variant))
 
 
 class FormulaCoverageError(Exception):
@@ -236,8 +224,12 @@ class ConformanceReport:
     center_computed: int | None
     center_expected: int | None
     notes: list[str]
-    passed: bool
     first_violation: str | None
+
+    @property
+    def passed(self) -> bool:
+        """True exactly when the report names no violation."""
+        return self.first_violation is None
 
     def to_json_dict(self) -> dict:
         return {
@@ -277,9 +269,12 @@ def build_report(
 ) -> ConformanceReport:
     """Assemble the verdicts for one cell: the only place a report's verdicts are written.
 
-    When ``scheme.oracle_partial`` is set, vertices the oracle skips are
-    not counted against the comparison.  ``scheme.printed_sums`` is the
-    last check, so it runs only on a cell that passes every other one.
+    The verdict is the first violation the checks find, in a fixed order,
+    and a report passes exactly when there is none.  When
+    ``scheme.oracle_partial`` is set, vertices the oracle skips are not
+    counted against the comparison.  ``scheme.printed_sums`` is checked
+    only on a cell whose labeling is antimagic and agrees with a complete
+    oracle.
     """
     q = graph.q
     hits: Counter = Counter()
@@ -304,33 +299,20 @@ def build_report(
 
     center_expected = oracle.sums.get(vertex(0, 0))
 
-    oracle_complete = not oracle.coverage and (
-        scheme.oracle_partial or len(oracle.sums) == graph.p
-    )
-    passed = (
-        labels.total
-        and verification is not None
-        and verification.antimagic
-        and oracle_complete
-        and not mismatches
-        and handshake_ok is True
-    )
-
+    # with no label coverage error the labeling was verified
     first = None
     if labels.coverage:
         first = f"label coverage: {labels.coverage[0]}"
-    elif verification is not None and not verification.bijective:
+    elif not verification.bijective:
         if verification.duplicate_labels:
             lab, edges = verification.duplicate_labels[0]
             first = f"duplicate label {lab} on {', '.join(edges)}"
         elif verification.missing_labels:
+            # with 1..q all on the edges, no edge has a label out of range
             first = f"missing label {verification.missing_labels[0]}"
-        elif verification.out_of_range_labels:
-            lab, e = verification.out_of_range_labels[0]
-            first = f"label {lab} on {e} outside 1..{q}"
         else:
             first = "labeling is not a bijection"
-    elif verification is not None and verification.colliding_pairs:
+    elif verification.colliding_pairs:
         u, v, s = verification.colliding_pairs[0]
         first = f"vertex sum collision: {u} and {v} both sum to {s}"
     elif oracle.coverage:
@@ -341,13 +323,14 @@ def build_report(
             f"sum mismatch at {mm['vertex']}: computed {mm['computed']}, "
             f"expected {mm['expected']}"
         )
-    elif not oracle_complete:
+    elif not scheme.oracle_partial and len(oracle.sums) != graph.p:
         first = "oracle does not cover the whole vertex set"
     elif scheme.printed_sums is not None and (
         {verification.sums[v] for v in oracle.sums} != set(scheme.printed_sums)
     ):
-        passed = False
         first = "outer sums leave the printed range"
+    elif not handshake_ok:
+        first = "vertex sums do not total twice the label sum"
 
     return ConformanceReport(
         family=scheme.family,
@@ -365,6 +348,5 @@ def build_report(
         center_computed=center_computed,
         center_expected=center_expected,
         notes=list(scheme.notes),
-        passed=passed,
         first_violation=first,
     )

@@ -121,24 +121,15 @@ def incident_sums(g: Graph, weights: list[int]) -> dict[int, int]:
     return sums
 
 
-def make_graph(vertices, edges) -> Graph:
-    """Canonicalize and validate the vertex data and the edges, given as vertex pairs.
+def make_graph(edges) -> Graph:
+    """The graph of the edges, given as vertex pairs: its vertices are their ends.
 
-    Every vertex must lie on an edge: the edge-list text names only edges,
-    so a graph with an isolated vertex could not be read back from it.
+    So every vertex lies on an edge, as it must for the edge-list text,
+    which names only edges, to read back as the same graph.
     """
-    vs = tuple(sorted(set(vertices)))
-    vset = set(vs)
-    canon = set()
-    for a, b in edges:
-        e = edge(a, b)
-        if a not in vset or b not in vset:
-            raise GraphError(f"edge {edge_name(e)} has an endpoint outside the vertex set")
-        canon.add(e)
-    isolated = vset - {v for e in canon for v in edge_ends(e)}
-    if isolated:
-        raise GraphError(f"vertex {vertex_name(min(isolated))} lies on no edge")
-    return Graph(vs, tuple(sorted(canon)))
+    canon = {edge(a, b) for a, b in edges}
+    vs = {v for e in canon for v in edge_ends(e)}
+    return Graph(tuple(sorted(vs)), tuple(sorted(canon)))
 
 
 def check_index(value: int, name: str, minimum: int) -> None:
@@ -157,41 +148,35 @@ def check_mn(m: int, n: int) -> None:
 def build_cycle(m: int) -> Graph:
     """Cycle u1..um; needs m >= 3."""
     check_index(m, "m", 3)
-    vs = [vertex(i) for i in range(1, m + 1)]
-    es = [(vertex(i), vertex(i % m + 1)) for i in range(1, m + 1)]
-    return make_graph(vs, es)
+    return make_graph((vertex(i), vertex(i % m + 1)) for i in range(1, m + 1))
 
 
 def build_star(n: int) -> Graph:
     """Star with centre u0 and leaves u1..un; n >= 1."""
     check_index(n, "n", 1)
-    vs = [vertex(i) for i in range(n + 1)]
-    es = [(vertex(0), vertex(i)) for i in range(1, n + 1)]
-    return make_graph(vs, es)
+    return make_graph((vertex(0), vertex(i)) for i in range(1, n + 1))
 
 
 def build_wheel(m: int) -> Graph:
     """Cycle u1..um plus hub u0 joined to every rim vertex; m >= 3."""
     check_index(m, "m", 3)
-    cyc = build_cycle(m)
-    vs = [vertex(0), *cyc.vertices]
-    es = [*map(edge_ends, cyc.edges), *((vertex(0), vertex(i)) for i in range(1, m + 1))]
-    return make_graph(vs, es)
+    cycle = build_cycle(m)
+    es = [*map(edge_ends, cycle.edges), *((vertex(0), vertex(i)) for i in range(1, m + 1))]
+    return make_graph(es)
 
 
 def build_helm(m: int) -> Graph:
     """Wheel plus a pendant u_{m+i} attached to each rim vertex u_i."""
     wheel = build_wheel(m)
-    vs = [*wheel.vertices, *(vertex(m + i) for i in range(1, m + 1))]
     es = [*map(edge_ends, wheel.edges), *((vertex(i), vertex(m + i)) for i in range(1, m + 1))]
-    return make_graph(vs, es)
+    return make_graph(es)
 
 
 def build_flower(m: int) -> Graph:
     """Helm plus edges from the hub u0 to every pendant vertex u_{m+i}."""
     helm = build_helm(m)
     es = [*map(edge_ends, helm.edges), *((vertex(0), vertex(m + i)) for i in range(1, m + 1))]
-    return make_graph(helm.vertices, es)
+    return make_graph(es)
 
 
 # family -> (builder, a, b): the factor has a*m + 1 vertices and b*m edges
@@ -326,10 +311,12 @@ def _read_edge_list(text: str) -> tuple[Graph, dict[int, int]]:
 
     Its lines are ``text.splitlines()``, numbered from 1 in errors, but
     split a slice at a time (:func:`_slices`), so no list holds them all.
-    A label of ASCII digits without a leading zero is read by ``int``;
-    every other spelling, 0 and negative labels included, goes to
-    :func:`parse_int`.  Either way a label is read after its line's edge
-    is checked, so each error names what it always has.
+    A label of ASCII digits without a leading zero is read by ``int``,
+    which refuses one too long to convert with the error
+    :func:`parse_int` would raise; every other spelling, 0 and negative
+    labels included, goes to :func:`parse_int`.  Either way a label is
+    read after its line's edge is checked, so each error names what it
+    always has.
     """
     lines = enumerate(chain.from_iterable(map(str.splitlines, _slices(text))), 1)
     for k, header in lines:
@@ -361,13 +348,10 @@ def _read_edge_list(text: str) -> tuple[Graph, dict[int, int]]:
             if e in labels:
                 raise GraphError(f"edge {edge_name(e)} is listed twice")
             label = parts[2]
-            value = None
             if label.isdigit() and label.isascii() and label[0] != "0":
-                try:
-                    value = int(label)
-                except ValueError:  # longer than int() reads; parse_int says so
-                    pass
-            labels[e] = parse_int(label) if value is None else value
+                labels[e] = int(label)
+            else:
+                labels[e] = parse_int(label)
     except ValueError as exc:
         raise GraphError(f"line {k}: {exc}") from None
     # every edge went through the loop and repeat checks, and the vertex

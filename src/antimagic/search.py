@@ -2,7 +2,8 @@
 
 Two strategies: exhaustive enumeration of label permutations in
 lexicographic order with pruning on finished vertex sums (complete, so a
-negative answer is definitive), and a steepest-descent swap search from
+negative answer is definitive; a loop over edge positions, so no
+recursion limit bounds its depth), and a steepest-descent swap search from
 the identity labeling (incomplete, so a miss is only 'not found').  Each
 descent iteration takes the best of the q(q-1)/2 label swaps, but scores
 a swap, in O(1), only if a lower bound on its result can beat the best
@@ -101,46 +102,42 @@ def _exhaustive(g: Graph, config: SearchConfig, stats: SearchStats) -> EdgeLabel
     sums = [0] * g.p
     finished: set[int] = set()
     used = [False] * (q + 1)
-    assignment = [0] * q
-
-    def place(pos: int) -> bool:
-        if pos == q:
-            return True
+    assignment = [0] * q  # the label tried at each position, 0 before the first
+    closed: list[list[int]] = [[] for _ in range(q)]  # the vertices that label finished
+    pos = 0
+    while pos >= 0:
         ia, ib = ends[pos]
-        for label in range(1, q + 1):
-            if used[label]:
-                continue
-            stats.nodes += 1
-            used[label] = True
-            assignment[pos] = label
-            sums[ia] += label
-            sums[ib] += label
-            remaining[ia] -= 1
-            remaining[ib] -= 1
-            closed = []
-            ok = True
-            for iv in (ia, ib):
-                if remaining[iv] == 0:
-                    if sums[iv] in finished:
-                        ok = False
-                        break
-                    finished.add(sums[iv])
-                    closed.append(iv)
-            if ok and place(pos + 1):
-                return True
-            if not ok:
-                stats.prunes += 1
-            for iv in closed:
+        label = assignment[pos]
+        if label:  # take back the label tried here last
+            for iv in closed[pos]:
                 finished.discard(sums[iv])
             remaining[ia] += 1
             remaining[ib] += 1
             sums[ia] -= label
             sums[ib] -= label
             used[label] = False
-        return False
-
-    if place(0):
-        return _checked(g, dict(zip(g.edges, assignment)))
+        label = assignment[pos] = next((k for k in range(label + 1, q + 1) if not used[k]), 0)
+        if not label:  # every label tried here: back to the position before
+            pos -= 1
+            continue
+        stats.nodes += 1
+        used[label] = True
+        sums[ia] += label
+        sums[ib] += label
+        remaining[ia] -= 1
+        remaining[ib] -= 1
+        done = closed[pos] = []
+        for iv in (ia, ib):
+            if remaining[iv] == 0:
+                if sums[iv] in finished:
+                    stats.prunes += 1
+                    break
+                finished.add(sums[iv])
+                done.append(iv)
+        else:
+            if pos + 1 == q:
+                return _checked(g, dict(zip(g.edges, assignment)))
+            pos += 1
     return None
 
 

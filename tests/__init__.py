@@ -27,7 +27,7 @@ def covered_sums(oracle) -> dict:
 def build_path(m: int) -> Graph:
     """The path u1..um; m >= 2, since a lone vertex lies on no edge."""
     vs = [vertex(i) for i in range(1, m + 1)]
-    return make_graph(vs, zip(vs, vs[1:]))
+    return make_graph(zip(vs, vs[1:]))
 
 
 def incident(g: Graph) -> dict[int, list[int]]:

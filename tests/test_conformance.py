@@ -8,10 +8,10 @@ import pytest
 
 from antimagic import cli, flower, helm, wheel
 from antimagic import formula as F
-from antimagic.conformance import ROWS, to_jsonl
+from antimagic.conformance import ROWS, OracleSums, SchemeLabels, build_report, to_jsonl
 from antimagic.families import FAMILIES
 from antimagic.formula import Variant
-from antimagic.graphs import edge, vertex, product_graph
+from antimagic.graphs import edge, edge_name, vertex, product_graph
 
 from . import ROOT, src_env
 
@@ -61,17 +61,23 @@ def test_edge_class_sizes(family, m, n):
     assert set(edges) == set(g.edges)
 
 
-@pytest.mark.parametrize("family, twice, first, repeated", [
-    ("wheel", "rim_vj", "rim_jv", "w1_1-w2_0"),
-    ("helm", "pend_out", "pend_in", "w1_1-w6_0"),
+@pytest.mark.parametrize("family, n, variant, twice, first, repeated", [
+    pytest.param("wheel", 2, Variant.ERRATA, "rim_vj", "rim_jv", "w1_1-w2_0",
+                 id="wheel-rim_vj-rim_jv-w1_1-w2_0"),
+    pytest.param("helm", 2, Variant.ERRATA, "pend_out", "pend_in", "w1_1-w6_0",
+                 id="helm-pend_out-pend_in-w1_1-w6_0"),
+    # every rim_vj cell of the as-printed n=1 scheme raises a coverage error
+    pytest.param("flower", 1, Variant.AS_PRINTED, "rim_vj", "hub", "w0_0-w1_1",
+                 id="flower-n1-as-printed-rim_vj-hub-w0_0-w1_1"),
 ])
-def test_a_key_produced_twice_is_refused(monkeypatch, family, twice, first, repeated):
+def test_a_key_produced_twice_is_refused(monkeypatch, family, n, variant, twice, first, repeated):
     # a row table that maps two rows onto one edge is a bug in the table,
-    # not a labeling; the evaluator names the first repeated edge
+    # not a labeling, even where the cells fail; the evaluator names the
+    # first repeated edge
     monkeypatch.setitem(ROWS, twice, ROWS[first])
     labels = getattr(MODULES[family], f"{family}_labels")
     with pytest.raises(RuntimeError, match=f"^edge {repeated} produced twice by the cell map$"):
-        labels(5, 2)
+        labels(5, n, variant)
 
 
 def test_row_cells_reach_every_prefix_and_row_shape():
@@ -84,6 +90,52 @@ def test_row_cells_reach_every_prefix_and_row_shape():
     assert used_prefixes == printed
     assert used_names == set(ROWS)
     assert set(EDGE_CLASS) == {name for name in ROWS if not name.startswith("sum_")}
+
+
+def _wheel_3_1_report(labels: dict | None = None, sums: dict | None = None):
+    """The errata report at wheel 3x1, with the labels or the oracle's sums replaced."""
+    labeled, expected = wheel.wheel_labels(3, 1), wheel.wheel_expected(3, 1)
+    return build_report(
+        wheel._scheme(3, 1), 3, 1, Variant.ERRATA, product_graph("wheel", 3, 1),
+        SchemeLabels(labeled.labels if labels is None else labels, [], labeled.branch_hits),
+        OracleSums(expected.sums if sums is None else sums, [], expected.branch_hits),
+    )
+
+
+def test_report_passes_exactly_when_it_names_no_violation():
+    # the sweep, the CLI verbs and the benchmark reach none of the clauses
+    # below; the wheel 3x1 errata scheme itself passes
+    good = _wheel_3_1_report()
+    assert good.passed and good.first_violation is None
+    g, labels = product_graph("wheel", 3, 1), wheel.wheel_labels(3, 1).labels
+
+    # label q moved to q + 1: a label out of range always leaves one of
+    # 1..q missing, and the verdict names the missing one
+    top = max(labels, key=labels.get)
+    report = _wheel_3_1_report({**labels, top: g.q + 1})
+    assert report.verification.out_of_range_labels == [(g.q + 1, edge_name(top))]
+    assert (report.passed, report.first_violation) == (False, f"missing label {g.q}")
+
+    # a permutation of 1..q on the edges plus a label on a non-edge
+    stray = edge(vertex(1, 1), vertex(2, 1))
+    report = _wheel_3_1_report({**labels, stray: 1})
+    assert report.verification.unknown_edges == ["w1_1-w2_1"]
+    assert (report.passed, report.first_violation) == (False, "labeling is not a bijection")
+
+    # a bijection whose sums collide: the identity with labels 1 and 5 swapped
+    colliding = dict(zip(g.edges, [5, 2, 3, 4, 1, *range(6, g.q + 1)]))
+    report = _wheel_3_1_report(colliding)
+    assert report.verification.bijective
+    assert (report.passed, report.first_violation) == (
+        False, "vertex sum collision: w2_0 and w2_1 both sum to 21")
+
+    # an oracle, neither partial nor failing, that leaves out one vertex
+    sums = dict(wheel.wheel_expected(3, 1).sums)
+    del sums[vertex(3, 1)]
+    report = _wheel_3_1_report(sums=sums)
+    assert report.verification.antimagic and report.sum_mismatches == []
+    assert (report.passed, report.first_violation) == (
+        False, "oracle does not cover the whole vertex set")
 
 
 SWEEP_DIGESTS = {

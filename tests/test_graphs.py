@@ -247,7 +247,7 @@ def test_edge_list_text_of_mixed_vertices():
     # w2_0 precedes w10_0: the order is by index, not by name
     es = [(vertex(10, 0), vertex(2)), (vertex(2, 0), vertex(10, 0)),
           (vertex(1, 0), vertex(1)), (vertex(2), vertex(1, 0))]
-    g = make_graph({v for e in es for v in e}, es)
+    g = make_graph(es)
     assert write_edge_list(g) == "5 4\nu1 w1_0\nw1_0 u2\nu2 w10_0\nw2_0 w10_0\n"
 
 
@@ -259,17 +259,14 @@ _MIXED_VERTICES = _INDICES.map(vertex) | st.builds(vertex, _INDICES, _INDICES)
                      max_size=15, unique_by=frozenset))
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_edge_list_round_trips_mixed_vertices(ends):
-    g = make_graph({v for e in ends for v in e}, ends)
+    g = make_graph(ends)
     text = write_edge_list(g, list(range(1, g.q + 1)))
     back, labeling = parse_labeled_edge_list(text)
     assert back == g
     assert labeling.to_text(back) == text
 
 
-def test_graph_with_an_isolated_vertex_is_refused():
-    # its edge-list text could not name the vertex, so it would not read back
-    with pytest.raises(GraphError, match="^vertex u3 lies on no edge$"):
-        make_graph([vertex(1), vertex(2), vertex(3)], [(vertex(1), vertex(2))])
+def test_cycle_of_two_vertices_is_refused():
     with pytest.raises(GraphError, match="m must be an integer >= 3"):
         build_cycle(2)
 
@@ -299,6 +296,14 @@ def test_labeled_reader_rejects_other_spellings_of_a_label(text):
     # spelling to parse_int, so each is still an error on its own line
     with pytest.raises(GraphError, match=r"^line 2: bad integer "):
         parse_labeled_edge_list(f"3 2\nu0 u1 {text}\nu1 u2 1\n")
+
+
+def test_verify_refuses_a_label_too_long_to_convert(tmp_path, capsys):
+    # int() refuses it as parse_int would, and the error names its line
+    path = tmp_path / "long.txt"
+    path.write_text(f"2 1\nu0 u1 {'9' * 5000}\n")
+    assert main(["verify", "--in", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: Exceeds the limit (4300 digits)")
 
 
 def test_labeled_reader_names_a_repeated_edge_in_canonical_order():
@@ -373,7 +378,7 @@ def test_reader_numbers_lines_across_slices(size):
 @pytest.mark.parametrize("labeled", [False, True])
 @pytest.mark.parametrize("q", range(8))
 def test_writer_joins_chunks_like_one_join(chunk, labeled, q, monkeypatch):
-    g = make_graph([], []) if q == 0 else build_path(q + 1)
+    g = make_graph([]) if q == 0 else build_path(q + 1)
     labels = list(range(q, 0, -1)) if labeled else None
     lines = [" ".join(map(vertex_name, edge_ends(e))) for e in g.edges]
     if labeled:

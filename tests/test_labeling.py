@@ -260,7 +260,7 @@ _SMALL_EDGE_SETS = st.lists(
 def test_labeled_edge_list_round_trips_any_integer_labels(pairs, data):
     # labels 0 and negatives must survive the text boundary: the verifier
     # reports them as out-of-range evidence, so the reader may not drop them
-    g = make_graph({v for e in pairs for v in e}, pairs)
+    g = make_graph(pairs)
     labels = data.draw(st.lists(st.integers(-10**20, 10**20) | st.integers(-3, 3),
                                 min_size=g.q, max_size=g.q))
     lab = EdgeLabeling(dict(zip(g.edges, labels)))
@@ -375,7 +375,7 @@ def test_verifier_equals_naive_reference(cell, mutation, data):
 
 
 def test_verifier_reports_on_a_graph_without_edges():
-    g = make_graph([], [])
+    g = make_graph([])
     report = verify_antimagic(g, EdgeLabeling({}))
     assert report.antimagic and report.q == 0
     assert report.to_json_dict() == _naive_report(g, EdgeLabeling({}))
@@ -393,5 +393,5 @@ def test_reader_sorts_shuffled_lines_like_make_graph(pairs, data):
     vertices = {v for e in pairs for v in e}
     text = "\n".join([f"{len(vertices)} {len(pairs)}", *lines]) + "\n"
     g, labeling = parse_labeled_edge_list(text)
-    assert g == make_graph(vertices, pairs)
+    assert g == make_graph(pairs)
     assert labeling.labels == {edge(a, b): lab for (a, b), lab in zip(pairs, labels)}

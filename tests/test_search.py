@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from antimagic.cli import main
 from antimagic.families import cross_validate
 from antimagic.graphs import (
     build_cycle,
@@ -103,8 +104,7 @@ def test_determinism_same_config_same_everything():
 
 
 def _graph_from_edge_set(pairs):
-    vertices = {vertex(a) for a, b in pairs} | {vertex(b) for a, b in pairs}
-    return make_graph(vertices, [(vertex(a), vertex(b)) for a, b in pairs])
+    return make_graph((vertex(a), vertex(b)) for a, b in pairs)
 
 
 @given(data=st.data())
@@ -126,6 +126,20 @@ def test_exhaustive_order_is_lexicographic_first():
     result = search_antimagic(g)
     # first permutation (1, 2) on canonically ordered edges already works
     assert [result.labeling.labels[e] for e in g.edges] == [1, 2]
+
+
+def test_exhaustive_search_is_not_bounded_by_the_recursion_limit(capsys):
+    # one position per edge: q = 1,200 positions, more than the default
+    # recursion limit of 1,000 frames
+    g = product_graph("wheel", 3, 100)
+    result = search_antimagic(g, SearchConfig(max_exhaustive_edges=g.q))
+    assert result.status is Status.FOUND
+    assert verify_antimagic(g, result.labeling).antimagic
+    assert (result.stats.nodes, result.stats.prunes) == (1237, 37)
+    args = ["search", "--family", "wheel", "--m", "3", "--n", "100",
+            "--max-exhaustive-edges", "1200"]
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "found"
 
 
 @pytest.mark.parametrize("family", ["wheel", "helm", "flower"])
