@@ -8,7 +8,8 @@ writes them; any other spelling is a usage error.  All output is
 exact-integer text or JSON with a fixed field order, so identical
 invocations produce byte-identical files, except ``search``, whose JSON
 carries the measured ``stats.wall_time_ms``.
-``label`` and ``export`` import the one formula table of the family
+``label`` and ``export`` import, through
+:func:`conformance.scheme_labeling`, the one formula table of the family
 they name, and ``grid-report`` imports :mod:`.families`, and with it all
 three; the other verbs never load one.
 """
@@ -16,11 +17,10 @@ three; the other verbs never load one.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import sys
 
-from .conformance import FormulaCoverageError, to_jsonl
+from .conformance import FormulaCoverageError, scheme_labeling, to_jsonl
 from .formula import Variant
 from .graphs import (
     CapacityError,
@@ -129,19 +129,9 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _scheme_labeling(args):
-    """The scheme labeling of the family, m, n and variant that ``args`` name.
-
-    Only that family's module is imported, not the other formula tables.
-    """
-    module = importlib.import_module(f".{args.family}", __package__)
-    label = getattr(module, f"label_{args.family}_product")
-    return label(args.m, args.n, Variant(args.variant))
-
-
 def _cmd_label(args) -> int:
     g = product_graph(args.family, args.m, args.n)
-    labeling = _scheme_labeling(args)
+    labeling = scheme_labeling(args.family, args.m, args.n, Variant(args.variant))
     _write(args.out, labeling.to_text(g))
     return EXIT_OK
 
@@ -209,7 +199,7 @@ def _dot_lines(g, labeling, sums):
 
 def _cmd_export(args) -> int:
     g = product_graph(args.family, args.m, args.n)
-    labeling = _scheme_labeling(args)
+    labeling = scheme_labeling(args.family, args.m, args.n, Variant(args.variant))
     sums = vertex_sums(g, labeling)
     _write(args.out, join_lines(_dot_lines(g, labeling, sums)))
     return EXIT_OK

@@ -5,7 +5,8 @@ the last component of a formula id: the rows i a formula is evaluated on,
 the j of each row, and the edge a row labels, or the vertex whose sum it
 gives, at each j.  A family module gives a :class:`Scheme` for each cell
 (m, n): its formula-id prefix, the names of its rows and its report
-policy; one evaluator runs them.
+policy; one evaluator runs them, and :func:`scheme_labeling` reaches a
+family's total labeling by the family's name.
 
 A conformance report is the deliverable for one (family, m, n, variant)
 cell: bijectivity and sum-distinctness verdicts from the independent
@@ -16,6 +17,7 @@ fields are canonically ordered so reports are byte-stable.
 
 from __future__ import annotations
 
+import importlib
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -32,18 +34,16 @@ class Scheme:
     """What differs between the families at one cell (m, n).
 
     Row ``name`` evaluates formula ``prefix.name``; edge and vertex rows
-    run in the order given.  ``notes`` go into every report of the cell,
-    ``oracle_partial`` marks an oracle that prints only part of the
-    vertex set, and ``printed_sums`` is the set the sums at the oracle's
-    vertices must be exactly, where the source prints one (both are the
-    flower n=1 case).
+    run in the order given.  ``notes`` go into every report of the cell.
+    ``printed_sums`` is the set the sums at the oracle's vertices must be
+    exactly, where the source prints one (the flower n=1 case); such an
+    oracle covers only those vertices.
     """
 
     prefix: str
     edges: tuple[str, ...]
     vertices: tuple[str, ...]
     notes: tuple[str, ...] = ()
-    oracle_partial: bool = False
     printed_sums: range | None = None
 
     @property
@@ -154,6 +154,7 @@ def _evaluate(prefix: str, names: tuple[str, ...], m: int, n: int, variant: Vari
     """
     values: dict = {}
     coverage: list[str] = []
+    failed_keys = []
     resolver = F.Resolver(variant)
     for name in names:
         fid = f"{prefix}.{name}"
@@ -179,7 +180,10 @@ def _evaluate(prefix: str, names: tuple[str, ...], m: int, n: int, variant: Vari
                 raise RuntimeError(f"{kind} {name_of(repeated)} produced twice by the cell map")
             for j, exc in failed:  # its value is None: the cell keeps only its message
                 coverage.append(_coverage_message(fid, m, n, i, j, exc))
-                del values[keys[j - start]]
+                failed_keys.append(keys[j - start])
+    # only now, so a later row that repeats a failed cell's key is refused too
+    for key in failed_keys:
+        del values[key]
     return values, coverage, resolver.hits
 
 
@@ -201,7 +205,13 @@ class FormulaCoverageError(Exception):
     """A labeling request hit piecewise coverage violations."""
 
 
-def require_total(result: SchemeLabels) -> EdgeLabeling:
+def scheme_labeling(family: str, m: int, n: int, variant: Variant = Variant.ERRATA) -> EdgeLabeling:
+    """The total labeling of the named family's scheme at (m, n); coverage gaps raise.
+
+    Only that family's formula table is imported, not the other two.
+    """
+    module = importlib.import_module(f".{family}", __package__)
+    result = getattr(module, f"{family}_labels")(m, n, variant)
     if result.coverage:
         raise FormulaCoverageError("; ".join(result.coverage))
     return EdgeLabeling(result.labels)
@@ -271,10 +281,9 @@ def build_report(
 
     The verdict is the first violation the checks find, in a fixed order,
     and a report passes exactly when there is none.  When
-    ``scheme.oracle_partial`` is set, vertices the oracle skips are not
-    counted against the comparison.  ``scheme.printed_sums`` is checked
-    only on a cell whose labeling is antimagic and agrees with a complete
-    oracle.
+    ``scheme.printed_sums`` is set, vertices the oracle skips are not
+    counted against the comparison, and the printed set is checked only
+    on a cell whose labeling is antimagic and agrees with the oracle.
     """
     q = graph.q
     hits: Counter = Counter()
@@ -323,7 +332,7 @@ def build_report(
             f"sum mismatch at {mm['vertex']}: computed {mm['computed']}, "
             f"expected {mm['expected']}"
         )
-    elif not scheme.oracle_partial and len(oracle.sums) != graph.p:
+    elif scheme.printed_sums is None and len(oracle.sums) != graph.p:
         first = "oracle does not cover the whole vertex set"
     elif scheme.printed_sums is not None and (
         {verification.sums[v] for v in oracle.sums} != set(scheme.printed_sums)

@@ -1,27 +1,20 @@
-"""The wheel, helm and flower schemes by family name, for callers given the name as text;
-the cross-check of each scheme against the searcher, as the record the sweep writes; and
-the erratum ledger of all three."""
+"""What needs all three schemes: the conformance records of a grid of cells, the
+cross-check of each scheme against the searcher, as the record the sweep writes, and the
+erratum ledger of all three."""
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
-
 from . import flower, graphs, helm, wheel
-from .conformance import FormulaCoverageError
+from .conformance import FormulaCoverageError, scheme_labeling
 from .formula import _PATCHES, Patch, Variant
 from .labeling import verify_antimagic
 from .search import SearchConfig, Strategy, search_antimagic
 
-
-class Family(NamedTuple):
-    label: Callable  # (m, n, variant) -> EdgeLabeling; coverage gaps raise
-    conformance: Callable  # (m, n) -> one ConformanceReport per variant
-
-
-FAMILIES = {
-    "wheel": Family(wheel.label_wheel_product, wheel.wheel_conformance),
-    "helm": Family(helm.label_helm_product, helm.helm_conformance),
-    "flower": Family(flower.label_flower_product, flower.flower_conformance),
+# family -> (m, n) -> one ConformanceReport per variant
+CONFORMANCE = {
+    "wheel": wheel.wheel_conformance,
+    "helm": helm.helm_conformance,
+    "flower": flower.flower_conformance,
 }
 
 # The searcher that :func:`cross_validate` runs beside each scheme.
@@ -34,7 +27,7 @@ def grid_records(family: str, ms: range, ns: range) -> list[dict]:
     A grid whose products have more than ``MAX_EDGES`` edges in all raises
     :class:`CapacityError` before any cell is built.
     """
-    conformance = FAMILIES[family].conformance
+    conformance = CONFORMANCE[family]
     if ms and ns:  # an index out of range is a usage error first, as for one product
         graphs.check_mn(ms[0], ns[0])
         graphs.check_mn(ms[-1], ns[-1])
@@ -57,7 +50,7 @@ def cross_validate(m: int, n: int, family: str) -> dict:
     """
     g = graphs.product_graph(family, m, n)
     try:
-        labeling = FAMILIES[family].label(m, n, Variant.ERRATA)
+        labeling = scheme_labeling(family, m, n, Variant.ERRATA)
     except FormulaCoverageError:
         scheme_ok = False
     else:

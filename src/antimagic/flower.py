@@ -18,13 +18,11 @@ from .conformance import (
     build_report,
     evaluate_edge_families,
     evaluate_vertex_families,
-    require_total,
 )
 from .formula import ALWAYS, Variant, VARIANTS, br, even, odd, ref_value
 from .formula import cl4 as _cl4, fl4 as _fl4
 from .graphs import check_mn, product_graph
 from .helm import helm_case_class
-from .labeling import EdgeLabeling
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +680,7 @@ def _scheme(m: int, n: int) -> Scheme:
         edges = ("hub", "hub_outer", "rim_jv", "rim_close_A", "rim_close_B", "rim_vj", "pend_jv",
                  "pend_vj", "spoke_outer", "spoke")
         return Scheme("flower.n1", edges, ("sum_outer_leaf", "sum_outer_hub"),
-                      oracle_partial=True, printed_sums=range(2 * m + 2, 6 * m + 1, 2))
+                      printed_sums=range(2 * m + 2, 6 * m + 1, 2))
     prefix = f"flower.{'modd' if odd(m) else 'meven'}.{helm_case_class(m, n).value}"
     edges = ("hub", "hub_outer", "pend_in", "pend_out", "rim_vj", "rim_jv", "rim_close_A",
              "rim_close_B", "spoke", "spoke_outer")
@@ -693,11 +691,6 @@ def _scheme(m: int, n: int) -> Scheme:
 
 def flower_labels(m: int, n: int, variant: Variant = Variant.ERRATA):
     return evaluate_edge_families(_scheme(m, n), m, n, variant)
-
-
-def label_flower_product(m: int, n: int, variant: Variant = Variant.ERRATA) -> EdgeLabeling:
-    """Total labeling of the 8mn product edges; n=1 routes to its own scheme."""
-    return require_total(flower_labels(m, n, variant))
 
 
 def flower_expected(m: int, n: int, variant: Variant = Variant.ERRATA):

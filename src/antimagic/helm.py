@@ -20,12 +20,10 @@ from .conformance import (
     build_report,
     evaluate_edge_families,
     evaluate_vertex_families,
-    require_total,
 )
 from .formula import ALWAYS, Variant, VARIANTS, br, ceil_div, even, odd, ref_value
 from .formula import cl4 as _cl4, fl4 as _fl4
 from .graphs import check_mn, product_graph
-from .labeling import EdgeLabeling
 
 
 class CaseClass(Enum):
@@ -787,11 +785,6 @@ def _scheme(m: int, n: int) -> Scheme:
 
 def helm_labels(m: int, n: int, variant: Variant = Variant.ERRATA):
     return evaluate_edge_families(_scheme(m, n), m, n, variant)
-
-
-def label_helm_product(m: int, n: int, variant: Variant = Variant.ERRATA) -> EdgeLabeling:
-    """Total labeling of the 6mn product edges; n=1 routes to its own scheme."""
-    return require_total(helm_labels(m, n, variant))
 
 
 def helm_expected(m: int, n: int, variant: Variant = Variant.ERRATA):

@@ -16,12 +16,10 @@ from .conformance import (
     build_report,
     evaluate_edge_families,
     evaluate_vertex_families,
-    require_total,
 )
 from .formula import ALWAYS, Variant, VARIANTS, br, even, odd
 from .formula import cl4 as _cl4, fl4 as _fl4
 from .graphs import check_mn, product_graph
-from .labeling import EdgeLabeling
 
 # ---------------------------------------------------------------------------
 # m odd
@@ -283,11 +281,6 @@ def _scheme(m: int, n: int) -> Scheme:
 def wheel_labels(m: int, n: int, variant: Variant = Variant.ERRATA):
     """Evaluate the scheme over all cells, keeping coverage problems as data."""
     return evaluate_edge_families(_scheme(m, n), m, n, variant)
-
-
-def label_wheel_product(m: int, n: int, variant: Variant = Variant.ERRATA) -> EdgeLabeling:
-    """Total labeling of the 4mn product edges; coverage gaps raise."""
-    return require_total(wheel_labels(m, n, variant))
 
 
 def wheel_expected(m: int, n: int, variant: Variant = Variant.ERRATA):

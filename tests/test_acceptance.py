@@ -10,7 +10,8 @@ import time
 
 import pytest
 
-from antimagic.flower import flower_conformance, label_flower_product
+from antimagic.conformance import scheme_labeling
+from antimagic.flower import flower_conformance
 from antimagic.formula import Variant
 from antimagic.graphs import (
     build_cycle,
@@ -21,10 +22,10 @@ from antimagic.graphs import (
     vertex,
     vertex_name,
 )
-from antimagic.helm import helm_conformance, label_helm_product
+from antimagic.helm import helm_conformance
 from antimagic.labeling import EdgeLabeling, verify_antimagic, vertex_sums
 from antimagic.search import Status, search_antimagic
-from antimagic.wheel import label_wheel_product, wheel_conformance, wheel_expected
+from antimagic.wheel import wheel_conformance, wheel_expected
 
 from tests import build_path, covered_sums, pairs
 from tests.test_search import naive_has_antimagic
@@ -69,7 +70,7 @@ def test_criterion_3_wheel_errata_grid():
     for m in [3, 5, 7, 9, 4, 6, 8, 10]:
         for n in range(1, 6):
             g = product_graph("wheel", m, n)
-            labeling = label_wheel_product(m, n, Variant.ERRATA)
+            labeling = scheme_labeling("wheel", m, n, Variant.ERRATA)
             report = verify_antimagic(g, labeling)
             assert report.bijective, f"({m},{n}): {report.missing_labels}"
             assert report.antimagic, f"({m},{n}): {report.colliding_pairs[:3]}"
@@ -97,7 +98,6 @@ def test_criterion_4_wheel_as_printed_detection():
 
 
 def test_criterion_5_helm_flower_n1():
-    labelers = {"helm": label_helm_product, "flower": label_flower_product}
     conformance = {"helm": helm_conformance, "flower": flower_conformance}
     verified = []
     for family in ("helm", "flower"):
@@ -124,7 +124,7 @@ def test_criterion_5_helm_flower_n1():
     mutations = 0
     for family, m in [("helm", 3), ("helm", 6), ("flower", 4), ("flower", 7)]:
         g = product_graph(family, m, 1)
-        labeling = labelers[family](m, 1)
+        labeling = scheme_labeling(family, m, 1)
         assert verify_antimagic(g, labeling).antimagic
         donor = g.edges[0]
         for e in g.edges:

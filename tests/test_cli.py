@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 
 from antimagic import families, graphs
 from antimagic.cli import main
+from antimagic.conformance import FormulaCoverageError, scheme_labeling
+from antimagic.flower import flower_labels
+from antimagic.formula import Variant
 from antimagic.labeling import EdgeLabeling, parse_labeled_edge_list
 
 from . import src_env
@@ -56,11 +59,10 @@ def test_round_trip_construct_label_verify(tmp_path):
     assert payload["antimagic"] is True
     # and the verdict equals in-process verification
     from antimagic.graphs import product_graph
-    from antimagic.helm import label_helm_product
     from antimagic.labeling import verify_antimagic
 
     g = product_graph("helm", 4, 2)
-    assert verify_antimagic(g, label_helm_product(4, 2)).antimagic is True
+    assert verify_antimagic(g, scheme_labeling("helm", 4, 2)).antimagic is True
 
 
 def test_verify_failure_exit_code(tmp_path):
@@ -186,7 +188,7 @@ def test_label_and_export_load_only_their_family_table(tmp_path):
 
 def test_family_choices_are_the_scheme_families():
     # --family is offered from the graph builders, the schemes are looked up by name
-    assert sorted(graphs._FAMILY_BUILDERS) == sorted(families.FAMILIES)
+    assert sorted(graphs._FAMILY_BUILDERS) == sorted(families.CONFORMANCE)
 
 
 @pytest.mark.parametrize("verb", ["construct", "label", "export", "search", "grid-report"])
@@ -208,8 +210,7 @@ def test_oversized_grid_exits_3_before_any_cell(monkeypatch, capsys):
     def conformance(*args):
         raise AssertionError("a cell was built")
 
-    flower = families.FAMILIES["flower"]
-    monkeypatch.setitem(families.FAMILIES, "flower", flower._replace(conformance=conformance))
+    monkeypatch.setitem(families.CONFORMANCE, "flower", conformance)
     args = ["grid-report", "--family", "flower", "--n", "1..10000"]
     assert main(args + ["--m", "3..10000"]) == 3
     out, err = capsys.readouterr()
@@ -245,6 +246,17 @@ def test_label_coverage_exit_code(tmp_path):
     proc = run_cli(["label", "--family", "flower", "--m", "3", "--n", "1",
                     "--variant", "as-printed"])
     assert proc.returncode == 3
+
+
+def test_scheme_labeling_names_every_coverage_gap(capsys):
+    gaps = "; ".join(flower_labels(3, 1, Variant.AS_PRINTED).coverage)
+    assert gaps
+    with pytest.raises(FormulaCoverageError) as exc:
+        scheme_labeling("flower", 3, 1, Variant.AS_PRINTED)
+    assert str(exc.value) == gaps
+    assert main(["label", "--family", "flower", "--m", "3", "--n", "1",
+                 "--variant", "as-printed"]) == 3
+    assert capsys.readouterr() == ("", f"error: {gaps}\n")
 
 
 def test_verify_reads_stdin():

@@ -8,8 +8,15 @@ import pytest
 
 from antimagic import cli, flower, helm, wheel
 from antimagic import formula as F
-from antimagic.conformance import ROWS, OracleSums, SchemeLabels, build_report, to_jsonl
-from antimagic.families import FAMILIES
+from antimagic.conformance import (
+    ROWS,
+    OracleSums,
+    SchemeLabels,
+    build_report,
+    scheme_labeling,
+    to_jsonl,
+)
+from antimagic.families import CONFORMANCE
 from antimagic.formula import Variant
 from antimagic.graphs import edge, edge_name, vertex, product_graph
 
@@ -69,6 +76,9 @@ def test_edge_class_sizes(family, m, n):
     # every rim_vj cell of the as-printed n=1 scheme raises a coverage error
     pytest.param("flower", 1, Variant.AS_PRINTED, "rim_vj", "hub", "w0_0-w1_1",
                  id="flower-n1-as-printed-rim_vj-hub-w0_0-w1_1"),
+    # the rim_jv cells all fail too, yet rim_close_A repeating one is refused
+    pytest.param("flower", 1, Variant.AS_PRINTED, "rim_close_A", "rim_jv", "w1_1-w2_0",
+                 id="flower-n1-as-printed-rim_close_A-rim_jv-w1_1-w2_0"),
 ])
 def test_a_key_produced_twice_is_refused(monkeypatch, family, n, variant, twice, first, repeated):
     # a row table that maps two rows onto one edge is a bug in the table,
@@ -168,7 +178,7 @@ LARGE_CELL_VERIFY_DIGESTS = {
 @pytest.mark.parametrize("family", ["wheel", "helm", "flower"])
 def test_large_cell_labels_are_pinned(family, tmp_path):
     g = product_graph(family, 100, 100)
-    text = FAMILIES[family].label(100, 100, Variant.ERRATA).to_text(g)
+    text = scheme_labeling(family, 100, 100, Variant.ERRATA).to_text(g)
     assert hashlib.sha256(text.encode()).hexdigest() == LARGE_CELL_LABEL_DIGESTS[family]
     # the text read back and verified as `antimagic verify` does it
     labeled, report = tmp_path / "label.txt", tmp_path / "verify.json"
@@ -207,7 +217,7 @@ LARGE_STAR_DIGESTS = {
 @pytest.mark.parametrize("family", sorted(LARGE_STAR_DIGESTS))
 def test_large_star_reports_are_pinned(family):
     cells = [(m, n) for m in range(3, 11) for n in range(m + 1, m + 6) if n % 2 == 1]
-    records = [r.to_json_dict() for m, n in cells for r in FAMILIES[family].conformance(m, n)]
+    records = [r.to_json_dict() for m, n in cells for r in CONFORMANCE[family](m, n)]
     failing = [(r["m"], r["n"]) for r in records if r["variant"] == "errata" and not r["passed"]]
     # errata fails exactly the even-m flower cells: README's definitive FAIL
     assert failing == [(m, n) for m, n in cells if family == "flower" and m % 2 == 0]

@@ -5,12 +5,11 @@ import dataclasses
 import pytest
 
 from antimagic import flower, formula as F
-from antimagic.conformance import build_report
+from antimagic.conformance import build_report, scheme_labeling
 from antimagic.flower import (
     flower_conformance,
     flower_expected,
     flower_labels,
-    label_flower_product,
 )
 from antimagic.formula import Variant
 from antimagic.graphs import edge, vertex, product_graph
@@ -20,7 +19,7 @@ from . import covered_sums, incident
 
 
 def test_n1_anchor_labels():
-    lab = label_flower_product(3, 1)
+    lab = scheme_labeling("flower", 3, 1)
     assert lab.labels[edge(vertex(2, 1), vertex(5, 0))] == 4
     assert lab.labels[edge(vertex(4, 0), vertex(0, 1))] == 8
     assert lab.labels[edge(vertex(3, 1), vertex(1, 0))] == 21
@@ -29,7 +28,7 @@ def test_n1_anchor_labels():
 @pytest.mark.parametrize("m", range(3, 11))
 def test_n1_scheme_verifies(m):
     g = product_graph("flower", m, 1)
-    lab = label_flower_product(m, 1)
+    lab = scheme_labeling("flower", m, 1)
     report = verify_antimagic(g, lab)
     assert report.antimagic
     outer = {report.sums[vertex(m + i, t)] for i in range(1, m + 1) for t in (0, 1)}
@@ -63,7 +62,7 @@ def test_n1_as_printed_flags_undefined_citations():
 def test_n1_outer_vertices_have_degree_two_and_matching_sums():
     for m in (3, 4, 6):
         g = product_graph("flower", m, 1)
-        lab = label_flower_product(m, 1)
+        lab = scheme_labeling("flower", m, 1)
         sums = vertex_sums(g, lab)
         expected = covered_sums(flower_expected(m, 1))
         inc = incident(g)
@@ -75,9 +74,9 @@ def test_n1_outer_vertices_have_degree_two_and_matching_sums():
 
 
 def test_product_anchor_labels():
-    lab = label_flower_product(5, 3)
+    lab = scheme_labeling("flower", 5, 3)
     assert lab.labels[edge(vertex(0, 0), vertex(3, 1))] == 98
-    lab42 = label_flower_product(4, 2)
+    lab42 = scheme_labeling("flower", 4, 2)
     assert lab42.labels[edge(vertex(1, 2), vertex(4, 0))] == 34
 
 
@@ -94,7 +93,7 @@ def test_center_leaf_formula_vs_class_aware_oracle():
     class_aware = covered_sums(flower_expected(3, 2))[vertex(0, 1)]
     assert class_aware == 70
     g = product_graph("flower", 3, 2)
-    sums = vertex_sums(g, label_flower_product(3, 2))
+    sums = vertex_sums(g, scheme_labeling("flower", 3, 2))
     assert sums[vertex(0, 1)] == class_aware
 
 
@@ -102,7 +101,7 @@ def test_center_leaf_formula_vs_class_aware_oracle():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_errata_scheme_verifies_and_matches_oracle(m, n):
     g = product_graph("flower", m, n)
-    lab = label_flower_product(m, n)
+    lab = scheme_labeling("flower", m, n)
     report = verify_antimagic(g, lab)
     assert report.antimagic, report.to_json()
     expected = covered_sums(flower_expected(m, n))
@@ -113,7 +112,7 @@ def test_errata_scheme_verifies_and_matches_oracle(m, n):
 
 def test_outer_vertices_degree_two_in_product():
     g = product_graph("flower", 4, 2)
-    lab = label_flower_product(4, 2)
+    lab = scheme_labeling("flower", 4, 2)
     sums = vertex_sums(g, lab)
     inc = incident(g)
     for i in range(1, 5):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from antimagic.conformance import scheme_labeling
 from antimagic.formula import Variant
 from antimagic.graphs import edge, vertex, product_graph
 from antimagic.helm import (
@@ -10,7 +11,6 @@ from antimagic.helm import (
     helm_conformance,
     helm_expected,
     helm_labels,
-    label_helm_product,
 )
 from antimagic.labeling import EdgeLabeling, verify_antimagic, vertex_sums
 
@@ -32,14 +32,14 @@ def test_exactly_one_class_per_cell():
 
 
 def test_n1_anchor_labels():
-    lab3 = label_helm_product(3, 1)
+    lab3 = scheme_labeling("helm", 3, 1)
     assert lab3.labels[edge(vertex(1, 1), vertex(4, 0))] == 1
-    lab4 = label_helm_product(4, 1)
+    lab4 = scheme_labeling("helm", 4, 1)
     assert lab4.labels[edge(vertex(1, 0), vertex(5, 1))] == 6
 
 
 def test_n1_label_sum_identity():
-    lab = label_helm_product(3, 1)
+    lab = scheme_labeling("helm", 3, 1)
     assert sorted(lab.labels.values()) == list(range(1, 19))
     assert sum(lab.labels.values()) == 171
 
@@ -47,7 +47,7 @@ def test_n1_label_sum_identity():
 @pytest.mark.parametrize("m", range(3, 11))
 def test_n1_scheme_verifies_and_matches_oracle(m):
     g = product_graph("helm", m, 1)
-    lab = label_helm_product(m, 1)
+    lab = scheme_labeling("helm", m, 1)
     report = verify_antimagic(g, lab)
     assert report.antimagic
     expected = covered_sums(helm_expected(m, 1))
@@ -67,7 +67,7 @@ def test_n1_as_printed_oracle_overlap_at_m3():
 @pytest.mark.parametrize("m", [5, 7, 9])
 def test_n1_as_printed_oracle_midpoint_mismatch(m):
     g = product_graph("helm", m, 1)
-    lab = label_helm_product(m, 1, Variant.AS_PRINTED)
+    lab = scheme_labeling("helm", m, 1, Variant.AS_PRINTED)
     sums = vertex_sums(g, lab)
     printed = helm_expected(m, 1, Variant.AS_PRINTED).sums
     mid = vertex((m + 1) // 2, 0)
@@ -79,7 +79,7 @@ def test_n1_as_printed_oracle_midpoint_mismatch(m):
 def test_pendant_vertices_sum_to_their_label():
     for m, n in [(3, 1), (4, 2), (5, 3)]:
         g = product_graph("helm", m, n)
-        lab = label_helm_product(m, n)
+        lab = scheme_labeling("helm", m, n)
         sums = vertex_sums(g, lab)
         inc = incident(g)
         for i in range(1, m + 1):
@@ -91,9 +91,9 @@ def test_pendant_vertices_sum_to_their_label():
 
 
 def test_product_anchor_labels():
-    lab = label_helm_product(5, 3)
+    lab = scheme_labeling("helm", 5, 3)
     assert lab.labels[edge(vertex(0, 0), vertex(3, 1))] == 68
-    lab32 = label_helm_product(3, 2)
+    lab32 = scheme_labeling("helm", 3, 2)
     assert lab32.labels[edge(vertex(0, 0), vertex(1, 1))] == 26
 
 
@@ -107,7 +107,7 @@ def test_expected_center_anchors():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_errata_scheme_verifies_and_matches_oracle(m, n):
     g = product_graph("helm", m, n)
-    lab = label_helm_product(m, n)
+    lab = scheme_labeling("helm", m, n)
     report = verify_antimagic(g, lab)
     assert report.antimagic, report.to_json()
     expected = covered_sums(helm_expected(m, n))
@@ -123,7 +123,7 @@ def test_case_class_changes_labeling_never_the_graph():
     assert len({helm_case_class(m, n) for m, n in cells}) == 3
     for m, n in cells:
         g = product_graph("helm", m, n)
-        lab = label_helm_product(m, n)
+        lab = scheme_labeling("helm", m, n)
         assert set(lab.labels) == set(g.edges)
         assert product_graph("helm", m, n) == g
 

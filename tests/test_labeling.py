@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antimagic.families import FAMILIES
+from antimagic.conformance import scheme_labeling
+from antimagic.families import CONFORMANCE
 from antimagic.formula import Variant
-from antimagic.flower import label_flower_product
 from antimagic.graphs import (
     build_cycle,
     build_flower,
@@ -30,7 +30,6 @@ from antimagic.labeling import (
     verify_antimagic,
     vertex_sums,
 )
-from antimagic.wheel import label_wheel_product
 
 from . import build_path, indices
 
@@ -62,7 +61,7 @@ def test_vertex_sums_requires_totality():
 
 def test_wheel_product_sums_match_hand_evaluation():
     g = product_graph("wheel", 3, 1)
-    lab = label_wheel_product(3, 1)
+    lab = scheme_labeling("wheel", 3, 1)
     sums = {vertex_name(v): s for v, s in vertex_sums(g, lab).items()}
     assert sums == {
         "w0_0": 27, "w1_1": 10, "w2_1": 22, "w3_1": 16,
@@ -102,7 +101,7 @@ def test_all_colliding_pairs_are_listed():
 
 def test_handshake_examples():
     g = product_graph("wheel", 3, 1)
-    lab = label_wheel_product(3, 1)
+    lab = scheme_labeling("wheel", 3, 1)
     assert sum(vertex_sums(g, lab).values()) == 12 * 13
 
     g2, lab2 = _path_labeling([1, 2])
@@ -129,7 +128,7 @@ def test_verifier_reports_totality_violations():
 
 def test_verifier_never_mutates():
     g = product_graph("wheel", 3, 1)
-    lab = label_wheel_product(3, 1)
+    lab = scheme_labeling("wheel", 3, 1)
     lab.labels[g.edges[0]] = lab.labels[g.edges[1]]
     snapshot = dict(lab.labels)
     verify_antimagic(g, lab)
@@ -139,7 +138,7 @@ def test_verifier_never_mutates():
 def test_relabeling_automorphism_preserves_verdict():
     # rotating the rim of the wheel factor is a graph automorphism
     g = product_graph("wheel", 3, 1)
-    lab = label_wheel_product(3, 1)
+    lab = scheme_labeling("wheel", 3, 1)
 
     def rot(v):
         i, j = indices(v)
@@ -153,7 +152,7 @@ def test_relabeling_automorphism_preserves_verdict():
 @settings(max_examples=60, deadline=None)
 def test_swap_mutation_keeps_report_consistent(data):
     g = product_graph("wheel", 3, 1)
-    lab = label_wheel_product(3, 1)
+    lab = scheme_labeling("wheel", 3, 1)
     idx = data.draw(st.tuples(
         st.integers(0, g.q - 1), st.integers(0, g.q - 1)))
     e1, e2 = g.edges[idx[0]], g.edges[idx[1]]
@@ -167,7 +166,7 @@ def test_swap_mutation_keeps_report_consistent(data):
 
 def test_verification_is_idempotent_and_stable():
     g = product_graph("wheel", 3, 1)
-    lab = label_wheel_product(3, 1)
+    lab = scheme_labeling("wheel", 3, 1)
     first = verify_antimagic(g, lab)
     second = verify_antimagic(g, lab)
     assert first.to_json() == second.to_json()
@@ -176,9 +175,7 @@ def test_verification_is_idempotent_and_stable():
 
 def test_labeled_edge_list_round_trip():
     g = product_graph("helm", 3, 1)
-    from antimagic.helm import label_helm_product
-
-    lab = label_helm_product(3, 1)
+    lab = scheme_labeling("helm", 3, 1)
     text = lab.to_text(g)
     g2, lab2 = parse_labeled_edge_list(text)
     assert g2.edges == g.edges
@@ -186,7 +183,7 @@ def test_labeled_edge_list_round_trip():
     assert lab2.to_text(g2) == text
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("family", sorted(CONFORMANCE))
 def test_edge_list_text_is_the_graph(family):
     # the labeled text reads back to an equal graph and an equal labeling
     products = [product_graph(family, m, n) for m in range(3, 7) for n in range(1, 4)]
@@ -199,7 +196,7 @@ def test_edge_list_text_is_the_graph(family):
 
 def test_to_text_names_the_first_unlabeled_edge():
     g = product_graph("wheel", 3, 1)
-    lab = label_wheel_product(3, 1)
+    lab = scheme_labeling("wheel", 3, 1)
     del lab.labels[g.edges[7]]
     del lab.labels[g.edges[2]]
     with pytest.raises(LabelingError, match=f"^edge {edge_name(g.edges[2])} is unlabeled$"):
@@ -226,7 +223,7 @@ def test_to_text_refuses_a_label_on_a_non_edge(refuser):
 
 def test_report_sums_are_the_vertex_sums():
     g = product_graph("flower", 4, 2)
-    lab = label_flower_product(4, 2)
+    lab = scheme_labeling("flower", 4, 2)
     sums = vertex_sums(g, lab)
     report = verify_antimagic(g, lab)
     assert report.sums == sums
@@ -239,7 +236,7 @@ def test_graphs_and_labelings_hold_nothing_the_cycle_collector_scans():
     # would every edge and every dict keyed by one, at each collection
     g = product_graph("flower", 4, 3)
     assert not any(map(gc.is_tracked, g.vertices + g.edges))
-    scheme = label_flower_product(4, 3)
+    scheme = scheme_labeling("flower", 4, 3)
     g2, parsed = parse_labeled_edge_list(scheme.to_text(g))
     for labels in (scheme.labels, parsed.labels, verify_antimagic(g2, parsed).sums):
         assert not gc.is_tracked(labels)
@@ -337,7 +334,7 @@ _MUTATIONS = [
 @pytest.mark.parametrize("family, m, n", _SMALL_PRODUCTS)
 def test_verifier_accepts_scheme_labelings_like_the_naive_reference(family, m, n):
     g = product_graph(family, m, n)
-    labeling = FAMILIES[family].label(m, n, Variant.ERRATA)
+    labeling = scheme_labeling(family, m, n, Variant.ERRATA)
     report = verify_antimagic(g, labeling).to_json_dict()
     assert report["antimagic"]
     assert report == _naive_report(g, labeling)

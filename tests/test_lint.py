@@ -146,12 +146,12 @@ def test_every_package_name_has_a_reader():
 # module -> the package modules it imports, at module level or inside a
 # function.  Text and graphs sit at the bottom, beside the formula ledger;
 # then the verifier, the scheme-independent searcher and the report layer;
-# then the three formula tables; then the lookup by family name.  The
-# package's __init__ re-exports nothing, and only the CLI's grid-report
-# verb reaches families; label and export import the one formula table
-# they name by its module name, which this table cannot see.  So verify,
-# sums, construct and search never load a formula table (tests/test_cli.py
-# checks what each verb loads).
+# then the three formula tables; then what needs all three.  The package's
+# __init__ re-exports nothing, and only the CLI's grid-report verb reaches
+# families.  conformance.scheme_labeling, which label and export call,
+# imports the one formula table it is named by its module name, which this
+# table cannot see.  So verify, sums, construct and search never load a
+# formula table (tests/test_cli.py checks what each verb loads).
 LAYERS = {
     "__init__": set(),
     "graphs": set(),
@@ -159,9 +159,9 @@ LAYERS = {
     "labeling": {"graphs"},
     "search": {"graphs", "labeling"},
     "conformance": {"formula", "graphs", "labeling"},
-    "wheel": {"conformance", "formula", "graphs", "labeling"},
-    "helm": {"conformance", "formula", "graphs", "labeling"},
-    "flower": {"conformance", "formula", "graphs", "helm", "labeling"},
+    "wheel": {"conformance", "formula", "graphs"},
+    "helm": {"conformance", "formula", "graphs"},
+    "flower": {"conformance", "formula", "graphs", "helm"},
     "families": {
         "conformance", "flower", "formula", "graphs", "helm", "labeling", "search", "wheel",
     },

@@ -2,22 +2,23 @@
 
 import pytest
 
+from antimagic.conformance import scheme_labeling
 from antimagic.formula import Variant
 from antimagic.graphs import edge, vertex, product_graph
 from antimagic.labeling import EdgeLabeling, verify_antimagic, vertex_sums
-from antimagic.wheel import label_wheel_product, wheel_conformance, wheel_expected, wheel_labels
+from antimagic.wheel import wheel_conformance, wheel_expected, wheel_labels
 
 from . import covered_sums
 
 
 def test_m3_n1_anchor_labels():
-    lab = label_wheel_product(3, 1)
+    lab = scheme_labeling("wheel", 3, 1)
     assert lab.labels[edge(vertex(3, 0), vertex(1, 1))] == 1
     assert lab.labels[edge(vertex(0, 0), vertex(1, 1))] == 7
 
 
 def test_m3_n1_label_multiset_and_steps():
-    lab = label_wheel_product(3, 1)
+    lab = scheme_labeling("wheel", 3, 1)
     assert sorted(lab.labels.values()) == list(range(1, 13))
     hub = {lab.labels[edge(vertex(0, 0), vertex(i, 1))] for i in (1, 2, 3)}
     spokes = {lab.labels[edge(vertex(i, 0), vertex(0, 1))] for i in (1, 2, 3)}
@@ -45,7 +46,7 @@ def test_expected_sum_anchors():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_errata_scheme_verifies_and_matches_oracle(m, n):
     g = product_graph("wheel", m, n)
-    lab = label_wheel_product(m, n)
+    lab = scheme_labeling("wheel", m, n)
     report = verify_antimagic(g, lab)
     assert report.antimagic
     expected = covered_sums(wheel_expected(m, n))
@@ -104,11 +105,11 @@ def test_as_printed_even_m_labels_are_not_bijective():
     assert not report.bijective
 
 
-def test_label_wheel_product_validates_arguments():
+def test_scheme_labeling_validates_arguments():
     with pytest.raises(ValueError):
-        label_wheel_product(2, 1)
+        scheme_labeling("wheel", 2, 1)
     with pytest.raises(ValueError):
-        label_wheel_product(3, 0)
+        scheme_labeling("wheel", 3, 0)
 
 
 def test_conformance_reports_both_variants():
