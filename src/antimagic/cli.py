@@ -83,6 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Antimagic labelings of wheel/helm/flower-star tensor products.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    defaults = SearchConfig()
+    variant = Variant.ERRATA.value
 
     p = sub.add_parser("construct", help="emit the product graph as an edge list")
     _add_family_args(p)
@@ -90,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("label", help="emit the scheme labeling as a labeled edge list")
     _add_family_args(p)
-    p.add_argument("--variant", default="errata", choices=[v.value for v in Variant])
+    p.add_argument("--variant", default=variant, choices=[v.value for v in Variant])
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="verify a labeled edge list; exit 0 iff antimagic")
@@ -103,11 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search for an antimagic labeling of a product")
     _add_family_args(p)
-    p.add_argument("--strategy", default="exhaustive",
+    p.add_argument("--strategy", default=defaults.strategy.value,
                    choices=[s.value for s in Strategy])
-    p.add_argument("--seed", type=parse_int, default=0)
-    p.add_argument("--max-iterations", type=parse_int, default=20_000)
-    p.add_argument("--max-exhaustive-edges", type=parse_int, default=10)
+    p.add_argument("--seed", type=parse_int, default=defaults.seed)
+    p.add_argument("--max-iterations", type=parse_int, default=defaults.max_iterations)
+    p.add_argument("--max-exhaustive-edges", type=parse_int,
+                   default=defaults.max_exhaustive_edges)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("grid-report", help="conformance reports over an (m, n) grid")
@@ -116,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="export a labeled product for rendering")
     _add_family_args(p)
-    p.add_argument("--variant", default="errata", choices=[v.value for v in Variant])
+    p.add_argument("--variant", default=variant, choices=[v.value for v in Variant])
     p.add_argument("--format", default="dot", choices=["dot"])
     p.add_argument("--out", default=None)
 

@@ -681,7 +681,7 @@ def _scheme(m: int, n: int) -> Scheme:
                  "pend_vj", "spoke_outer", "spoke")
         return Scheme("flower.n1", edges, ("sum_outer_leaf", "sum_outer_hub"),
                       printed_sums=range(2 * m + 2, 6 * m + 1, 2))
-    prefix = f"flower.{'modd' if odd(m) else 'meven'}.{helm_case_class(m, n).value}"
+    prefix = f"flower.{'modd' if odd(m) else 'meven'}.{helm_case_class(m, n)}"
     edges = ("hub", "hub_outer", "pend_in", "pend_out", "rim_vj", "rim_jv", "rim_close_A",
              "rim_close_B", "spoke", "spoke_outer")
     vertices = ("sum_center", "sum_rim_leaf", "sum_outer_leaf", "sum_rim_hub", "sum_outer_hub",

@@ -11,8 +11,6 @@ writes them that way, so shared subformulas have a single transcription.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from . import formula as F
 from .conformance import (
     ConformanceReport,
@@ -26,21 +24,15 @@ from .formula import cl4 as _cl4, fl4 as _fl4
 from .graphs import check_mn, product_graph
 
 
-class CaseClass(Enum):
-    """Which n>=2 labeling applies: split on n's parity and the m/n order."""
-
-    BASE = "base"              # n odd and n <= m
-    LARGE_STAR = "large-star"  # n odd and n > m
-    EVEN_STAR = "even-star"    # n even
-
-
-def helm_case_class(m: int, n: int) -> CaseClass:
-    """The unique class of (m, n); n = 1 is served by its own scheme."""
+def helm_case_class(m: int, n: int) -> str:
+    """Which n >= 2 labeling applies to (m, n): "base" (n odd and n <= m),
+    "large-star" (n odd and n > m) or "even-star" (n even); n = 1 is served
+    by its own scheme."""
     if n < 2:
         raise ValueError("the case split starts at n = 2; n = 1 has a dedicated labeling")
     if even(n):
-        return CaseClass.EVEN_STAR
-    return CaseClass.BASE if m >= n else CaseClass.LARGE_STAR
+        return "even-star"
+    return "base" if m >= n else "large-star"
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +771,7 @@ def _scheme(m: int, n: int) -> Scheme:
     edges = ("hub", "pend_in", "pend_out", "rim_vj", "rim_jv", "rim_close_A", "rim_close_B",
              "spoke")
     notes = ("closing rim family read at i=1, the only remaining rim edge",) if even(m) else ()
-    prefix = f"helm.{'modd' if odd(m) else 'meven'}.{helm_case_class(m, n).value}"
+    prefix = f"helm.{'modd' if odd(m) else 'meven'}.{helm_case_class(m, n)}"
     return Scheme(prefix, edges, vertices, notes)
 
 

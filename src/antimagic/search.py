@@ -7,8 +7,9 @@ recursion limit bounds its depth), and a steepest-descent swap search from
 the identity labeling (incomplete, so a miss is only 'not found').  Each
 descent iteration takes the best of the q(q-1)/2 label swaps, but scores
 a swap, in O(1), only if a lower bound on its result can beat the best
-so far, so mostly swaps next to a vertex whose sum collides.  The seed
-only drives the shuffles that restart a stuck descent.  Every labeling
+so far, so mostly swaps next to a vertex whose sum collides.  A descent
+restarts, from a seeded shuffle of the labels, as soon as no swap lowers
+the collisions; the seed drives only those shuffles.  Every labeling
 either strategy returns has passed the verifier before it is handed
 back.
 """
@@ -230,23 +231,15 @@ def _local_search(g: Graph, config: SearchConfig, stats: SearchStats) -> EdgeLab
     q = g.q
     ends = _endpoints(g)
     rng = random.Random(config.seed)
-    plateau_budget = 2 * q
     labels = list(range(1, q + 1))
     while stats.iterations < config.max_iterations:
         table = _SwapTable(ends, g.p, labels)
         cost = table.collisions
-        plateau = 0
         while cost > 0 and stats.iterations < config.max_iterations:
             stats.iterations += 1
             best = table.best_swap()
-            if best is None or best[0] > cost:
+            if best is None or best[0] >= cost:
                 break
-            if best[0] == cost:
-                plateau += 1
-                if plateau > plateau_budget:
-                    break
-            else:
-                plateau = 0
             cost, a, b = best
             table.swap(a, b)
         if cost == 0:

@@ -224,6 +224,46 @@ def test_large_star_reports_are_pinned(family):
     assert hashlib.sha256(to_jsonl(records).encode()).hexdigest() == LARGE_STAR_DIGESTS[family]
 
 
+# The as-printed branches no sweep cell takes: the wheel window is empty,
+# and each of the other twelve matches only where a sibling matches too,
+# which is a coverage error and counts no hit.
+NEVER_HIT = {
+    "wheel.meven.sum_rim_hub[i odd, m-1<=i<=2cl(m/4)-1]",
+    "flower.meven.base.hub_outer[i=3, m=4]",
+    "flower.meven.base.sum_outer_leaf[i=3, m=4]",
+    "helm.meven.base.pend_out[i=3, m=4]",
+    "helm.meven.base.spoke[i=3, m=4]",
+    "helm.meven.base.sum_rim_hub[i=3, m=4]",
+    "flower.modd.base.hub_outer[i=m]",
+    "flower.modd.base.sum_outer_leaf[i=m]",
+    "flower.modd.even-star.spoke[i!=2, m=3: base - 6mn + 1]",
+    "flower.modd.even-star.spoke[i!=2, m=3: base - 6mn]",
+    "flower.meven.even-star.sum_outer_hub[n!=2, i=1]",
+    "flower.n1.rim_jv[2m + cited leaf-leaf rim]",
+    "flower.n1.rim_vj[2m + cited leaf-leaf rim]",
+}
+
+
+def test_the_sweep_hits_every_branch_but_thirteen_as_printed(monkeypatch):
+    # the benchmark's sweep cells: the standard grids and the large-star class
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import harness
+
+    ledger = {
+        (v.value, f"{fid}[{b.label}]")
+        for fid in F._PRINTED if fid.split(".")[0] in CONFORMANCE
+        for v in F.VARIANTS for b in F.resolve(fid, v)
+    }
+    hit = {
+        (r.variant, key)
+        for family, m, n in harness.SWEEP_CELLS
+        for r in CONFORMANCE[family](m, n)
+        for key in r.branch_hits
+    }
+    assert (len(ledger), len(hit)) == (853, 840)
+    assert ledger - hit == {(Variant.AS_PRINTED.value, key) for key in NEVER_HIT}
+
+
 def _sweep_flower(harness, tracer, tmp_path):
     harness.sweep_cell(tracer, ("flower", 3, 2))
 

@@ -6,7 +6,6 @@ from antimagic.conformance import scheme_labeling
 from antimagic.formula import Variant
 from antimagic.graphs import edge, vertex, product_graph
 from antimagic.helm import (
-    CaseClass,
     helm_case_class,
     helm_conformance,
     helm_expected,
@@ -18,9 +17,9 @@ from . import covered_sums, incident
 
 
 def test_case_classification():
-    assert helm_case_class(5, 3) is CaseClass.BASE
-    assert helm_case_class(3, 5) is CaseClass.LARGE_STAR
-    assert helm_case_class(3, 2) is CaseClass.EVEN_STAR
+    assert helm_case_class(5, 3) == "base"
+    assert helm_case_class(3, 5) == "large-star"
+    assert helm_case_class(3, 2) == "even-star"
     with pytest.raises(ValueError):
         helm_case_class(3, 1)
 
@@ -28,7 +27,7 @@ def test_case_classification():
 def test_exactly_one_class_per_cell():
     for m in range(3, 9):
         for n in range(2, 7):
-            assert helm_case_class(m, n) in CaseClass
+            assert helm_case_class(m, n) in {"base", "large-star", "even-star"}
 
 
 def test_n1_anchor_labels():

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -214,10 +215,20 @@ def _full_scan(table):
     return best
 
 
+def _shuffled_start(family, m, n, seed):
+    """A product and a seeded shuffle of its labels, as a restart draws one."""
+    g = product_graph(family, m, n)
+    labels = list(range(1, g.q + 1))
+    random.Random(seed).shuffle(labels)
+    return g, labels
+
+
 @given(case=labeled_graphs())
 @example(case=(build_path(3), [1, 2]))
 @example(case=(_graph_from_edge_set([(0, 1), (2, 3)]), [1, 2]))
 @example(case=(build_star(3), [3, 1, 2]))
+@example(case=_shuffled_start("wheel", 5, 10, seed=0))  # q 200; 79 pairs tie for the best
+@example(case=_shuffled_start("wheel", 5, 10, seed=1))
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_best_swap_equals_a_full_scan(case):
     g, labels = case
@@ -266,8 +277,8 @@ def _matching(k):
 # sha256 of each search payload: status, labels by edge name, and stats
 # without wall_time_ms.  The local-search instances are the bench pool's
 # twelve plus wheel 6x3 (2 iterations); the exhaustive ones are the pool's
-# three.  No pool instance restarts, so P2, 2K2 and 3K2 (60, 12 and 9
-# restarts, not found) and a triangle with a 3-edge tail (found after one
+# three.  No pool instance restarts, so P2, 2K2 and 3K2 (60 restarts
+# each, not found) and a triangle with a 3-edge tail (found after one
 # restart, with a labeling the seed picks) pin the restart path.
 PINNED_PAYLOADS = {
     "local-search-wheel-3-2": "782c06ed2e376bf7d3dc6c4923d63bbb2104d3eb4ddc2a6f1ed976399b1f700d",
@@ -288,14 +299,14 @@ PINNED_PAYLOADS = {
     "exhaustive-helm-3-1": "ca5315e692a701c332e9fc8ac00532e9b9437140d6975557430c3341796fd95c",
     "restart-P2-seed-0": "d45346540875311a0a0f8b7d1715096b222f25d35942388e8e0b406e9496129d",
     "restart-P2-seed-5": "d45346540875311a0a0f8b7d1715096b222f25d35942388e8e0b406e9496129d",
-    "restart-2K2-seed-0": "96f4fe46e46812d9922f6e05ed0b811464e7f52ef041690a529b400a8ecc85f6",
-    "restart-2K2-seed-5": "96f4fe46e46812d9922f6e05ed0b811464e7f52ef041690a529b400a8ecc85f6",
-    "restart-3K2-seed-0": "b29ba658a3e23c848149b917759c821d5cf3d203230bb8deec89bfc59ebfa14d",
-    "restart-3K2-seed-5": "b29ba658a3e23c848149b917759c821d5cf3d203230bb8deec89bfc59ebfa14d",
+    "restart-2K2-seed-0": "d45346540875311a0a0f8b7d1715096b222f25d35942388e8e0b406e9496129d",
+    "restart-2K2-seed-5": "d45346540875311a0a0f8b7d1715096b222f25d35942388e8e0b406e9496129d",
+    "restart-3K2-seed-0": "d45346540875311a0a0f8b7d1715096b222f25d35942388e8e0b406e9496129d",
+    "restart-3K2-seed-5": "d45346540875311a0a0f8b7d1715096b222f25d35942388e8e0b406e9496129d",
     "restart-tailed-triangle-seed-0":
-        "98d6edb22fb5629bada66a4af3da1f8be3d3fe0113771bc2f138c9a861fdbf64",
+        "d6ed67d3722c3dede714a646e8b7adb082080853fc4f85f5690258418f5283a2",
     "restart-tailed-triangle-seed-5":
-        "1c211b24b884e2b92b421d150d6cf6a7a52d9bbf1534290fd19d61b52dc3a770",
+        "b0da8cfb82cfab5e9864bd1607fe0d36a0a33f4e68ae33b837e3351b508692e9",
 }
 
 _RESTART_GRAPHS = {
@@ -328,3 +339,17 @@ def test_search_payloads_are_pinned(case):
     payload = {"status": result.status.value, "labels": labels, "stats": stats}
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     assert digest == PINNED_PAYLOADS[case]
+
+
+def test_a_stuck_descent_restarts_at_once():
+    # a descent ends at the first iteration whose best swap does not lower
+    # the collisions; on 2K2 that is every iteration
+    config = SearchConfig(strategy=Strategy.LOCAL_SEARCH, max_iterations=60, seed=0)
+    result = search_antimagic(_RESTART_GRAPHS["2K2"](), config)
+    assert result.status is Status.NOT_FOUND
+    assert (result.stats.iterations, result.stats.restarts) == (60, 60)
+    # the tailed triangle's identity labeling has no lowering swap, and the
+    # first shuffle is antimagic
+    result = search_antimagic(_RESTART_GRAPHS["tailed-triangle"](), config)
+    assert result.status is Status.FOUND
+    assert (result.stats.iterations, result.stats.restarts) == (1, 1)
