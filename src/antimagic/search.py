@@ -11,7 +11,9 @@ so far, so mostly swaps next to a vertex whose sum collides.  A descent
 restarts, from a seeded shuffle of the labels, as soon as no swap lowers
 the collisions; the seed drives only those shuffles.  Every labeling
 either strategy returns has passed the verifier before it is handed
-back.
+back.  The search picks its strategy from q: exhaustive when q is at most
+``SearchConfig.max_exhaustive_edges``, local search above it, or at any q
+when ``SearchConfig.strategy`` asks for local search.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .graphs import CapacityError, Graph, edge_ends
+from .graphs import Graph, edge_ends
 from .labeling import EdgeLabeling, verify_antimagic
 
 
@@ -69,6 +71,7 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class SearchResult:
+    strategy: Strategy  # the one that ran
     status: Status
     labeling: EdgeLabeling | None
     stats: SearchStats
@@ -88,13 +91,8 @@ def _endpoints(g: Graph) -> list[tuple[int, int]]:
     return [(rank[a], rank[b]) for a, b in map(edge_ends, g.edges)]
 
 
-def _exhaustive(g: Graph, config: SearchConfig, stats: SearchStats) -> EdgeLabeling | None:
+def _exhaustive(g: Graph, stats: SearchStats) -> EdgeLabeling | None:
     q = g.q
-    if q > config.max_exhaustive_edges:
-        raise CapacityError(
-            f"exhaustive search refuses q={q} > {config.max_exhaustive_edges} edges; "
-            "use the local-search strategy"
-        )
     ends = _endpoints(g)
     remaining = [0] * g.p  # each vertex's degree, then its edges still unlabeled
     for ia, ib in ends:
@@ -251,7 +249,7 @@ def _local_search(g: Graph, config: SearchConfig, stats: SearchStats) -> EdgeLab
 
 
 def search_antimagic(g: Graph, config: SearchConfig = SearchConfig()) -> SearchResult:
-    """Search for an antimagic labeling of g under the given strategy.
+    """Search for an antimagic labeling of g by the strategy the config and q pick.
 
     Exhaustive returns a definitive NONE_EXISTS when the enumeration
     finishes empty; local search can only report NOT_FOUND.
@@ -260,12 +258,14 @@ def search_antimagic(g: Graph, config: SearchConfig = SearchConfig()) -> SearchR
         raise ValueError("search needs at least one edge")
     stats = SearchStats()
     start = time.perf_counter()
-    if config.strategy is Strategy.EXHAUSTIVE:
-        labeling = _exhaustive(g, config, stats)
+    if config.strategy is Strategy.EXHAUSTIVE and g.q <= config.max_exhaustive_edges:
+        strategy = Strategy.EXHAUSTIVE
+        labeling = _exhaustive(g, stats)
         missing_status = Status.NONE_EXISTS
     else:
+        strategy = Strategy.LOCAL_SEARCH
         labeling = _local_search(g, config, stats)
         missing_status = Status.NOT_FOUND
     stats.wall_time_ms = (time.perf_counter() - start) * 1000.0
     status = Status.FOUND if labeling is not None else missing_status
-    return SearchResult(status, labeling, stats)
+    return SearchResult(strategy, status, labeling, stats)

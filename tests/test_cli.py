@@ -1,6 +1,9 @@
 """The batch front door: round trips through serialized formats only."""
 
+import argparse
+import ast
 import hashlib
+import inspect
 import io
 import json
 import subprocess
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from antimagic import families, graphs
+from antimagic import cli, families, graphs
 from antimagic.cli import main
 from antimagic.conformance import FormulaCoverageError, scheme_labeling
 from antimagic.flower import flower_labels
@@ -95,19 +98,40 @@ def test_grid_report_cardinality_and_determinism(tmp_path):
     assert keys == sorted(keys)
 
 
-def test_search_cli_capacity_error():
+def test_search_cli_runs_with_its_defaults():
+    # wheel 3x2 has q = 24, over the exhaustive budget, so local search runs
+    proc = run_cli(["search", "--family", "wheel", "--m", "3", "--n", "2"])
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert (payload["strategy"], payload["status"]) == ("local-search", "found")
+    # the options that decided nothing are gone
     proc = run_cli(["search", "--family", "wheel", "--m", "3", "--n", "2",
                     "--strategy", "exhaustive"])
-    assert proc.returncode == 3
-    assert "local-search" in proc.stderr
+    assert proc.returncode == 2
+    proc = run_cli(["export", "--family", "wheel", "--m", "3", "--n", "1", "--format", "dot"])
+    assert proc.returncode == 2
+
+
+def test_every_option_is_read_by_its_verb():
+    # an option its verb never reads decides nothing
+    actions = cli.build_parser()._actions
+    (verbs,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for verb, parser in verbs.choices.items():
+        tree = ast.parse(inspect.getsource(cli._COMMANDS[verb]))
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        unread += [f"{verb} {a.option_strings[0]}" for a in parser._actions
+                   if a.dest != "help" and a.dest not in read]
+    assert unread == []
 
 
 def test_search_cli_local(tmp_path):
     out = tmp_path / "s.json"
     assert main(["search", "--family", "wheel", "--m", "3", "--n", "1",
-                 "--strategy", "local-search", "--seed", "5", "--out", str(out)]) == 0
+                 "--seed", "5", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert payload["status"] == "found"
+    assert (payload["strategy"], payload["status"]) == ("local-search", "found")
     assert payload["stats"]["iterations"] >= 0
 
 
@@ -125,7 +149,7 @@ def test_usage_errors():
     assert proc.returncode == 2
     # negative budgets: no iteration would run, or every instance be refused
     proc = run_cli(["search", "--family", "wheel", "--m", "3", "--n", "1",
-                    "--strategy", "local-search", "--max-iterations", "-5"])
+                    "--max-iterations", "-5"])
     assert proc.returncode == 2
     proc = run_cli(["search", "--family", "wheel", "--m", "3", "--n", "1",
                     "--max-exhaustive-edges", "-1"])
@@ -144,8 +168,7 @@ codes = [
     main(["verify", "--in", out + "/p3.txt", "--out", out + "/report.json"]),
     main(["sums", "--in", out + "/p3.txt", "--out", out + "/sums.txt"]),
     main(["construct", "--family", "flower", "--m", "3", "--n", "1", "--out", out + "/g.txt"]),
-    main(["search", "--family", "helm", "--m", "3", "--n", "1", "--strategy", "local-search",
-          "--out", out + "/search.json"]),
+    main(["search", "--family", "helm", "--m", "3", "--n", "1", "--out", out + "/search.json"]),
 ]
 print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("antimagic"))]))
 """
@@ -229,15 +252,14 @@ def test_oversized_grid_exits_3_before_any_cell(monkeypatch, capsys):
 def test_export_dot(tmp_path):
     out = tmp_path / "g.dot"
     assert main(["export", "--family", "wheel", "--m", "3", "--n", "1",
-                 "--format", "dot", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     text = out.read_text()
     assert text.startswith("graph antimagic {")
     assert '"w0_0" [label="w0_0\\nsum=27"];' in text
     assert '[label="7"]' in text  # the hub spoke w0_0 -- w1_1
     # identical invocations are byte-identical
     out2 = tmp_path / "g2.dot"
-    main(["export", "--family", "wheel", "--m", "3", "--n", "1",
-          "--format", "dot", "--out", str(out2)])
+    main(["export", "--family", "wheel", "--m", "3", "--n", "1", "--out", str(out2)])
     assert out.read_bytes() == out2.read_bytes()
 
 
@@ -427,9 +449,6 @@ def test_cli_stdout_is_pinned(tmp_path, capsys):
     mixed = tmp_path / "mixed.txt"
     mixed.write_text(_MIXED)
     outputs["verify-mixed"] = run(["verify", "--in", str(mixed)], 1)
-    search = json.loads(run(product("search", "helm", 3, 1)
-                            + ["--strategy", "local-search", "--seed", "3"], 0))
-    del search["stats"]["wall_time_ms"]  # measured, so it differs between runs
-    outputs["search"] = json.dumps(search, indent=2) + "\n"
+    outputs["search"] = run(product("search", "helm", 3, 1) + ["--seed", "3"], 0)
     digests = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in outputs.items()}
     assert digests == CLI_DIGESTS

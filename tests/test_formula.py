@@ -350,6 +350,17 @@ def test_row_choice_equals_a_choice_per_cell(family, m, n, variant):
         assert scheme.coverage or oracle.coverage
 
 
+def test_a_row_constant_in_j_repeats_its_first_value():
+    # a step of 0: every cell takes the first value and counts one hit per
+    # branch it takes, the cited formula's included
+    F.define("test.row.cited", br("always", ALWAYS, lambda m, n, i, j, _: m + i))
+    F.define("test.row.flat", br("always", ALWAYS, F.ref_value("test.row.cited", 1)))
+    resolver = F.Resolver(Variant.AS_PRINTED)
+    values, failed = resolver.row("test.row.flat", 3, 1, 2, range(1, 5))
+    assert (list(values), failed) == ([6, 6, 6, 6], [])
+    assert resolver.hits == {"test.row.flat[always]": 4, "test.row.cited[always]": 4}
+
+
 def test_a_row_costs_the_resolver_calls_of_two_cells(monkeypatch):
     # Evaluated cell by cell, flower 100x100 calls the resolver 199,800
     # times, about 2.5 per cell; as progressions, a row of 100 cells costs

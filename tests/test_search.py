@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from antimagic import formula as F
 from antimagic.cli import main
+from antimagic.conformance import FormulaCoverageError, scheme_labeling
 from antimagic.families import cross_validate
 from antimagic.graphs import (
     build_cycle,
@@ -23,7 +25,6 @@ from antimagic.graphs import (
 )
 from antimagic.labeling import verify_antimagic, vertex_sums
 from antimagic.search import (
-    CapacityError,
     SearchConfig,
     Status,
     Strategy,
@@ -79,10 +80,16 @@ def test_small_graphs_found_and_sound(g):
     assert verify_antimagic(g, result.labeling).antimagic
 
 
-def test_capacity_error_suggests_local_search():
-    g = product_graph("wheel", 3, 1)  # q = 12 > default threshold 10
-    with pytest.raises(CapacityError, match="local-search"):
-        search_antimagic(g)
+def test_the_edge_budget_picks_the_strategy():
+    g = product_graph("wheel", 3, 1)  # q = 12 > default budget 10
+    result = search_antimagic(g)
+    assert (result.strategy, result.status) == (Strategy.LOCAL_SEARCH, Status.FOUND)
+    assert verify_antimagic(g, result.labeling).antimagic
+    result = search_antimagic(g, SearchConfig(max_exhaustive_edges=12))
+    assert (result.strategy, result.status) == (Strategy.EXHAUSTIVE, Status.FOUND)
+    # asking for local search runs it within the budget too
+    config = SearchConfig(strategy=Strategy.LOCAL_SEARCH, max_exhaustive_edges=12)
+    assert search_antimagic(g, config).strategy is Strategy.LOCAL_SEARCH
 
 
 def test_local_search_finds_on_product():
@@ -149,6 +156,16 @@ def test_cross_validation_at_3_1(family):
     assert record["scheme_antimagic"]
     assert record["search_status"] == "found"
     assert record["family"] == family
+
+
+def test_cross_validation_reads_a_coverage_gap_as_not_antimagic(monkeypatch):
+    # with no branch left, a rim formula covers no cell of odd-m wheels
+    monkeypatch.setitem(F._PRINTED, "wheel.modd.rim_close_vj", ())
+    with pytest.raises(FormulaCoverageError):
+        scheme_labeling("wheel", 3, 1)
+    record = cross_validate(3, 1, "wheel")
+    assert record["scheme_antimagic"] is False
+    assert record["search_status"] == "found"
 
 
 def recount_collisions(g, labels):
