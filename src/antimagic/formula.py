@@ -1,10 +1,31 @@
-"""Piecewise integer formulas with explicit branch guards and an erratum ledger.
+"""Piecewise integer formulas whose branch guards are read from their labels,
+and an erratum ledger.
 
 Every labeling scheme in this project is a collection of piecewise
 formulas over cells (m, n, i, j).  A cell must satisfy exactly one
 branch guard: zero or several matching branches is a coverage
 violation, reported rather than silently resolved, because the branch
 conditions are the riskiest part of the printed schemes.
+
+A branch states its condition once, in its label, the way the paper
+prints it, and :func:`br` compiles the guard from that text.  A label
+reads ``[conditions ":"] description``:
+
+- conditions are separated by commas, which mean "and"; a condition is
+  ``x odd`` or ``x even`` for x one of m, n, i, or a chain of
+  ``= != < > <= >=`` over integer expressions in m, n and i, and
+  conditions joined by `` or `` bind tighter than the comma:
+  ``i=2, m>=5 or n=2``;
+- an expression may use implicit products (``2fl(m/4)``, ``mn``), the
+  floor ``fl(a/k)`` and ceiling ``cl(a/k)`` of a quotient by an integer,
+  and a side of a chain may be an exact quotient such as ``(m+1)/2``;
+- a label with no condition part (``= base``, ``base + 4mn``) holds
+  always, and ``otherwise: ...`` holds where none of its siblings does.
+
+A label whose head before ``:`` is not a list of conditions, or whose
+conditions parse only in part, is refused, and so is a label without a
+colon that holds a comparison anywhere but as its first character: a
+mistyped comparison does not turn a guard into "always".
 
 Corrections live in an append-only ledger of :class:`Patch` entries.
 Each patch names the formula it replaces, the replacement branches and
@@ -16,7 +37,7 @@ printed object itself, and every branch spelled out in a patch is a
 change.
 ``Variant.AS_PRINTED`` evaluates the formulas verbatim;
 ``Variant.ERRATA`` applies the ledger.  Only exact integer arithmetic
-is used (floors and ceilings included).
+is used (floors, ceilings and quotients included).
 
 One :class:`Resolver` evaluates formulas at one variant, cited formulas
 included.  It picks a formula's branch once per row ``(fid, m, n, i)``
@@ -31,6 +52,7 @@ per cell, naming that cell.
 
 from __future__ import annotations
 
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -58,18 +80,14 @@ def even(x: int) -> bool:
     return x % 2 == 0
 
 
-def ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def fl4(m: int) -> int:
-    """fl(m/4), the floor the printed window guards use."""
+    """fl(m/4), the floor the printed window formulas use."""
     return m // 4
 
 
 def cl4(m: int) -> int:
-    """cl(m/4), the ceiling the printed window guards use."""
-    return ceil_div(m, 4)
+    """cl(m/4), the ceiling the printed window formulas use."""
+    return -(-m // 4)
 
 
 class CoverageError(Exception):
@@ -88,15 +106,102 @@ class CoverageError(Exception):
 
 @dataclass(frozen=True)
 class Branch:
+    """One case of a piecewise formula: its label, the guard its label states, its value.
+
+    ``guard`` is None only on an ``otherwise`` branch outside a formula;
+    :func:`define` and :func:`patch` compile it from its siblings.
+    """
+
     label: str
-    guard: Guard
+    guard: Guard | None
     value: Value
 
 
-br = Branch
+# A side of a condition's comparison chain, once fl/cl and implicit
+# products are rewritten, holds only the cell's names, integer literals,
+# + - * ( ) and floor division; a compiled guard adds only comparisons,
+# parity tests and and/or/not.
+_SIDE = re.compile(r"(?:[mni\d+\-*()]|//)+")
+_COMPARISON = re.compile(r"(<=|>=|!=|=|<|>)")
+_QUOTIENT = re.compile(r"(\([^()]*\)|[\dmni]+)/(\d+)")
+_FLOOR = re.compile(r"(fl|cl)\(((?:[^()]|\([^()]*\))*)/(\d+)\)")
+_PRODUCT = re.compile(r"(?<=[\dmni)])(?=[mni(])")
+_SOURCES: dict[str, str | None] = {}  # label -> the Python source of its guard
+_GUARDS: dict[str, Guard] = {}  # that source -> its compiled guard
 
 
-ALWAYS: Guard = lambda m, n, i, j: True
+def _condition(text: str) -> str | None:
+    """One condition of a label as a Python expression, or None if ``text`` is none."""
+    parity = re.fullmatch(r"([mni]) (odd|even)", text)
+    if parity:
+        return f"{parity[1]} % 2 == {int(parity[2] == 'odd')}"
+    parts = _COMPARISON.split(text)
+    if len(parts) < 3:
+        return None
+    sides = []
+    for side in map(str.strip, parts[::2]):
+        # a side that is an exact quotient a/k compares as a, the others times k
+        quotient = _QUOTIENT.fullmatch(side)
+        side, k = (quotient[1], int(quotient[2])) if quotient else (side, 1)
+        side = _FLOOR.sub(
+            lambda f: f"(({f[2]})//{f[3]})" if f[1] == "fl" else f"(-(-({f[2]})//{f[3]}))", side
+        )
+        side = _PRODUCT.sub("*", side)
+        if not _SIDE.fullmatch(side):
+            return None
+        sides.append((side, k))
+    scale = 1
+    for _, k in sides:
+        scale *= k
+    python = [side if k == scale else f"({side}) * {scale // k}" for side, k in sides]
+    ops = ["==" if op == "=" else op for op in parts[1::2]]
+    return python[0] + "".join(f" {op} {side}" for op, side in zip(ops, python[1:]))
+
+
+def _source(label: str) -> str | None:
+    """The Python source of the guard ``label`` states; None for ``otherwise``."""
+    head, colon, _ = label.partition(":")
+    if colon and head == "otherwise":
+        return None
+    clauses = []
+    for clause in head.split(","):
+        alternatives = [_condition(text.strip()) for text in clause.split(" or ")]
+        if None in alternatives:
+            if clauses or alternatives[0] is not None:
+                raise ValueError(f"label {label!r}: its conditions parse only in part")
+            if colon or _COMPARISON.search(head, 1):
+                raise ValueError(f"label {label!r}: {head!r} is not a list of conditions")
+            return "True"  # a description alone holds always
+        either = " or ".join(alternatives)
+        clauses.append(f"({either})" if len(alternatives) > 1 else either)
+    return " and ".join(clauses)
+
+
+def _guard(source: str) -> Guard:
+    guard = _GUARDS.get(source)
+    if guard is None:
+        # the source holds only what _SIDE admits, comparisons and
+        # and/or/not, and labels come from the package's own tables
+        guard = _GUARDS[source] = eval(f"lambda m, n, i, j: {source}", {})
+    return guard
+
+
+def br(label: str, value: Value) -> Branch:
+    """The branch ``label`` of a formula, its guard compiled from the label.
+
+    Each distinct condition compiles once, to a plain ``lambda m, n, i, j``
+    of integer arithmetic and comparisons (see the module docstring for
+    the grammar).  Raises ValueError for a label whose head before ``:``
+    is no list of conditions, whose conditions parse only in part, or
+    which has no ``:`` and holds a comparison it cannot parse.
+    """
+    if label not in _SOURCES:
+        _SOURCES[label] = _source(label)
+    source = _SOURCES[label]
+    try:
+        return Branch(label, None if source is None else _guard(source), value)
+    except SyntaxError:
+        raise ValueError(f"label {label!r}: its conditions are no integer arithmetic") from None
 
 
 def ref_value(fid: str, offset=None) -> Value:
@@ -126,20 +231,27 @@ _PRINTED: dict[str, tuple[Branch, ...]] = {}
 _PATCHES: dict[str, Patch] = {}
 
 
-def _unique_labels(fid: str, branches: tuple[Branch, ...]) -> tuple[Branch, ...]:
+def _settled(fid: str, branches: tuple[Branch, ...]) -> tuple[Branch, ...]:
+    """``branches`` with each ``otherwise`` guard compiled as the complement of its siblings'."""
     # Branch hits are counted as fid[label] and patches keep branches by
     # label, so a label has to name one branch of its formula.
     labels = [b.label for b in branches]
     for label in labels:
         if labels.count(label) > 1:
             raise ValueError(f"formula {fid} repeats the branch label {label!r}")
-    return branches
+    settled = []
+    for b in branches:
+        if b.guard is None:  # otherwise: where none of its siblings holds
+            siblings = " or ".join(f"({_SOURCES[s.label]})" for s in branches if s is not b)
+            b = Branch(b.label, _guard(f"not ({siblings})"), b.value)
+        settled.append(b)
+    return tuple(settled)
 
 
 def define(fid: str, *branches: Branch) -> None:
     if fid in _PRINTED:
         raise ValueError(f"formula {fid} already defined")
-    _PRINTED[fid] = _unique_labels(fid, branches)
+    _PRINTED[fid] = _settled(fid, branches)
 
 
 def patch(fid: str, note: str, evidence: str, *branches: Branch | str) -> None:
@@ -158,7 +270,7 @@ def patch(fid: str, note: str, evidence: str, *branches: Branch | str) -> None:
         if isinstance(b, str) and b not in printed:
             raise ValueError(f"patch of {fid} keeps {b!r}, which is no printed branch label")
     replacement = tuple(printed[b] if isinstance(b, str) else b for b in branches)
-    _PATCHES[fid] = Patch(fid, note, evidence, _unique_labels(fid, replacement))
+    _PATCHES[fid] = Patch(fid, note, evidence, _settled(fid, replacement))
 
 
 def resolve(fid: str, variant: Variant) -> tuple[Branch, ...]:

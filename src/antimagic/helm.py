@@ -19,7 +19,7 @@ from .conformance import (
     evaluate_edge_families,
     evaluate_vertex_families,
 )
-from .formula import ALWAYS, Variant, VARIANTS, br, ceil_div, even, odd, ref_value
+from .formula import Variant, VARIANTS, br, even, odd, ref_value
 from .formula import cl4 as _cl4, fl4 as _fl4
 from .graphs import check_mn, product_graph
 
@@ -38,50 +38,42 @@ def helm_case_class(m: int, n: int) -> str:
 # ---------------------------------------------------------------------------
 # n = 1
 
-F.define("helm.n1.hub", br("always", ALWAYS, lambda m, n, i, j, _: 2 * m + 2 * i))
+F.define("helm.n1.hub", br("always", lambda m, n, i, j, _: 2 * m + 2 * i))
 
 F.define(
     "helm.n1.rim_jv",
-    br("i=1", lambda m, n, i, j: i == 1, lambda m, n, i, j, _: 2 * m + 1),
-    br("2<=i<=m-1", lambda m, n, i, j: 2 <= i <= m - 1,
-       lambda m, n, i, j, _: 2 * m + 4 * i - 1),
+    br("i=1", lambda m, n, i, j, _: 2 * m + 1),
+    br("2<=i<=m-1", lambda m, n, i, j, _: 2 * m + 4 * i - 1),
 )
-F.define("helm.n1.rim_close_A", br("always", ALWAYS, lambda m, n, i, j, _: 2 * m + 3))
-F.define("helm.n1.rim_close_B", br("always", ALWAYS, lambda m, n, i, j, _: 3 * (2 * m - 1)))
+F.define("helm.n1.rim_close_A", br("always", lambda m, n, i, j, _: 2 * m + 3))
+F.define("helm.n1.rim_close_B", br("always", lambda m, n, i, j, _: 3 * (2 * m - 1)))
 F.define(
     "helm.n1.rim_vj",
-    br("1<=i<=m-2", lambda m, n, i, j: 1 <= i <= m - 2,
-       lambda m, n, i, j, _: 2 * m + 4 * i + 1),
-    br("i=m-1", lambda m, n, i, j: i == m - 1, lambda m, n, i, j, _: 6 * m - 1),
+    br("1<=i<=m-2", lambda m, n, i, j, _: 2 * m + 4 * i + 1),
+    br("i=m-1", lambda m, n, i, j, _: 6 * m - 1),
 )
-F.define("helm.n1.pend_jv", br("always", ALWAYS, lambda m, n, i, j, _: 2 * i - 1))
+F.define("helm.n1.pend_jv", br("always", lambda m, n, i, j, _: 2 * i - 1))
 
 F.define(
     "helm.n1.pend_vj",
-    br("i=1, m even", lambda m, n, i, j: i == 1 and even(m), lambda m, n, i, j, _: m + 2),
-    br("i=1, m odd", lambda m, n, i, j: i == 1 and odd(m), lambda m, n, i, j, _: m + 3),
-    br("2<=i<=cl((m-1)/2)", lambda m, n, i, j: 2 <= i <= ceil_div(m - 1, 2),
-       lambda m, n, i, j, _: 2 * (i - 1)),
-    br("i=(m+1)/2, m odd", lambda m, n, i, j: odd(m) and i == (m + 1) // 2,
-       lambda m, n, i, j, _: m + 1),
-    br("fl((m+3)/2)<=i<=m-1", lambda m, n, i, j: (m + 3) // 2 <= i <= m - 1,
-       lambda m, n, i, j, _: 2 * (i + 1)),
-    br("i=m, m odd", lambda m, n, i, j: i == m and odd(m), lambda m, n, i, j, _: m - 1),
-    br("i=m, m even", lambda m, n, i, j: i == m and even(m), lambda m, n, i, j, _: m),
+    br("i=1, m even", lambda m, n, i, j, _: m + 2),
+    br("i=1, m odd", lambda m, n, i, j, _: m + 3),
+    br("2<=i<=cl((m-1)/2)", lambda m, n, i, j, _: 2 * (i - 1)),
+    br("i=(m+1)/2, m odd", lambda m, n, i, j, _: m + 1),
+    br("fl((m+3)/2)<=i<=m-1", lambda m, n, i, j, _: 2 * (i + 1)),
+    br("i=m, m odd", lambda m, n, i, j, _: m - 1),
+    br("i=m, m even", lambda m, n, i, j, _: m),
 )
 
 F.define(
     "helm.n1.spoke",
-    br("i=1, m even", lambda m, n, i, j: i == 1 and even(m), lambda m, n, i, j, _: 5 * m + 2),
-    br("i=1, m odd", lambda m, n, i, j: i == 1 and odd(m), lambda m, n, i, j, _: 5 * m + 3),
-    br("2<=i<=cl((m-1)/2)", lambda m, n, i, j: 2 <= i <= ceil_div(m - 1, 2),
-       lambda m, n, i, j, _: 4 * m + 2 * (i - 1)),
-    br("i=(m+1)/2, m odd", lambda m, n, i, j: odd(m) and i == (m + 1) // 2,
-       lambda m, n, i, j, _: 5 * m + 1),
-    br("fl((m+3)/2)<=i<=m-1", lambda m, n, i, j: (m + 3) // 2 <= i <= m - 1,
-       lambda m, n, i, j, _: 2 * i + 4 * m + 2),
-    br("i=m, m odd", lambda m, n, i, j: i == m and odd(m), lambda m, n, i, j, _: 5 * m - 1),
-    br("i=m, m even", lambda m, n, i, j: i == m and even(m), lambda m, n, i, j, _: 5 * m),
+    br("i=1, m even", lambda m, n, i, j, _: 5 * m + 2),
+    br("i=1, m odd", lambda m, n, i, j, _: 5 * m + 3),
+    br("2<=i<=cl((m-1)/2)", lambda m, n, i, j, _: 4 * m + 2 * (i - 1)),
+    br("i=(m+1)/2, m odd", lambda m, n, i, j, _: 5 * m + 1),
+    br("fl((m+3)/2)<=i<=m-1", lambda m, n, i, j, _: 2 * i + 4 * m + 2),
+    br("i=m, m odd", lambda m, n, i, j, _: 5 * m - 1),
+    br("i=m, m even", lambda m, n, i, j, _: 5 * m),
 )
 
 # The n=1 rim formulas are only ever defined on mixed leaf/hub pairs; the
@@ -90,41 +82,23 @@ F.define(
 # coverage error instead of a silent guess.
 F.define("helm.n1.rim_leaf_pair")
 
-F.define(
-    "helm.n1.sum_center",
-    br("always", ALWAYS, lambda m, n, i, j, _: 3 * m * m + m),
-)
-F.define(
-    "helm.n1.sum_rim_leaf",
-    br("always", ALWAYS, lambda m, n, i, j, _: 6 * m + 12 * i - 5),
-)
-F.define(
-    "helm.n1.sum_outer_leaf",
-    br("label of its one edge", ALWAYS, ref_value("helm.n1.pend_vj")),
-)
-F.define(
-    "helm.n1.sum_outer_hub",
-    br("label of its one edge", ALWAYS, ref_value("helm.n1.pend_jv")),
-)
-F.define(
-    "helm.n1.sum_center_leaf",
-    br("always", ALWAYS, lambda m, n, i, j, _: 5 * m * m + m),
-)
+F.define("helm.n1.sum_center", br("always", lambda m, n, i, j, _: 3 * m * m + m))
+F.define("helm.n1.sum_rim_leaf", br("always", lambda m, n, i, j, _: 6 * m + 12 * i - 5))
+F.define("helm.n1.sum_outer_leaf", br("label of its one edge", ref_value("helm.n1.pend_vj")))
+F.define("helm.n1.sum_outer_hub", br("label of its one edge", ref_value("helm.n1.pend_jv")))
+F.define("helm.n1.sum_center_leaf", br("always", lambda m, n, i, j, _: 5 * m * m + m))
 
 F.define(
     "helm.n1.sum_rim_hub",
-    br("i=1, m odd", lambda m, n, i, j: i == 1 and odd(m), lambda m, n, i, j, _: 14 * m + 8),
-    br("i=1, m even", lambda m, n, i, j: i == 1 and even(m), lambda m, n, i, j, _: 14 * m + 6),
-    br("i=2", lambda m, n, i, j: i == 2, lambda m, n, i, j, _: 8 * m + 14),
-    br("3<=i<=cl((m-1)/2)", lambda m, n, i, j: 3 <= i <= ceil_div(m - 1, 2),
-       lambda m, n, i, j, _: 8 * m + 12 * i - 8),
-    br("i=(m+1)/2, m odd", lambda m, n, i, j: odd(m) and i == (m + 1) // 2,
-       lambda m, n, i, j, _: 9 * m + 8 * i - 3),
-    br("fl((m+3)/2)<=i<=m-2", lambda m, n, i, j: (m + 3) // 2 <= i <= m - 2,
-       lambda m, n, i, j, _: 8 * m + 12 * i),
-    br("i=m-1", lambda m, n, i, j: i == m - 1, lambda m, n, i, j, _: 10 * (2 * m - 1)),
-    br("i=m, m odd", lambda m, n, i, j: i == m and odd(m), lambda m, n, i, j, _: 14 * m - 4),
-    br("i=m, m even", lambda m, n, i, j: i == m and even(m), lambda m, n, i, j, _: 14 * m - 2),
+    br("i=1, m odd", lambda m, n, i, j, _: 14 * m + 8),
+    br("i=1, m even", lambda m, n, i, j, _: 14 * m + 6),
+    br("i=2", lambda m, n, i, j, _: 8 * m + 14),
+    br("3<=i<=cl((m-1)/2)", lambda m, n, i, j, _: 8 * m + 12 * i - 8),
+    br("i=(m+1)/2, m odd", lambda m, n, i, j, _: 9 * m + 8 * i - 3),
+    br("fl((m+3)/2)<=i<=m-2", lambda m, n, i, j, _: 8 * m + 12 * i),
+    br("i=m-1", lambda m, n, i, j, _: 10 * (2 * m - 1)),
+    br("i=m, m odd", lambda m, n, i, j, _: 14 * m - 4),
+    br("i=m, m even", lambda m, n, i, j, _: 14 * m - 2),
 )
 F.patch(
     "helm.n1.sum_rim_hub",
@@ -137,13 +111,11 @@ F.patch(
         "while the verified sum is 44, the corrected middle row"
     ),
     "i=1, m odd", "i=1, m even",
-    br("i=2, m!=3", lambda m, n, i, j: i == 2 and m != 3, lambda m, n, i, j, _: 8 * m + 14),
+    br("i=2, m!=3", lambda m, n, i, j, _: 8 * m + 14),
     "3<=i<=cl((m-1)/2)",
-    br("i=(m+1)/2, m odd", lambda m, n, i, j: odd(m) and i == (m + 1) // 2,
-       lambda m, n, i, j, _: 10 * m + 8 * i - 2),
+    br("i=(m+1)/2, m odd", lambda m, n, i, j, _: 10 * m + 8 * i - 2),
     "fl((m+3)/2)<=i<=m-2",
-    br("i=m-1, i!=(m+1)/2", lambda m, n, i, j: i == m - 1 and not (odd(m) and i == (m + 1) // 2),
-       lambda m, n, i, j, _: 10 * (2 * m - 1)),
+    br("i=m-1, i!=(m+1)/2", lambda m, n, i, j, _: 10 * (2 * m - 1)),
     "i=m, m odd", "i=m, m even",
 )
 
@@ -152,172 +124,129 @@ F.patch(
 
 F.define(
     "helm.modd.base.hub",
-    br("i odd", lambda m, n, i, j: odd(i),
-       lambda m, n, i, j, _: 4 * m * n + (i - 1) * n + 2 * j),
-    br("i even", lambda m, n, i, j: even(i),
-       lambda m, n, i, j, _: 5 * m * n + (i - 1) * n + 2 * j),
+    br("i odd", lambda m, n, i, j, _: 4 * m * n + (i - 1) * n + 2 * j),
+    br("i even", lambda m, n, i, j, _: 5 * m * n + (i - 1) * n + 2 * j),
 )
 F.define(
     "helm.modd.base.pend_in",
-    br("i odd", lambda m, n, i, j: odd(i),
-       lambda m, n, i, j, _: (i - 1) * n + 2 * j - 1),
-    br("i even", lambda m, n, i, j: even(i),
-       lambda m, n, i, j, _: (m - 1) * n + i * n + 2 * j - 1),
+    br("i odd", lambda m, n, i, j, _: (i - 1) * n + 2 * j - 1),
+    br("i even", lambda m, n, i, j, _: (m - 1) * n + i * n + 2 * j - 1),
 )
 F.define(
     "helm.modd.base.pend_out",
-    br("i odd, i!=m", lambda m, n, i, j: odd(i) and i != m,
-       lambda m, n, i, j, _: n * (m + i) + 2 * j),
-    br("i even", lambda m, n, i, j: even(i),
-       lambda m, n, i, j, _: (i - 2) * n + 2 * j),
-    br("i=m", lambda m, n, i, j: i == m,
-       lambda m, n, i, j, _: (m - 1) * n + 2 * j),
+    br("i odd, i!=m", lambda m, n, i, j, _: n * (m + i) + 2 * j),
+    br("i even", lambda m, n, i, j, _: (i - 2) * n + 2 * j),
+    br("i=m", lambda m, n, i, j, _: (m - 1) * n + 2 * j),
 )
 F.define(
     "helm.modd.base.rim_vj",
-    br("i odd", lambda m, n, i, j: odd(i), lambda m, n, i, j, _: 3 * m * n + i * n + j),
-    br("i even", lambda m, n, i, j: even(i), lambda m, n, i, j, _: 2 * m * n + i * n + j),
+    br("i odd", lambda m, n, i, j, _: 3 * m * n + i * n + j),
+    br("i even", lambda m, n, i, j, _: 2 * m * n + i * n + j),
 )
 F.define(
     "helm.modd.base.rim_jv",
-    br("i even", lambda m, n, i, j: even(i), lambda m, n, i, j, _: 3 * m * n + i * n + j),
-    br("i odd", lambda m, n, i, j: odd(i), lambda m, n, i, j, _: 2 * m * n + i * n + j),
+    br("i even", lambda m, n, i, j, _: 3 * m * n + i * n + j),
+    br("i odd", lambda m, n, i, j, _: 2 * m * n + i * n + j),
 )
-F.define("helm.modd.base.rim_close_A",
-         br("always", ALWAYS, lambda m, n, i, j, _: 2 * m * n + j))
-F.define("helm.modd.base.rim_close_B",
-         br("always", ALWAYS, lambda m, n, i, j, _: 3 * m * n + j))
+F.define("helm.modd.base.rim_close_A", br("always", lambda m, n, i, j, _: 2 * m * n + j))
+F.define("helm.modd.base.rim_close_B", br("always", lambda m, n, i, j, _: 3 * m * n + j))
 F.define(
     "helm.modd.base.spoke",
-    br("i even", lambda m, n, i, j: even(i),
-       lambda m, n, i, j, _: 4 * m * n + (i - 2) * n + 2 * j - 1),
-    br("i=m", lambda m, n, i, j: i == m,
-       lambda m, n, i, j, _: 5 * m * n - n + 2 * j - 1),
-    br("i odd, i!=m", lambda m, n, i, j: odd(i) and i != m,
-       lambda m, n, i, j, _: 5 * m * n + i * n + 2 * j - 1),
+    br("i even", lambda m, n, i, j, _: 4 * m * n + (i - 2) * n + 2 * j - 1),
+    br("i=m", lambda m, n, i, j, _: 5 * m * n - n + 2 * j - 1),
+    br("i odd, i!=m", lambda m, n, i, j, _: 5 * m * n + i * n + 2 * j - 1),
 )
 
-F.define(
-    "helm.modd.base.sum_center",
-    br("always", ALWAYS, lambda m, n, i, j, _: 5 * m * m * n * n + m * n),
-)
+F.define("helm.modd.base.sum_center", br("always", lambda m, n, i, j, _: 5 * m * m * n * n + m * n))
 F.define(
     "helm.modd.base.sum_rim_leaf",
-    br("i odd", lambda m, n, i, j: odd(i),
-       lambda m, n, i, j, _: 8 * m * n + 6 * j + 4 * i * n - 3 * n - 1),
-    br("i even", lambda m, n, i, j: even(i),
-       lambda m, n, i, j, _: 12 * m * n + 4 * i * n - 3 * n + 6 * j - 1),
+    br("i odd", lambda m, n, i, j, _: 8 * m * n + 6 * j + 4 * i * n - 3 * n - 1),
+    br("i even", lambda m, n, i, j, _: 12 * m * n + 4 * i * n - 3 * n + 6 * j - 1),
 )
 F.define(
     "helm.modd.base.sum_outer_leaf",
-    br("label of its one edge", ALWAYS, ref_value("helm.modd.base.pend_out")),
+    br("label of its one edge", ref_value("helm.modd.base.pend_out")),
 )
 F.define(
     "helm.modd.base.sum_rim_hub",
-    br("i odd, i!=m", lambda m, n, i, j: odd(i) and i != m,
-       lambda m, n, i, j, _: 12 * m * n * n + 4 * i * n * n + 2 * n * n + 2 * n),
-    br("i even", lambda m, n, i, j: even(i),
-       lambda m, n, i, j, _: 8 * m * n * n + 4 * i * n * n - 2 * n * n + 2 * n),
-    br("i=m", lambda m, n, i, j: i == m,
-       lambda m, n, i, j, _: 12 * m * n * n + 2 * n),
+    br("i odd, i!=m", lambda m, n, i, j, _: 12 * m * n * n + 4 * i * n * n + 2 * n * n + 2 * n),
+    br("i even", lambda m, n, i, j, _: 8 * m * n * n + 4 * i * n * n - 2 * n * n + 2 * n),
+    br("i=m", lambda m, n, i, j, _: 12 * m * n * n + 2 * n),
 )
 F.define(
     "helm.modd.base.sum_outer_hub",
-    br("i odd", lambda m, n, i, j: odd(i), lambda m, n, i, j, _: i * n * n),
-    br("i even", lambda m, n, i, j: even(i), lambda m, n, i, j, _: (m + i) * n * n),
+    br("i odd", lambda m, n, i, j, _: i * n * n),
+    br("i even", lambda m, n, i, j, _: (m + i) * n * n),
 )
 F.define(
     "helm.modd.base.sum_center_leaf",
-    br("always", ALWAYS,
-       lambda m, n, i, j, _: 5 * m * m * n - m * n + (2 * j - 1) * m),
+    br("always", lambda m, n, i, j, _: 5 * m * m * n - m * n + (2 * j - 1) * m),
 )
 
 # m odd: shifted class (pendant-in and centre-spoke regions swap by 4mn)
 
-F.define("helm.modd.large-star.hub",
-         br("= base", ALWAYS, ref_value("helm.modd.base.hub")))
+F.define("helm.modd.large-star.hub", br("= base", ref_value("helm.modd.base.hub")))
 F.define("helm.modd.large-star.pend_in",
-         br("base + 4mn", ALWAYS,
-            ref_value("helm.modd.base.pend_in", lambda m, n, i, j: 4 * m * n)))
-F.define("helm.modd.large-star.pend_out",
-         br("= base", ALWAYS, ref_value("helm.modd.base.pend_out")))
-F.define("helm.modd.large-star.rim_vj",
-         br("= base", ALWAYS, ref_value("helm.modd.base.rim_vj")))
-F.define("helm.modd.large-star.rim_jv",
-         br("= base", ALWAYS, ref_value("helm.modd.base.rim_jv")))
-F.define("helm.modd.large-star.rim_close_A",
-         br("= base", ALWAYS, ref_value("helm.modd.base.rim_close_A")))
-F.define("helm.modd.large-star.rim_close_B",
-         br("= base", ALWAYS, ref_value("helm.modd.base.rim_close_B")))
+         br("base + 4mn", ref_value("helm.modd.base.pend_in", lambda m, n, i, j: 4 * m * n)))
+F.define("helm.modd.large-star.pend_out", br("= base", ref_value("helm.modd.base.pend_out")))
+F.define("helm.modd.large-star.rim_vj", br("= base", ref_value("helm.modd.base.rim_vj")))
+F.define("helm.modd.large-star.rim_jv", br("= base", ref_value("helm.modd.base.rim_jv")))
+F.define("helm.modd.large-star.rim_close_A", br("= base", ref_value("helm.modd.base.rim_close_A")))
+F.define("helm.modd.large-star.rim_close_B", br("= base", ref_value("helm.modd.base.rim_close_B")))
 F.define("helm.modd.large-star.spoke",
-         br("base - 4mn", ALWAYS,
-            ref_value("helm.modd.base.spoke", lambda m, n, i, j: -4 * m * n)))
+         br("base - 4mn", ref_value("helm.modd.base.spoke", lambda m, n, i, j: -4 * m * n)))
 
 F.define("helm.modd.large-star.sum_center",
-         br("always", ALWAYS, lambda m, n, i, j, _: 5 * m * m * n * n + m * n))
+         br("always", lambda m, n, i, j, _: 5 * m * m * n * n + m * n))
 F.define("helm.modd.large-star.sum_rim_leaf",
-         br("base + 4mn", ALWAYS,
-            ref_value("helm.modd.base.sum_rim_leaf", lambda m, n, i, j: 4 * m * n)))
+         br("base + 4mn", ref_value("helm.modd.base.sum_rim_leaf", lambda m, n, i, j: 4 * m * n)))
 F.define("helm.modd.large-star.sum_outer_leaf",
-         br("label of its one edge", ALWAYS, ref_value("helm.modd.large-star.pend_out")))
+         br("label of its one edge", ref_value("helm.modd.large-star.pend_out")))
 F.define("helm.modd.large-star.sum_rim_hub",
-         br("base - 4mn^2", ALWAYS,
+         br("base - 4mn^2",
             ref_value("helm.modd.base.sum_rim_hub", lambda m, n, i, j: -4 * m * n * n)))
 F.define("helm.modd.large-star.sum_outer_hub",
-         br("base + 4mn^2", ALWAYS,
+         br("base + 4mn^2",
             ref_value("helm.modd.base.sum_outer_hub", lambda m, n, i, j: 4 * m * n * n)))
 F.define("helm.modd.large-star.sum_center_leaf",
-         br("base - 4m^2n", ALWAYS,
+         br("base - 4m^2n",
             ref_value("helm.modd.base.sum_center_leaf", lambda m, n, i, j: -4 * m * m * n)))
 
 # m odd: even-star class
 
 F.define(
     "helm.modd.even-star.hub",
-    br("i=1", lambda m, n, i, j: i == 1, lambda m, n, i, j, _: 4 * m * n + 2 * j),
-    br("i!=1: base - 1", lambda m, n, i, j: i != 1,
-       ref_value("helm.modd.base.hub", -1)),
+    br("i=1", lambda m, n, i, j, _: 4 * m * n + 2 * j),
+    br("i!=1: base - 1", ref_value("helm.modd.base.hub", -1)),
 )
 F.define(
     "helm.modd.even-star.pend_in",
-    br("n=2, i=1", lambda m, n, i, j: n == 2 and i == 1, lambda m, n, i, j, _: 2 * j),
-    br("n=2, i!=1: base + 1", lambda m, n, i, j: n == 2 and i != 1,
-       ref_value("helm.modd.base.pend_in", 1)),
-    br("n>=3, i=1, m=3", lambda m, n, i, j: n >= 3 and i == 1 and m == 3,
-       lambda m, n, i, j, _: 4 * m * n + 2 * j - 1),
-    br("n>=3, i=1, m>=5", lambda m, n, i, j: n >= 3 and i == 1 and m >= 5,
-       lambda m, n, i, j, _: 2 * j - 1),
-    br("n>=3, i!=1, m=3: base + 4mn + 1", lambda m, n, i, j: n >= 3 and i != 1 and m == 3,
+    br("n=2, i=1", lambda m, n, i, j, _: 2 * j),
+    br("n=2, i!=1: base + 1", ref_value("helm.modd.base.pend_in", 1)),
+    br("n>=3, i=1, m=3", lambda m, n, i, j, _: 4 * m * n + 2 * j - 1),
+    br("n>=3, i=1, m>=5", lambda m, n, i, j, _: 2 * j - 1),
+    br("n>=3, i!=1, m=3: base + 4mn + 1",
        ref_value("helm.modd.base.pend_in", lambda m, n, i, j: 4 * m * n + 1)),
-    br("n>=3, i!=1, m>=5: base + 1", lambda m, n, i, j: n >= 3 and i != 1 and m >= 5,
-       ref_value("helm.modd.base.pend_in", 1)),
+    br("n>=3, i!=1, m>=5: base + 1", ref_value("helm.modd.base.pend_in", 1)),
 )
 F.define(
     "helm.modd.even-star.pend_out",
-    br("n=2, i=2", lambda m, n, i, j: n == 2 and i == 2, lambda m, n, i, j, _: 2 * j - 1),
-    br("n=2, i!=2: base - 1", lambda m, n, i, j: n == 2 and i != 2,
-       ref_value("helm.modd.base.pend_out", -1)),
-    br("n>=3, i=2", lambda m, n, i, j: n >= 3 and i == 2, lambda m, n, i, j, _: 2 * j),
-    br("n>=3, i!=2: base - 1", lambda m, n, i, j: n >= 3 and i != 2,
-       ref_value("helm.modd.base.pend_out", -1)),
+    br("n=2, i=2", lambda m, n, i, j, _: 2 * j - 1),
+    br("n=2, i!=2: base - 1", ref_value("helm.modd.base.pend_out", -1)),
+    br("n>=3, i=2", lambda m, n, i, j, _: 2 * j),
+    br("n>=3, i!=2: base - 1", ref_value("helm.modd.base.pend_out", -1)),
 )
-F.define("helm.modd.even-star.rim_vj",
-         br("= base", ALWAYS, ref_value("helm.modd.base.rim_vj")))
-F.define("helm.modd.even-star.rim_jv",
-         br("= base", ALWAYS, ref_value("helm.modd.base.rim_jv")))
-F.define("helm.modd.even-star.rim_close_A",
-         br("= base", ALWAYS, ref_value("helm.modd.base.rim_close_A")))
-F.define("helm.modd.even-star.rim_close_B",
-         br("= base", ALWAYS, ref_value("helm.modd.base.rim_close_B")))
+F.define("helm.modd.even-star.rim_vj", br("= base", ref_value("helm.modd.base.rim_vj")))
+F.define("helm.modd.even-star.rim_jv", br("= base", ref_value("helm.modd.base.rim_jv")))
+F.define("helm.modd.even-star.rim_close_A", br("= base", ref_value("helm.modd.base.rim_close_A")))
+F.define("helm.modd.even-star.rim_close_B", br("= base", ref_value("helm.modd.base.rim_close_B")))
 F.define(
     "helm.modd.even-star.spoke",
-    br("i=2, m=3", lambda m, n, i, j: i == 2 and m == 3, lambda m, n, i, j, _: 2 * j - 1),
-    br("i=2, m>=5", lambda m, n, i, j: i == 2 and m >= 5,
-       lambda m, n, i, j, _: 4 * m * n + 2 * j - 1),
-    br("i!=2, m=3: base + 1 - 4mn", lambda m, n, i, j: i != 2 and m == 3,
+    br("i=2, m=3", lambda m, n, i, j, _: 2 * j - 1),
+    br("i=2, m>=5", lambda m, n, i, j, _: 4 * m * n + 2 * j - 1),
+    br("i!=2, m=3: base + 1 - 4mn",
        ref_value("helm.modd.base.spoke", lambda m, n, i, j: 1 - 4 * m * n)),
-    br("i!=2, m>=5: base + 1", lambda m, n, i, j: i != 2 and m >= 5,
-       ref_value("helm.modd.base.spoke", 1)),
+    br("i!=2, m>=5: base + 1", ref_value("helm.modd.base.spoke", 1)),
 )
 F.patch(
     "helm.modd.even-star.spoke",
@@ -330,47 +259,33 @@ F.patch(
         "sums (w_i^0 keeps its base value off by at most n) hold exactly "
         "under the undisplaced reading"
     ),
-    br("i=2, m=3, n>=3", lambda m, n, i, j: i == 2 and m == 3 and n >= 3,
-       lambda m, n, i, j, _: 2 * j - 1),
-    br("i=2, m>=5 or n=2", lambda m, n, i, j: i == 2 and (m >= 5 or n == 2),
-       lambda m, n, i, j, _: 4 * m * n + 2 * j - 1),
+    br("i=2, m=3, n>=3", lambda m, n, i, j, _: 2 * j - 1),
+    br("i=2, m>=5 or n=2", lambda m, n, i, j, _: 4 * m * n + 2 * j - 1),
     br("i!=2, m=3, n>=3: base + 1 - 4mn",
-       lambda m, n, i, j: i != 2 and m == 3 and n >= 3,
        ref_value("helm.modd.base.spoke", lambda m, n, i, j: 1 - 4 * m * n)),
-    br("i!=2, m>=5 or n=2: base + 1",
-       lambda m, n, i, j: i != 2 and (m >= 5 or n == 2),
-       ref_value("helm.modd.base.spoke", 1)),
+    br("i!=2, m>=5 or n=2: base + 1", ref_value("helm.modd.base.spoke", 1)),
 )
 
 F.define("helm.modd.even-star.sum_center",
-         br("always", ALWAYS, lambda m, n, i, j, _: 5 * m * m * n * n + n))
+         br("always", lambda m, n, i, j, _: 5 * m * m * n * n + n))
 F.define(
     "helm.modd.even-star.sum_rim_leaf",
-    br("n=2, i=1: base + 1", lambda m, n, i, j: n == 2 and i == 1,
-       ref_value("helm.modd.base.sum_rim_leaf", 1)),
-    br("n=2, i!=1: base", lambda m, n, i, j: n == 2 and i != 1,
-       ref_value("helm.modd.base.sum_rim_leaf")),
-    br("n>=3, m=3: base + 4mn", lambda m, n, i, j: n >= 3 and m == 3,
+    br("n=2, i=1: base + 1", ref_value("helm.modd.base.sum_rim_leaf", 1)),
+    br("n=2, i!=1: base", ref_value("helm.modd.base.sum_rim_leaf")),
+    br("n>=3, m=3: base + 4mn",
        ref_value("helm.modd.base.sum_rim_leaf", lambda m, n, i, j: 4 * m * n)),
-    br("n>=3, i=1, m>=5", lambda m, n, i, j: n >= 3 and i == 1 and m >= 5,
-       lambda m, n, i, j, _: 8 * m * n + 6 * j + n - 1),
-    br("n>=3, i!=1, m>=5: base", lambda m, n, i, j: n >= 3 and i != 1 and m >= 5,
-       ref_value("helm.modd.base.sum_rim_leaf")),
+    br("n>=3, i=1, m>=5", lambda m, n, i, j, _: 8 * m * n + 6 * j + n - 1),
+    br("n>=3, i!=1, m>=5: base", ref_value("helm.modd.base.sum_rim_leaf")),
 )
 F.define("helm.modd.even-star.sum_outer_leaf",
-         br("label of its one edge", ALWAYS, ref_value("helm.modd.even-star.pend_out")))
+         br("label of its one edge", ref_value("helm.modd.even-star.pend_out")))
 F.define(
     "helm.modd.even-star.sum_rim_hub",
-    br("n=2, i=2: base - n", lambda m, n, i, j: n == 2 and i == 2,
-       ref_value("helm.modd.base.sum_rim_hub", lambda m, n, i, j: -n)),
-    br("n=2, i!=2: base", lambda m, n, i, j: n == 2 and i != 2,
-       ref_value("helm.modd.base.sum_rim_hub")),
-    br("n>=3, m=3: base", lambda m, n, i, j: n >= 3 and m == 3,
-       ref_value("helm.modd.base.sum_rim_hub")),
-    br("n>=3, i=2, m>=5", lambda m, n, i, j: n >= 3 and i == 2 and m >= 5,
-       lambda m, n, i, j, _: 8 * m * n * n + 6 * n * n + 3 * n),
-    br("n>=3, i!=2, m>=5: base", lambda m, n, i, j: n >= 3 and i != 2 and m >= 5,
-       ref_value("helm.modd.base.sum_rim_hub")),
+    br("n=2, i=2: base - n", ref_value("helm.modd.base.sum_rim_hub", lambda m, n, i, j: -n)),
+    br("n=2, i!=2: base", ref_value("helm.modd.base.sum_rim_hub")),
+    br("n>=3, m=3: base", ref_value("helm.modd.base.sum_rim_hub")),
+    br("n>=3, i=2, m>=5", lambda m, n, i, j, _: 8 * m * n * n + 6 * n * n + 3 * n),
+    br("n>=3, i!=2, m>=5: base", ref_value("helm.modd.base.sum_rim_hub")),
 )
 F.patch(
     "helm.modd.even-star.sum_rim_hub",
@@ -383,24 +298,19 @@ F.patch(
         "what the verified bijective labeling and the handshake identity give"
     ),
     "n=2, i=2: base - n", "n=2, i!=2: base",
-    br("n>=3, m=3: base - 4mn^2", lambda m, n, i, j: n >= 3 and m == 3,
+    br("n>=3, m=3: base - 4mn^2",
        ref_value("helm.modd.base.sum_rim_hub", lambda m, n, i, j: -4 * m * n * n)),
-    br("n>=3, i=2, m>=5", lambda m, n, i, j: n >= 3 and i == 2 and m >= 5,
-       lambda m, n, i, j, _: 8 * m * n * n + 6 * n * n + 2 * n),
+    br("n>=3, i=2, m>=5", lambda m, n, i, j, _: 8 * m * n * n + 6 * n * n + 2 * n),
     "n>=3, i!=2, m>=5: base",
 )
 F.define(
     "helm.modd.even-star.sum_outer_hub",
-    br("n=2, i=1", lambda m, n, i, j: n == 2 and i == 1, lambda m, n, i, j, _: n * (n + 1)),
-    br("n=2, i!=1: base", lambda m, n, i, j: n == 2 and i != 1,
-       ref_value("helm.modd.base.sum_outer_hub")),
-    br("n>=3, i=1, m>=5", lambda m, n, i, j: n >= 3 and i == 1 and m >= 5,
-       lambda m, n, i, j, _: n * n),
-    br("n>=3, i!=1, m>=5: base", lambda m, n, i, j: n >= 3 and i != 1 and m >= 5,
-       ref_value("helm.modd.base.sum_outer_hub")),
-    br("n>=3, i=1, m=3", lambda m, n, i, j: n >= 3 and i == 1 and m == 3,
-       lambda m, n, i, j, _: 4 * m * n * n + n * n),
-    br("n>=3, i!=1, m=3: base + 4mn^2 + n", lambda m, n, i, j: n >= 3 and i != 1 and m == 3,
+    br("n=2, i=1", lambda m, n, i, j, _: n * (n + 1)),
+    br("n=2, i!=1: base", ref_value("helm.modd.base.sum_outer_hub")),
+    br("n>=3, i=1, m>=5", lambda m, n, i, j, _: n * n),
+    br("n>=3, i!=1, m>=5: base", ref_value("helm.modd.base.sum_outer_hub")),
+    br("n>=3, i=1, m=3", lambda m, n, i, j, _: 4 * m * n * n + n * n),
+    br("n>=3, i!=1, m=3: base + 4mn^2 + n",
        ref_value("helm.modd.base.sum_outer_hub", lambda m, n, i, j: 4 * m * n * n + n)),
 )
 F.patch(
@@ -413,19 +323,17 @@ F.patch(
         "m=3 row already carries the +n"
     ),
     "n=2, i=1",
-    br("n=2, i!=1: base + n", lambda m, n, i, j: n == 2 and i != 1,
-       ref_value("helm.modd.base.sum_outer_hub", lambda m, n, i, j: n)),
+    br("n=2, i!=1: base + n", ref_value("helm.modd.base.sum_outer_hub", lambda m, n, i, j: n)),
     "n>=3, i=1, m>=5",
-    br("n>=3, i!=1, m>=5: base + n", lambda m, n, i, j: n >= 3 and i != 1 and m >= 5,
+    br("n>=3, i!=1, m>=5: base + n",
        ref_value("helm.modd.base.sum_outer_hub", lambda m, n, i, j: n)),
     "n>=3, i=1, m=3", "n>=3, i!=1, m=3: base + 4mn^2 + n",
 )
 F.define(
     "helm.modd.even-star.sum_center_leaf",
-    br("m=3: base - 4mn^2 + m - 1", lambda m, n, i, j: m == 3,
+    br("m=3: base - 4mn^2 + m - 1",
        ref_value("helm.modd.base.sum_center_leaf", lambda m, n, i, j: -4 * m * n * n + m - 1)),
-    br("m>=5: base + m - 1", lambda m, n, i, j: m >= 5,
-       ref_value("helm.modd.base.sum_center_leaf", lambda m, n, i, j: m - 1)),
+    br("m>=5: base + m - 1", ref_value("helm.modd.base.sum_center_leaf", lambda m, n, i, j: m - 1)),
 )
 F.patch(
     "helm.modd.even-star.sum_center_leaf",
@@ -436,10 +344,9 @@ F.patch(
         "the exponents), and for n=2 no swap happens so every m keeps the "
         "undisplaced value base + m - 1"
     ),
-    br("m=3, n>=3: base - 4m^2n + m - 1", lambda m, n, i, j: m == 3 and n >= 3,
-       ref_value("helm.modd.base.sum_center_leaf",
-                  lambda m, n, i, j: -4 * m * m * n + m - 1)),
-    br("m>=5 or n=2: base + m - 1", lambda m, n, i, j: m >= 5 or n == 2,
+    br("m=3, n>=3: base - 4m^2n + m - 1",
+       ref_value("helm.modd.base.sum_center_leaf", lambda m, n, i, j: -4 * m * m * n + m - 1)),
+    br("m>=5 or n=2: base + m - 1",
        ref_value("helm.modd.base.sum_center_leaf", lambda m, n, i, j: m - 1)),
 )
 
@@ -448,39 +355,25 @@ F.patch(
 
 F.define(
     "helm.meven.base.hub",
-    br("i odd", lambda m, n, i, j: odd(i),
-       lambda m, n, i, j, _: 4 * m * n + (i - 1) * n + 2 * j),
-    br("i even", lambda m, n, i, j: even(i),
-       lambda m, n, i, j, _: 5 * m * n + (m - i) * n + 2 * j),
+    br("i odd", lambda m, n, i, j, _: 4 * m * n + (i - 1) * n + 2 * j),
+    br("i even", lambda m, n, i, j, _: 5 * m * n + (m - i) * n + 2 * j),
 )
 F.define(
     "helm.meven.base.pend_in",
-    br("i odd", lambda m, n, i, j: odd(i),
-       lambda m, n, i, j, _: 2 * j + n * (i - 1)),
-    br("i even", lambda m, n, i, j: even(i),
-       lambda m, n, i, j, _: 2 * j + n * (2 * m - i)),
+    br("i odd", lambda m, n, i, j, _: 2 * j + n * (i - 1)),
+    br("i even", lambda m, n, i, j, _: 2 * j + n * (2 * m - i)),
 )
 
 F.define(
     "helm.meven.base.pend_out",
-    br("i even, 2<=i<=2fl(m/4)", lambda m, n, i, j: even(i) and 2 <= i <= 2 * _fl4(m),
-       lambda m, n, i, j, _: 2 * j - 1 + n * (i - 2)),
-    br("i=m", lambda m, n, i, j: i == m,
-       lambda m, n, i, j, _: 2 * n * _fl4(m) + 2 * j - 1),
-    br("i even, 2fl(m/4)+2<=i<=m-2",
-       lambda m, n, i, j: even(i) and 2 * _fl4(m) + 2 <= i <= m - 2,
-       lambda m, n, i, j, _: n * i + 2 * j - 1),
-    br("i=1, m!=4", lambda m, n, i, j: i == 1 and m != 4,
-       lambda m, n, i, j, _: 2 * m * n - 2 * n * _cl4(m) + 2 * j - 1),
-    br("i=1, m=4", lambda m, n, i, j: i == 1 and m == 4,
-       lambda m, n, i, j, _: 4 * n + 2 * j - 1),
-    br("i=3, m=4", lambda m, n, i, j: i == 3 and m == 4,
-       lambda m, n, i, j, _: 6 * n + 2 * j - 1),
-    br("i odd, 2cl(m/4)+1<=i<=m-1",
-       lambda m, n, i, j: odd(i) and 2 * _cl4(m) + 1 <= i <= m - 1,
-       lambda m, n, i, j, _: n * (2 * m - 1 - i) + 2 * j - 1),
+    br("i even, 2<=i<=2fl(m/4)", lambda m, n, i, j, _: 2 * j - 1 + n * (i - 2)),
+    br("i=m", lambda m, n, i, j, _: 2 * n * _fl4(m) + 2 * j - 1),
+    br("i even, 2fl(m/4)+2<=i<=m-2", lambda m, n, i, j, _: n * i + 2 * j - 1),
+    br("i=1, m!=4", lambda m, n, i, j, _: 2 * m * n - 2 * n * _cl4(m) + 2 * j - 1),
+    br("i=1, m=4", lambda m, n, i, j, _: 4 * n + 2 * j - 1),
+    br("i=3, m=4", lambda m, n, i, j, _: 6 * n + 2 * j - 1),
+    br("i odd, 2cl(m/4)+1<=i<=m-1", lambda m, n, i, j, _: n * (2 * m - 1 - i) + 2 * j - 1),
     br("i odd, 3<=i<=2cl(m/4)-1, m!=4",
-       lambda m, n, i, j: odd(i) and 3 <= i <= 2 * _cl4(m) - 1 and m != 4,
        lambda m, n, i, j, _: 3 * m * n - 4 * n * _cl4(m) + (3 - i) * n + 2 * j - 1),
 )
 F.patch(
@@ -497,57 +390,36 @@ F.patch(
     ),
     "i even, 2<=i<=2fl(m/4)", "i=m", "i even, 2fl(m/4)+2<=i<=m-2", "i=1, m!=4", "i=1, m=4",
     "i=3, m=4",
-    br("i odd, 2cl(m/4)+1<=i<=m-1, m!=4",
-       lambda m, n, i, j: odd(i) and 2 * _cl4(m) + 1 <= i <= m - 1 and m != 4,
-       lambda m, n, i, j, _: n * (2 * m - 1 - i) + 2 * j - 1),
-    br("i odd, 3<=i<=2cl(m/4)-1, m!=4",
-       lambda m, n, i, j: odd(i) and 3 <= i <= 2 * _cl4(m) - 1 and m != 4,
-       lambda m, n, i, j, _: n * (2 * m + 1 - i) + 2 * j - 1),
+    br("i odd, 2cl(m/4)+1<=i<=m-1, m!=4", lambda m, n, i, j, _: n * (2 * m - 1 - i) + 2 * j - 1),
+    br("i odd, 3<=i<=2cl(m/4)-1, m!=4", lambda m, n, i, j, _: n * (2 * m + 1 - i) + 2 * j - 1),
 )
 
 F.define(
     "helm.meven.base.rim_jv",
-    br("i odd", lambda m, n, i, j: odd(i),
-       lambda m, n, i, j, _: (2 * m + i) * n + j),
-    br("i even", lambda m, n, i, j: even(i),
-       lambda m, n, i, j, _: (4 * m - i) * n + j),
+    br("i odd", lambda m, n, i, j, _: (2 * m + i) * n + j),
+    br("i even", lambda m, n, i, j, _: (4 * m - i) * n + j),
 )
 F.define(
     "helm.meven.base.rim_vj",
-    br("i odd", lambda m, n, i, j: odd(i),
-       lambda m, n, i, j, _: (4 * m - i) * n + j),
-    br("i even", lambda m, n, i, j: even(i),
-       lambda m, n, i, j, _: (2 * m + i) * n + j),
+    br("i odd", lambda m, n, i, j, _: (4 * m - i) * n + j),
+    br("i even", lambda m, n, i, j, _: (2 * m + i) * n + j),
 )
 # The closing rim family is printed with a free rim index; the only rim
 # edges left are (w_1^j, w_m^0) and (w_m^j, w_1^0), so the family is read
 # at i = 1 like its m-odd analogue.
-F.define("helm.meven.base.rim_close_A",
-         br("always", ALWAYS, lambda m, n, i, j, _: 2 * m * n + j))
-F.define("helm.meven.base.rim_close_B",
-         br("always", ALWAYS, lambda m, n, i, j, _: 3 * m * n + j))
+F.define("helm.meven.base.rim_close_A", br("always", lambda m, n, i, j, _: 2 * m * n + j))
+F.define("helm.meven.base.rim_close_B", br("always", lambda m, n, i, j, _: 3 * m * n + j))
 
 F.define(
     "helm.meven.base.spoke",
-    br("i even, 2<=i<=2fl(m/4)", lambda m, n, i, j: even(i) and 2 <= i <= 2 * _fl4(m),
-       lambda m, n, i, j, _: 4 * m * n + (i - 2) * n + 2 * j - 1),
-    br("i=m", lambda m, n, i, j: i == m,
-       lambda m, n, i, j, _: 4 * m * n + 2 * _fl4(m) * n + 2 * j - 1),
-    br("i even, 2fl(m/4)+2<=i<=m-2",
-       lambda m, n, i, j: even(i) and 2 * _fl4(m) + 2 <= i <= m - 2,
-       lambda m, n, i, j, _: 4 * m * n + n * i + 2 * j - 1),
-    br("i=1, m!=4", lambda m, n, i, j: i == 1 and m != 4,
-       lambda m, n, i, j, _: 6 * m * n - 2 * _cl4(m) * n + 2 * j - 1),
-    br("i=1, m=4", lambda m, n, i, j: i == 1 and m == 4,
-       lambda m, n, i, j, _: 4 * m * n + 4 * n + 2 * j - 1),
-    br("i odd, 3<=i<=2cl(m/4)-1, m!=4",
-       lambda m, n, i, j: odd(i) and 3 <= i <= 2 * _cl4(m) - 1 and m != 4,
-       lambda m, n, i, j, _: 6 * m * n + n - 1 + 2 * j - n * i),
-    br("i=3, m=4", lambda m, n, i, j: i == 3 and m == 4,
-       lambda m, n, i, j, _: 4 * m * n + 6 * n + 2 * j - 1),
-    br("i odd, 2cl(m/4)+1<=i<=m-1",
-       lambda m, n, i, j: odd(i) and 2 * _cl4(m) + 1 <= i <= m - 1,
-       lambda m, n, i, j, _: 6 * m * n - n * (i + 1) + 2 * j - 1),
+    br("i even, 2<=i<=2fl(m/4)", lambda m, n, i, j, _: 4 * m * n + (i - 2) * n + 2 * j - 1),
+    br("i=m", lambda m, n, i, j, _: 4 * m * n + 2 * _fl4(m) * n + 2 * j - 1),
+    br("i even, 2fl(m/4)+2<=i<=m-2", lambda m, n, i, j, _: 4 * m * n + n * i + 2 * j - 1),
+    br("i=1, m!=4", lambda m, n, i, j, _: 6 * m * n - 2 * _cl4(m) * n + 2 * j - 1),
+    br("i=1, m=4", lambda m, n, i, j, _: 4 * m * n + 4 * n + 2 * j - 1),
+    br("i odd, 3<=i<=2cl(m/4)-1, m!=4", lambda m, n, i, j, _: 6 * m * n + n - 1 + 2 * j - n * i),
+    br("i=3, m=4", lambda m, n, i, j, _: 4 * m * n + 6 * n + 2 * j - 1),
+    br("i odd, 2cl(m/4)+1<=i<=m-1", lambda m, n, i, j, _: 6 * m * n - n * (i + 1) + 2 * j - 1),
 )
 F.patch(
     "helm.meven.base.spoke",
@@ -562,46 +434,36 @@ F.patch(
     "i even, 2<=i<=2fl(m/4)", "i=m", "i even, 2fl(m/4)+2<=i<=m-2", "i=1, m!=4", "i=1, m=4",
     "i odd, 3<=i<=2cl(m/4)-1, m!=4", "i=3, m=4",
     br("i odd, 2cl(m/4)+1<=i<=m-1, m!=4",
-       lambda m, n, i, j: odd(i) and 2 * _cl4(m) + 1 <= i <= m - 1 and m != 4,
        lambda m, n, i, j, _: 6 * m * n - n * (i + 1) + 2 * j - 1),
 )
 
 F.define(
     "helm.meven.base.sum_center",
-    br("always", ALWAYS, lambda m, n, i, j, _: 5 * m * m * n * n + m * n),
+    br("always", lambda m, n, i, j, _: 5 * m * m * n * n + m * n),
 )
 F.define(
     "helm.meven.base.sum_rim_leaf",
-    br("i odd", lambda m, n, i, j: odd(i),
-       lambda m, n, i, j, _: 8 * m * n + 4 * i * n - 3 * n + 6 * j),
-    br("i even", lambda m, n, i, j: even(i),
-       lambda m, n, i, j, _: 16 * m * n - 4 * i * n + 6 * j + n),
+    br("i odd", lambda m, n, i, j, _: 8 * m * n + 4 * i * n - 3 * n + 6 * j),
+    br("i even", lambda m, n, i, j, _: 16 * m * n - 4 * i * n + 6 * j + n),
 )
 F.define(
     "helm.meven.base.sum_outer_leaf",
-    br("label of its one edge", ALWAYS, ref_value("helm.meven.base.pend_out")),
+    br("label of its one edge", ref_value("helm.meven.base.pend_out")),
 )
 
 F.define(
     "helm.meven.base.sum_rim_hub",
-    br("i=1, m=4", lambda m, n, i, j: i == 1 and m == 4,
-       lambda m, n, i, j, _: 13 * m * n * n + 2 * n * n + n),
-    br("i=3, m=4", lambda m, n, i, j: i == 3 and m == 4,
-       lambda m, n, i, j, _: 13 * m * n * n + 6 * n * n + n),
-    br("i even, 2<=i<=2fl(m/4)", lambda m, n, i, j: even(i) and 2 <= i <= 2 * _fl4(m),
+    br("i=1, m=4", lambda m, n, i, j, _: 13 * m * n * n + 2 * n * n + n),
+    br("i=3, m=4", lambda m, n, i, j, _: 13 * m * n * n + 6 * n * n + n),
+    br("i even, 2<=i<=2fl(m/4)",
        lambda m, n, i, j, _: 8 * m * n * n + 4 * i * n * n - 2 * n * n + n),
     br("i even, 2fl(m/4)+2<=i<=m-2",
-       lambda m, n, i, j: even(i) and 2 * _fl4(m) + 2 <= i <= m - 2,
        lambda m, n, i, j, _: 8 * m * n * n + 4 * i * n * n + 2 * n * n + n),
     br("i odd, 2cl(m/4)+1<=i<=m-1",
-       lambda m, n, i, j: odd(i) and 2 * _cl4(m) + 1 <= i <= m - 1,
        lambda m, n, i, j, _: 16 * m * n * n - 4 * i * n * n + 2 * n * n + n),
-    br("i=m", lambda m, n, i, j: i == m,
-       lambda m, n, i, j, _: 9 * m * n * n + 2 * n * n + 4 * n * n * _fl4(m) + n),
-    br("i=1, m!=4", lambda m, n, i, j: i == 1 and m != 4,
-       lambda m, n, i, j, _: 15 * m * n * n - 2 * n * n + n - 2 * n * n * _cl4(m)),
+    br("i=m", lambda m, n, i, j, _: 9 * m * n * n + 2 * n * n + 4 * n * n * _fl4(m) + n),
+    br("i=1, m!=4", lambda m, n, i, j, _: 15 * m * n * n - 2 * n * n + n - 2 * n * n * _cl4(m)),
     br("i odd, 3<=i<=2cl(m/4)-1, m!=4",
-       lambda m, n, i, j: odd(i) and 3 <= i <= 2 * _cl4(m) - 1 and m != 4,
        lambda m, n, i, j, _: 16 * m * n * n + 4 * n * n - 6 * n * n * i + 4 * n * n * _cl4(m) + n),
 )
 F.patch(
@@ -617,144 +479,118 @@ F.patch(
     ),
     "i=1, m=4", "i=3, m=4", "i even, 2<=i<=2fl(m/4)", "i even, 2fl(m/4)+2<=i<=m-2",
     br("i odd, 2cl(m/4)+1<=i<=m-1, m!=4",
-       lambda m, n, i, j: odd(i) and 2 * _cl4(m) + 1 <= i <= m - 1 and m != 4,
        lambda m, n, i, j, _: 16 * m * n * n - 4 * i * n * n + 2 * n * n + n),
     "i=m",
-    br("i=1, m!=4", lambda m, n, i, j: i == 1 and m != 4,
-       lambda m, n, i, j, _: (15 * m + 2 - 4 * _cl4(m)) * n * n + n),
-    br("i odd, 3<=i<=2cl(m/4)-1, m!=4",
-       lambda m, n, i, j: odd(i) and 3 <= i <= 2 * _cl4(m) - 1 and m != 4,
-       lambda m, n, i, j, _: (16 * m - 4 * i + 6) * n * n + n),
+    br("i=1, m!=4", lambda m, n, i, j, _: (15 * m + 2 - 4 * _cl4(m)) * n * n + n),
+    br("i odd, 3<=i<=2cl(m/4)-1, m!=4", lambda m, n, i, j, _: (16 * m - 4 * i + 6) * n * n + n),
 )
 
 F.define(
     "helm.meven.base.sum_outer_hub",
-    br("i odd", lambda m, n, i, j: odd(i),
-       lambda m, n, i, j, _: (i - 1) * n * n + n * (n + 1)),
-    br("i even", lambda m, n, i, j: even(i),
-       lambda m, n, i, j, _: m * n * n + (m - i) * n * n + n * (n + 1)),
+    br("i odd", lambda m, n, i, j, _: (i - 1) * n * n + n * (n + 1)),
+    br("i even", lambda m, n, i, j, _: m * n * n + (m - i) * n * n + n * (n + 1)),
 )
 F.define(
     "helm.meven.base.sum_center_leaf",
-    br("always", ALWAYS,
-       lambda m, n, i, j, _: 5 * m * m * n - m * n + (2 * j - 1) * m),
+    br("always", lambda m, n, i, j, _: 5 * m * m * n - m * n + (2 * j - 1) * m),
 )
 
 # m even: shifted class
 
-F.define("helm.meven.large-star.hub",
-         br("= base", ALWAYS, ref_value("helm.meven.base.hub")))
+F.define("helm.meven.large-star.hub", br("= base", ref_value("helm.meven.base.hub")))
 F.define("helm.meven.large-star.pend_in",
-         br("base + 4mn - 1", ALWAYS,
+         br("base + 4mn - 1",
             ref_value("helm.meven.base.pend_in", lambda m, n, i, j: 4 * m * n - 1)))
 F.define(
     "helm.meven.large-star.pend_out",
-    br("i=2", lambda m, n, i, j: i == 2, lambda m, n, i, j, _: 2 * j - 1),
-    br("i!=2: base + 1", lambda m, n, i, j: i != 2,
-       ref_value("helm.meven.base.pend_out", 1)),
+    br("i=2", lambda m, n, i, j, _: 2 * j - 1),
+    br("i!=2: base + 1", ref_value("helm.meven.base.pend_out", 1)),
 )
-F.define("helm.meven.large-star.rim_jv",
-         br("= base", ALWAYS, ref_value("helm.meven.base.rim_jv")))
-F.define("helm.meven.large-star.rim_vj",
-         br("= base", ALWAYS, ref_value("helm.meven.base.rim_vj")))
+F.define("helm.meven.large-star.rim_jv", br("= base", ref_value("helm.meven.base.rim_jv")))
+F.define("helm.meven.large-star.rim_vj", br("= base", ref_value("helm.meven.base.rim_vj")))
 F.define("helm.meven.large-star.rim_close_A",
-         br("= base", ALWAYS, ref_value("helm.meven.base.rim_close_A")))
+         br("= base", ref_value("helm.meven.base.rim_close_A")))
 F.define("helm.meven.large-star.rim_close_B",
-         br("= base", ALWAYS, ref_value("helm.meven.base.rim_close_B")))
+         br("= base", ref_value("helm.meven.base.rim_close_B")))
 F.define(
     "helm.meven.large-star.spoke",
-    br("i=2", lambda m, n, i, j: i == 2, lambda m, n, i, j, _: 2 * j),
-    br("i!=2: base - 4mn", lambda m, n, i, j: i != 2,
-       ref_value("helm.meven.base.spoke", lambda m, n, i, j: -4 * m * n)),
+    br("i=2", lambda m, n, i, j, _: 2 * j),
+    br("i!=2: base - 4mn", ref_value("helm.meven.base.spoke", lambda m, n, i, j: -4 * m * n)),
 )
 
 F.define("helm.meven.large-star.sum_center",
-         br("always", ALWAYS, lambda m, n, i, j, _: 5 * m * m * n * n + m * n))
+         br("always", lambda m, n, i, j, _: 5 * m * m * n * n + m * n))
 F.define("helm.meven.large-star.sum_rim_leaf",
-         br("base + 4mn - 1", ALWAYS,
+         br("base + 4mn - 1",
             ref_value("helm.meven.base.sum_rim_leaf", lambda m, n, i, j: 4 * m * n - 1)))
 F.define("helm.meven.large-star.sum_outer_leaf",
-         br("label of its one edge", ALWAYS, ref_value("helm.meven.large-star.pend_out")))
+         br("label of its one edge", ref_value("helm.meven.large-star.pend_out")))
 F.define(
     "helm.meven.large-star.sum_rim_hub",
-    br("i=2", lambda m, n, i, j: i == 2,
-       lambda m, n, i, j, _: 4 * m * n * n + 2 * i * n * n + 2 * n * n + 2 * n),
-    br("i!=2: base - 4mn^2 + n", lambda m, n, i, j: i != 2,
+    br("i=2", lambda m, n, i, j, _: 4 * m * n * n + 2 * i * n * n + 2 * n * n + 2 * n),
+    br("i!=2: base - 4mn^2 + n",
        ref_value("helm.meven.base.sum_rim_hub", lambda m, n, i, j: -4 * m * n * n + n)),
 )
 F.define("helm.meven.large-star.sum_outer_hub",
-         br("base + 4mn^2 - n", ALWAYS,
+         br("base + 4mn^2 - n",
             ref_value("helm.meven.base.sum_outer_hub", lambda m, n, i, j: 4 * m * n * n - n)))
 F.define("helm.meven.large-star.sum_center_leaf",
-         br("base - 4m^2n + 1", ALWAYS,
+         br("base - 4m^2n + 1",
             ref_value("helm.meven.base.sum_center_leaf", lambda m, n, i, j: -4 * m * m * n + 1)))
 
 # m even: even-star class
 
 F.define(
     "helm.meven.even-star.hub",
-    br("i=1", lambda m, n, i, j: i == 1, lambda m, n, i, j, _: 4 * m * n + 2 * j),
-    br("i!=1: base - 1", lambda m, n, i, j: i != 1,
-       ref_value("helm.meven.base.hub", -1)),
+    br("i=1", lambda m, n, i, j, _: 4 * m * n + 2 * j),
+    br("i!=1: base - 1", ref_value("helm.meven.base.hub", -1)),
 )
 F.define(
     "helm.meven.even-star.pend_in",
-    br("i=1, n!=2", lambda m, n, i, j: i == 1 and n != 2, lambda m, n, i, j, _: 2 * j - 1),
-    br("i=1, n=2", lambda m, n, i, j: i == 1 and n == 2, lambda m, n, i, j, _: 2 * j),
-    br("i!=1: base", lambda m, n, i, j: i != 1, ref_value("helm.meven.base.pend_in")),
+    br("i=1, n!=2", lambda m, n, i, j, _: 2 * j - 1),
+    br("i=1, n=2", lambda m, n, i, j, _: 2 * j),
+    br("i!=1: base", ref_value("helm.meven.base.pend_in")),
 )
 F.define(
     "helm.meven.even-star.pend_out",
-    br("i=2, n!=2", lambda m, n, i, j: i == 2 and n != 2, lambda m, n, i, j, _: 2 * j),
-    br("i=2, n=2", lambda m, n, i, j: i == 2 and n == 2, lambda m, n, i, j, _: 2 * j - 1),
-    br("i!=2: base", lambda m, n, i, j: i != 2, ref_value("helm.meven.base.pend_out")),
+    br("i=2, n!=2", lambda m, n, i, j, _: 2 * j),
+    br("i=2, n=2", lambda m, n, i, j, _: 2 * j - 1),
+    br("i!=2: base", ref_value("helm.meven.base.pend_out")),
 )
-F.define("helm.meven.even-star.rim_jv",
-         br("= base", ALWAYS, ref_value("helm.meven.base.rim_jv")))
-F.define("helm.meven.even-star.rim_vj",
-         br("= base", ALWAYS, ref_value("helm.meven.base.rim_vj")))
-F.define("helm.meven.even-star.rim_close_A",
-         br("= base", ALWAYS, ref_value("helm.meven.base.rim_close_A")))
-F.define("helm.meven.even-star.rim_close_B",
-         br("= base", ALWAYS, ref_value("helm.meven.base.rim_close_B")))
+F.define("helm.meven.even-star.rim_jv", br("= base", ref_value("helm.meven.base.rim_jv")))
+F.define("helm.meven.even-star.rim_vj", br("= base", ref_value("helm.meven.base.rim_vj")))
+F.define("helm.meven.even-star.rim_close_A", br("= base", ref_value("helm.meven.base.rim_close_A")))
+F.define("helm.meven.even-star.rim_close_B", br("= base", ref_value("helm.meven.base.rim_close_B")))
 F.define(
     "helm.meven.even-star.spoke",
-    br("i=2", lambda m, n, i, j: i == 2, lambda m, n, i, j, _: 4 * m * n + 2 * j - 1),
-    br("i!=2: base + 1", lambda m, n, i, j: i != 2,
-       ref_value("helm.meven.base.spoke", 1)),
+    br("i=2", lambda m, n, i, j, _: 4 * m * n + 2 * j - 1),
+    br("i!=2: base + 1", ref_value("helm.meven.base.spoke", 1)),
 )
 
 F.define("helm.meven.even-star.sum_center",
-         br("always", ALWAYS, lambda m, n, i, j, _: 5 * m * m * n * n + n))
+         br("always", lambda m, n, i, j, _: 5 * m * m * n * n + n))
 F.define(
     "helm.meven.even-star.sum_rim_leaf",
-    br("n=2, i=1: base", lambda m, n, i, j: n == 2 and i == 1,
-       ref_value("helm.meven.base.sum_rim_leaf")),
-    br("n=2, i!=1: base - 1", lambda m, n, i, j: n == 2 and i != 1,
-       ref_value("helm.meven.base.sum_rim_leaf", -1)),
-    br("n!=2: base - 1", lambda m, n, i, j: n != 2,
-       ref_value("helm.meven.base.sum_rim_leaf", -1)),
+    br("n=2, i=1: base", ref_value("helm.meven.base.sum_rim_leaf")),
+    br("n=2, i!=1: base - 1", ref_value("helm.meven.base.sum_rim_leaf", -1)),
+    br("n!=2: base - 1", ref_value("helm.meven.base.sum_rim_leaf", -1)),
 )
 F.define("helm.meven.even-star.sum_outer_leaf",
-         br("label of its one edge", ALWAYS, ref_value("helm.meven.even-star.pend_out")))
+         br("label of its one edge", ref_value("helm.meven.even-star.pend_out")))
 F.define(
     "helm.meven.even-star.sum_rim_hub",
-    br("n=2, i=2: base", lambda m, n, i, j: n == 2 and i == 2,
-       ref_value("helm.meven.base.sum_rim_hub")),
-    br("n=2, i!=2: base + n", lambda m, n, i, j: n == 2 and i != 2,
-       ref_value("helm.meven.base.sum_rim_hub", lambda m, n, i, j: n)),
-    br("n!=2: base + n", lambda m, n, i, j: n != 2,
-       ref_value("helm.meven.base.sum_rim_hub", lambda m, n, i, j: n)),
+    br("n=2, i=2: base", ref_value("helm.meven.base.sum_rim_hub")),
+    br("n=2, i!=2: base + n", ref_value("helm.meven.base.sum_rim_hub", lambda m, n, i, j: n)),
+    br("n!=2: base + n", ref_value("helm.meven.base.sum_rim_hub", lambda m, n, i, j: n)),
 )
 F.define(
     "helm.meven.even-star.sum_outer_hub",
-    br("i=1, n!=2", lambda m, n, i, j: i == 1 and n != 2, lambda m, n, i, j, _: n * n),
-    br("i=1, n=2", lambda m, n, i, j: i == 1 and n == 2, lambda m, n, i, j, _: n * (n + 1)),
-    br("i!=1: base", lambda m, n, i, j: i != 1, ref_value("helm.meven.base.sum_outer_hub")),
+    br("i=1, n!=2", lambda m, n, i, j, _: n * n),
+    br("i=1, n=2", lambda m, n, i, j, _: n * (n + 1)),
+    br("i!=1: base", ref_value("helm.meven.base.sum_outer_hub")),
 )
 F.define("helm.meven.even-star.sum_center_leaf",
-         br("base + m - 1", ALWAYS,
-            ref_value("helm.meven.base.sum_center_leaf", lambda m, n, i, j: m - 1)))
+         br("base + m - 1", ref_value("helm.meven.base.sum_center_leaf", lambda m, n, i, j: m - 1)))
 
 # ---------------------------------------------------------------------------
 

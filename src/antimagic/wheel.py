@@ -17,7 +17,7 @@ from .conformance import (
     evaluate_edge_families,
     evaluate_vertex_families,
 )
-from .formula import ALWAYS, Variant, VARIANTS, br, even, odd
+from .formula import Variant, VARIANTS, br, odd
 from .formula import cl4 as _cl4, fl4 as _fl4
 from .graphs import check_mn, product_graph
 
@@ -26,23 +26,19 @@ from .graphs import check_mn, product_graph
 
 F.define(
     "wheel.modd.hub",
-    br("i!=1, i odd", lambda m, n, i, j: i != 1 and odd(i),
-       lambda m, n, i, j, _: 2 * m * n + (i - 1) * n + 2 * j - 1),
-    br("i!=1, i even", lambda m, n, i, j: i != 1 and even(i),
-       lambda m, n, i, j, _: 3 * m * n + (i - 1) * n + 2 * j - 1),
-    br("i=1, n odd", lambda m, n, i, j: i == 1 and odd(n),
-       lambda m, n, i, j, _: 2 * m * n + 2 * j - 1),
-    br("i=1, n even", lambda m, n, i, j: i == 1 and even(n),
-       lambda m, n, i, j, _: 2 * m * n + 2 * j),
+    br("i!=1, i odd", lambda m, n, i, j, _: 2 * m * n + (i - 1) * n + 2 * j - 1),
+    br("i!=1, i even", lambda m, n, i, j, _: 3 * m * n + (i - 1) * n + 2 * j - 1),
+    br("i=1, n odd", lambda m, n, i, j, _: 2 * m * n + 2 * j - 1),
+    br("i=1, n even", lambda m, n, i, j, _: 2 * m * n + 2 * j),
 )
 
-F.define("wheel.modd.rim_close_vj", br("always", ALWAYS, lambda m, n, i, j, _: j))
-F.define("wheel.modd.rim_close_jv", br("always", ALWAYS, lambda m, n, i, j, _: m * n + j))
+F.define("wheel.modd.rim_close_vj", br("always", lambda m, n, i, j, _: j))
+F.define("wheel.modd.rim_close_jv", br("always", lambda m, n, i, j, _: m * n + j))
 
 F.define(
     "wheel.modd.rim_jv",
-    br("i even", lambda m, n, i, j: even(i), lambda m, n, i, j, _: i * n + j),
-    br("i odd", lambda m, n, i, j: odd(i), lambda m, n, i, j, _: m * n + i * n + j),
+    br("i even", lambda m, n, i, j, _: i * n + j),
+    br("i odd", lambda m, n, i, j, _: m * n + i * n + j),
 )
 F.patch(
     "wheel.modd.rim_jv",
@@ -54,68 +50,52 @@ F.patch(
         "sums for w_i^j and w_i^0 are reproduced exactly by swapping the parity "
         "split in this family alone and leaving its sibling as printed"
     ),
-    br("i odd", lambda m, n, i, j: odd(i), lambda m, n, i, j, _: i * n + j),
-    br("i even", lambda m, n, i, j: even(i), lambda m, n, i, j, _: m * n + i * n + j),
+    br("i odd", lambda m, n, i, j, _: i * n + j),
+    br("i even", lambda m, n, i, j, _: m * n + i * n + j),
 )
 
 F.define(
     "wheel.modd.rim_vj",
-    br("i even", lambda m, n, i, j: even(i), lambda m, n, i, j, _: i * n + j),
-    br("i odd", lambda m, n, i, j: odd(i), lambda m, n, i, j, _: m * n + i * n + j),
+    br("i even", lambda m, n, i, j, _: i * n + j),
+    br("i odd", lambda m, n, i, j, _: m * n + i * n + j),
 )
 
 F.define(
     "wheel.modd.center",
-    br("i!=2, i even", lambda m, n, i, j: i != 2 and even(i),
-       lambda m, n, i, j, _: 2 * m * n + (i - 2) * n + 2 * j),
-    br("i odd, i!=m", lambda m, n, i, j: odd(i) and i != m,
-       lambda m, n, i, j, _: 3 * m * n + i * n + 2 * j),
-    br("i=m", lambda m, n, i, j: i == m,
-       lambda m, n, i, j, _: 2 * m * n + (i - 1) * n + 2 * j),
-    br("i=2, n odd", lambda m, n, i, j: i == 2 and odd(n),
-       lambda m, n, i, j, _: 2 * m * n + 2 * j),
-    br("i=2, n even", lambda m, n, i, j: i == 2 and even(n),
-       lambda m, n, i, j, _: 2 * m * n + 2 * j - 1),
+    br("i!=2, i even", lambda m, n, i, j, _: 2 * m * n + (i - 2) * n + 2 * j),
+    br("i odd, i!=m", lambda m, n, i, j, _: 3 * m * n + i * n + 2 * j),
+    br("i=m", lambda m, n, i, j, _: 2 * m * n + (i - 1) * n + 2 * j),
+    br("i=2, n odd", lambda m, n, i, j, _: 2 * m * n + 2 * j),
+    br("i=2, n even", lambda m, n, i, j, _: 2 * m * n + 2 * j - 1),
 )
 
 F.define(
     "wheel.modd.sum_center",
-    br("n odd", lambda m, n, i, j: odd(n), lambda m, n, i, j, _: 3 * m * m * n * n),
-    br("n even", lambda m, n, i, j: even(n), lambda m, n, i, j, _: 3 * m * m * n * n + n),
+    br("n odd", lambda m, n, i, j, _: 3 * m * m * n * n),
+    br("n even", lambda m, n, i, j, _: 3 * m * m * n * n + n),
 )
 
 F.define(
     "wheel.modd.sum_rim_leaf",
-    br("i!=1, i odd", lambda m, n, i, j: i != 1 and odd(i),
-       lambda m, n, i, j, _: (2 * m + 3 * i - 2) * n + 4 * j - 1),
-    br("i!=1, i even", lambda m, n, i, j: i != 1 and even(i),
-       lambda m, n, i, j, _: (5 * m + 3 * i - 2) * n + 4 * j - 1),
-    br("i=1, n odd", lambda m, n, i, j: i == 1 and odd(n),
-       lambda m, n, i, j, _: (2 * m + 3 * i - 2) * n + 4 * j - 1),
-    br("i=1, n even", lambda m, n, i, j: i == 1 and even(n),
-       lambda m, n, i, j, _: (2 * m + 3 * i - 2) * n + 4 * j),
+    br("i!=1, i odd", lambda m, n, i, j, _: (2 * m + 3 * i - 2) * n + 4 * j - 1),
+    br("i!=1, i even", lambda m, n, i, j, _: (5 * m + 3 * i - 2) * n + 4 * j - 1),
+    br("i=1, n odd", lambda m, n, i, j, _: (2 * m + 3 * i - 2) * n + 4 * j - 1),
+    br("i=1, n even", lambda m, n, i, j, _: (2 * m + 3 * i - 2) * n + 4 * j),
 )
 
 F.define(
     "wheel.modd.sum_rim_hub",
-    br("i odd, i!=m", lambda m, n, i, j: odd(i) and i != m,
-       lambda m, n, i, j, _: (5 * m + 3 * i + 1) * n * n + 2 * n),
-    br("i!=2, i even", lambda m, n, i, j: i != 2 and even(i),
-       lambda m, n, i, j, _: (2 * m + 3 * i - 1) * n * n + 2 * n),
-    br("i=m", lambda m, n, i, j: i == m,
-       lambda m, n, i, j, _: 5 * i * n * n + 2 * n),
-    br("i=2, n odd", lambda m, n, i, j: i == 2 and odd(n),
-       lambda m, n, i, j, _: (2 * m + 3 * i - 1) * n * n + 2 * n),
-    br("i=2, n even", lambda m, n, i, j: i == 2 and even(n),
-       lambda m, n, i, j, _: (2 * m + 3 * i - 1) * n * n + n),
+    br("i odd, i!=m", lambda m, n, i, j, _: (5 * m + 3 * i + 1) * n * n + 2 * n),
+    br("i!=2, i even", lambda m, n, i, j, _: (2 * m + 3 * i - 1) * n * n + 2 * n),
+    br("i=m", lambda m, n, i, j, _: 5 * i * n * n + 2 * n),
+    br("i=2, n odd", lambda m, n, i, j, _: (2 * m + 3 * i - 1) * n * n + 2 * n),
+    br("i=2, n even", lambda m, n, i, j, _: (2 * m + 3 * i - 1) * n * n + n),
 )
 
 F.define(
     "wheel.modd.sum_center_leaf",
-    br("n odd", lambda m, n, i, j: odd(n),
-       lambda m, n, i, j, _: (3 * m * n + 2 * j - n) * m),
-    br("n even", lambda m, n, i, j: even(n),
-       lambda m, n, i, j, _: (3 * m * n + 2 * j - n) * m - 1),
+    br("n odd", lambda m, n, i, j, _: (3 * m * n + 2 * j - n) * m),
+    br("n even", lambda m, n, i, j, _: (3 * m * n + 2 * j - n) * m - 1),
 )
 
 # ---------------------------------------------------------------------------
@@ -123,14 +103,10 @@ F.define(
 
 F.define(
     "wheel.meven.hub",
-    br("i!=1, i odd", lambda m, n, i, j: i != 1 and odd(i),
-       lambda m, n, i, j, _: (2 * m + i - 1) * n + 2 * j - 1),
-    br("i!=1, i even", lambda m, n, i, j: i != 1 and even(i),
-       lambda m, n, i, j, _: (4 * m + 1 - i) * n - 5 + 2 * j),
-    br("i=1, n odd", lambda m, n, i, j: i == 1 and odd(n),
-       lambda m, n, i, j, _: 2 * m * n + 2 * j - 1),
-    br("i=1, n even", lambda m, n, i, j: i == 1 and even(n),
-       lambda m, n, i, j, _: 2 * m * n + 2 * j),
+    br("i!=1, i odd", lambda m, n, i, j, _: (2 * m + i - 1) * n + 2 * j - 1),
+    br("i!=1, i even", lambda m, n, i, j, _: (4 * m + 1 - i) * n - 5 + 2 * j),
+    br("i=1, n odd", lambda m, n, i, j, _: 2 * m * n + 2 * j - 1),
+    br("i=1, n even", lambda m, n, i, j, _: 2 * m * n + 2 * j),
 )
 F.patch(
     "wheel.meven.hub",
@@ -144,65 +120,49 @@ F.patch(
         "blocks exactly as the printed ordering observations require"
     ),
     "i!=1, i odd",
-    br("i!=1, i even", lambda m, n, i, j: i != 1 and even(i),
-       lambda m, n, i, j, _: (4 * m - i) * n + 2 * j - 1),
+    br("i!=1, i even", lambda m, n, i, j, _: (4 * m - i) * n + 2 * j - 1),
     "i=1, n odd", "i=1, n even",
 )
 
-F.define("wheel.meven.rim_close_vj", br("always", ALWAYS, lambda m, n, i, j, _: j))
-F.define("wheel.meven.rim_close_jv", br("always", ALWAYS, lambda m, n, i, j, _: m * n + j))
+F.define("wheel.meven.rim_close_vj", br("always", lambda m, n, i, j, _: j))
+F.define("wheel.meven.rim_close_jv", br("always", lambda m, n, i, j, _: m * n + j))
 
 F.define(
     "wheel.meven.rim_jv",
-    br("i odd", lambda m, n, i, j: odd(i), lambda m, n, i, j, _: i * n + j),
-    br("i even", lambda m, n, i, j: even(i), lambda m, n, i, j, _: n * (2 * m - i) + j),
+    br("i odd", lambda m, n, i, j, _: i * n + j),
+    br("i even", lambda m, n, i, j, _: n * (2 * m - i) + j),
 )
 
 F.define(
     "wheel.meven.rim_vj",
-    br("i odd", lambda m, n, i, j: odd(i), lambda m, n, i, j, _: n * (2 * m - i) + j),
-    br("i even", lambda m, n, i, j: even(i), lambda m, n, i, j, _: i * n + j),
+    br("i odd", lambda m, n, i, j, _: n * (2 * m - i) + j),
+    br("i even", lambda m, n, i, j, _: i * n + j),
 )
 
 F.define(
     "wheel.meven.center",
-    br("i=2, n odd", lambda m, n, i, j: i == 2 and odd(n),
-       lambda m, n, i, j, _: 2 * m * n + 2 * j),
-    br("i=2, n even", lambda m, n, i, j: i == 2 and even(n),
-       lambda m, n, i, j, _: 2 * m * n + 2 * j - 1),
-    br("i even, 4<=i<=2fl(m/4)", lambda m, n, i, j: even(i) and 4 <= i <= 2 * _fl4(m),
-       lambda m, n, i, j, _: n * (2 * m + i - 2) + 2 * j),
-    br("i=m", lambda m, n, i, j: i == m,
-       lambda m, n, i, j, _: n * (2 * m + 2 * _fl4(m)) + 2 * j),
-    br("i even, 2fl(m/4)+2<=i<=m-2",
-       lambda m, n, i, j: even(i) and 2 * _fl4(m) + 2 <= i <= m - 2,
-       lambda m, n, i, j, _: n * (2 * m + i) + 2 * j),
-    br("i odd, 2cl(m/4)+1<=i<=m-1",
-       lambda m, n, i, j: odd(i) and 2 * _cl4(m) + 1 <= i <= m - 1,
-       lambda m, n, i, j, _: n * (4 * m - 1 - i) + 2 * j),
-    br("i=1", lambda m, n, i, j: i == 1,
-       lambda m, n, i, j, _: n * (4 * m - 2 * _cl4(m)) + 2 * j),
-    br("i odd, 3<=i<=2cl(m/4)-1",
-       lambda m, n, i, j: odd(i) and 3 <= i <= 2 * _cl4(m) - 1,
-       lambda m, n, i, j, _: n * (4 * m + 1 - i) + 2 * j),
+    br("i=2, n odd", lambda m, n, i, j, _: 2 * m * n + 2 * j),
+    br("i=2, n even", lambda m, n, i, j, _: 2 * m * n + 2 * j - 1),
+    br("i even, 4<=i<=2fl(m/4)", lambda m, n, i, j, _: n * (2 * m + i - 2) + 2 * j),
+    br("i=m", lambda m, n, i, j, _: n * (2 * m + 2 * _fl4(m)) + 2 * j),
+    br("i even, 2fl(m/4)+2<=i<=m-2", lambda m, n, i, j, _: n * (2 * m + i) + 2 * j),
+    br("i odd, 2cl(m/4)+1<=i<=m-1", lambda m, n, i, j, _: n * (4 * m - 1 - i) + 2 * j),
+    br("i=1", lambda m, n, i, j, _: n * (4 * m - 2 * _cl4(m)) + 2 * j),
+    br("i odd, 3<=i<=2cl(m/4)-1", lambda m, n, i, j, _: n * (4 * m + 1 - i) + 2 * j),
 )
 
 F.define(
     "wheel.meven.sum_center",
-    br("n odd", lambda m, n, i, j: odd(n), lambda m, n, i, j, _: 3 * m * m * n * n),
-    br("n even", lambda m, n, i, j: even(n), lambda m, n, i, j, _: 3 * m * m * n * n + n),
+    br("n odd", lambda m, n, i, j, _: 3 * m * m * n * n),
+    br("n even", lambda m, n, i, j, _: 3 * m * m * n * n + n),
 )
 
 F.define(
     "wheel.meven.sum_rim_leaf",
-    br("i!=1, i odd", lambda m, n, i, j: i != 1 and odd(i),
-       lambda m, n, i, j, _: (2 * m + 3 * i - 2) * n + 4 * j - 1),
-    br("i!=1, i even", lambda m, n, i, j: i != 1 and even(i),
-       lambda m, n, i, j, _: (8 * m - 3 * i + 2) * n + 4 * j - 5),
-    br("i=1, n odd", lambda m, n, i, j: i == 1 and odd(n),
-       lambda m, n, i, j, _: (2 * m + 3 * i - 2) * n + 4 * j - 1),
-    br("i=1, n even", lambda m, n, i, j: i == 1 and even(n),
-       lambda m, n, i, j, _: (2 * m + 3 * i - 2) * n + 4 * j),
+    br("i!=1, i odd", lambda m, n, i, j, _: (2 * m + 3 * i - 2) * n + 4 * j - 1),
+    br("i!=1, i even", lambda m, n, i, j, _: (8 * m - 3 * i + 2) * n + 4 * j - 5),
+    br("i=1, n odd", lambda m, n, i, j, _: (2 * m + 3 * i - 2) * n + 4 * j - 1),
+    br("i=1, n even", lambda m, n, i, j, _: (2 * m + 3 * i - 2) * n + 4 * j),
 )
 F.patch(
     "wheel.meven.sum_rim_leaf",
@@ -214,32 +174,20 @@ F.patch(
         "n=4 and contradicts the handshake identity elsewhere"
     ),
     "i!=1, i odd",
-    br("i!=1, i even", lambda m, n, i, j: i != 1 and even(i),
-       lambda m, n, i, j, _: (8 * m - 3 * i + 1) * n + 4 * j - 1),
+    br("i!=1, i even", lambda m, n, i, j, _: (8 * m - 3 * i + 1) * n + 4 * j - 1),
     "i=1, n odd", "i=1, n even",
 )
 
 F.define(
     "wheel.meven.sum_rim_hub",
-    br("i=2, n odd", lambda m, n, i, j: i == 2 and odd(n),
-       lambda m, n, i, j, _: n * n * (2 * m + 5) + 2 * n),
-    br("i=2, n even", lambda m, n, i, j: i == 2 and even(n),
-       lambda m, n, i, j, _: n * n * (2 * m + 5) + n),
-    br("i even, 4<=i<=2fl(m/4)", lambda m, n, i, j: even(i) and 4 <= i <= 2 * _fl4(m),
-       lambda m, n, i, j, _: n * n * (3 * i + 2 * m - 1) + 2 * n),
-    br("i=m", lambda m, n, i, j: i == m,
-       lambda m, n, i, j, _: n * n * (3 * m + 1 + 2 * _fl4(m)) + 2 * n),
-    br("i even, 2fl(m/4)+2<=i<=m-2",
-       lambda m, n, i, j: even(i) and 2 * _fl4(m) + 2 <= i <= m - 2,
-       lambda m, n, i, j, _: n * n * (3 * i + 2 * m + 1) + 2 * n),
-    br("i=1", lambda m, n, i, j: i == 1,
-       lambda m, n, i, j, _: n * n * (7 * m + 1 - 2 * _cl4(m)) + 2 * n),
-    br("i odd, 3<=i<=2cl(m/4)-1",
-       lambda m, n, i, j: odd(i) and 3 <= i <= 2 * _cl4(m) - 1,
-       lambda m, n, i, j, _: n * n * (8 * m - 3 * i + 4) + 2 * n),
-    br("i odd, m-1<=i<=2cl(m/4)-1",
-       lambda m, n, i, j: odd(i) and m - 1 <= i <= 2 * _cl4(m) - 1,
-       lambda m, n, i, j, _: n * n * (8 * m - 3 * i + 2) + 2 * n),
+    br("i=2, n odd", lambda m, n, i, j, _: n * n * (2 * m + 5) + 2 * n),
+    br("i=2, n even", lambda m, n, i, j, _: n * n * (2 * m + 5) + n),
+    br("i even, 4<=i<=2fl(m/4)", lambda m, n, i, j, _: n * n * (3 * i + 2 * m - 1) + 2 * n),
+    br("i=m", lambda m, n, i, j, _: n * n * (3 * m + 1 + 2 * _fl4(m)) + 2 * n),
+    br("i even, 2fl(m/4)+2<=i<=m-2", lambda m, n, i, j, _: n * n * (3 * i + 2 * m + 1) + 2 * n),
+    br("i=1", lambda m, n, i, j, _: n * n * (7 * m + 1 - 2 * _cl4(m)) + 2 * n),
+    br("i odd, 3<=i<=2cl(m/4)-1", lambda m, n, i, j, _: n * n * (8 * m - 3 * i + 4) + 2 * n),
+    br("i odd, m-1<=i<=2cl(m/4)-1", lambda m, n, i, j, _: n * n * (8 * m - 3 * i + 2) + 2 * n),
 )
 F.patch(
     "wheel.meven.sum_rim_hub",
@@ -252,17 +200,13 @@ F.patch(
     ),
     "i=2, n odd", "i=2, n even", "i even, 4<=i<=2fl(m/4)", "i=m", "i even, 2fl(m/4)+2<=i<=m-2",
     "i=1", "i odd, 3<=i<=2cl(m/4)-1",
-    br("i odd, 2cl(m/4)+1<=i<=m-1",
-       lambda m, n, i, j: odd(i) and 2 * _cl4(m) + 1 <= i <= m - 1,
-       lambda m, n, i, j, _: n * n * (8 * m - 3 * i + 2) + 2 * n),
+    br("i odd, 2cl(m/4)+1<=i<=m-1", lambda m, n, i, j, _: n * n * (8 * m - 3 * i + 2) + 2 * n),
 )
 
 F.define(
     "wheel.meven.sum_center_leaf",
-    br("n odd", lambda m, n, i, j: odd(n),
-       lambda m, n, i, j, _: (3 * m * n + 2 * j - n) * m),
-    br("n even", lambda m, n, i, j: even(n),
-       lambda m, n, i, j, _: (3 * m * n + 2 * j - n) * m - 1),
+    br("n odd", lambda m, n, i, j, _: (3 * m * n + 2 * j - n) * m),
+    br("n even", lambda m, n, i, j, _: (3 * m * n + 2 * j - n) * m - 1),
 )
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Piecewise formula machinery: coverage semantics and the erratum ledger."""
 
 import dis
+import hashlib
 import inspect
 import re
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
+from math import ceil, floor
 from types import CodeType, FunctionType
 
 import pytest
@@ -14,7 +17,7 @@ from antimagic import flower, helm, wheel
 from antimagic import formula as F
 from antimagic.conformance import ROWS, _coverage_message
 from antimagic.families import errata
-from antimagic.formula import ALWAYS, CoverageError, Variant, br
+from antimagic.formula import CoverageError, Variant, br
 from antimagic.graphs import edge, vertex
 
 from . import ROOT, src_env
@@ -37,12 +40,12 @@ def _pw(fid, *branches):
 
 
 def test_single_branch_evaluates():
-    pw = _pw("test.pw.single", br("always", ALWAYS, lambda m, n, i, j, _: m + n + i + j))
+    pw = _pw("test.pw.single", br("always", lambda m, n, i, j, _: m + n + i + j))
     assert pw(1, 2, 3, 4) == (10, "always")
 
 
 def test_gap_raises_coverage_error():
-    pw = _pw("test.pw.gap", br("i odd", lambda m, n, i, j: i % 2 == 1, lambda m, n, i, j, _: 1))
+    pw = _pw("test.pw.gap", br("i odd", lambda m, n, i, j, _: 1))
     with pytest.raises(CoverageError, match="no branch matches"):
         pw(3, 1, 2, 1)
 
@@ -50,8 +53,8 @@ def test_gap_raises_coverage_error():
 def test_overlap_raises_coverage_error():
     pw = _pw(
         "test.pw.overlap",
-        br("first", ALWAYS, lambda m, n, i, j, _: 1),
-        br("second", lambda m, n, i, j: i == 2, lambda m, n, i, j, _: 2),
+        br("first", lambda m, n, i, j, _: 1),
+        br("i=2: second", lambda m, n, i, j, _: 2),
     )
     with pytest.raises(CoverageError, match="overlap"):
         pw(3, 1, 2, 1)
@@ -64,10 +67,10 @@ def test_zero_branch_formula_always_errors():
 
 
 def test_registry_variants_and_ledger():
-    F.define("test.reg.demo", br("always", ALWAYS, lambda m, n, i, j, _: 5))
+    F.define("test.reg.demo", br("always", lambda m, n, i, j, _: 5))
     assert _evaluate("test.reg.demo", Variant.AS_PRINTED, 3, 1, 1, 1) == (5, "always")
     F.patch("test.reg.demo", "value is 6", "forced by the test",
-            br("always", ALWAYS, lambda m, n, i, j, _: 6))
+            br("always", lambda m, n, i, j, _: 6))
     assert _evaluate("test.reg.demo", Variant.AS_PRINTED, 3, 1, 1, 1) == (5, "always")
     assert _evaluate("test.reg.demo", Variant.ERRATA, 3, 1, 1, 1) == (6, "always")
     ledger = errata("test.reg.")
@@ -77,16 +80,16 @@ def test_registry_variants_and_ledger():
 
 
 def test_ledger_is_append_only():
-    F.define("test.appendonly", br("always", ALWAYS, lambda m, n, i, j, _: 1))
-    F.patch("test.appendonly", "x", "y", br("always", ALWAYS, lambda m, n, i, j, _: 2))
+    F.define("test.appendonly", br("always", lambda m, n, i, j, _: 1))
+    F.patch("test.appendonly", "x", "y", br("always", lambda m, n, i, j, _: 2))
     with pytest.raises(ValueError, match="append-only"):
-        F.patch("test.appendonly", "z", "w", br("always", ALWAYS, lambda m, n, i, j, _: 3))
+        F.patch("test.appendonly", "z", "w", br("always", lambda m, n, i, j, _: 3))
 
 
 def test_duplicate_definition_rejected():
-    F.define("test.dup", br("always", ALWAYS, lambda m, n, i, j, _: 1))
+    F.define("test.dup", br("always", lambda m, n, i, j, _: 1))
     with pytest.raises(ValueError, match="already defined"):
-        F.define("test.dup", br("always", ALWAYS, lambda m, n, i, j, _: 1))
+        F.define("test.dup", br("always", lambda m, n, i, j, _: 1))
 
 
 def test_every_scheme_erratum_has_evidence():
@@ -99,10 +102,10 @@ def test_every_scheme_erratum_has_evidence():
 
 
 def test_references_resolve_at_same_variant():
-    F.define("test.refbase", br("always", ALWAYS, lambda m, n, i, j, _: 10))
-    F.patch("test.refbase", "now 20", "test", br("always", ALWAYS, lambda m, n, i, j, _: 20))
+    F.define("test.refbase", br("always", lambda m, n, i, j, _: 10))
+    F.patch("test.refbase", "now 20", "test", br("always", lambda m, n, i, j, _: 20))
     F.define("test.refuser",
-             br("always", ALWAYS, F.ref_value("test.refbase", 1)))
+             br("always", F.ref_value("test.refbase", 1)))
     assert _evaluate("test.refuser", Variant.AS_PRINTED, 3, 1, 1, 1)[0] == 11
     assert _evaluate("test.refuser", Variant.ERRATA, 3, 1, 1, 1)[0] == 21
 
@@ -111,27 +114,117 @@ def test_repeated_branch_label_rejected():
     # branch hits are counted per fid[label], and patches keep branches by label
     one = lambda m, n, i, j, _: 1
     with pytest.raises(ValueError, match=r"test\.repeat .*'x'"):
-        F.define("test.repeat", br("x", ALWAYS, one), br("x", ALWAYS, one))
-    F.define("test.repeat", br("x", lambda m, n, i, j: i == 1, one),
-             br("y", lambda m, n, i, j: i != 1, one))
-    with pytest.raises(ValueError, match=r"test\.repeat .*'x'"):
-        F.patch("test.repeat", "x twice", "test", "x", br("x", ALWAYS, one))
+        F.define("test.repeat", br("x", one), br("x", one))
+    F.define("test.repeat", br("i=1: x", one), br("i!=1: y", one))
+    with pytest.raises(ValueError, match=r"test\.repeat .*'i=1: x'"):
+        F.patch("test.repeat", "x twice", "test", "i=1: x", br("i=1: x", one))
     assert errata("test.repeat") == []
 
 
 def test_patch_keeps_printed_branches_by_label():
-    a = br("a", lambda m, n, i, j: i == 1, lambda m, n, i, j, _: 1)
-    b = br("b", lambda m, n, i, j: i == 2, lambda m, n, i, j, _: 2)
+    a = br("i=1: a", lambda m, n, i, j, _: 1)
+    b = br("i=2: b", lambda m, n, i, j, _: 2)
     F.define("test.keep", a, b)
     with pytest.raises(ValueError, match=r"test\.keep .*'c'"):
-        F.patch("test.keep", "c kept", "test", "a", "c")
+        F.patch("test.keep", "c kept", "test", "i=1: a", "c")
     assert errata("test.keep") == []
-    c = br("c", lambda m, n, i, j: i == 3, lambda m, n, i, j, _: 3)
-    F.patch("test.keep", "a dropped, c added", "test", "b", c)
+    c = br("i=3: c", lambda m, n, i, j, _: 3)
+    F.patch("test.keep", "a dropped, c added", "test", "i=2: b", c)
     kept, added = errata("test.keep")[0].replacement
     assert kept is b and added is c
-    assert _evaluate("test.keep", Variant.ERRATA, 3, 1, 2, 1) == (2, "b")
+    assert _evaluate("test.keep", Variant.ERRATA, 3, 1, 2, 1) == (2, "i=2: b")
 
+
+
+# label -> when it holds, stated without the translator; fl, cl and the
+# exact quotient as Fractions
+LABEL_TRUTH = {
+    "i odd": lambda m, n, i: i % 2 == 1,
+    "n even: base + n": lambda m, n, i: n % 2 == 0,
+    "i!=1, m=3, n>=3": lambda m, n, i: i != 1 and m == 3 and n >= 3,
+    "2<=i<=m-1": lambda m, n, i: 2 <= i <= m - 1,
+    "n>2, 1<i<m: x": lambda m, n, i: n > 2 and 1 < i < m,
+    # " or " binds tighter than the comma
+    "i!=2, m>=5 or n=2": lambda m, n, i: i != 2 and (m >= 5 or n == 2),
+    "m>=5 or n=2, i!=2": lambda m, n, i: (m >= 5 or n == 2) and i != 2,
+    "i=1 or i=m, n odd": lambda m, n, i: i in (1, m) and n % 2 == 1,
+    # implicit products, floors and ceilings
+    "mn>=12": lambda m, n, i: m * n >= 12,
+    "i<=2mn-3m": lambda m, n, i: i <= 2 * m * n - 3 * m,
+    "i even, 2fl(m/4)+2<=i<=m-2": lambda m, n, i: (
+        i % 2 == 0 and 2 * floor(Fraction(m, 4)) + 2 <= i <= m - 2),
+    "i odd, 3<=i<=2cl(m/4)-1": lambda m, n, i: (
+        i % 2 == 1 and 3 <= i <= 2 * ceil(Fraction(m, 4)) - 1),
+    "fl((m+3)/2)<=i<=m-1": lambda m, n, i: floor(Fraction(m + 3, 2)) <= i <= m - 1,
+    "2<=i<=cl((m-1)/2)": lambda m, n, i: 2 <= i <= ceil(Fraction(m - 1, 2)),
+    # an exact quotient
+    "i=(m+1)/2": lambda m, n, i: i == Fraction(m + 1, 2),
+    "i=m-1, i!=(m+1)/2": lambda m, n, i: i == m - 1 and i != Fraction(m + 1, 2),
+    # a description alone holds always
+    "= base": lambda m, n, i: True,
+    "base + 4mn^2 - n": lambda m, n, i: True,
+    "label of its one edge": lambda m, n, i: True,
+}
+LABEL_CELLS = [(m, n, i) for m in range(3, 14) for n in range(1, 6) for i in range(-1, m + 3)]
+
+
+@pytest.mark.parametrize("label", LABEL_TRUTH)
+def test_a_label_compiles_to_the_condition_it_states(label):
+    guard, truth = br(label, None).guard, LABEL_TRUTH[label]
+    assert [c for c in LABEL_CELLS if guard(*c, 1) != truth(*c)] == []
+
+
+def test_an_exact_quotient_matches_no_even_m():
+    guard = br("i=(m+1)/2", None).guard
+    even_m = [(m, n, i) for m in range(4, 40, 2) for n in (1, 2) for i in range(-2, m + 3)]
+    assert not any(guard(*cell, 1) for cell in even_m)
+    assert [i for i in range(-2, 12) if guard(9, 1, i, 1)] == [5]
+
+
+def test_otherwise_is_the_complement_of_its_siblings():
+    value = lambda m, n, i, j, _: 0
+    assert br("otherwise: c", value).guard is None  # compiled once it has siblings
+    F.define("test.otherwise", br("i=2, n=2: a", value), br("i=1 or i=m: b", value),
+             br("otherwise: c", value))
+    F.patch("test.otherwise", "b dropped", "test", "i=2, n=2: a", br("otherwise: c", value))
+    for variant in F.VARIANTS:
+        *siblings, rest = F.resolve("test.otherwise", variant)
+        assert rest.label == "otherwise: c"
+        assert [c for c in LABEL_CELLS
+                if rest.guard(*c, 1) == any(s.guard(*c, 1) for s in siblings)] == []
+
+
+@pytest.mark.parametrize("label, refusal", [
+    ("i=1, i od: x", "parse only in part"),
+    ("i=1, i od", "parse only in part"),
+    ("n=2 or foo, i=1: x", "parse only in part"),
+    ("foo: base", "not a list of conditions"),
+    ("i==2: x", "not a list of conditions"),
+    ("i==2", "not a list of conditions"),
+    ("i = 2x", "not a list of conditions"),
+    ("i=m+: x", "no integer arithmetic"),
+])
+def test_a_label_that_states_no_condition_is_refused(label, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        br(label, None)
+
+
+def _inexact(guard) -> list:
+    """The true divisions and the float constants in a guard's bytecode."""
+    code = guard.__code__
+    return [
+        ins.argrepr for ins in dis.get_instructions(code)
+        if ins.opname == "BINARY_TRUE_DIVIDE" or ins.argrepr in ("/", "/=")
+    ] + [c for c in code.co_consts if isinstance(c, float)]
+
+
+def test_guards_use_only_exact_integer_arithmetic():
+    assert _inexact(lambda m, n, i, j: 2 * i == m / 2) == ["/"]
+    assert _inexact(lambda m, n, i, j: i < 1 / 2) == [0.5]
+    assert _inexact(lambda m, n, i, j: i <= m // 2) == []
+    branches = _scheme_branches()
+    assert len(branches) == 463
+    assert [f"{fid}[{b.label}]" for fid, b in branches if _inexact(b.guard)] == []
 
 def _shape(fn):
     """What a guard or value computes: bytecode, constants, names and
@@ -220,7 +313,7 @@ def test_no_guard_reads_j():
     assert _reads_j(lambda m, n, i, j: j == 1)
     assert _reads_j(nested)
     assert _reads_j(lambda *cell: cell[3] == 1)
-    assert _reads_j(calls(ALWAYS))
+    assert _reads_j(calls(lambda m, n, i, j: True))
     assert not _reads_j(lambda m, n, i, j: i == m and n > 1)
     assert not _reads_j(row(2))
 
@@ -236,6 +329,28 @@ def _scheme_branches():
         for fid in F._PRINTED if fid.startswith(SCHEMES)
         for v in F.VARIANTS for b in F.resolve(fid, v)
     }.values())
+
+
+TRUTH_CELLS = [(m, n, i) for m in range(3, 21) for n in range(1, 7) for i in range(m + 2)]
+
+
+def test_guard_truth_tables_are_pinned():
+    # Each (variant, fid[label]) guard's truth on m 3..20 x n 1..6 x i 0..m+1,
+    # hashed in fid order; the digest was computed from the hand-written
+    # guards that the labels' compiled conditions replaced.
+    digest = hashlib.sha256()
+    tables: dict = {}
+    pairs = 0
+    for fid in sorted(fid for fid in F._PRINTED if fid.startswith(SCHEMES)):
+        for v in F.VARIANTS:
+            for b in F.resolve(fid, v):
+                bits = tables.get(b.guard)
+                if bits is None:
+                    bits = tables[b.guard] = bytes([b.guard(m, n, i, 1) for m, n, i in TRUTH_CELLS])
+                digest.update(f"{v.value} {fid}[{b.label}]\n".encode() + bits)
+                pairs += 1
+    assert pairs == 853
+    assert digest.hexdigest() == "09b5606c2e2946c17ff1aa3fc28b7bf02d791fea2df33d6624c548bc2aebdfa2"
 
 
 def _degree_in_j(value) -> int | None:
@@ -353,8 +468,8 @@ def test_row_choice_equals_a_choice_per_cell(family, m, n, variant):
 def test_a_row_constant_in_j_repeats_its_first_value():
     # a step of 0: every cell takes the first value and counts one hit per
     # branch it takes, the cited formula's included
-    F.define("test.row.cited", br("always", ALWAYS, lambda m, n, i, j, _: m + i))
-    F.define("test.row.flat", br("always", ALWAYS, F.ref_value("test.row.cited", 1)))
+    F.define("test.row.cited", br("always", lambda m, n, i, j, _: m + i))
+    F.define("test.row.flat", br("always", F.ref_value("test.row.cited", 1)))
     resolver = F.Resolver(Variant.AS_PRINTED)
     values, failed = resolver.row("test.row.flat", 3, 1, 2, range(1, 5))
     assert (list(values), failed) == ([6, 6, 6, 6], [])

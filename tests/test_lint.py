@@ -47,6 +47,23 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+
+def long_lines(source: str, width: int = 100) -> list[int]:
+    """The numbers of the lines longer than ``width`` characters."""
+    return [number for number, line in enumerate(source.splitlines(), 1) if len(line) > width]
+
+
+def test_long_lines_are_found():
+    assert long_lines("x\n" + "y" * 101 + "\n" + "z" * 100 + "\n") == [2]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.parent != ROOT / "tests"],
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_no_line_exceeds_100_characters(path):
+    assert long_lines(path.read_text()) == []
+
 # Where a package name may be read: the package, its scripts and the benchmark,
 # not tests.  A name that only tests call is code no verb, script or benchmark runs.
 READERS = sorted(
