@@ -24,8 +24,9 @@ reads ``[conditions ":"] description``:
 
 A label whose head before ``:`` is not a list of conditions, or whose
 conditions parse only in part, is refused, and so is a label without a
-colon that holds a comparison anywhere but as its first character: a
-mistyped comparison does not turn a guard into "always".
+colon that holds a comparison anywhere but as its first character or
+whose first word is m, n or i followed by another word: a mistyped
+comparison or parity test does not turn a guard into "always".
 
 Corrections live in an append-only ledger of :class:`Patch` entries.
 Each patch names the formula it replaces, the replacement branches and
@@ -123,6 +124,7 @@ class Branch:
 # parity tests and and/or/not.
 _SIDE = re.compile(r"(?:[mni\d+\-*()]|//)+")
 _COMPARISON = re.compile(r"(<=|>=|!=|=|<|>)")
+_MISTYPED_PARITY = re.compile(r"[mni] \w")  # ``i od``: no description starts this way
 _QUOTIENT = re.compile(r"(\([^()]*\)|[\dmni]+)/(\d+)")
 _FLOOR = re.compile(r"(fl|cl)\(((?:[^()]|\([^()]*\))*)/(\d+)\)")
 _PRODUCT = re.compile(r"(?<=[\dmni)])(?=[mni(])")
@@ -169,7 +171,7 @@ def _source(label: str) -> str | None:
         if None in alternatives:
             if clauses or alternatives[0] is not None:
                 raise ValueError(f"label {label!r}: its conditions parse only in part")
-            if colon or _COMPARISON.search(head, 1):
+            if colon or _COMPARISON.search(head, 1) or _MISTYPED_PARITY.match(head):
                 raise ValueError(f"label {label!r}: {head!r} is not a list of conditions")
             return "True"  # a description alone holds always
         either = " or ".join(alternatives)
@@ -193,7 +195,8 @@ def br(label: str, value: Value) -> Branch:
     of integer arithmetic and comparisons (see the module docstring for
     the grammar).  Raises ValueError for a label whose head before ``:``
     is no list of conditions, whose conditions parse only in part, or
-    which has no ``:`` and holds a comparison it cannot parse.
+    which has no ``:`` and holds a comparison it cannot parse or starts
+    as a parity test it cannot parse (``i od``).
     """
     if label not in _SOURCES:
         _SOURCES[label] = _source(label)

@@ -5,21 +5,25 @@ lexicographic order with pruning on finished vertex sums (complete, so a
 negative answer is definitive; a loop over edge positions, so no
 recursion limit bounds its depth), and a steepest-descent swap search from
 the identity labeling (incomplete, so a miss is only 'not found').  Each
-descent iteration takes the best of the q(q-1)/2 label swaps, but scores
-a swap, in O(1), only if a lower bound on its result can beat the best
-so far, so mostly swaps next to a vertex whose sum collides.  A descent
-restarts, from a seeded shuffle of the labels, as soon as no swap lowers
-the collisions; the seed drives only those shuffles.  Every labeling
-either strategy returns has passed the verifier before it is handed
-back.  The search picks its strategy from q: exhaustive when q is at most
-``SearchConfig.max_exhaustive_edges``, local search above it, or at any q
-when ``SearchConfig.strategy`` asks for local search.
+descent iteration takes the best of the q(q-1)/2 label swaps without
+walking them all: a swap's collisions are bounded below by the cost less
+the gains of its two edges, so the scan sets a target at the floor no
+swap can beat, walks only the pairs whose bound allows it, and raises
+the target by one until a pair scores it; each swap it scores costs
+O(1), and mostly they are swaps next to a vertex whose sum collides.  A
+descent restarts, from a seeded shuffle of the labels, as soon as no swap
+lowers the collisions; the seed drives only those shuffles.  Every
+labeling either strategy returns has passed the verifier before it is
+handed back.  The search picks its strategy from q: exhaustive when q is
+at most ``SearchConfig.max_exhaustive_edges``, local search above it, or
+at any q when ``SearchConfig.strategy`` asks for local search.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
@@ -150,9 +154,9 @@ class _SwapTable:
     vertex that leaves a sum shared by c vertices removes at most c - 1
     collisions, so with gain[e] = count[sums[u]] + count[sums[v]] - 2 for
     edge e = (u, v), swapping a and b leaves at least
-    ``collisions - gain[a] - gain[b]``; ``best_swap`` scores no pair whose
-    bound cannot beat the best so far.  ``swap`` swaps the two entries of
-    the caller's ``labels`` in place.
+    ``collisions - gain[a] - gain[b]``; ``best_swap`` walks only the pairs
+    whose bound allows its target.  ``swap`` swaps the two entries of the
+    caller's ``labels`` in place.
     """
 
     def __init__(self, ends: list[tuple[int, int]], p: int, labels: list[int]):
@@ -201,21 +205,49 @@ class _SwapTable:
         """The first pair a < b, in lexicographic order, whose swap leaves
         the fewest collisions, as (collisions, a, b); None when q < 2.
 
-        A pair whose bound is not below the best score so far cannot
-        replace it under the strict ``<``, so it is not scored.
+        No swap leaves fewer than the floor ``collisions - g1 - g2``, g1
+        and g2 the two largest gains, so the target starts there.  Each
+        rung of the ladder walks, in lexicographic order, the pairs whose
+        bound newly allows the target, found by bisection over the edges
+        sorted by gain, and returns the first that scores it, unless a
+        pair scored on a lower rung scores it and comes first.  Then the
+        target rises by one.  A pair that scores s has a bound <= s, so
+        it is walked by rung s: the first rung any pair scores is the
+        fewest collisions, and the pair returned there is the first to
+        leave them.  Each pair is scored at most once.
         """
         cost, count, sums = self.collisions, self.count, self.sums
         gain = [count[sums[u]] + count[sums[v]] - 2 for u, v in self.ends]
-        best = None
-        limit = -1  # score (a, b) only if gain[a] + gain[b] > limit
-        for a, gain_a in enumerate(gain):
-            for b in range(a + 1, len(gain)):
-                if gain_a + gain[b] > limit:
+        if len(gain) < 2:
+            return None
+        by_gain = sorted(range(len(gain)), key=gain.__getitem__)
+        ranked = [gain[e] for e in by_gain]
+        top = ranked[-1] + ranked[-2]
+        target = max(0, cost - top)
+        first: dict[int, tuple[int, int]] = {}  # score -> the first pair scored to it so far
+        while True:
+            need = cost - target  # walk the pairs whose gains sum to need .. top
+            # a new pair must come before the first pair a lower rung
+            # scored to the target; with none, any pair does
+            known = first.get(target, (len(gain), 0))
+            for a in sorted(by_gain[bisect_left(ranked, need - ranked[-1]):]):
+                if a > known[0]:
+                    break
+                partners = by_gain[bisect_left(ranked, need - gain[a]):
+                                   bisect_right(ranked, top - gain[a])]
+                for b in sorted(partners):
+                    if b <= a:
+                        continue
+                    if (a, b) > known:
+                        break
                     c = self.score(a, b)
-                    if best is None or c < best[0]:
-                        best = (c, a, b)
-                        limit = cost - c
-        return best
+                    if c == target:
+                        return c, a, b
+                    first[c] = min(first.get(c, (a, b)), (a, b))
+            if target in first:
+                return (target, *known)
+            top = need - 1
+            target += 1
 
     def swap(self, a: int, b: int) -> None:
         moves = self._moves(a, b)

@@ -202,6 +202,7 @@ def test_otherwise_is_the_complement_of_its_siblings():
     ("i==2: x", "not a list of conditions"),
     ("i==2", "not a list of conditions"),
     ("i = 2x", "not a list of conditions"),
+    ("i od", "not a list of conditions"),
     ("i=m+: x", "no integer arithmetic"),
 ])
 def test_a_label_that_states_no_condition_is_refused(label, refusal):

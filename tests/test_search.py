@@ -245,7 +245,7 @@ def _shuffled_start(family, m, n, seed):
 @example(case=(_graph_from_edge_set([(0, 1), (2, 3)]), [1, 2]))
 @example(case=(build_star(3), [3, 1, 2]))
 @example(case=_shuffled_start("wheel", 5, 10, seed=0))  # q 200; 79 pairs tie for the best
-@example(case=_shuffled_start("wheel", 5, 10, seed=1))
+@example(case=_shuffled_start("wheel", 5, 10, seed=1))  # no pair scores the floor
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_best_swap_equals_a_full_scan(case):
     g, labels = case
@@ -262,9 +262,21 @@ def test_best_swap_equals_a_full_scan(case):
         table.swap(best[1], best[2])
 
 
-def test_best_swap_scores_a_tenth_of_the_pairs(monkeypatch):
+def test_best_swap_climbs_from_a_floor_no_pair_scores():
+    # the floor is the cost less the two largest gains; here no pair
+    # scores it, so the target rises to 1, the fewest collisions
+    g, labels = _shuffled_start("wheel", 5, 10, seed=1)
+    table = _SwapTable(_endpoints(g), g.p, labels)
+    count, sums = table.count, table.sums
+    gain = sorted(count[sums[u]] + count[sums[v]] - 2 for u, v in table.ends)
+    assert (table.collisions, table.collisions - gain[-1] - gain[-2]) == (4, 0)
+    assert table.best_swap() == _full_scan(table) == (1, 13, 17)
+
+
+def test_best_swap_scores_a_hundredth_of_the_pairs(monkeypatch):
     # the bench pool's local-search instances; a scan that scores every
-    # pair makes one score call per pair considered (12,691 here)
+    # pair makes one score call per pair considered (12,691 here, and 103
+    # calls scan from the floor)
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import harness
 
@@ -283,7 +295,18 @@ def test_best_swap_scores_a_tenth_of_the_pairs(monkeypatch):
         if strategy == Strategy.LOCAL_SEARCH.value:
             g = product_graph(family, m, n)
             considered += search_antimagic(g, config).stats.iterations * g.q * (g.q - 1) // 2
-    assert calls < considered / 10
+    assert calls < considered / 100
+
+
+@pytest.mark.parametrize("family, iterations", [("wheel", 60), ("helm", 4), ("flower", 4)])
+def test_local_search_finds_the_100_by_100_products(family, iterations):
+    # q 40,000 to 80,000: a scan that walked every pair would take
+    # 10^9 loop steps per iteration here
+    g = product_graph(family, 100, 100)
+    result = search_antimagic(g, SearchConfig(strategy=Strategy.LOCAL_SEARCH))
+    assert result.status is Status.FOUND
+    assert (result.stats.iterations, result.stats.restarts) == (iterations, 0)
+    assert verify_antimagic(g, result.labeling).antimagic
 
 
 def _matching(k):
@@ -293,10 +316,12 @@ def _matching(k):
 
 # sha256 of each search payload: status, labels by edge name, and stats
 # without wall_time_ms.  The local-search instances are the bench pool's
-# twelve plus wheel 6x3 (2 iterations); the exhaustive ones are the pool's
-# three.  No pool instance restarts, so P2, 2K2 and 3K2 (60 restarts
-# each, not found) and a triangle with a 3-edge tail (found after one
-# restart, with a labeling the seed picks) pin the restart path.
+# twelve plus wheel 6x3 (2 iterations), flower 20x20 (q 3,200, 1
+# iteration) and wheel 20x10 (q 800, 6 iterations), pinned when every
+# pair was walked; the exhaustive ones are the pool's three.  No pool
+# instance restarts, so P2, 2K2 and 3K2 (60 restarts each, not found) and
+# a triangle with a 3-edge tail (found after one restart, with a labeling
+# the seed picks) pin the restart path.
 PINNED_PAYLOADS = {
     "local-search-wheel-3-2": "782c06ed2e376bf7d3dc6c4923d63bbb2104d3eb4ddc2a6f1ed976399b1f700d",
     "local-search-wheel-4-2": "fc0ad2e46f43ffdbf4a45e88bd0b76d1224d669a0828b67dc5d04bc10788f9cf",
@@ -311,6 +336,10 @@ PINNED_PAYLOADS = {
     "local-search-wheel-7-2": "d70d4e5a0fcdea7fd5783e8a22b89c5ed2071e791cd211054c26e53441f29061",
     "local-search-helm-6-2": "d960bc4306838eada1febe98b52b37c99c9c42d2865aa56520218d5c49a2a14b",
     "local-search-wheel-6-3": "d1a00214c0dde563935b23ed36db372e9dc4152b635d2fdf5a220a25069ae7b4",
+    "local-search-flower-20-20":
+        "fe2146bab6665bbe8f9ba20f5329d546942bd5c8ad81ce0767a7e41991f68e8f",
+    "local-search-wheel-20-10":
+        "bb9708a2202674c76a1a6b46ea574543fca96eb892ecd55880c40ecf71928d0c",
     "exhaustive-wheel-3-1": "6ea5844bd28b8e6f5da20b68490f84b9c15d12e78d6d68ca54c451f25fff7d44",
     "exhaustive-wheel-4-1": "2e32ad1fa6e0748af74e1bc721855eb0f4cff85e7a5385a3158324568aebc9e0",
     "exhaustive-helm-3-1": "ca5315e692a701c332e9fc8ac00532e9b9437140d6975557430c3341796fd95c",
