@@ -8,9 +8,10 @@ writes them; any other spelling is a usage error.  All output is
 exact-integer text or JSON with a fixed field order, so identical
 invocations produce byte-identical files.
 ``label`` and ``export`` import, through
-:func:`conformance.scheme_labeling`, the one formula table of the family
-they name, and ``grid-report`` imports :mod:`.families`, and with it all
-three; the other verbs never load one.
+:func:`conformance.scheme_labeling`, the formula table of the family
+they name (flower's cites helm's, so flower loads both), and
+``grid-report`` imports :mod:`.families`, and with it all three; the
+other verbs never load one.
 """
 
 from __future__ import annotations

@@ -208,7 +208,9 @@ class FormulaCoverageError(Exception):
 def scheme_labeling(family: str, m: int, n: int, variant: Variant = Variant.ERRATA) -> EdgeLabeling:
     """The total labeling of the named family's scheme at (m, n); coverage gaps raise.
 
-    Only that family's formula table is imported, not the other two.
+    Only the tables that family's formulas need are imported: wheel and
+    helm load their own, and flower loads helm's as well, whose formulas
+    its citing branches cite.
     """
     module = importlib.import_module(f".{family}", __package__)
     result = getattr(module, f"{family}_labels")(m, n, variant)

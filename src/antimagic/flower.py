@@ -3,9 +3,9 @@
 Flower graphs add hub-to-outer edges to the helm, so the product gains
 two edge families, (w00, w_{m+i}^j) and (w_{m+i}^0, w_0^j), for 8mn
 edges in all.  Wherever the source defines these labelings as offsets of
-the helm functions they are implemented as references, never
-re-transcribed; cells whose cited helm formula does not exist surface as
-coverage errors rather than guesses.  The case split is the same as the
+the helm functions they are citing branches, whose offsets are read from
+their labels, never re-transcribed; cells whose cited helm formula does
+not exist surface as coverage errors rather than guesses.  The case split is the same as the
 helm's.
 """
 
@@ -19,7 +19,7 @@ from .conformance import (
     evaluate_edge_families,
     evaluate_vertex_families,
 )
-from .formula import Variant, VARIANTS, br, odd, ref_value
+from .formula import Variant, VARIANTS, br, odd
 from .formula import cl4 as _cl4, fl4 as _fl4
 from .graphs import check_mn, product_graph
 from .helm import helm_case_class
@@ -28,15 +28,12 @@ from .helm import helm_case_class
 # ---------------------------------------------------------------------------
 # n = 1, over the helm n=1 labeling
 
-F.define("flower.n1.hub", br("2m + cited hub", ref_value("helm.n1.hub", lambda m, n, i, j: 2 * m)))
-F.define("flower.n1.hub_outer",
-         br("2m + cited pendant - 1", ref_value("helm.n1.pend_vj", lambda m, n, i, j: 2 * m - 1)))
+F.define("flower.n1.hub", br("2m + cited hub", "helm.n1.hub"))
+F.define("flower.n1.hub_outer", br("2m + cited pendant - 1", "helm.n1.pend_vj"))
 
 # The source cites the leaf-leaf rim family (w_i^1, w_{i+1}^1) here, which
 # has no edges and no formula; as printed these cells are indeterminate.
-F.define("flower.n1.rim_jv",
-         br("2m + cited leaf-leaf rim",
-            ref_value("helm.n1.rim_leaf_pair", lambda m, n, i, j: 2 * m)))
+F.define("flower.n1.rim_jv", br("2m + cited leaf-leaf rim", "helm.n1.rim_leaf_pair"))
 F.patch(
     "flower.n1.rim_jv",
     "cited family read as the matching mixed rim family (w_i^1, w_{i+1}^0)",
@@ -46,12 +43,10 @@ F.patch(
         "the family of the edge being labeled is the only defined reading, "
         "and under it the labels are a bijection with distinct sums"
     ),
-    br("2m + mixed rim", ref_value("helm.n1.rim_jv", lambda m, n, i, j: 2 * m)),
+    br("2m + mixed rim", "helm.n1.rim_jv"),
 )
 
-F.define("flower.n1.rim_vj",
-         br("2m + cited leaf-leaf rim",
-            ref_value("helm.n1.rim_leaf_pair", lambda m, n, i, j: 2 * m)))
+F.define("flower.n1.rim_vj", br("2m + cited leaf-leaf rim", "helm.n1.rim_leaf_pair"))
 F.patch(
     "flower.n1.rim_vj",
     "cited family read as the matching mixed rim family (w_i^0, w_{i+1}^1)",
@@ -59,7 +54,7 @@ F.patch(
         "same indeterminate citation as the sibling rim family; the matching "
         "mixed family is the only defined reading and verifies"
     ),
-    br("2m + mixed rim", ref_value("helm.n1.rim_vj", lambda m, n, i, j: 2 * m)),
+    br("2m + mixed rim", "helm.n1.rim_vj"),
 )
 
 # Printed with a free rim index on the cited label, so no determined value.
@@ -72,15 +67,14 @@ F.patch(
         "to the edge being labeled, as every other row does, gives 4m+3, "
         "which completes the bijection"
     ),
-    br("2m + closing rim", ref_value("helm.n1.rim_close_A", lambda m, n, i, j: 2 * m)),
+    br("2m + closing rim", "helm.n1.rim_close_A"),
 )
 
 F.define("flower.n1.rim_close_B", br("always", lambda m, n, i, j, _: 8 * m - 3))
 F.define("flower.n1.pend_jv", br("always", lambda m, n, i, j, _: 2 * i))
-F.define("flower.n1.pend_vj", br("cited pendant - 1", ref_value("helm.n1.pend_vj", -1)))
+F.define("flower.n1.pend_vj", br("cited pendant - 1", "helm.n1.pend_vj"))
 F.define("flower.n1.spoke_outer", br("always", lambda m, n, i, j, _: 2 * m + 2 * i))
-F.define("flower.n1.spoke",
-         br("2m + cited spoke", ref_value("helm.n1.spoke", lambda m, n, i, j: 2 * m)))
+F.define("flower.n1.spoke", br("2m + cited spoke", "helm.n1.spoke"))
 
 # The n=1 oracle is partial: only the degree-2 outer vertices have printed
 # expectations (their sums are their two incident labels).
@@ -100,8 +94,7 @@ F.define(
 # ---------------------------------------------------------------------------
 # m odd, n >= 2: base class over the helm base labeling
 
-F.define("flower.modd.base.hub",
-         br("2mn + helm hub", ref_value("helm.modd.base.hub", lambda m, n, i, j: 2 * m * n)))
+F.define("flower.modd.base.hub", br("2mn + helm hub", "helm.modd.base.hub"))
 
 F.define(
     "flower.modd.base.hub_outer",
@@ -122,18 +115,13 @@ F.patch(
     br("i odd, i!=m", lambda m, n, i, j, _: n * (m - 1) + 2 * n + 2 * j - 1 + (i - 1) * n),
 )
 
-F.define("flower.modd.base.pend_in",
-         br("2mn + helm row", ref_value("helm.modd.base.pend_in", lambda m, n, i, j: 2 * m * n)))
-F.define("flower.modd.base.pend_out",
-         br("2mn + helm row", ref_value("helm.modd.base.pend_out", lambda m, n, i, j: 2 * m * n)))
-F.define("flower.modd.base.rim_vj",
-         br("2mn + helm row", ref_value("helm.modd.base.rim_vj", lambda m, n, i, j: 2 * m * n)))
-F.define("flower.modd.base.rim_jv",
-         br("2mn + helm row", ref_value("helm.modd.base.rim_jv", lambda m, n, i, j: 2 * m * n)))
+F.define("flower.modd.base.pend_in", br("2mn + helm row", "helm.modd.base.pend_in"))
+F.define("flower.modd.base.pend_out", br("2mn + helm row", "helm.modd.base.pend_out"))
+F.define("flower.modd.base.rim_vj", br("2mn + helm row", "helm.modd.base.rim_vj"))
+F.define("flower.modd.base.rim_jv", br("2mn + helm row", "helm.modd.base.rim_jv"))
 F.define("flower.modd.base.rim_close_A", br("always", lambda m, n, i, j, _: 4 * m * n + j))
 F.define("flower.modd.base.rim_close_B", br("always", lambda m, n, i, j, _: 5 * m * n + j))
-F.define("flower.modd.base.spoke",
-         br("2mn + helm row", ref_value("helm.modd.base.spoke", lambda m, n, i, j: 2 * m * n)))
+F.define("flower.modd.base.spoke", br("2mn + helm row", "helm.modd.base.spoke"))
 F.define(
     "flower.modd.base.spoke_outer",
     br("i odd", lambda m, n, i, j, _: (i - 1) * n + 2 * j),
@@ -142,9 +130,7 @@ F.define(
 
 F.define("flower.modd.base.sum_center",
          br("always", lambda m, n, i, j, _: 8 * m * m * n * n + m * n))
-F.define("flower.modd.base.sum_rim_leaf",
-         br("8mn + helm row",
-            ref_value("helm.modd.base.sum_rim_leaf", lambda m, n, i, j: 8 * m * n)))
+F.define("flower.modd.base.sum_rim_leaf", br("8mn + helm row", "helm.modd.base.sum_rim_leaf"))
 F.define(
     "flower.modd.base.sum_outer_leaf",
     br("i even", lambda m, n, i, j, _: 2 * m * n + 4 * j - 1 + 2 * (i - 2) * n),
@@ -161,9 +147,7 @@ F.patch(
     "i even", "i=m",
     br("i odd, i!=m", lambda m, n, i, j, _: 2 * n * (m + i) + 4 * j - 1 + 2 * m * n),
 )
-F.define("flower.modd.base.sum_rim_hub",
-         br("8mn^2 + helm row",
-            ref_value("helm.modd.base.sum_rim_hub", lambda m, n, i, j: 8 * m * n * n)))
+F.define("flower.modd.base.sum_rim_hub", br("8mn^2 + helm row", "helm.modd.base.sum_rim_hub"))
 F.define(
     "flower.modd.base.sum_outer_hub",
     br("i odd", lambda m, n, i, j, _: 2 * m * n * n + i * n * n + n * (n + 1) + n * n * (i - 1)),
@@ -174,40 +158,27 @@ F.define("flower.modd.base.sum_center_leaf",
 
 # m odd: shifted class
 
-F.define("flower.modd.large-star.hub", br("base - 1", ref_value("flower.modd.base.hub", -1)))
-F.define("flower.modd.large-star.hub_outer",
-         br("base + 1", ref_value("flower.modd.base.hub_outer", 1)))
-F.define("flower.modd.large-star.pend_in",
-         br("base + 4mn + 1",
-            ref_value("flower.modd.base.pend_in", lambda m, n, i, j: 4 * m * n + 1)))
-F.define("flower.modd.large-star.pend_out",
-         br("base - 1", ref_value("flower.modd.base.pend_out", -1)))
-F.define("flower.modd.large-star.rim_vj", br("= base", ref_value("flower.modd.base.rim_vj")))
-F.define("flower.modd.large-star.rim_jv", br("= base", ref_value("flower.modd.base.rim_jv")))
-F.define("flower.modd.large-star.rim_close_A",
-         br("= base", ref_value("flower.modd.base.rim_close_A")))
-F.define("flower.modd.large-star.rim_close_B",
-         br("= base", ref_value("flower.modd.base.rim_close_B")))
-F.define("flower.modd.large-star.spoke",
-         br("base - 6mn", ref_value("flower.modd.base.spoke", lambda m, n, i, j: -6 * m * n)))
-F.define("flower.modd.large-star.spoke_outer",
-         br("base + 2mn", ref_value("flower.modd.base.spoke_outer", lambda m, n, i, j: 2 * m * n)))
+F.define("flower.modd.large-star.hub", br("base - 1", "flower.modd.base.hub"))
+F.define("flower.modd.large-star.hub_outer", br("base + 1", "flower.modd.base.hub_outer"))
+F.define("flower.modd.large-star.pend_in", br("base + 4mn + 1", "flower.modd.base.pend_in"))
+F.define("flower.modd.large-star.pend_out", br("base - 1", "flower.modd.base.pend_out"))
+F.define("flower.modd.large-star.rim_vj", br("= base", "flower.modd.base.rim_vj"))
+F.define("flower.modd.large-star.rim_jv", br("= base", "flower.modd.base.rim_jv"))
+F.define("flower.modd.large-star.rim_close_A", br("= base", "flower.modd.base.rim_close_A"))
+F.define("flower.modd.large-star.rim_close_B", br("= base", "flower.modd.base.rim_close_B"))
+F.define("flower.modd.large-star.spoke", br("base - 6mn", "flower.modd.base.spoke"))
+F.define("flower.modd.large-star.spoke_outer", br("base + 2mn", "flower.modd.base.spoke_outer"))
 
 F.define("flower.modd.large-star.sum_center",
          br("always", lambda m, n, i, j, _: 8 * m * m * n * n + m * n))
-F.define("flower.modd.large-star.sum_rim_leaf",
-         br("base + 4mn", ref_value("flower.modd.base.sum_rim_leaf", lambda m, n, i, j: 4 * m * n)))
-F.define("flower.modd.large-star.sum_outer_leaf",
-         br("= base", ref_value("flower.modd.base.sum_outer_leaf")))
+F.define("flower.modd.large-star.sum_rim_leaf", br("base + 4mn", "flower.modd.base.sum_rim_leaf"))
+F.define("flower.modd.large-star.sum_outer_leaf", br("= base", "flower.modd.base.sum_outer_leaf"))
 F.define("flower.modd.large-star.sum_rim_hub",
-         br("base - 6mn^2 - n",
-            ref_value("flower.modd.base.sum_rim_hub", lambda m, n, i, j: -6 * m * n * n - n)))
+         br("base - 6mn^2 - n", "flower.modd.base.sum_rim_hub"))
 F.define("flower.modd.large-star.sum_outer_hub",
-         br("base + 6mn^2 + n",
-            ref_value("flower.modd.base.sum_outer_hub", lambda m, n, i, j: 6 * m * n * n + n)))
+         br("base + 6mn^2 + n", "flower.modd.base.sum_outer_hub"))
 F.define("flower.modd.large-star.sum_center_leaf",
-         br("base + 4m^2n",
-            ref_value("flower.modd.base.sum_center_leaf", lambda m, n, i, j: 4 * m * m * n)))
+         br("base + 4m^2n", "flower.modd.base.sum_center_leaf"))
 F.patch(
     "flower.modd.large-star.sum_center_leaf",
     "the 4m^2n shift is subtracted, not added",
@@ -217,50 +188,45 @@ F.patch(
         "printed +4m^2n contradicts the class's own label rows, the verified "
         "labeling and the handshake identity"
     ),
-    br("base - 4m^2n",
-       ref_value("flower.modd.base.sum_center_leaf", lambda m, n, i, j: -4 * m * m * n)),
+    br("base - 4m^2n", "flower.modd.base.sum_center_leaf"),
 )
 
 # m odd: even-star class
 
 F.define(
     "flower.modd.even-star.hub",
-    br("m>=5: base", ref_value("flower.modd.base.hub")),
-    br("m=3: base - 1", ref_value("flower.modd.base.hub", -1)),
+    br("m>=5: base", "flower.modd.base.hub"),
+    br("m=3: base - 1", "flower.modd.base.hub"),
 )
 F.define(
     "flower.modd.even-star.hub_outer",
-    br("m>=5: base", ref_value("flower.modd.base.hub_outer")),
+    br("m>=5: base", "flower.modd.base.hub_outer"),
     br("i=2, m=3", lambda m, n, i, j, _: 2 * j),
-    br("i!=2, m=3: base", ref_value("flower.modd.base.hub_outer")),
+    br("i!=2, m=3: base", "flower.modd.base.hub_outer"),
 )
 F.define(
     "flower.modd.even-star.pend_in",
-    br("m>=5: base", ref_value("flower.modd.base.pend_in")),
-    br("m=3: base + 4mn + 1",
-       ref_value("flower.modd.base.pend_in", lambda m, n, i, j: 4 * m * n + 1)),
+    br("m>=5: base", "flower.modd.base.pend_in"),
+    br("m=3: base + 4mn + 1", "flower.modd.base.pend_in"),
 )
 F.define(
     "flower.modd.even-star.pend_out",
-    br("m>=5: base", ref_value("flower.modd.base.pend_out")),
+    br("m>=5: base", "flower.modd.base.pend_out"),
     br("i=2, m=3", lambda m, n, i, j, _: 2 * m * n + 2 * j),
-    br("i!=2, m=3: base - 1", ref_value("flower.modd.base.pend_out", -1)),
+    br("i!=2, m=3: base - 1", "flower.modd.base.pend_out"),
 )
-F.define("flower.modd.even-star.rim_vj", br("= base", ref_value("flower.modd.base.rim_vj")))
-F.define("flower.modd.even-star.rim_jv", br("= base", ref_value("flower.modd.base.rim_jv")))
-F.define("flower.modd.even-star.rim_close_A",
-         br("= base", ref_value("flower.modd.base.rim_close_A")))
-F.define("flower.modd.even-star.rim_close_B",
-         br("= base", ref_value("flower.modd.base.rim_close_B")))
+F.define("flower.modd.even-star.rim_vj", br("= base", "flower.modd.base.rim_vj"))
+F.define("flower.modd.even-star.rim_jv", br("= base", "flower.modd.base.rim_jv"))
+F.define("flower.modd.even-star.rim_close_A", br("= base", "flower.modd.base.rim_close_A"))
+F.define("flower.modd.even-star.rim_close_B", br("= base", "flower.modd.base.rim_close_B"))
 
 # The two m=3 rows are printed with the same guard (i != 2), leaving i=2
 # uncovered and every other cell doubly covered.
 F.define(
     "flower.modd.even-star.spoke",
-    br("m>=5: base", ref_value("flower.modd.base.spoke")),
-    br("i!=2, m=3: base - 6mn", ref_value("flower.modd.base.spoke", lambda m, n, i, j: -6 * m * n)),
-    br("i!=2, m=3: base - 6mn + 1",
-       ref_value("flower.modd.base.spoke", lambda m, n, i, j: -6 * m * n + 1)),
+    br("m>=5: base", "flower.modd.base.spoke"),
+    br("i!=2, m=3: base - 6mn", "flower.modd.base.spoke"),
+    br("i!=2, m=3: base - 6mn + 1", "flower.modd.base.spoke"),
 )
 F.patch(
     "flower.modd.even-star.spoke",
@@ -272,37 +238,33 @@ F.patch(
         "distinct sums, confirmed cell by cell by the verifier"
     ),
     "m>=5: base",
-    br("i=2, m=3: base - 6mn", ref_value("flower.modd.base.spoke", lambda m, n, i, j: -6 * m * n)),
+    br("i=2, m=3: base - 6mn", "flower.modd.base.spoke"),
     "i!=2, m=3: base - 6mn + 1",
 )
 F.define(
     "flower.modd.even-star.spoke_outer",
-    br("m>=5: base", ref_value("flower.modd.base.spoke_outer")),
-    br("i=1, m=3: base + 2mn - 1",
-       ref_value("flower.modd.base.spoke_outer", lambda m, n, i, j: 2 * m * n - 1)),
-    br("i!=1, m=3: base + 2mn",
-       ref_value("flower.modd.base.spoke_outer", lambda m, n, i, j: 2 * m * n)),
+    br("m>=5: base", "flower.modd.base.spoke_outer"),
+    br("i=1, m=3: base + 2mn - 1", "flower.modd.base.spoke_outer"),
+    br("i!=1, m=3: base + 2mn", "flower.modd.base.spoke_outer"),
 )
 
 F.define(
     "flower.modd.even-star.sum_center",
-    br("m>=5: base", ref_value("flower.modd.base.sum_center")),
-    br("m=3: base - mn + n",
-       ref_value("flower.modd.base.sum_center", lambda m, n, i, j: -m * n + n)),
+    br("m>=5: base", "flower.modd.base.sum_center"),
+    br("m=3: base - mn + n", "flower.modd.base.sum_center"),
 )
 F.define(
     "flower.modd.even-star.sum_rim_leaf",
-    br("m>=5: base", ref_value("flower.modd.base.sum_rim_leaf")),
-    br("m=3: base + 4mn", ref_value("flower.modd.base.sum_rim_leaf", lambda m, n, i, j: 4 * m * n)),
+    br("m>=5: base", "flower.modd.base.sum_rim_leaf"),
+    br("m=3: base + 4mn", "flower.modd.base.sum_rim_leaf"),
 )
 # The last row is printed against the rim-leaf sum of w_i^j, not the outer
 # vertex the equation is about.
 F.define(
     "flower.modd.even-star.sum_outer_leaf",
-    br("m>=5: base", ref_value("flower.modd.base.sum_outer_leaf")),
-    br("i=2, m=3: base + 1", ref_value("flower.modd.base.sum_outer_leaf", 1)),
-    br("i!=2, m=3: rim-leaf row + 4mn",
-       ref_value("flower.modd.base.sum_rim_leaf", lambda m, n, i, j: 4 * m * n)),
+    br("m>=5: base", "flower.modd.base.sum_outer_leaf"),
+    br("i=2, m=3: base + 1", "flower.modd.base.sum_outer_leaf"),
+    br("i!=2, m=3: rim-leaf row + 4mn", "flower.modd.base.sum_rim_leaf"),
 )
 F.patch(
     "flower.modd.even-star.sum_outer_leaf",
@@ -315,36 +277,31 @@ F.patch(
         "cell by cell, and required by the handshake identity)"
     ),
     "m>=5: base", "i=2, m=3: base + 1",
-    br("i!=2, m=3: base - 1", ref_value("flower.modd.base.sum_outer_leaf", -1)),
+    br("i!=2, m=3: base - 1", "flower.modd.base.sum_outer_leaf"),
 )
 F.define(
     "flower.modd.even-star.sum_rim_hub",
-    br("m>=5: base", ref_value("flower.modd.base.sum_rim_hub")),
-    br("m=3: base - 6mn^2",
-       ref_value("flower.modd.base.sum_rim_hub", lambda m, n, i, j: -6 * m * n * n)),
+    br("m>=5: base", "flower.modd.base.sum_rim_hub"),
+    br("m=3: base - 6mn^2", "flower.modd.base.sum_rim_hub"),
 )
 F.define(
     "flower.modd.even-star.sum_outer_hub",
-    br("m>=5: base", ref_value("flower.modd.base.sum_outer_hub")),
-    br("i=1, m=3: base + 6mn^2",
-       ref_value("flower.modd.base.sum_outer_hub", lambda m, n, i, j: 6 * m * n * n)),
-    br("i!=1, m=3: base + 6mn^2 + n",
-       ref_value("flower.modd.base.sum_outer_hub", lambda m, n, i, j: 6 * m * n * n + n)),
+    br("m>=5: base", "flower.modd.base.sum_outer_hub"),
+    br("i=1, m=3: base + 6mn^2", "flower.modd.base.sum_outer_hub"),
+    br("i!=1, m=3: base + 6mn^2 + n", "flower.modd.base.sum_outer_hub"),
 )
 # Printed twice against the shifted class; the second block is read as this
 # class's row.
 F.define(
     "flower.modd.even-star.sum_center_leaf",
-    br("m>=5: base", ref_value("flower.modd.base.sum_center_leaf")),
-    br("m=3: base - 4m^2n + 1",
-       ref_value("flower.modd.base.sum_center_leaf", lambda m, n, i, j: -4 * m * m * n + 1)),
+    br("m>=5: base", "flower.modd.base.sum_center_leaf"),
+    br("m=3: base - 4m^2n + 1", "flower.modd.base.sum_center_leaf"),
 )
 
 # ---------------------------------------------------------------------------
 # m even, n >= 2: base class over the helm base labeling
 
-F.define("flower.meven.base.hub",
-         br("2mn + helm row", ref_value("helm.meven.base.hub", lambda m, n, i, j: 2 * m * n)))
+F.define("flower.meven.base.hub", br("2mn + helm row", "helm.meven.base.hub"))
 
 F.define(
     "flower.meven.base.hub_outer",
@@ -374,10 +331,8 @@ F.patch(
     br("i odd, 3<=i<=2cl(m/4)-1, m!=4", lambda m, n, i, j, _: n * (2 * m + 1 - i) + 2 * j - 1),
 )
 
-F.define("flower.meven.base.pend_in",
-         br("2mn + helm row", ref_value("helm.meven.base.pend_in", lambda m, n, i, j: 2 * m * n)))
-F.define("flower.meven.base.pend_out",
-         br("2mn + helm row", ref_value("helm.meven.base.pend_out", lambda m, n, i, j: 2 * m * n)))
+F.define("flower.meven.base.pend_in", br("2mn + helm row", "helm.meven.base.pend_in"))
+F.define("flower.meven.base.pend_out", br("2mn + helm row", "helm.meven.base.pend_out"))
 F.define("flower.meven.base.rim_close_A", br("always", lambda m, n, i, j, _: 4 * m * n + j))
 F.define("flower.meven.base.rim_close_B", br("always", lambda m, n, i, j, _: 5 * m * n + j))
 F.define(
@@ -390,8 +345,7 @@ F.define(
     br("i odd", lambda m, n, i, j, _: 2 * m * n + (4 * m - i) * n + j),
     br("i even", lambda m, n, i, j, _: 2 * m * n + (2 * m + i) * n + j),
 )
-F.define("flower.meven.base.spoke",
-         br("2mn + helm row", ref_value("helm.meven.base.spoke", lambda m, n, i, j: 2 * m * n)))
+F.define("flower.meven.base.spoke", br("2mn + helm row", "helm.meven.base.spoke"))
 F.define(
     "flower.meven.base.spoke_outer",
     br("i odd", lambda m, n, i, j, _: 2 * j + (i - 1) * n),
@@ -400,9 +354,7 @@ F.define(
 
 F.define("flower.meven.base.sum_center",
          br("always", lambda m, n, i, j, _: 8 * m * m * n * n + m * n))
-F.define("flower.meven.base.sum_rim_leaf",
-         br("8mn + helm row",
-            ref_value("helm.meven.base.sum_rim_leaf", lambda m, n, i, j: 8 * m * n)))
+F.define("flower.meven.base.sum_rim_leaf", br("8mn + helm row", "helm.meven.base.sum_rim_leaf"))
 
 F.define(
     "flower.meven.base.sum_outer_leaf",
@@ -433,9 +385,7 @@ F.patch(
        lambda m, n, i, j, _: 6 * m * n - 2 * (i - 1) * n + 4 * j - 2),
 )
 
-F.define("flower.meven.base.sum_rim_hub",
-         br("8mn^2 + helm row",
-            ref_value("helm.meven.base.sum_rim_hub", lambda m, n, i, j: 8 * m * n * n)))
+F.define("flower.meven.base.sum_rim_hub", br("8mn^2 + helm row", "helm.meven.base.sum_rim_hub"))
 F.define(
     "flower.meven.base.sum_outer_hub",
     br("2mn^2 + 2 * helm row",
@@ -446,38 +396,30 @@ F.define("flower.meven.base.sum_center_leaf",
 
 # m even: shifted class
 
-F.define("flower.meven.large-star.hub", br("base - 1", ref_value("flower.meven.base.hub", -1)))
-F.define("flower.meven.large-star.hub_outer",
-         br("base + 2mn + 1",
-            ref_value("flower.meven.base.hub_outer", lambda m, n, i, j: 2 * m * n + 1)))
-F.define("flower.meven.large-star.pend_in",
-         br("base + 4mn", ref_value("flower.meven.base.pend_in", lambda m, n, i, j: 4 * m * n)))
+F.define("flower.meven.large-star.hub", br("base - 1", "flower.meven.base.hub"))
+F.define("flower.meven.large-star.hub_outer", br("base + 2mn + 1", "flower.meven.base.hub_outer"))
+F.define("flower.meven.large-star.pend_in", br("base + 4mn", "flower.meven.base.pend_in"))
 F.define(
     "flower.meven.large-star.pend_out",
     br("i=2", lambda m, n, i, j, _: 2 * j),
-    br("i!=2: base", ref_value("flower.meven.base.pend_out")),
+    br("i!=2: base", "flower.meven.base.pend_out"),
 )
-F.define("flower.meven.large-star.rim_jv", br("= base", ref_value("flower.meven.base.rim_jv")))
-F.define("flower.meven.large-star.rim_vj", br("= base", ref_value("flower.meven.base.rim_vj")))
-F.define("flower.meven.large-star.rim_close_A",
-         br("= base", ref_value("flower.meven.base.rim_close_A")))
-F.define("flower.meven.large-star.rim_close_B",
-         br("= base", ref_value("flower.meven.base.rim_close_B")))
+F.define("flower.meven.large-star.rim_jv", br("= base", "flower.meven.base.rim_jv"))
+F.define("flower.meven.large-star.rim_vj", br("= base", "flower.meven.base.rim_vj"))
+F.define("flower.meven.large-star.rim_close_A", br("= base", "flower.meven.base.rim_close_A"))
+F.define("flower.meven.large-star.rim_close_B", br("= base", "flower.meven.base.rim_close_B"))
 F.define(
     "flower.meven.large-star.spoke",
     br("i=2", lambda m, n, i, j, _: 2 * j - 1),
-    br("i!=2: base - 6mn + 1",
-       ref_value("flower.meven.base.spoke", lambda m, n, i, j: -6 * m * n + 1)),
+    br("i!=2: base - 6mn + 1", "flower.meven.base.spoke"),
 )
 F.define("flower.meven.large-star.spoke_outer",
-         br("base + 2mn - 1",
-            ref_value("flower.meven.base.spoke_outer", lambda m, n, i, j: 2 * m * n - 1)))
+         br("base + 2mn - 1", "flower.meven.base.spoke_outer"))
 
 F.define("flower.meven.large-star.sum_center",
          br("always", lambda m, n, i, j, _: 8 * m * m * n * n + m * n))
 F.define("flower.meven.large-star.sum_rim_leaf",
-         br("base + 4mn - 1",
-            ref_value("flower.meven.base.sum_rim_leaf", lambda m, n, i, j: 4 * m * n - 1)))
+         br("base + 4mn - 1", "flower.meven.base.sum_rim_leaf"))
 # Printed against the pendant-out label of the same cell.
 F.define(
     "flower.meven.large-star.sum_outer_leaf",
@@ -487,53 +429,44 @@ F.define(
        lambda m, n, i, j, g: 2 * g("flower.meven.base.pend_out", m, n, i, j) + 1 - 2 * m * n),
 )
 F.define("flower.meven.large-star.sum_rim_hub",
-         br("base - 8mn^2 + n",
-            ref_value("flower.meven.base.sum_rim_hub", lambda m, n, i, j: -8 * m * n * n + n)))
+         br("base - 8mn^2 + n", "flower.meven.base.sum_rim_hub"))
 F.define(
     "flower.meven.large-star.sum_outer_hub",
-    br("i odd: base + 6mn^2 - n",
-       ref_value("flower.meven.base.sum_outer_hub", lambda m, n, i, j: 6 * m * n * n - n)),
-    br("i even: base + 8mn^2 - n",
-       ref_value("flower.meven.base.sum_outer_hub", lambda m, n, i, j: 8 * m * n * n - n)),
+    br("i odd: base + 6mn^2 - n", "flower.meven.base.sum_outer_hub"),
+    br("i even: base + 8mn^2 - n", "flower.meven.base.sum_outer_hub"),
 )
 F.define("flower.meven.large-star.sum_center_leaf",
-         br("base - 4m^2n - 1",
-            ref_value("flower.meven.base.sum_center_leaf", lambda m, n, i, j: -4 * m * m * n - 1)))
+         br("base - 4m^2n - 1", "flower.meven.base.sum_center_leaf"))
 
 # m even: even-star class
 
-F.define("flower.meven.even-star.hub", br("= base", ref_value("flower.meven.base.hub")))
+F.define("flower.meven.even-star.hub", br("= base", "flower.meven.base.hub"))
 F.define(
     "flower.meven.even-star.hub_outer",
     br("i=2, n=2", lambda m, n, i, j, _: 2 * j - 1),
     br("i=2, n!=2", lambda m, n, i, j, _: 2 * j),
-    br("otherwise: base", ref_value("flower.meven.base.hub_outer")),
+    br("otherwise: base", "flower.meven.base.hub_outer"),
 )
-F.define("flower.meven.even-star.pend_in",
-         br("base - 1", ref_value("flower.meven.base.pend_in", -1)))
-F.define("flower.meven.even-star.pend_out",
-         br("base + 1", ref_value("flower.meven.base.pend_out", 1)))
-F.define("flower.meven.even-star.rim_jv", br("= base", ref_value("flower.meven.base.rim_jv")))
-F.define("flower.meven.even-star.rim_vj", br("= base", ref_value("flower.meven.base.rim_vj")))
-F.define("flower.meven.even-star.rim_close_A",
-         br("= base", ref_value("flower.meven.base.rim_close_A")))
-F.define("flower.meven.even-star.rim_close_B",
-         br("= base", ref_value("flower.meven.base.rim_close_B")))
-F.define("flower.meven.even-star.spoke", br("= base", ref_value("flower.meven.base.spoke")))
+F.define("flower.meven.even-star.pend_in", br("base - 1", "flower.meven.base.pend_in"))
+F.define("flower.meven.even-star.pend_out", br("base + 1", "flower.meven.base.pend_out"))
+F.define("flower.meven.even-star.rim_jv", br("= base", "flower.meven.base.rim_jv"))
+F.define("flower.meven.even-star.rim_vj", br("= base", "flower.meven.base.rim_vj"))
+F.define("flower.meven.even-star.rim_close_A", br("= base", "flower.meven.base.rim_close_A"))
+F.define("flower.meven.even-star.rim_close_B", br("= base", "flower.meven.base.rim_close_B"))
+F.define("flower.meven.even-star.spoke", br("= base", "flower.meven.base.spoke"))
 F.define(
     "flower.meven.even-star.spoke_outer",
     br("i=1, n!=2", lambda m, n, i, j, _: 2 * j - 1),
     br("i=1, n=2", lambda m, n, i, j, _: 2 * j),
-    br("otherwise: base", ref_value("flower.meven.base.spoke_outer")),
+    br("otherwise: base", "flower.meven.base.spoke_outer"),
 )
 
 F.define(
     "flower.meven.even-star.sum_center",
-    br("n=2: base", ref_value("flower.meven.base.sum_center")),
-    br("n>2: base + n", ref_value("flower.meven.base.sum_center", lambda m, n, i, j: n)),
+    br("n=2: base", "flower.meven.base.sum_center"),
+    br("n>2: base + n", "flower.meven.base.sum_center"),
 )
-F.define("flower.meven.even-star.sum_rim_leaf",
-         br("base - 1", ref_value("flower.meven.base.sum_rim_leaf", -1)))
+F.define("flower.meven.even-star.sum_rim_leaf", br("base - 1", "flower.meven.base.sum_rim_leaf"))
 F.define(
     "flower.meven.even-star.sum_outer_leaf",
     br("n=2: 2 * hub-outer label + 2mn + 1",
@@ -543,8 +476,7 @@ F.define(
     br("n>2, i!=2: 2 * hub-outer label + 2mn + 1",
        lambda m, n, i, j, g: 2 * g("flower.meven.base.hub_outer", m, n, i, j) + 2 * m * n + 1),
 )
-F.define("flower.meven.even-star.sum_rim_hub",
-         br("base + n", ref_value("flower.meven.base.sum_rim_hub", lambda m, n, i, j: n)))
+F.define("flower.meven.even-star.sum_rim_hub", br("base + n", "flower.meven.base.sum_rim_hub"))
 F.define(
     "flower.meven.even-star.sum_outer_hub",
     br("n=2, i odd", lambda m, n, i, j, _: 2 * m * n * n + 2 * i * n * n + n),
@@ -566,8 +498,8 @@ F.patch(
 )
 F.define(
     "flower.meven.even-star.sum_center_leaf",
-    br("n=2: base", ref_value("flower.meven.base.sum_center_leaf")),
-    br("n!=2: base - 1", ref_value("flower.meven.base.sum_center_leaf", -1)),
+    br("n=2: base", "flower.meven.base.sum_center_leaf"),
+    br("n!=2: base - 1", "flower.meven.base.sum_center_leaf"),
 )
 
 # ---------------------------------------------------------------------------

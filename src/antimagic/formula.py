@@ -1,5 +1,5 @@
-"""Piecewise integer formulas whose branch guards are read from their labels,
-and an erratum ledger.
+"""Piecewise integer formulas whose branch guards, and citing values, are
+read from their labels, and an erratum ledger.
 
 Every labeling scheme in this project is a collection of piecewise
 formulas over cells (m, n, i, j).  A cell must satisfy exactly one
@@ -16,11 +16,21 @@ reads ``[conditions ":"] description``:
   ``= != < > <= >=`` over integer expressions in m, n and i, and
   conditions joined by `` or `` bind tighter than the comma:
   ``i=2, m>=5 or n=2``;
-- an expression may use implicit products (``2fl(m/4)``, ``mn``), the
-  floor ``fl(a/k)`` and ceiling ``cl(a/k)`` of a quotient by an integer,
-  and a side of a chain may be an exact quotient such as ``(m+1)/2``;
+- an expression may use implicit products (``2fl(m/4)``, ``mn``), powers
+  ``x^k``, the floor ``fl(a/k)`` and ceiling ``cl(a/k)`` of a quotient by
+  an integer, and a side of a chain may be an exact quotient such as
+  ``(m+1)/2``;
 - a label with no condition part (``= base``, ``base + 4mn``) holds
   always, and ``otherwise: ...`` holds where none of its siblings does.
+
+Where the paper gives a labeling as an offset of one it printed already,
+the branch is ``br(label, "<cited fid>")`` and its value is read from
+the label's description as ``[=] term {(+|-) term}``, the signs spaced:
+one term, added, is the citation phrase (letters and hyphens: ``base``,
+``helm row``), and every other term an integer expression as above, no
+bare quotient.  ``base - 4m^2n + m - 1`` is the cited formula's value at
+the same cell minus 4m^2n plus m - 1, so a label cannot misstate its
+offset, and the cited fid is a constant of the value's code.
 
 A label whose head before ``:`` is not a list of conditions, or whose
 conditions parse only in part, is refused, and so is a label without a
@@ -118,18 +128,30 @@ class Branch:
     value: Value
 
 
-# A side of a condition's comparison chain, once fl/cl and implicit
-# products are rewritten, holds only the cell's names, integer literals,
-# + - * ( ) and floor division; a compiled guard adds only comparisons,
-# parity tests and and/or/not.
+# An integer expression, once fl/cl, powers and implicit products are
+# rewritten, holds only the cell's names, integer literals, + - * ( ) and
+# floor division; a compiled guard adds only comparisons, parity tests
+# and and/or/not, and a compiled value only the call of its citation.
 _SIDE = re.compile(r"(?:[mni\d+\-*()]|//)+")
 _COMPARISON = re.compile(r"(<=|>=|!=|=|<|>)")
 _MISTYPED_PARITY = re.compile(r"[mni] \w")  # ``i od``: no description starts this way
 _QUOTIENT = re.compile(r"(\([^()]*\)|[\dmni]+)/(\d+)")
 _FLOOR = re.compile(r"(fl|cl)\(((?:[^()]|\([^()]*\))*)/(\d+)\)")
+_POWER = re.compile(r"\^(\d+)")
 _PRODUCT = re.compile(r"(?<=[\dmni)])(?=[mni(])")
+_TERM = re.compile(r" ([+-]) ")
+_PHRASE = re.compile(r"[a-z]+(?:[ -][a-z]+)*")  # ``base``, ``cited leaf-leaf rim``
 _SOURCES: dict[str, str | None] = {}  # label -> the Python source of its guard
-_GUARDS: dict[str, Guard] = {}  # that source -> its compiled guard
+_COMPILED: dict[str, Callable] = {}  # a lambda's source -> the lambda
+
+
+def _expression(text: str) -> str | None:
+    """An integer expression in m, n and i as Python, or None if ``text`` is none."""
+    text = _FLOOR.sub(
+        lambda f: f"(({f[2]})//{f[3]})" if f[1] == "fl" else f"(-(-({f[2]})//{f[3]}))", text
+    )
+    text = _PRODUCT.sub("*", _POWER.sub(r"**\1", text))
+    return text if _SIDE.fullmatch(text) else None
 
 
 def _condition(text: str) -> str | None:
@@ -145,11 +167,8 @@ def _condition(text: str) -> str | None:
         # a side that is an exact quotient a/k compares as a, the others times k
         quotient = _QUOTIENT.fullmatch(side)
         side, k = (quotient[1], int(quotient[2])) if quotient else (side, 1)
-        side = _FLOOR.sub(
-            lambda f: f"(({f[2]})//{f[3]})" if f[1] == "fl" else f"(-(-({f[2]})//{f[3]}))", side
-        )
-        side = _PRODUCT.sub("*", side)
-        if not _SIDE.fullmatch(side):
+        side = _expression(side)
+        if side is None:
             return None
         sides.append((side, k))
     scale = 1
@@ -179,45 +198,67 @@ def _source(label: str) -> str | None:
     return " and ".join(clauses)
 
 
+def _value_source(label: str, fid: str) -> str:
+    """The Python source of the value ``label`` states: ``fid``'s value plus an offset."""
+    head, colon, description = label.partition(":")
+    if not colon:
+        if _SOURCES[label] != "True":
+            raise ValueError(f"label {label!r}: it states conditions and no value")
+        description = head
+    parts = _TERM.split(description.strip().removeprefix("=").strip())
+    cited, offset = [], []
+    for sign, term in zip(["+"] + parts[1::2], parts[::2]):
+        python = _expression(term)
+        if python is not None:
+            offset.append(f"{sign} {python}")
+        elif sign == "+" and _PHRASE.fullmatch(term):
+            cited.append(term)
+        else:
+            raise ValueError(f"label {label!r}: {term!r} is no integer expression and no citation")
+    if len(cited) != 1:
+        raise ValueError(f"label {label!r}: it cites {len(cited)} formulas, not one")
+    source = f"g({fid!r}, m, n, i, j)"
+    return f"{source} + ({' '.join(offset).removeprefix('+ ')})" if offset else source
+
+
+def _compile(source: str) -> Callable:
+    compiled = _COMPILED.get(source)
+    if compiled is None:
+        # the source holds only what _SIDE admits, comparisons, and/or/not
+        # and a citation's call, and labels come from the package's own tables
+        compiled = _COMPILED[source] = eval(source, {})
+    return compiled
+
+
 def _guard(source: str) -> Guard:
-    guard = _GUARDS.get(source)
-    if guard is None:
-        # the source holds only what _SIDE admits, comparisons and
-        # and/or/not, and labels come from the package's own tables
-        guard = _GUARDS[source] = eval(f"lambda m, n, i, j: {source}", {})
-    return guard
+    return _compile(f"lambda m, n, i, j: {source}")
 
 
-def br(label: str, value: Value) -> Branch:
+def br(label: str, value: Value | str) -> Branch:
     """The branch ``label`` of a formula, its guard compiled from the label.
 
     Each distinct condition compiles once, to a plain ``lambda m, n, i, j``
-    of integer arithmetic and comparisons (see the module docstring for
-    the grammar).  Raises ValueError for a label whose head before ``:``
-    is no list of conditions, whose conditions parse only in part, or
-    which has no ``:`` and holds a comparison it cannot parse or starts
-    as a parity test it cannot parse (``i od``).
+    of integer arithmetic and comparisons.  A ``value`` that is a formula
+    id makes a citing branch: its value is compiled from the label's
+    description, each distinct one once, to ``lambda m, n, i, j, g:
+    g(fid, m, n, i, j) + (offset)`` (see the module docstring for both
+    grammars).  Raises ValueError for a label whose head before ``:`` is
+    no list of conditions, whose conditions parse only in part, or which
+    has no ``:`` and holds a comparison it cannot parse or starts as a
+    parity test it cannot parse (``i od``); and for a citing label whose
+    description has a term that is no integer expression and no added
+    citation phrase, or not exactly one such phrase.
     """
     if label not in _SOURCES:
         _SOURCES[label] = _source(label)
     source = _SOURCES[label]
     try:
-        return Branch(label, None if source is None else _guard(source), value)
+        guard = None if source is None else _guard(source)
+        if isinstance(value, str):
+            value = _compile(f"lambda m, n, i, j, g: {_value_source(label, value)}")
     except SyntaxError:
-        raise ValueError(f"label {label!r}: its conditions are no integer arithmetic") from None
-
-
-def ref_value(fid: str, offset=None) -> Value:
-    """Value callable: another formula at the same cell, plus an offset.
-
-    ``offset`` may be an int or a callable (m, n, i, j) -> int; schemes
-    use this for the pervasive 'other labeling plus 4mn'-style rows.
-    """
-    if offset is None:
-        return lambda m, n, i, j, g: g(fid, m, n, i, j)
-    if isinstance(offset, int):
-        return lambda m, n, i, j, g: g(fid, m, n, i, j) + offset
-    return lambda m, n, i, j, g: g(fid, m, n, i, j) + offset(m, n, i, j)
+        raise ValueError(f"label {label!r}: it holds no integer arithmetic") from None
+    return Branch(label, guard, value)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .conformance import (
     evaluate_edge_families,
     evaluate_vertex_families,
 )
-from .formula import Variant, VARIANTS, br, even, odd, ref_value
+from .formula import Variant, VARIANTS, br, even, odd
 from .formula import cl4 as _cl4, fl4 as _fl4
 from .graphs import check_mn, product_graph
 
@@ -84,8 +84,8 @@ F.define("helm.n1.rim_leaf_pair")
 
 F.define("helm.n1.sum_center", br("always", lambda m, n, i, j, _: 3 * m * m + m))
 F.define("helm.n1.sum_rim_leaf", br("always", lambda m, n, i, j, _: 6 * m + 12 * i - 5))
-F.define("helm.n1.sum_outer_leaf", br("label of its one edge", ref_value("helm.n1.pend_vj")))
-F.define("helm.n1.sum_outer_hub", br("label of its one edge", ref_value("helm.n1.pend_jv")))
+F.define("helm.n1.sum_outer_leaf", br("label of its one edge", "helm.n1.pend_vj"))
+F.define("helm.n1.sum_outer_hub", br("label of its one edge", "helm.n1.pend_jv"))
 F.define("helm.n1.sum_center_leaf", br("always", lambda m, n, i, j, _: 5 * m * m + m))
 
 F.define(
@@ -163,10 +163,7 @@ F.define(
     br("i odd", lambda m, n, i, j, _: 8 * m * n + 6 * j + 4 * i * n - 3 * n - 1),
     br("i even", lambda m, n, i, j, _: 12 * m * n + 4 * i * n - 3 * n + 6 * j - 1),
 )
-F.define(
-    "helm.modd.base.sum_outer_leaf",
-    br("label of its one edge", ref_value("helm.modd.base.pend_out")),
-)
+F.define("helm.modd.base.sum_outer_leaf", br("label of its one edge", "helm.modd.base.pend_out"))
 F.define(
     "helm.modd.base.sum_rim_hub",
     br("i odd, i!=m", lambda m, n, i, j, _: 12 * m * n * n + 4 * i * n * n + 2 * n * n + 2 * n),
@@ -185,68 +182,58 @@ F.define(
 
 # m odd: shifted class (pendant-in and centre-spoke regions swap by 4mn)
 
-F.define("helm.modd.large-star.hub", br("= base", ref_value("helm.modd.base.hub")))
-F.define("helm.modd.large-star.pend_in",
-         br("base + 4mn", ref_value("helm.modd.base.pend_in", lambda m, n, i, j: 4 * m * n)))
-F.define("helm.modd.large-star.pend_out", br("= base", ref_value("helm.modd.base.pend_out")))
-F.define("helm.modd.large-star.rim_vj", br("= base", ref_value("helm.modd.base.rim_vj")))
-F.define("helm.modd.large-star.rim_jv", br("= base", ref_value("helm.modd.base.rim_jv")))
-F.define("helm.modd.large-star.rim_close_A", br("= base", ref_value("helm.modd.base.rim_close_A")))
-F.define("helm.modd.large-star.rim_close_B", br("= base", ref_value("helm.modd.base.rim_close_B")))
-F.define("helm.modd.large-star.spoke",
-         br("base - 4mn", ref_value("helm.modd.base.spoke", lambda m, n, i, j: -4 * m * n)))
+F.define("helm.modd.large-star.hub", br("= base", "helm.modd.base.hub"))
+F.define("helm.modd.large-star.pend_in", br("base + 4mn", "helm.modd.base.pend_in"))
+F.define("helm.modd.large-star.pend_out", br("= base", "helm.modd.base.pend_out"))
+F.define("helm.modd.large-star.rim_vj", br("= base", "helm.modd.base.rim_vj"))
+F.define("helm.modd.large-star.rim_jv", br("= base", "helm.modd.base.rim_jv"))
+F.define("helm.modd.large-star.rim_close_A", br("= base", "helm.modd.base.rim_close_A"))
+F.define("helm.modd.large-star.rim_close_B", br("= base", "helm.modd.base.rim_close_B"))
+F.define("helm.modd.large-star.spoke", br("base - 4mn", "helm.modd.base.spoke"))
 
 F.define("helm.modd.large-star.sum_center",
          br("always", lambda m, n, i, j, _: 5 * m * m * n * n + m * n))
-F.define("helm.modd.large-star.sum_rim_leaf",
-         br("base + 4mn", ref_value("helm.modd.base.sum_rim_leaf", lambda m, n, i, j: 4 * m * n)))
+F.define("helm.modd.large-star.sum_rim_leaf", br("base + 4mn", "helm.modd.base.sum_rim_leaf"))
 F.define("helm.modd.large-star.sum_outer_leaf",
-         br("label of its one edge", ref_value("helm.modd.large-star.pend_out")))
-F.define("helm.modd.large-star.sum_rim_hub",
-         br("base - 4mn^2",
-            ref_value("helm.modd.base.sum_rim_hub", lambda m, n, i, j: -4 * m * n * n)))
-F.define("helm.modd.large-star.sum_outer_hub",
-         br("base + 4mn^2",
-            ref_value("helm.modd.base.sum_outer_hub", lambda m, n, i, j: 4 * m * n * n)))
+         br("label of its one edge", "helm.modd.large-star.pend_out"))
+F.define("helm.modd.large-star.sum_rim_hub", br("base - 4mn^2", "helm.modd.base.sum_rim_hub"))
+F.define("helm.modd.large-star.sum_outer_hub", br("base + 4mn^2", "helm.modd.base.sum_outer_hub"))
 F.define("helm.modd.large-star.sum_center_leaf",
-         br("base - 4m^2n",
-            ref_value("helm.modd.base.sum_center_leaf", lambda m, n, i, j: -4 * m * m * n)))
+         br("base - 4m^2n", "helm.modd.base.sum_center_leaf"))
 
 # m odd: even-star class
 
 F.define(
     "helm.modd.even-star.hub",
     br("i=1", lambda m, n, i, j, _: 4 * m * n + 2 * j),
-    br("i!=1: base - 1", ref_value("helm.modd.base.hub", -1)),
+    br("i!=1: base - 1", "helm.modd.base.hub"),
 )
 F.define(
     "helm.modd.even-star.pend_in",
     br("n=2, i=1", lambda m, n, i, j, _: 2 * j),
-    br("n=2, i!=1: base + 1", ref_value("helm.modd.base.pend_in", 1)),
+    br("n=2, i!=1: base + 1", "helm.modd.base.pend_in"),
     br("n>=3, i=1, m=3", lambda m, n, i, j, _: 4 * m * n + 2 * j - 1),
     br("n>=3, i=1, m>=5", lambda m, n, i, j, _: 2 * j - 1),
-    br("n>=3, i!=1, m=3: base + 4mn + 1",
-       ref_value("helm.modd.base.pend_in", lambda m, n, i, j: 4 * m * n + 1)),
-    br("n>=3, i!=1, m>=5: base + 1", ref_value("helm.modd.base.pend_in", 1)),
+    br("n>=3, i!=1, m=3: base + 4mn + 1", "helm.modd.base.pend_in"),
+    br("n>=3, i!=1, m>=5: base + 1", "helm.modd.base.pend_in"),
 )
 F.define(
     "helm.modd.even-star.pend_out",
     br("n=2, i=2", lambda m, n, i, j, _: 2 * j - 1),
-    br("n=2, i!=2: base - 1", ref_value("helm.modd.base.pend_out", -1)),
+    br("n=2, i!=2: base - 1", "helm.modd.base.pend_out"),
     br("n>=3, i=2", lambda m, n, i, j, _: 2 * j),
-    br("n>=3, i!=2: base - 1", ref_value("helm.modd.base.pend_out", -1)),
+    br("n>=3, i!=2: base - 1", "helm.modd.base.pend_out"),
 )
-F.define("helm.modd.even-star.rim_vj", br("= base", ref_value("helm.modd.base.rim_vj")))
-F.define("helm.modd.even-star.rim_jv", br("= base", ref_value("helm.modd.base.rim_jv")))
-F.define("helm.modd.even-star.rim_close_A", br("= base", ref_value("helm.modd.base.rim_close_A")))
-F.define("helm.modd.even-star.rim_close_B", br("= base", ref_value("helm.modd.base.rim_close_B")))
+F.define("helm.modd.even-star.rim_vj", br("= base", "helm.modd.base.rim_vj"))
+F.define("helm.modd.even-star.rim_jv", br("= base", "helm.modd.base.rim_jv"))
+F.define("helm.modd.even-star.rim_close_A", br("= base", "helm.modd.base.rim_close_A"))
+F.define("helm.modd.even-star.rim_close_B", br("= base", "helm.modd.base.rim_close_B"))
 F.define(
     "helm.modd.even-star.spoke",
     br("i=2, m=3", lambda m, n, i, j, _: 2 * j - 1),
     br("i=2, m>=5", lambda m, n, i, j, _: 4 * m * n + 2 * j - 1),
-    br("i!=2, m=3: base + 1 - 4mn",
-       ref_value("helm.modd.base.spoke", lambda m, n, i, j: 1 - 4 * m * n)),
-    br("i!=2, m>=5: base + 1", ref_value("helm.modd.base.spoke", 1)),
+    br("i!=2, m=3: base + 1 - 4mn", "helm.modd.base.spoke"),
+    br("i!=2, m>=5: base + 1", "helm.modd.base.spoke"),
 )
 F.patch(
     "helm.modd.even-star.spoke",
@@ -261,31 +248,29 @@ F.patch(
     ),
     br("i=2, m=3, n>=3", lambda m, n, i, j, _: 2 * j - 1),
     br("i=2, m>=5 or n=2", lambda m, n, i, j, _: 4 * m * n + 2 * j - 1),
-    br("i!=2, m=3, n>=3: base + 1 - 4mn",
-       ref_value("helm.modd.base.spoke", lambda m, n, i, j: 1 - 4 * m * n)),
-    br("i!=2, m>=5 or n=2: base + 1", ref_value("helm.modd.base.spoke", 1)),
+    br("i!=2, m=3, n>=3: base + 1 - 4mn", "helm.modd.base.spoke"),
+    br("i!=2, m>=5 or n=2: base + 1", "helm.modd.base.spoke"),
 )
 
 F.define("helm.modd.even-star.sum_center",
          br("always", lambda m, n, i, j, _: 5 * m * m * n * n + n))
 F.define(
     "helm.modd.even-star.sum_rim_leaf",
-    br("n=2, i=1: base + 1", ref_value("helm.modd.base.sum_rim_leaf", 1)),
-    br("n=2, i!=1: base", ref_value("helm.modd.base.sum_rim_leaf")),
-    br("n>=3, m=3: base + 4mn",
-       ref_value("helm.modd.base.sum_rim_leaf", lambda m, n, i, j: 4 * m * n)),
+    br("n=2, i=1: base + 1", "helm.modd.base.sum_rim_leaf"),
+    br("n=2, i!=1: base", "helm.modd.base.sum_rim_leaf"),
+    br("n>=3, m=3: base + 4mn", "helm.modd.base.sum_rim_leaf"),
     br("n>=3, i=1, m>=5", lambda m, n, i, j, _: 8 * m * n + 6 * j + n - 1),
-    br("n>=3, i!=1, m>=5: base", ref_value("helm.modd.base.sum_rim_leaf")),
+    br("n>=3, i!=1, m>=5: base", "helm.modd.base.sum_rim_leaf"),
 )
 F.define("helm.modd.even-star.sum_outer_leaf",
-         br("label of its one edge", ref_value("helm.modd.even-star.pend_out")))
+         br("label of its one edge", "helm.modd.even-star.pend_out"))
 F.define(
     "helm.modd.even-star.sum_rim_hub",
-    br("n=2, i=2: base - n", ref_value("helm.modd.base.sum_rim_hub", lambda m, n, i, j: -n)),
-    br("n=2, i!=2: base", ref_value("helm.modd.base.sum_rim_hub")),
-    br("n>=3, m=3: base", ref_value("helm.modd.base.sum_rim_hub")),
+    br("n=2, i=2: base - n", "helm.modd.base.sum_rim_hub"),
+    br("n=2, i!=2: base", "helm.modd.base.sum_rim_hub"),
+    br("n>=3, m=3: base", "helm.modd.base.sum_rim_hub"),
     br("n>=3, i=2, m>=5", lambda m, n, i, j, _: 8 * m * n * n + 6 * n * n + 3 * n),
-    br("n>=3, i!=2, m>=5: base", ref_value("helm.modd.base.sum_rim_hub")),
+    br("n>=3, i!=2, m>=5: base", "helm.modd.base.sum_rim_hub"),
 )
 F.patch(
     "helm.modd.even-star.sum_rim_hub",
@@ -298,20 +283,18 @@ F.patch(
         "what the verified bijective labeling and the handshake identity give"
     ),
     "n=2, i=2: base - n", "n=2, i!=2: base",
-    br("n>=3, m=3: base - 4mn^2",
-       ref_value("helm.modd.base.sum_rim_hub", lambda m, n, i, j: -4 * m * n * n)),
+    br("n>=3, m=3: base - 4mn^2", "helm.modd.base.sum_rim_hub"),
     br("n>=3, i=2, m>=5", lambda m, n, i, j, _: 8 * m * n * n + 6 * n * n + 2 * n),
     "n>=3, i!=2, m>=5: base",
 )
 F.define(
     "helm.modd.even-star.sum_outer_hub",
     br("n=2, i=1", lambda m, n, i, j, _: n * (n + 1)),
-    br("n=2, i!=1: base", ref_value("helm.modd.base.sum_outer_hub")),
+    br("n=2, i!=1: base", "helm.modd.base.sum_outer_hub"),
     br("n>=3, i=1, m>=5", lambda m, n, i, j, _: n * n),
-    br("n>=3, i!=1, m>=5: base", ref_value("helm.modd.base.sum_outer_hub")),
+    br("n>=3, i!=1, m>=5: base", "helm.modd.base.sum_outer_hub"),
     br("n>=3, i=1, m=3", lambda m, n, i, j, _: 4 * m * n * n + n * n),
-    br("n>=3, i!=1, m=3: base + 4mn^2 + n",
-       ref_value("helm.modd.base.sum_outer_hub", lambda m, n, i, j: 4 * m * n * n + n)),
+    br("n>=3, i!=1, m=3: base + 4mn^2 + n", "helm.modd.base.sum_outer_hub"),
 )
 F.patch(
     "helm.modd.even-star.sum_outer_hub",
@@ -323,17 +306,15 @@ F.patch(
         "m=3 row already carries the +n"
     ),
     "n=2, i=1",
-    br("n=2, i!=1: base + n", ref_value("helm.modd.base.sum_outer_hub", lambda m, n, i, j: n)),
+    br("n=2, i!=1: base + n", "helm.modd.base.sum_outer_hub"),
     "n>=3, i=1, m>=5",
-    br("n>=3, i!=1, m>=5: base + n",
-       ref_value("helm.modd.base.sum_outer_hub", lambda m, n, i, j: n)),
+    br("n>=3, i!=1, m>=5: base + n", "helm.modd.base.sum_outer_hub"),
     "n>=3, i=1, m=3", "n>=3, i!=1, m=3: base + 4mn^2 + n",
 )
 F.define(
     "helm.modd.even-star.sum_center_leaf",
-    br("m=3: base - 4mn^2 + m - 1",
-       ref_value("helm.modd.base.sum_center_leaf", lambda m, n, i, j: -4 * m * n * n + m - 1)),
-    br("m>=5: base + m - 1", ref_value("helm.modd.base.sum_center_leaf", lambda m, n, i, j: m - 1)),
+    br("m=3: base - 4mn^2 + m - 1", "helm.modd.base.sum_center_leaf"),
+    br("m>=5: base + m - 1", "helm.modd.base.sum_center_leaf"),
 )
 F.patch(
     "helm.modd.even-star.sum_center_leaf",
@@ -344,10 +325,8 @@ F.patch(
         "the exponents), and for n=2 no swap happens so every m keeps the "
         "undisplaced value base + m - 1"
     ),
-    br("m=3, n>=3: base - 4m^2n + m - 1",
-       ref_value("helm.modd.base.sum_center_leaf", lambda m, n, i, j: -4 * m * m * n + m - 1)),
-    br("m>=5 or n=2: base + m - 1",
-       ref_value("helm.modd.base.sum_center_leaf", lambda m, n, i, j: m - 1)),
+    br("m=3, n>=3: base - 4m^2n + m - 1", "helm.modd.base.sum_center_leaf"),
+    br("m>=5 or n=2: base + m - 1", "helm.modd.base.sum_center_leaf"),
 )
 
 # ---------------------------------------------------------------------------
@@ -446,10 +425,7 @@ F.define(
     br("i odd", lambda m, n, i, j, _: 8 * m * n + 4 * i * n - 3 * n + 6 * j),
     br("i even", lambda m, n, i, j, _: 16 * m * n - 4 * i * n + 6 * j + n),
 )
-F.define(
-    "helm.meven.base.sum_outer_leaf",
-    br("label of its one edge", ref_value("helm.meven.base.pend_out")),
-)
+F.define("helm.meven.base.sum_outer_leaf", br("label of its one edge", "helm.meven.base.pend_out"))
 
 F.define(
     "helm.meven.base.sum_rim_hub",
@@ -497,100 +473,91 @@ F.define(
 
 # m even: shifted class
 
-F.define("helm.meven.large-star.hub", br("= base", ref_value("helm.meven.base.hub")))
-F.define("helm.meven.large-star.pend_in",
-         br("base + 4mn - 1",
-            ref_value("helm.meven.base.pend_in", lambda m, n, i, j: 4 * m * n - 1)))
+F.define("helm.meven.large-star.hub", br("= base", "helm.meven.base.hub"))
+F.define("helm.meven.large-star.pend_in", br("base + 4mn - 1", "helm.meven.base.pend_in"))
 F.define(
     "helm.meven.large-star.pend_out",
     br("i=2", lambda m, n, i, j, _: 2 * j - 1),
-    br("i!=2: base + 1", ref_value("helm.meven.base.pend_out", 1)),
+    br("i!=2: base + 1", "helm.meven.base.pend_out"),
 )
-F.define("helm.meven.large-star.rim_jv", br("= base", ref_value("helm.meven.base.rim_jv")))
-F.define("helm.meven.large-star.rim_vj", br("= base", ref_value("helm.meven.base.rim_vj")))
-F.define("helm.meven.large-star.rim_close_A",
-         br("= base", ref_value("helm.meven.base.rim_close_A")))
-F.define("helm.meven.large-star.rim_close_B",
-         br("= base", ref_value("helm.meven.base.rim_close_B")))
+F.define("helm.meven.large-star.rim_jv", br("= base", "helm.meven.base.rim_jv"))
+F.define("helm.meven.large-star.rim_vj", br("= base", "helm.meven.base.rim_vj"))
+F.define("helm.meven.large-star.rim_close_A", br("= base", "helm.meven.base.rim_close_A"))
+F.define("helm.meven.large-star.rim_close_B", br("= base", "helm.meven.base.rim_close_B"))
 F.define(
     "helm.meven.large-star.spoke",
     br("i=2", lambda m, n, i, j, _: 2 * j),
-    br("i!=2: base - 4mn", ref_value("helm.meven.base.spoke", lambda m, n, i, j: -4 * m * n)),
+    br("i!=2: base - 4mn", "helm.meven.base.spoke"),
 )
 
 F.define("helm.meven.large-star.sum_center",
          br("always", lambda m, n, i, j, _: 5 * m * m * n * n + m * n))
-F.define("helm.meven.large-star.sum_rim_leaf",
-         br("base + 4mn - 1",
-            ref_value("helm.meven.base.sum_rim_leaf", lambda m, n, i, j: 4 * m * n - 1)))
+F.define("helm.meven.large-star.sum_rim_leaf", br("base + 4mn - 1", "helm.meven.base.sum_rim_leaf"))
 F.define("helm.meven.large-star.sum_outer_leaf",
-         br("label of its one edge", ref_value("helm.meven.large-star.pend_out")))
+         br("label of its one edge", "helm.meven.large-star.pend_out"))
 F.define(
     "helm.meven.large-star.sum_rim_hub",
     br("i=2", lambda m, n, i, j, _: 4 * m * n * n + 2 * i * n * n + 2 * n * n + 2 * n),
-    br("i!=2: base - 4mn^2 + n",
-       ref_value("helm.meven.base.sum_rim_hub", lambda m, n, i, j: -4 * m * n * n + n)),
+    br("i!=2: base - 4mn^2 + n", "helm.meven.base.sum_rim_hub"),
 )
 F.define("helm.meven.large-star.sum_outer_hub",
-         br("base + 4mn^2 - n",
-            ref_value("helm.meven.base.sum_outer_hub", lambda m, n, i, j: 4 * m * n * n - n)))
+         br("base + 4mn^2 - n", "helm.meven.base.sum_outer_hub"))
 F.define("helm.meven.large-star.sum_center_leaf",
-         br("base - 4m^2n + 1",
-            ref_value("helm.meven.base.sum_center_leaf", lambda m, n, i, j: -4 * m * m * n + 1)))
+         br("base - 4m^2n + 1", "helm.meven.base.sum_center_leaf"))
 
 # m even: even-star class
 
 F.define(
     "helm.meven.even-star.hub",
     br("i=1", lambda m, n, i, j, _: 4 * m * n + 2 * j),
-    br("i!=1: base - 1", ref_value("helm.meven.base.hub", -1)),
+    br("i!=1: base - 1", "helm.meven.base.hub"),
 )
 F.define(
     "helm.meven.even-star.pend_in",
     br("i=1, n!=2", lambda m, n, i, j, _: 2 * j - 1),
     br("i=1, n=2", lambda m, n, i, j, _: 2 * j),
-    br("i!=1: base", ref_value("helm.meven.base.pend_in")),
+    br("i!=1: base", "helm.meven.base.pend_in"),
 )
 F.define(
     "helm.meven.even-star.pend_out",
     br("i=2, n!=2", lambda m, n, i, j, _: 2 * j),
     br("i=2, n=2", lambda m, n, i, j, _: 2 * j - 1),
-    br("i!=2: base", ref_value("helm.meven.base.pend_out")),
+    br("i!=2: base", "helm.meven.base.pend_out"),
 )
-F.define("helm.meven.even-star.rim_jv", br("= base", ref_value("helm.meven.base.rim_jv")))
-F.define("helm.meven.even-star.rim_vj", br("= base", ref_value("helm.meven.base.rim_vj")))
-F.define("helm.meven.even-star.rim_close_A", br("= base", ref_value("helm.meven.base.rim_close_A")))
-F.define("helm.meven.even-star.rim_close_B", br("= base", ref_value("helm.meven.base.rim_close_B")))
+F.define("helm.meven.even-star.rim_jv", br("= base", "helm.meven.base.rim_jv"))
+F.define("helm.meven.even-star.rim_vj", br("= base", "helm.meven.base.rim_vj"))
+F.define("helm.meven.even-star.rim_close_A", br("= base", "helm.meven.base.rim_close_A"))
+F.define("helm.meven.even-star.rim_close_B", br("= base", "helm.meven.base.rim_close_B"))
 F.define(
     "helm.meven.even-star.spoke",
     br("i=2", lambda m, n, i, j, _: 4 * m * n + 2 * j - 1),
-    br("i!=2: base + 1", ref_value("helm.meven.base.spoke", 1)),
+    br("i!=2: base + 1", "helm.meven.base.spoke"),
 )
 
 F.define("helm.meven.even-star.sum_center",
          br("always", lambda m, n, i, j, _: 5 * m * m * n * n + n))
 F.define(
     "helm.meven.even-star.sum_rim_leaf",
-    br("n=2, i=1: base", ref_value("helm.meven.base.sum_rim_leaf")),
-    br("n=2, i!=1: base - 1", ref_value("helm.meven.base.sum_rim_leaf", -1)),
-    br("n!=2: base - 1", ref_value("helm.meven.base.sum_rim_leaf", -1)),
+    br("n=2, i=1: base", "helm.meven.base.sum_rim_leaf"),
+    br("n=2, i!=1: base - 1", "helm.meven.base.sum_rim_leaf"),
+    br("n!=2: base - 1", "helm.meven.base.sum_rim_leaf"),
 )
 F.define("helm.meven.even-star.sum_outer_leaf",
-         br("label of its one edge", ref_value("helm.meven.even-star.pend_out")))
+         br("label of its one edge", "helm.meven.even-star.pend_out"))
 F.define(
     "helm.meven.even-star.sum_rim_hub",
-    br("n=2, i=2: base", ref_value("helm.meven.base.sum_rim_hub")),
-    br("n=2, i!=2: base + n", ref_value("helm.meven.base.sum_rim_hub", lambda m, n, i, j: n)),
-    br("n!=2: base + n", ref_value("helm.meven.base.sum_rim_hub", lambda m, n, i, j: n)),
+    br("n=2, i=2: base", "helm.meven.base.sum_rim_hub"),
+    br("n=2, i!=2: base + n", "helm.meven.base.sum_rim_hub"),
+    br("n!=2: base + n", "helm.meven.base.sum_rim_hub"),
 )
 F.define(
     "helm.meven.even-star.sum_outer_hub",
     br("i=1, n!=2", lambda m, n, i, j, _: n * n),
     br("i=1, n=2", lambda m, n, i, j, _: n * (n + 1)),
-    br("i!=1: base", ref_value("helm.meven.base.sum_outer_hub")),
+    br("i!=1: base", "helm.meven.base.sum_outer_hub"),
 )
 F.define("helm.meven.even-star.sum_center_leaf",
-         br("base + m - 1", ref_value("helm.meven.base.sum_center_leaf", lambda m, n, i, j: m - 1)))
+         br("base + m - 1", "helm.meven.base.sum_center_leaf"))
 
 # ---------------------------------------------------------------------------
 

@@ -185,28 +185,34 @@ def test_verbs_without_a_scheme_load_no_formula_table(tmp_path):
     assert "antimagic.search" in loaded  # the check sees what the verbs ran
 
 
-# Runs label and export of one wheel product through cli.main in one process
-# and prints their exit codes and the package modules then loaded.
-_WHEEL_VERBS = """
+# Runs label and export of one product of the family argv[2] through cli.main
+# in one process and prints their exit codes and the package modules then loaded.
+_FAMILY_VERBS = """
 import json, sys
 from antimagic.cli import main
-out = sys.argv[1]
+out, family = sys.argv[1:]
 codes = [
-    main(["label", "--family", "wheel", "--m", "3", "--n", "1", "--out", out + "/w.txt"]),
-    main(["export", "--family", "wheel", "--m", "3", "--n", "1", "--out", out + "/w.dot"]),
+    main(["label", "--family", family, "--m", "3", "--n", "1", "--out", out + "/l.txt"]),
+    main(["export", "--family", family, "--m", "3", "--n", "1", "--out", out + "/l.dot"]),
 ]
 print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("antimagic"))]))
 """
 
 
-def test_label_and_export_load_only_their_family_table(tmp_path):
-    proc = subprocess.run([sys.executable, "-c", _WHEEL_VERBS, str(tmp_path)],
+@pytest.mark.parametrize("family, tables", [
+    ("wheel", {"wheel"}),
+    ("helm", {"helm"}),
+    ("flower", {"flower", "helm"}),  # flower's citing branches cite helm's formulas
+], ids=["wheel", "helm", "flower"])
+def test_label_and_export_load_only_their_family_table(family, tables, tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _FAMILY_VERBS, str(tmp_path), family],
                           capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     codes, loaded = json.loads(proc.stdout)
     assert codes == [0, 0]
-    assert "antimagic.wheel" in loaded
-    assert {"antimagic.helm", "antimagic.flower", "antimagic.families"}.isdisjoint(loaded)
+    scheme_modules = {"antimagic.wheel", "antimagic.helm", "antimagic.flower",
+                      "antimagic.families"}
+    assert scheme_modules & set(loaded) == {f"antimagic.{t}" for t in tables}
 
 
 def test_family_choices_are_the_scheme_families():

@@ -1,11 +1,13 @@
 """Piecewise formula machinery: coverage semantics and the erratum ledger."""
 
 import dis
+import graphlib
 import hashlib
 import inspect
 import re
 import subprocess
 import sys
+import zlib
 from collections import Counter
 from fractions import Fraction
 from math import ceil, floor
@@ -104,8 +106,7 @@ def test_every_scheme_erratum_has_evidence():
 def test_references_resolve_at_same_variant():
     F.define("test.refbase", br("always", lambda m, n, i, j, _: 10))
     F.patch("test.refbase", "now 20", "test", br("always", lambda m, n, i, j, _: 20))
-    F.define("test.refuser",
-             br("always", F.ref_value("test.refbase", 1)))
+    F.define("test.refuser", br("base + 1", "test.refbase"))
     assert _evaluate("test.refuser", Variant.AS_PRINTED, 3, 1, 1, 1)[0] == 11
     assert _evaluate("test.refuser", Variant.ERRATA, 3, 1, 1, 1)[0] == 21
 
@@ -210,6 +211,50 @@ def test_a_label_that_states_no_condition_is_refused(label, refusal):
         br(label, None)
 
 
+# citing label -> the offset it adds to the formula it cites
+CITING_LABELS = {
+    "= base": lambda m, n, i: 0,
+    "base - 1": lambda m, n, i: -1,
+    "2m + cited pendant - 1": lambda m, n, i: 2 * m - 1,
+    "base - 4m^2n + m - 1": lambda m, n, i: -4 * m * m * n + m - 1,
+    "8mn^2 + helm row": lambda m, n, i: 8 * m * n * n,
+    "m=3: base + 4mn": lambda m, n, i: 4 * m * n,
+    "otherwise: base": lambda m, n, i: 0,
+    "label of its one edge": lambda m, n, i: 0,
+    "2fl(m/4) + base - i": lambda m, n, i: 2 * (m // 4) - i,
+}
+
+
+@pytest.mark.parametrize("label", CITING_LABELS)
+def test_a_citing_label_compiles_to_the_offset_it_states(label):
+    value, offset = br(label, "test.cited").value, CITING_LABELS[label]
+    assert "test.cited" in value.__code__.co_consts
+    cells = [(*c, j) for c in LABEL_CELLS for j in (1, 2)]
+    assert [c for c in cells if value(*c, _cited) != _cited("test.cited", *c) + offset(*c[:3])] == []
+
+
+def test_an_otherwise_label_cites_where_its_siblings_do_not():
+    F.define("test.cite.base", br("always", lambda m, n, i, j, _: 10 * i))
+    F.define("test.cite.rest", br("i=1: base + 1", "test.cite.base"),
+             br("otherwise: base", "test.cite.base"))
+    assert _evaluate("test.cite.rest", Variant.AS_PRINTED, 3, 1, 1, 1) == (11, "i=1: base + 1")
+    assert _evaluate("test.cite.rest", Variant.AS_PRINTED, 3, 1, 2, 1) == (20, "otherwise: base")
+
+
+@pytest.mark.parametrize("label, refusal", [
+    ("4mn + 1", "cites 0 formulas"),
+    ("base + helm row", "cites 2 formulas"),
+    ("base + 4mx", "'4mx' is no integer expression and no citation"),
+    ("base + m/2", "'m/2' is no integer expression and no citation"),  # no comparison to scale
+    ("4mn - base", "'base' is no integer expression and no citation"),
+    ("i odd", "states conditions and no value"),
+    ("base + m+", "no integer arithmetic"),
+])
+def test_a_citing_label_that_states_no_offset_is_refused(label, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        br(label, "test.cited")
+
+
 def _inexact(guard) -> list:
     """The true divisions and the float constants in a guard's bytecode."""
     code = guard.__code__
@@ -229,8 +274,8 @@ def test_guards_use_only_exact_integer_arithmetic():
 
 def _shape(fn):
     """What a guard or value computes: bytecode, constants, names and
-    closure values, followed into closed-over callables such as the
-    offsets of ``ref_value``.  Line numbers are left out."""
+    closure values, followed into closed-over callables.  Line numbers
+    are left out."""
     if not isinstance(fn, FunctionType):
         return fn
     return _code_shape(fn.__code__), tuple(_shape(c.cell_contents) for c in fn.__closure__ or ())
@@ -259,17 +304,40 @@ def test_patches_spell_out_only_changed_branches():
     assert restated == []
 
 
+def _citations() -> tuple[dict[str, set[str]], set[str]]:
+    """The formulas each scheme formula cites at either variant, and those
+    that citing labels cite.
+
+    A value cites a formula by calling the resolver with its id, so the
+    ids are the strings among its code's constants.  A citing label's value
+    is compiled from the label; a hand-written value may also call the
+    resolver itself: ``g("fid", m, n, i, j)``.
+    """
+    graph: dict[str, set[str]] = {}
+    by_label = set()
+    for fid in (fid for fid in F._PRINTED if fid.startswith(SCHEMES)):
+        for v in F.VARIANTS:
+            for b in F.resolve(fid, v):
+                cited = {c for c in b.value.__code__.co_consts if isinstance(c, str)}
+                graph.setdefault(fid, set()).update(cited)
+                if b.value.__code__.co_filename == "<string>":  # br compiled it from the label
+                    by_label |= cited
+    return graph, by_label
+
+
 def test_every_cited_formula_is_defined():
-    fids = [fid for fid in F._PRINTED if fid.startswith(SCHEMES)]
-    branches = [b for fid in fids for v in F.VARIANTS for b in F.resolve(fid, v)]
-    ref_targets = set()
-    direct = set()  # values that call the resolver themselves: g("fid", m, n, i, j)
-    for b in branches:
-        if b.value.__qualname__.startswith("ref_value."):
-            ref_targets.add(inspect.getclosurevars(b.value).nonlocals["fid"])
-        direct |= {c for c in b.value.__code__.co_consts if isinstance(c, str)}
-    assert len(ref_targets) == 67  # the printed schemes cite 67 formulas this way
-    assert sorted((ref_targets | direct) - set(F._PRINTED)) == []
+    graph, by_label = _citations()
+    assert len(by_label) == 67  # the printed schemes' citing labels cite 67 formulas
+    assert sorted(set().union(*graph.values()) - set(F._PRINTED)) == []
+
+
+def test_citations_have_no_cycle():
+    # a cycle would recurse in Resolver.__call__ until RecursionError,
+    # which the conformance sweep does not turn into a coverage message
+    with pytest.raises(graphlib.CycleError):
+        graphlib.TopologicalSorter({"a": {"b"}, "b": {"a"}}).prepare()
+    graph, _ = _citations()
+    graphlib.TopologicalSorter(graph).prepare()
 
 
 def _reads_j(guard) -> bool:
@@ -352,6 +420,35 @@ def test_guard_truth_tables_are_pinned():
                 pairs += 1
     assert pairs == 853
     assert digest.hexdigest() == "09b5606c2e2946c17ff1aa3fc28b7bf02d791fea2df33d6624c548bc2aebdfa2"
+
+
+VALUE_CELLS = [(m, n, i, j) for m in range(3, 11) for n in range(1, 4) for i in range(m + 2)
+               for j in (1, 2)]
+
+
+def _cited(fid, m, n, i, j):
+    """A stand-in for a cited formula's value that depends on the fid and the cell."""
+    return zlib.crc32(f"{fid} {m} {n} {i} {j}".encode())
+
+
+def test_branch_values_are_pinned():
+    # Each (variant, fid[label]) value on m 3..10 x n 1..3 x i 0..m+1 x j 1..2,
+    # a cited formula standing as a checksum of its fid and cell, hashed in
+    # fid order; the digest was computed from the parent's offset closures.
+    digest = hashlib.sha256()
+    tables: dict = {}
+    pairs = 0
+    for fid in sorted(fid for fid in F._PRINTED if fid.startswith(SCHEMES)):
+        for v in F.VARIANTS:
+            for b in F.resolve(fid, v):
+                values = tables.get(b.value)
+                if values is None:
+                    values = tables[b.value] = " ".join(
+                        str(b.value(*cell, _cited)) for cell in VALUE_CELLS).encode()
+                digest.update(f"{v.value} {fid}[{b.label}]\n".encode() + values)
+                pairs += 1
+    assert pairs == 853
+    assert digest.hexdigest() == "aaaf1f188e2a329677516341e6d440a77de72810967b296f1a2fa1ac0bbba67b"
 
 
 def _degree_in_j(value) -> int | None:
@@ -470,11 +567,11 @@ def test_a_row_constant_in_j_repeats_its_first_value():
     # a step of 0: every cell takes the first value and counts one hit per
     # branch it takes, the cited formula's included
     F.define("test.row.cited", br("always", lambda m, n, i, j, _: m + i))
-    F.define("test.row.flat", br("always", F.ref_value("test.row.cited", 1)))
+    F.define("test.row.flat", br("base + 1", "test.row.cited"))
     resolver = F.Resolver(Variant.AS_PRINTED)
     values, failed = resolver.row("test.row.flat", 3, 1, 2, range(1, 5))
     assert (list(values), failed) == ([6, 6, 6, 6], [])
-    assert resolver.hits == {"test.row.flat[always]": 4, "test.row.cited[always]": 4}
+    assert resolver.hits == {"test.row.flat[base + 1]": 4, "test.row.cited[always]": 4}
 
 
 def test_a_row_costs_the_resolver_calls_of_two_cells(monkeypatch):
