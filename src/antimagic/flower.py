@@ -20,7 +20,6 @@ from .conformance import (
     evaluate_vertex_families,
 )
 from .formula import Variant, VARIANTS, br, odd
-from .formula import cl4 as _cl4, fl4 as _fl4
 from .graphs import check_mn, product_graph
 from .helm import helm_case_class
 
@@ -70,25 +69,21 @@ F.patch(
     br("2m + closing rim", "helm.n1.rim_close_A"),
 )
 
-F.define("flower.n1.rim_close_B", br("always", lambda m, n, i, j, _: 8 * m - 3))
-F.define("flower.n1.pend_jv", br("always", lambda m, n, i, j, _: 2 * i))
+F.define("flower.n1.rim_close_B", br("always", "8m - 3"))
+F.define("flower.n1.pend_jv", br("always", "2i"))
 F.define("flower.n1.pend_vj", br("cited pendant - 1", "helm.n1.pend_vj"))
-F.define("flower.n1.spoke_outer", br("always", lambda m, n, i, j, _: 2 * m + 2 * i))
+F.define("flower.n1.spoke_outer", br("always", "2m + 2i"))
 F.define("flower.n1.spoke", br("2m + cited spoke", "helm.n1.spoke"))
 
 # The n=1 oracle is partial: only the degree-2 outer vertices have printed
 # expectations (their sums are their two incident labels).
 F.define(
     "flower.n1.sum_outer_leaf",
-    br("its two labels",
-       lambda m, n, i, j, g: g("flower.n1.hub_outer", m, n, i, j)
-       + g("flower.n1.pend_vj", m, n, i, j)),
+    br("its two labels", "flower.n1.hub_outer + flower.n1.pend_vj"),
 )
 F.define(
     "flower.n1.sum_outer_hub",
-    br("its two labels",
-       lambda m, n, i, j, g: g("flower.n1.pend_jv", m, n, i, j)
-       + g("flower.n1.spoke_outer", m, n, i, j)),
+    br("its two labels", "flower.n1.pend_jv + flower.n1.spoke_outer"),
 )
 
 # ---------------------------------------------------------------------------
@@ -98,9 +93,9 @@ F.define("flower.modd.base.hub", br("2mn + helm hub", "helm.modd.base.hub"))
 
 F.define(
     "flower.modd.base.hub_outer",
-    br("i even", lambda m, n, i, j, _: (i - 2) * n + 2 * j - 1),
-    br("i=m", lambda m, n, i, j, _: n * (m - 1) + 2 * j - 1),
-    br("i odd", lambda m, n, i, j, _: n * (m - 1) + 2 * n + 2 * j - 1 + (i - 1) * n),
+    br("i even", "(i-2)n + 2j - 1"),
+    br("i=m", "n(m-1) + 2j - 1"),
+    br("i odd", "n(m-1) + 2n + 2j - 1 + (i-1)n"),
 )
 F.patch(
     "flower.modd.base.hub_outer",
@@ -112,30 +107,29 @@ F.patch(
         "(the odd-i value would reach 2mn+2j-1, colliding with the pendants)"
     ),
     "i even", "i=m",
-    br("i odd, i!=m", lambda m, n, i, j, _: n * (m - 1) + 2 * n + 2 * j - 1 + (i - 1) * n),
+    br("i odd, i!=m", "n(m-1) + 2n + 2j - 1 + (i-1)n"),
 )
 
 F.define("flower.modd.base.pend_in", br("2mn + helm row", "helm.modd.base.pend_in"))
 F.define("flower.modd.base.pend_out", br("2mn + helm row", "helm.modd.base.pend_out"))
 F.define("flower.modd.base.rim_vj", br("2mn + helm row", "helm.modd.base.rim_vj"))
 F.define("flower.modd.base.rim_jv", br("2mn + helm row", "helm.modd.base.rim_jv"))
-F.define("flower.modd.base.rim_close_A", br("always", lambda m, n, i, j, _: 4 * m * n + j))
-F.define("flower.modd.base.rim_close_B", br("always", lambda m, n, i, j, _: 5 * m * n + j))
+F.define("flower.modd.base.rim_close_A", br("always", "4mn + j"))
+F.define("flower.modd.base.rim_close_B", br("always", "5mn + j"))
 F.define("flower.modd.base.spoke", br("2mn + helm row", "helm.modd.base.spoke"))
 F.define(
     "flower.modd.base.spoke_outer",
-    br("i odd", lambda m, n, i, j, _: (i - 1) * n + 2 * j),
-    br("i even", lambda m, n, i, j, _: m * n + n + (i - 2) * n + 2 * j),
+    br("i odd", "(i-1)n + 2j"),
+    br("i even", "mn + n + (i-2)n + 2j"),
 )
 
-F.define("flower.modd.base.sum_center",
-         br("always", lambda m, n, i, j, _: 8 * m * m * n * n + m * n))
+F.define("flower.modd.base.sum_center", br("always", "8m^2n^2 + mn"))
 F.define("flower.modd.base.sum_rim_leaf", br("8mn + helm row", "helm.modd.base.sum_rim_leaf"))
 F.define(
     "flower.modd.base.sum_outer_leaf",
-    br("i even", lambda m, n, i, j, _: 2 * m * n + 4 * j - 1 + 2 * (i - 2) * n),
-    br("i=m", lambda m, n, i, j, _: 2 * (m - 1) * n + 4 * j + 2 * m * n - 1),
-    br("i odd", lambda m, n, i, j, _: 2 * n * (m + i) + 4 * j - 1 + 2 * m * n),
+    br("i even", "2mn + 4j - 1 + 2(i-2)n"),
+    br("i=m", "2(m-1)n + 4j + 2mn - 1"),
+    br("i odd", "2n(m+i) + 4j - 1 + 2mn"),
 )
 F.patch(
     "flower.modd.base.sum_outer_leaf",
@@ -145,16 +139,15 @@ F.patch(
         "is the sum of that vertex's two labels under the corrected scheme"
     ),
     "i even", "i=m",
-    br("i odd, i!=m", lambda m, n, i, j, _: 2 * n * (m + i) + 4 * j - 1 + 2 * m * n),
+    br("i odd, i!=m", "2n(m+i) + 4j - 1 + 2mn"),
 )
 F.define("flower.modd.base.sum_rim_hub", br("8mn^2 + helm row", "helm.modd.base.sum_rim_hub"))
 F.define(
     "flower.modd.base.sum_outer_hub",
-    br("i odd", lambda m, n, i, j, _: 2 * m * n * n + i * n * n + n * (n + 1) + n * n * (i - 1)),
-    br("i even", lambda m, n, i, j, _: 2 * m * n * n + 2 * n * n * (m + i) + n),
+    br("i odd", "2mn^2 + in^2 + n(n+1) + n^2(i-1)"),
+    br("i even", "2mn^2 + 2n^2(m+i) + n"),
 )
-F.define("flower.modd.base.sum_center_leaf",
-         br("always", lambda m, n, i, j, _: 8 * m * m * n - 2 * m * n + m * (4 * j - 1)))
+F.define("flower.modd.base.sum_center_leaf", br("always", "8m^2n - 2mn + m(4j-1)"))
 
 # m odd: shifted class
 
@@ -169,8 +162,7 @@ F.define("flower.modd.large-star.rim_close_B", br("= base", "flower.modd.base.ri
 F.define("flower.modd.large-star.spoke", br("base - 6mn", "flower.modd.base.spoke"))
 F.define("flower.modd.large-star.spoke_outer", br("base + 2mn", "flower.modd.base.spoke_outer"))
 
-F.define("flower.modd.large-star.sum_center",
-         br("always", lambda m, n, i, j, _: 8 * m * m * n * n + m * n))
+F.define("flower.modd.large-star.sum_center", br("always", "8m^2n^2 + mn"))
 F.define("flower.modd.large-star.sum_rim_leaf", br("base + 4mn", "flower.modd.base.sum_rim_leaf"))
 F.define("flower.modd.large-star.sum_outer_leaf", br("= base", "flower.modd.base.sum_outer_leaf"))
 F.define("flower.modd.large-star.sum_rim_hub",
@@ -201,7 +193,7 @@ F.define(
 F.define(
     "flower.modd.even-star.hub_outer",
     br("m>=5: base", "flower.modd.base.hub_outer"),
-    br("i=2, m=3", lambda m, n, i, j, _: 2 * j),
+    br("i=2, m=3", "2j"),
     br("i!=2, m=3: base", "flower.modd.base.hub_outer"),
 )
 F.define(
@@ -212,7 +204,7 @@ F.define(
 F.define(
     "flower.modd.even-star.pend_out",
     br("m>=5: base", "flower.modd.base.pend_out"),
-    br("i=2, m=3", lambda m, n, i, j, _: 2 * m * n + 2 * j),
+    br("i=2, m=3", "2mn + 2j"),
     br("i!=2, m=3: base - 1", "flower.modd.base.pend_out"),
 )
 F.define("flower.modd.even-star.rim_vj", br("= base", "flower.modd.base.rim_vj"))
@@ -305,15 +297,14 @@ F.define("flower.meven.base.hub", br("2mn + helm row", "helm.meven.base.hub"))
 
 F.define(
     "flower.meven.base.hub_outer",
-    br("i even, 2<=i<=2fl(m/4)", lambda m, n, i, j, _: 2 * j - 1 + n * (i - 2)),
-    br("i=m", lambda m, n, i, j, _: 2 * n * _fl4(m) + 2 * j - 1),
-    br("i even, 2fl(m/4)+2<=i<=m-2", lambda m, n, i, j, _: n * i + 2 * j - 1),
-    br("i=1, m!=4", lambda m, n, i, j, _: 2 * m * n - 2 * n * _cl4(m) + 2 * j - 1),
-    br("i=1, m=4", lambda m, n, i, j, _: 4 * n + 2 * j - 1),
-    br("i=3, m=4", lambda m, n, i, j, _: 6 * n + 2 * j - 1),
-    br("i odd, 2cl(m/4)+1<=i<=m-1", lambda m, n, i, j, _: n * (2 * m - 1 - i) + 2 * j - 1),
-    br("i odd, 3<=i<=2cl(m/4)-1, m!=4",
-       lambda m, n, i, j, _: 3 * m * n - 4 * n * _cl4(m) + (3 - i) * n + 2 * j - 1),
+    br("i even, 2<=i<=2fl(m/4)", "2j - 1 + n(i-2)"),
+    br("i=m", "2fl(m/4)n + 2j - 1"),
+    br("i even, 2fl(m/4)+2<=i<=m-2", "ni + 2j - 1"),
+    br("i=1, m!=4", "2mn - 2cl(m/4)n + 2j - 1"),
+    br("i=1, m=4", "4n + 2j - 1"),
+    br("i=3, m=4", "6n + 2j - 1"),
+    br("i odd, 2cl(m/4)+1<=i<=m-1", "n(2m-1-i) + 2j - 1"),
+    br("i odd, 3<=i<=2cl(m/4)-1, m!=4", "3mn - 4cl(m/4)n + (3-i)n + 2j - 1"),
 )
 F.patch(
     "flower.meven.base.hub_outer",
@@ -327,47 +318,44 @@ F.patch(
     ),
     "i even, 2<=i<=2fl(m/4)", "i=m", "i even, 2fl(m/4)+2<=i<=m-2", "i=1, m!=4", "i=1, m=4",
     "i=3, m=4",
-    br("i odd, 2cl(m/4)+1<=i<=m-1, m!=4", lambda m, n, i, j, _: n * (2 * m - 1 - i) + 2 * j - 1),
-    br("i odd, 3<=i<=2cl(m/4)-1, m!=4", lambda m, n, i, j, _: n * (2 * m + 1 - i) + 2 * j - 1),
+    br("i odd, 2cl(m/4)+1<=i<=m-1, m!=4", "n(2m-1-i) + 2j - 1"),
+    br("i odd, 3<=i<=2cl(m/4)-1, m!=4", "n(2m+1-i) + 2j - 1"),
 )
 
 F.define("flower.meven.base.pend_in", br("2mn + helm row", "helm.meven.base.pend_in"))
 F.define("flower.meven.base.pend_out", br("2mn + helm row", "helm.meven.base.pend_out"))
-F.define("flower.meven.base.rim_close_A", br("always", lambda m, n, i, j, _: 4 * m * n + j))
-F.define("flower.meven.base.rim_close_B", br("always", lambda m, n, i, j, _: 5 * m * n + j))
+F.define("flower.meven.base.rim_close_A", br("always", "4mn + j"))
+F.define("flower.meven.base.rim_close_B", br("always", "5mn + j"))
 F.define(
     "flower.meven.base.rim_jv",
-    br("i odd", lambda m, n, i, j, _: 2 * m * n + (2 * m + i) * n + j),
-    br("i even", lambda m, n, i, j, _: 2 * m * n + (4 * m - i) * n + j),
+    br("i odd", "2mn + (2m+i)n + j"),
+    br("i even", "2mn + (4m-i)n + j"),
 )
 F.define(
     "flower.meven.base.rim_vj",
-    br("i odd", lambda m, n, i, j, _: 2 * m * n + (4 * m - i) * n + j),
-    br("i even", lambda m, n, i, j, _: 2 * m * n + (2 * m + i) * n + j),
+    br("i odd", "2mn + (4m-i)n + j"),
+    br("i even", "2mn + (2m+i)n + j"),
 )
 F.define("flower.meven.base.spoke", br("2mn + helm row", "helm.meven.base.spoke"))
 F.define(
     "flower.meven.base.spoke_outer",
-    br("i odd", lambda m, n, i, j, _: 2 * j + (i - 1) * n),
-    br("i even", lambda m, n, i, j, _: m * n + 2 * j + (m - i) * n),
+    br("i odd", "2j + (i-1)n"),
+    br("i even", "mn + 2j + (m-i)n"),
 )
 
-F.define("flower.meven.base.sum_center",
-         br("always", lambda m, n, i, j, _: 8 * m * m * n * n + m * n))
+F.define("flower.meven.base.sum_center", br("always", "8m^2n^2 + mn"))
 F.define("flower.meven.base.sum_rim_leaf", br("8mn + helm row", "helm.meven.base.sum_rim_leaf"))
 
 F.define(
     "flower.meven.base.sum_outer_leaf",
-    br("i even, 2<=i<=2fl(m/4)", lambda m, n, i, j, _: 4 * j - 2 + 2 * n * (i - 2) + 2 * m * n),
-    br("i=m", lambda m, n, i, j, _: 4 * n * _fl4(m) + 4 * j - 2 + 2 * m * n),
-    br("i even, 2fl(m/4)+2<=i<=m-2", lambda m, n, i, j, _: 2 * m * n + 2 * n * i + 4 * j - 2),
-    br("i=1, m!=4", lambda m, n, i, j, _: 6 * m * n - 4 * n * _cl4(m) + 4 * j - 2),
-    br("i=1, m=4", lambda m, n, i, j, _: 2 * m * n + 8 * n + 4 * j - 2),
-    br("i=3, m=4", lambda m, n, i, j, _: 2 * m * n + 12 * n + 4 * j - 2),
-    br("i odd, 2cl(m/4)+1<=i<=m-1",
-       lambda m, n, i, j, _: 6 * m * n - 2 * n * i + 4 * j - 2 * n - 2),
-    br("i odd, 3<=i<=2cl(m/4)-1, m!=4",
-       lambda m, n, i, j, _: 8 * m * n - 8 * n * _cl4(m) + 2 * (3 - i) * n + 4 * j - 2),
+    br("i even, 2<=i<=2fl(m/4)", "4j - 2 + 2n(i-2) + 2mn"),
+    br("i=m", "4fl(m/4)n + 4j - 2 + 2mn"),
+    br("i even, 2fl(m/4)+2<=i<=m-2", "2mn + 2ni + 4j - 2"),
+    br("i=1, m!=4", "6mn - 4cl(m/4)n + 4j - 2"),
+    br("i=1, m=4", "2mn + 8n + 4j - 2"),
+    br("i=3, m=4", "2mn + 12n + 4j - 2"),
+    br("i odd, 2cl(m/4)+1<=i<=m-1", "6mn - 2ni + 4j - 2n - 2"),
+    br("i odd, 3<=i<=2cl(m/4)-1, m!=4", "8mn - 8cl(m/4)n + 2(3-i)n + 4j - 2"),
 )
 F.patch(
     "flower.meven.base.sum_outer_leaf",
@@ -379,20 +367,16 @@ F.patch(
     ),
     "i even, 2<=i<=2fl(m/4)", "i=m", "i even, 2fl(m/4)+2<=i<=m-2", "i=1, m!=4", "i=1, m=4",
     "i=3, m=4",
-    br("i odd, 2cl(m/4)+1<=i<=m-1, m!=4",
-       lambda m, n, i, j, _: 6 * m * n - 2 * n * i + 4 * j - 2 * n - 2),
-    br("i odd, 3<=i<=2cl(m/4)-1, m!=4",
-       lambda m, n, i, j, _: 6 * m * n - 2 * (i - 1) * n + 4 * j - 2),
+    br("i odd, 2cl(m/4)+1<=i<=m-1, m!=4", "6mn - 2ni + 4j - 2n - 2"),
+    br("i odd, 3<=i<=2cl(m/4)-1, m!=4", "6mn - 2(i-1)n + 4j - 2"),
 )
 
 F.define("flower.meven.base.sum_rim_hub", br("8mn^2 + helm row", "helm.meven.base.sum_rim_hub"))
 F.define(
     "flower.meven.base.sum_outer_hub",
-    br("2mn^2 + 2 * helm row",
-       lambda m, n, i, j, g: 2 * m * n * n + 2 * g("helm.meven.base.sum_outer_hub", m, n, i, j)),
+    br("2mn^2 + 2 * helm row", "2mn^2 + 2 * helm.meven.base.sum_outer_hub"),
 )
-F.define("flower.meven.base.sum_center_leaf",
-         br("always", lambda m, n, i, j, _: 8 * m * m * n - 2 * m * n + 4 * j * m - m))
+F.define("flower.meven.base.sum_center_leaf", br("always", "8m^2n - 2mn + 4jm - m"))
 
 # m even: shifted class
 
@@ -401,7 +385,7 @@ F.define("flower.meven.large-star.hub_outer", br("base + 2mn + 1", "flower.meven
 F.define("flower.meven.large-star.pend_in", br("base + 4mn", "flower.meven.base.pend_in"))
 F.define(
     "flower.meven.large-star.pend_out",
-    br("i=2", lambda m, n, i, j, _: 2 * j),
+    br("i=2", "2j"),
     br("i!=2: base", "flower.meven.base.pend_out"),
 )
 F.define("flower.meven.large-star.rim_jv", br("= base", "flower.meven.base.rim_jv"))
@@ -410,23 +394,20 @@ F.define("flower.meven.large-star.rim_close_A", br("= base", "flower.meven.base.
 F.define("flower.meven.large-star.rim_close_B", br("= base", "flower.meven.base.rim_close_B"))
 F.define(
     "flower.meven.large-star.spoke",
-    br("i=2", lambda m, n, i, j, _: 2 * j - 1),
+    br("i=2", "2j - 1"),
     br("i!=2: base - 6mn + 1", "flower.meven.base.spoke"),
 )
 F.define("flower.meven.large-star.spoke_outer",
          br("base + 2mn - 1", "flower.meven.base.spoke_outer"))
 
-F.define("flower.meven.large-star.sum_center",
-         br("always", lambda m, n, i, j, _: 8 * m * m * n * n + m * n))
+F.define("flower.meven.large-star.sum_center", br("always", "8m^2n^2 + mn"))
 F.define("flower.meven.large-star.sum_rim_leaf",
          br("base + 4mn - 1", "flower.meven.base.sum_rim_leaf"))
 # Printed against the pendant-out label of the same cell.
 F.define(
     "flower.meven.large-star.sum_outer_leaf",
-    br("i=2: pendant label + 1 + 2j",
-       lambda m, n, i, j, g: g("flower.meven.base.pend_out", m, n, i, j) + 1 + 2 * j),
-    br("i!=2: 2 * pendant label + 1 - 2mn",
-       lambda m, n, i, j, g: 2 * g("flower.meven.base.pend_out", m, n, i, j) + 1 - 2 * m * n),
+    br("i=2: pendant label + 1 + 2j", "flower.meven.base.pend_out + 1 + 2j"),
+    br("i!=2: 2 * pendant label + 1 - 2mn", "2 * flower.meven.base.pend_out + 1 - 2mn"),
 )
 F.define("flower.meven.large-star.sum_rim_hub",
          br("base - 8mn^2 + n", "flower.meven.base.sum_rim_hub"))
@@ -443,8 +424,8 @@ F.define("flower.meven.large-star.sum_center_leaf",
 F.define("flower.meven.even-star.hub", br("= base", "flower.meven.base.hub"))
 F.define(
     "flower.meven.even-star.hub_outer",
-    br("i=2, n=2", lambda m, n, i, j, _: 2 * j - 1),
-    br("i=2, n!=2", lambda m, n, i, j, _: 2 * j),
+    br("i=2, n=2", "2j - 1"),
+    br("i=2, n!=2", "2j"),
     br("otherwise: base", "flower.meven.base.hub_outer"),
 )
 F.define("flower.meven.even-star.pend_in", br("base - 1", "flower.meven.base.pend_in"))
@@ -456,8 +437,8 @@ F.define("flower.meven.even-star.rim_close_B", br("= base", "flower.meven.base.r
 F.define("flower.meven.even-star.spoke", br("= base", "flower.meven.base.spoke"))
 F.define(
     "flower.meven.even-star.spoke_outer",
-    br("i=1, n!=2", lambda m, n, i, j, _: 2 * j - 1),
-    br("i=1, n=2", lambda m, n, i, j, _: 2 * j),
+    br("i=1, n!=2", "2j - 1"),
+    br("i=1, n=2", "2j"),
     br("otherwise: base", "flower.meven.base.spoke_outer"),
 )
 
@@ -469,21 +450,18 @@ F.define(
 F.define("flower.meven.even-star.sum_rim_leaf", br("base - 1", "flower.meven.base.sum_rim_leaf"))
 F.define(
     "flower.meven.even-star.sum_outer_leaf",
-    br("n=2: 2 * hub-outer label + 2mn + 1",
-       lambda m, n, i, j, g: 2 * g("flower.meven.base.hub_outer", m, n, i, j) + 2 * m * n + 1),
-    br("n>2, i=2: 2 * hub-outer label + 2mn + 2",
-       lambda m, n, i, j, g: 2 * g("flower.meven.base.hub_outer", m, n, i, j) + 2 * m * n + 2),
-    br("n>2, i!=2: 2 * hub-outer label + 2mn + 1",
-       lambda m, n, i, j, g: 2 * g("flower.meven.base.hub_outer", m, n, i, j) + 2 * m * n + 1),
+    br("n=2: 2 * hub-outer label + 2mn + 1", "2 * flower.meven.base.hub_outer + 2mn + 1"),
+    br("n>2, i=2: 2 * hub-outer label + 2mn + 2", "2 * flower.meven.base.hub_outer + 2mn + 2"),
+    br("n>2, i!=2: 2 * hub-outer label + 2mn + 1", "2 * flower.meven.base.hub_outer + 2mn + 1"),
 )
 F.define("flower.meven.even-star.sum_rim_hub", br("base + n", "flower.meven.base.sum_rim_hub"))
 F.define(
     "flower.meven.even-star.sum_outer_hub",
-    br("n=2, i odd", lambda m, n, i, j, _: 2 * m * n * n + 2 * i * n * n + n),
-    br("n=2, i even", lambda m, n, i, j, _: 6 * m * n * n + 2 * n * n - 2 * i * n * n + n),
-    br("n!=2, i=1", lambda m, n, i, j, _: 2 * m * n * n + 2 * i * n * n),
-    br("n!=2, i odd", lambda m, n, i, j, _: 2 * m * n * n + 2 * i * n * n + n),
-    br("n!=2, i even", lambda m, n, i, j, _: 6 * m * n * n + 2 * n * n - 2 * i * n * n + n),
+    br("n=2, i odd", "2mn^2 + 2in^2 + n"),
+    br("n=2, i even", "6mn^2 + 2n^2 - 2in^2 + n"),
+    br("n!=2, i=1", "2mn^2 + 2in^2"),
+    br("n!=2, i odd", "2mn^2 + 2in^2 + n"),
+    br("n!=2, i even", "6mn^2 + 2n^2 - 2in^2 + n"),
 )
 F.patch(
     "flower.meven.even-star.sum_outer_hub",
@@ -493,7 +471,7 @@ F.patch(
         "by n; the explicit row matches the verified labeling"
     ),
     "n=2, i odd", "n=2, i even", "n!=2, i=1",
-    br("n!=2, i odd, i!=1", lambda m, n, i, j, _: 2 * m * n * n + 2 * i * n * n + n),
+    br("n!=2, i odd, i!=1", "2mn^2 + 2in^2 + n"),
     "n!=2, i even",
 )
 F.define(

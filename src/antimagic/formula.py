@@ -1,5 +1,5 @@
-"""Piecewise integer formulas whose branch guards, and citing values, are
-read from their labels, and an erratum ledger.
+"""Piecewise integer formulas whose branch guards are read from their
+labels and whose values are text, and an erratum ledger.
 
 Every labeling scheme in this project is a collection of piecewise
 formulas over cells (m, n, i, j).  A cell must satisfy exactly one
@@ -23,14 +23,22 @@ reads ``[conditions ":"] description``:
 - a label with no condition part (``= base``, ``base + 4mn``) holds
   always, and ``otherwise: ...`` holds where none of its siblings does.
 
+A branch's value is text as well, compiled once per distinct text.  It
+reads ``term {(+|-) term}``, with the signs between terms spaced and
+those inside a term not.  A term is an integer expression as above that
+may also read j (``2mn + (i-1)n + 2j - 1``, ``n^2(7m+1-2cl(m/4)) + 2n``)
+but is no bare quotient, or a formula id with an optional integer
+coefficient (``2 * flower.meven.base.hub_outer``): that formula's value
+at the same cell.
+
 Where the paper gives a labeling as an offset of one it printed already,
-the branch is ``br(label, "<cited fid>")`` and its value is read from
-the label's description as ``[=] term {(+|-) term}``, the signs spaced:
-one term, added, is the citation phrase (letters and hyphens: ``base``,
-``helm row``), and every other term an integer expression as above, no
-bare quotient.  ``base - 4m^2n + m - 1`` is the cited formula's value at
+the value is the cited formula id alone, ``br(label, "<cited fid>")``,
+and the offset is read from the label's description as ``[=] term
+{(+|-) term}``: one term, added, is the citation phrase (letters and
+hyphens: ``base``, ``helm row``), and every other term an integer
+expression.  ``base - 4m^2n + m - 1`` is the cited formula's value at
 the same cell minus 4m^2n plus m - 1, so a label cannot misstate its
-offset, and the cited fid is a constant of the value's code.
+offset.  Either way, a cited fid is a constant of the value's code.
 
 A label whose head before ``:`` is not a list of conditions, or whose
 conditions parse only in part, is refused, and so is a label without a
@@ -78,8 +86,8 @@ class Variant(Enum):
 VARIANTS = (Variant.AS_PRINTED, Variant.ERRATA)
 
 Guard = Callable[[int, int, int, int], bool]
-# Value callables receive the cell plus a resolver for referencing other
-# formulas at the same variant: ref(fid, m, n, i, j) -> int.
+# A compiled value receives the cell plus a resolver for the formulas it
+# cites at the same variant: g(fid, m, n, i, j) -> int.
 Value = Callable[[int, int, int, int, Callable], int]
 
 
@@ -89,16 +97,6 @@ def odd(x: int) -> bool:
 
 def even(x: int) -> bool:
     return x % 2 == 0
-
-
-def fl4(m: int) -> int:
-    """fl(m/4), the floor the printed window formulas use."""
-    return m // 4
-
-
-def cl4(m: int) -> int:
-    """cl(m/4), the ceiling the printed window formulas use."""
-    return -(-m // 4)
 
 
 class CoverageError(Exception):
@@ -130,28 +128,31 @@ class Branch:
 
 # An integer expression, once fl/cl, powers and implicit products are
 # rewritten, holds only the cell's names, integer literals, + - * ( ) and
-# floor division; a compiled guard adds only comparisons, parity tests
-# and and/or/not, and a compiled value only the call of its citation.
+# floor division; a guard reads no j, and adds only comparisons, parity
+# tests and and/or/not; a value adds only the calls of its citations.
 _SIDE = re.compile(r"(?:[mni\d+\-*()]|//)+")
+_VALUE = re.compile(r"(?:[mnij\d+\-*()]|//)+")
 _COMPARISON = re.compile(r"(<=|>=|!=|=|<|>)")
 _MISTYPED_PARITY = re.compile(r"[mni] \w")  # ``i od``: no description starts this way
 _QUOTIENT = re.compile(r"(\([^()]*\)|[\dmni]+)/(\d+)")
 _FLOOR = re.compile(r"(fl|cl)\(((?:[^()]|\([^()]*\))*)/(\d+)\)")
 _POWER = re.compile(r"\^(\d+)")
-_PRODUCT = re.compile(r"(?<=[\dmni)])(?=[mni(])")
+_PRODUCT = re.compile(r"(?<=[\dmnij)])(?=[mnij(])")
 _TERM = re.compile(r" ([+-]) ")
+_FID = re.compile(r"[a-z][\w-]*(?:\.[\w-]+)+")  # ``flower.meven.large-star.hub``
+_CITATION = re.compile(rf"((?:\d+ \* )?)({_FID.pattern})")  # ``2 * helm.n1.hub``
 _PHRASE = re.compile(r"[a-z]+(?:[ -][a-z]+)*")  # ``base``, ``cited leaf-leaf rim``
 _SOURCES: dict[str, str | None] = {}  # label -> the Python source of its guard
 _COMPILED: dict[str, Callable] = {}  # a lambda's source -> the lambda
 
 
-def _expression(text: str) -> str | None:
-    """An integer expression in m, n and i as Python, or None if ``text`` is none."""
+def _expression(text: str, names: re.Pattern = _SIDE) -> str | None:
+    """An integer expression as Python, or None if ``text`` is none over ``names``."""
     text = _FLOOR.sub(
         lambda f: f"(({f[2]})//{f[3]})" if f[1] == "fl" else f"(-(-({f[2]})//{f[3]}))", text
     )
     text = _PRODUCT.sub("*", _POWER.sub(r"**\1", text))
-    return text if _SIDE.fullmatch(text) else None
+    return text if names.fullmatch(text) else None
 
 
 def _condition(text: str) -> str | None:
@@ -198,34 +199,45 @@ def _source(label: str) -> str | None:
     return " and ".join(clauses)
 
 
-def _value_source(label: str, fid: str) -> str:
-    """The Python source of the value ``label`` states: ``fid``'s value plus an offset."""
-    head, colon, description = label.partition(":")
-    if not colon:
-        if _SOURCES[label] != "True":
-            raise ValueError(f"label {label!r}: it states conditions and no value")
-        description = head
-    parts = _TERM.split(description.strip().removeprefix("=").strip())
-    cited, offset = [], []
+def _value_source(label: str, value: str) -> str:
+    """The Python source of ``value``: a value text, or a cited fid plus the
+    offset the description of ``label`` states."""
+    text, fid = value, value if _FID.fullmatch(value) else None
+    if fid:
+        head, colon, text = label.partition(":")
+        if not colon:
+            if _SOURCES[label] != "True":
+                raise ValueError(f"label {label!r}: it states conditions and no value")
+            text = head
+        text = text.strip().removeprefix("=").strip()
+    parts = _TERM.split(text)
+    python, phrases = [], 0
     for sign, term in zip(["+"] + parts[1::2], parts[::2]):
-        python = _expression(term)
-        if python is not None:
-            offset.append(f"{sign} {python}")
-        elif sign == "+" and _PHRASE.fullmatch(term):
-            cited.append(term)
+        expression = _expression(term, _VALUE)
+        citation = None if fid else _CITATION.fullmatch(term)
+        if expression is not None:
+            python.append(f"{sign} {expression}")
+        elif citation:
+            python.append(f"{sign} {citation[1]}g({citation[2]!r}, m, n, i, j)")
+        elif fid and sign == "+" and _PHRASE.fullmatch(term):
+            phrases += 1
+            python.append(f"+ g({fid!r}, m, n, i, j)")
         else:
-            raise ValueError(f"label {label!r}: {term!r} is no integer expression and no citation")
-    if len(cited) != 1:
-        raise ValueError(f"label {label!r}: it cites {len(cited)} formulas, not one")
-    source = f"g({fid!r}, m, n, i, j)"
-    return f"{source} + ({' '.join(offset).removeprefix('+ ')})" if offset else source
+            where = f"label {label!r}" if fid else f"value {value!r}"
+            raise ValueError(f"{where}: {term!r} is no integer expression and no citation")
+    if fid and phrases != 1:
+        raise ValueError(f"label {label!r}: it cites {phrases} formulas, not one")
+    return " ".join(python).removeprefix("+ ")
 
 
 def _compile(source: str) -> Callable:
     compiled = _COMPILED.get(source)
     if compiled is None:
-        # the source holds only what _SIDE admits, comparisons, and/or/not
-        # and a citation's call, and labels come from the package's own tables
+        # a guard's source holds integer expressions in m, n and i (what
+        # _SIDE admits), comparisons and and/or/not; a value's, integer
+        # expressions in m, n, i and j (_VALUE) and the calls of the fids it
+        # cites, by value text or by label; both come from the package's
+        # own tables
         compiled = _COMPILED[source] = eval(source, {})
     return compiled
 
@@ -234,30 +246,36 @@ def _guard(source: str) -> Guard:
     return _compile(f"lambda m, n, i, j: {source}")
 
 
-def br(label: str, value: Value | str) -> Branch:
-    """The branch ``label`` of a formula, its guard compiled from the label.
+def br(label: str, value: str) -> Branch:
+    """The branch ``label`` of a formula: its guard compiled from the label,
+    its value from ``value``.
 
     Each distinct condition compiles once, to a plain ``lambda m, n, i, j``
-    of integer arithmetic and comparisons.  A ``value`` that is a formula
-    id makes a citing branch: its value is compiled from the label's
-    description, each distinct one once, to ``lambda m, n, i, j, g:
-    g(fid, m, n, i, j) + (offset)`` (see the module docstring for both
-    grammars).  Raises ValueError for a label whose head before ``:`` is
-    no list of conditions, whose conditions parse only in part, or which
-    has no ``:`` and holds a comparison it cannot parse or starts as a
-    parity test it cannot parse (``i od``); and for a citing label whose
-    description has a term that is no integer expression and no added
-    citation phrase, or not exactly one such phrase.
+    of integer arithmetic and comparisons, and each distinct value to a
+    ``lambda m, n, i, j, g`` that calls ``g(fid, m, n, i, j)`` for each
+    formula it cites.  A ``value`` that is one formula id makes a citing
+    branch, whose value is that formula's plus the offset the label's
+    description states (``base - 4m^2n + m - 1``).  Any other ``value`` is
+    a value text: terms joined by spaced signs, each an integer expression
+    in m, n, i and j or a cited formula id with an optional integer
+    coefficient (``2mn + (i-1)n + 2j - 1``, ``2 * helm.n1.hub + 1``); the
+    module docstring states all three grammars.  Raises ValueError for a
+    label whose head before ``:`` is no list of conditions, whose
+    conditions parse only in part, or which has no ``:`` and holds a
+    comparison it cannot parse or starts as a parity test it cannot parse
+    (``i od``); for a value text with a term that is no integer expression
+    and no citation; and for a citing label whose description has a term
+    that is no integer expression and no added citation phrase, or not
+    exactly one such phrase.
     """
     if label not in _SOURCES:
         _SOURCES[label] = _source(label)
     source = _SOURCES[label]
     try:
         guard = None if source is None else _guard(source)
-        if isinstance(value, str):
-            value = _compile(f"lambda m, n, i, j, g: {_value_source(label, value)}")
+        value = _compile(f"lambda m, n, i, j, g: {_value_source(label, value)}")
     except SyntaxError:
-        raise ValueError(f"label {label!r}: it holds no integer arithmetic") from None
+        raise ValueError(f"branch {label!r}: it holds no integer arithmetic") from None
     return Branch(label, guard, value)
 
 

@@ -20,7 +20,6 @@ from .conformance import (
     evaluate_vertex_families,
 )
 from .formula import Variant, VARIANTS, br, even, odd
-from .formula import cl4 as _cl4, fl4 as _fl4
 from .graphs import check_mn, product_graph
 
 
@@ -38,42 +37,42 @@ def helm_case_class(m: int, n: int) -> str:
 # ---------------------------------------------------------------------------
 # n = 1
 
-F.define("helm.n1.hub", br("always", lambda m, n, i, j, _: 2 * m + 2 * i))
+F.define("helm.n1.hub", br("always", "2m + 2i"))
 
 F.define(
     "helm.n1.rim_jv",
-    br("i=1", lambda m, n, i, j, _: 2 * m + 1),
-    br("2<=i<=m-1", lambda m, n, i, j, _: 2 * m + 4 * i - 1),
+    br("i=1", "2m + 1"),
+    br("2<=i<=m-1", "2m + 4i - 1"),
 )
-F.define("helm.n1.rim_close_A", br("always", lambda m, n, i, j, _: 2 * m + 3))
-F.define("helm.n1.rim_close_B", br("always", lambda m, n, i, j, _: 3 * (2 * m - 1)))
+F.define("helm.n1.rim_close_A", br("always", "2m + 3"))
+F.define("helm.n1.rim_close_B", br("always", "3(2m-1)"))
 F.define(
     "helm.n1.rim_vj",
-    br("1<=i<=m-2", lambda m, n, i, j, _: 2 * m + 4 * i + 1),
-    br("i=m-1", lambda m, n, i, j, _: 6 * m - 1),
+    br("1<=i<=m-2", "2m + 4i + 1"),
+    br("i=m-1", "6m - 1"),
 )
-F.define("helm.n1.pend_jv", br("always", lambda m, n, i, j, _: 2 * i - 1))
+F.define("helm.n1.pend_jv", br("always", "2i - 1"))
 
 F.define(
     "helm.n1.pend_vj",
-    br("i=1, m even", lambda m, n, i, j, _: m + 2),
-    br("i=1, m odd", lambda m, n, i, j, _: m + 3),
-    br("2<=i<=cl((m-1)/2)", lambda m, n, i, j, _: 2 * (i - 1)),
-    br("i=(m+1)/2, m odd", lambda m, n, i, j, _: m + 1),
-    br("fl((m+3)/2)<=i<=m-1", lambda m, n, i, j, _: 2 * (i + 1)),
-    br("i=m, m odd", lambda m, n, i, j, _: m - 1),
-    br("i=m, m even", lambda m, n, i, j, _: m),
+    br("i=1, m even", "m + 2"),
+    br("i=1, m odd", "m + 3"),
+    br("2<=i<=cl((m-1)/2)", "2(i-1)"),
+    br("i=(m+1)/2, m odd", "m + 1"),
+    br("fl((m+3)/2)<=i<=m-1", "2(i+1)"),
+    br("i=m, m odd", "m - 1"),
+    br("i=m, m even", "m"),
 )
 
 F.define(
     "helm.n1.spoke",
-    br("i=1, m even", lambda m, n, i, j, _: 5 * m + 2),
-    br("i=1, m odd", lambda m, n, i, j, _: 5 * m + 3),
-    br("2<=i<=cl((m-1)/2)", lambda m, n, i, j, _: 4 * m + 2 * (i - 1)),
-    br("i=(m+1)/2, m odd", lambda m, n, i, j, _: 5 * m + 1),
-    br("fl((m+3)/2)<=i<=m-1", lambda m, n, i, j, _: 2 * i + 4 * m + 2),
-    br("i=m, m odd", lambda m, n, i, j, _: 5 * m - 1),
-    br("i=m, m even", lambda m, n, i, j, _: 5 * m),
+    br("i=1, m even", "5m + 2"),
+    br("i=1, m odd", "5m + 3"),
+    br("2<=i<=cl((m-1)/2)", "4m + 2(i-1)"),
+    br("i=(m+1)/2, m odd", "5m + 1"),
+    br("fl((m+3)/2)<=i<=m-1", "2i + 4m + 2"),
+    br("i=m, m odd", "5m - 1"),
+    br("i=m, m even", "5m"),
 )
 
 # The n=1 rim formulas are only ever defined on mixed leaf/hub pairs; the
@@ -82,23 +81,23 @@ F.define(
 # coverage error instead of a silent guess.
 F.define("helm.n1.rim_leaf_pair")
 
-F.define("helm.n1.sum_center", br("always", lambda m, n, i, j, _: 3 * m * m + m))
-F.define("helm.n1.sum_rim_leaf", br("always", lambda m, n, i, j, _: 6 * m + 12 * i - 5))
+F.define("helm.n1.sum_center", br("always", "3m^2 + m"))
+F.define("helm.n1.sum_rim_leaf", br("always", "6m + 12i - 5"))
 F.define("helm.n1.sum_outer_leaf", br("label of its one edge", "helm.n1.pend_vj"))
 F.define("helm.n1.sum_outer_hub", br("label of its one edge", "helm.n1.pend_jv"))
-F.define("helm.n1.sum_center_leaf", br("always", lambda m, n, i, j, _: 5 * m * m + m))
+F.define("helm.n1.sum_center_leaf", br("always", "5m^2 + m"))
 
 F.define(
     "helm.n1.sum_rim_hub",
-    br("i=1, m odd", lambda m, n, i, j, _: 14 * m + 8),
-    br("i=1, m even", lambda m, n, i, j, _: 14 * m + 6),
-    br("i=2", lambda m, n, i, j, _: 8 * m + 14),
-    br("3<=i<=cl((m-1)/2)", lambda m, n, i, j, _: 8 * m + 12 * i - 8),
-    br("i=(m+1)/2, m odd", lambda m, n, i, j, _: 9 * m + 8 * i - 3),
-    br("fl((m+3)/2)<=i<=m-2", lambda m, n, i, j, _: 8 * m + 12 * i),
-    br("i=m-1", lambda m, n, i, j, _: 10 * (2 * m - 1)),
-    br("i=m, m odd", lambda m, n, i, j, _: 14 * m - 4),
-    br("i=m, m even", lambda m, n, i, j, _: 14 * m - 2),
+    br("i=1, m odd", "14m + 8"),
+    br("i=1, m even", "14m + 6"),
+    br("i=2", "8m + 14"),
+    br("3<=i<=cl((m-1)/2)", "8m + 12i - 8"),
+    br("i=(m+1)/2, m odd", "9m + 8i - 3"),
+    br("fl((m+3)/2)<=i<=m-2", "8m + 12i"),
+    br("i=m-1", "10(2m-1)"),
+    br("i=m, m odd", "14m - 4"),
+    br("i=m, m even", "14m - 2"),
 )
 F.patch(
     "helm.n1.sum_rim_hub",
@@ -111,11 +110,11 @@ F.patch(
         "while the verified sum is 44, the corrected middle row"
     ),
     "i=1, m odd", "i=1, m even",
-    br("i=2, m!=3", lambda m, n, i, j, _: 8 * m + 14),
+    br("i=2, m!=3", "8m + 14"),
     "3<=i<=cl((m-1)/2)",
-    br("i=(m+1)/2, m odd", lambda m, n, i, j, _: 10 * m + 8 * i - 2),
+    br("i=(m+1)/2, m odd", "10m + 8i - 2"),
     "fl((m+3)/2)<=i<=m-2",
-    br("i=m-1, i!=(m+1)/2", lambda m, n, i, j, _: 10 * (2 * m - 1)),
+    br("i=m-1, i!=(m+1)/2", "10(2m-1)"),
     "i=m, m odd", "i=m, m even",
 )
 
@@ -124,61 +123,58 @@ F.patch(
 
 F.define(
     "helm.modd.base.hub",
-    br("i odd", lambda m, n, i, j, _: 4 * m * n + (i - 1) * n + 2 * j),
-    br("i even", lambda m, n, i, j, _: 5 * m * n + (i - 1) * n + 2 * j),
+    br("i odd", "4mn + (i-1)n + 2j"),
+    br("i even", "5mn + (i-1)n + 2j"),
 )
 F.define(
     "helm.modd.base.pend_in",
-    br("i odd", lambda m, n, i, j, _: (i - 1) * n + 2 * j - 1),
-    br("i even", lambda m, n, i, j, _: (m - 1) * n + i * n + 2 * j - 1),
+    br("i odd", "(i-1)n + 2j - 1"),
+    br("i even", "(m-1)n + in + 2j - 1"),
 )
 F.define(
     "helm.modd.base.pend_out",
-    br("i odd, i!=m", lambda m, n, i, j, _: n * (m + i) + 2 * j),
-    br("i even", lambda m, n, i, j, _: (i - 2) * n + 2 * j),
-    br("i=m", lambda m, n, i, j, _: (m - 1) * n + 2 * j),
+    br("i odd, i!=m", "n(m+i) + 2j"),
+    br("i even", "(i-2)n + 2j"),
+    br("i=m", "(m-1)n + 2j"),
 )
 F.define(
     "helm.modd.base.rim_vj",
-    br("i odd", lambda m, n, i, j, _: 3 * m * n + i * n + j),
-    br("i even", lambda m, n, i, j, _: 2 * m * n + i * n + j),
+    br("i odd", "3mn + in + j"),
+    br("i even", "2mn + in + j"),
 )
 F.define(
     "helm.modd.base.rim_jv",
-    br("i even", lambda m, n, i, j, _: 3 * m * n + i * n + j),
-    br("i odd", lambda m, n, i, j, _: 2 * m * n + i * n + j),
+    br("i even", "3mn + in + j"),
+    br("i odd", "2mn + in + j"),
 )
-F.define("helm.modd.base.rim_close_A", br("always", lambda m, n, i, j, _: 2 * m * n + j))
-F.define("helm.modd.base.rim_close_B", br("always", lambda m, n, i, j, _: 3 * m * n + j))
+F.define("helm.modd.base.rim_close_A", br("always", "2mn + j"))
+F.define("helm.modd.base.rim_close_B", br("always", "3mn + j"))
 F.define(
     "helm.modd.base.spoke",
-    br("i even", lambda m, n, i, j, _: 4 * m * n + (i - 2) * n + 2 * j - 1),
-    br("i=m", lambda m, n, i, j, _: 5 * m * n - n + 2 * j - 1),
-    br("i odd, i!=m", lambda m, n, i, j, _: 5 * m * n + i * n + 2 * j - 1),
+    br("i even", "4mn + (i-2)n + 2j - 1"),
+    br("i=m", "5mn - n + 2j - 1"),
+    br("i odd, i!=m", "5mn + in + 2j - 1"),
 )
 
-F.define("helm.modd.base.sum_center", br("always", lambda m, n, i, j, _: 5 * m * m * n * n + m * n))
+F.define("helm.modd.base.sum_center", br("always", "5m^2n^2 + mn"))
 F.define(
     "helm.modd.base.sum_rim_leaf",
-    br("i odd", lambda m, n, i, j, _: 8 * m * n + 6 * j + 4 * i * n - 3 * n - 1),
-    br("i even", lambda m, n, i, j, _: 12 * m * n + 4 * i * n - 3 * n + 6 * j - 1),
+    br("i odd", "8mn + 6j + 4in - 3n - 1"),
+    br("i even", "12mn + 4in - 3n + 6j - 1"),
 )
 F.define("helm.modd.base.sum_outer_leaf", br("label of its one edge", "helm.modd.base.pend_out"))
 F.define(
     "helm.modd.base.sum_rim_hub",
-    br("i odd, i!=m", lambda m, n, i, j, _: 12 * m * n * n + 4 * i * n * n + 2 * n * n + 2 * n),
-    br("i even", lambda m, n, i, j, _: 8 * m * n * n + 4 * i * n * n - 2 * n * n + 2 * n),
-    br("i=m", lambda m, n, i, j, _: 12 * m * n * n + 2 * n),
+    br("i odd, i!=m", "12mn^2 + 4in^2 + 2n^2 + 2n"),
+    br("i even", "8mn^2 + 4in^2 - 2n^2 + 2n"),
+    br("i=m", "12mn^2 + 2n"),
 )
 F.define(
     "helm.modd.base.sum_outer_hub",
-    br("i odd", lambda m, n, i, j, _: i * n * n),
-    br("i even", lambda m, n, i, j, _: (m + i) * n * n),
+    br("i odd", "in^2"),
+    br("i even", "(m+i)n^2"),
 )
-F.define(
-    "helm.modd.base.sum_center_leaf",
-    br("always", lambda m, n, i, j, _: 5 * m * m * n - m * n + (2 * j - 1) * m),
-)
+F.define("helm.modd.base.sum_center_leaf", br("always", "5m^2n - mn + (2j-1)m"))
 
 # m odd: shifted class (pendant-in and centre-spoke regions swap by 4mn)
 
@@ -191,8 +187,7 @@ F.define("helm.modd.large-star.rim_close_A", br("= base", "helm.modd.base.rim_cl
 F.define("helm.modd.large-star.rim_close_B", br("= base", "helm.modd.base.rim_close_B"))
 F.define("helm.modd.large-star.spoke", br("base - 4mn", "helm.modd.base.spoke"))
 
-F.define("helm.modd.large-star.sum_center",
-         br("always", lambda m, n, i, j, _: 5 * m * m * n * n + m * n))
+F.define("helm.modd.large-star.sum_center", br("always", "5m^2n^2 + mn"))
 F.define("helm.modd.large-star.sum_rim_leaf", br("base + 4mn", "helm.modd.base.sum_rim_leaf"))
 F.define("helm.modd.large-star.sum_outer_leaf",
          br("label of its one edge", "helm.modd.large-star.pend_out"))
@@ -205,23 +200,23 @@ F.define("helm.modd.large-star.sum_center_leaf",
 
 F.define(
     "helm.modd.even-star.hub",
-    br("i=1", lambda m, n, i, j, _: 4 * m * n + 2 * j),
+    br("i=1", "4mn + 2j"),
     br("i!=1: base - 1", "helm.modd.base.hub"),
 )
 F.define(
     "helm.modd.even-star.pend_in",
-    br("n=2, i=1", lambda m, n, i, j, _: 2 * j),
+    br("n=2, i=1", "2j"),
     br("n=2, i!=1: base + 1", "helm.modd.base.pend_in"),
-    br("n>=3, i=1, m=3", lambda m, n, i, j, _: 4 * m * n + 2 * j - 1),
-    br("n>=3, i=1, m>=5", lambda m, n, i, j, _: 2 * j - 1),
+    br("n>=3, i=1, m=3", "4mn + 2j - 1"),
+    br("n>=3, i=1, m>=5", "2j - 1"),
     br("n>=3, i!=1, m=3: base + 4mn + 1", "helm.modd.base.pend_in"),
     br("n>=3, i!=1, m>=5: base + 1", "helm.modd.base.pend_in"),
 )
 F.define(
     "helm.modd.even-star.pend_out",
-    br("n=2, i=2", lambda m, n, i, j, _: 2 * j - 1),
+    br("n=2, i=2", "2j - 1"),
     br("n=2, i!=2: base - 1", "helm.modd.base.pend_out"),
-    br("n>=3, i=2", lambda m, n, i, j, _: 2 * j),
+    br("n>=3, i=2", "2j"),
     br("n>=3, i!=2: base - 1", "helm.modd.base.pend_out"),
 )
 F.define("helm.modd.even-star.rim_vj", br("= base", "helm.modd.base.rim_vj"))
@@ -230,8 +225,8 @@ F.define("helm.modd.even-star.rim_close_A", br("= base", "helm.modd.base.rim_clo
 F.define("helm.modd.even-star.rim_close_B", br("= base", "helm.modd.base.rim_close_B"))
 F.define(
     "helm.modd.even-star.spoke",
-    br("i=2, m=3", lambda m, n, i, j, _: 2 * j - 1),
-    br("i=2, m>=5", lambda m, n, i, j, _: 4 * m * n + 2 * j - 1),
+    br("i=2, m=3", "2j - 1"),
+    br("i=2, m>=5", "4mn + 2j - 1"),
     br("i!=2, m=3: base + 1 - 4mn", "helm.modd.base.spoke"),
     br("i!=2, m>=5: base + 1", "helm.modd.base.spoke"),
 )
@@ -246,20 +241,19 @@ F.patch(
         "sums (w_i^0 keeps its base value off by at most n) hold exactly "
         "under the undisplaced reading"
     ),
-    br("i=2, m=3, n>=3", lambda m, n, i, j, _: 2 * j - 1),
-    br("i=2, m>=5 or n=2", lambda m, n, i, j, _: 4 * m * n + 2 * j - 1),
+    br("i=2, m=3, n>=3", "2j - 1"),
+    br("i=2, m>=5 or n=2", "4mn + 2j - 1"),
     br("i!=2, m=3, n>=3: base + 1 - 4mn", "helm.modd.base.spoke"),
     br("i!=2, m>=5 or n=2: base + 1", "helm.modd.base.spoke"),
 )
 
-F.define("helm.modd.even-star.sum_center",
-         br("always", lambda m, n, i, j, _: 5 * m * m * n * n + n))
+F.define("helm.modd.even-star.sum_center", br("always", "5m^2n^2 + n"))
 F.define(
     "helm.modd.even-star.sum_rim_leaf",
     br("n=2, i=1: base + 1", "helm.modd.base.sum_rim_leaf"),
     br("n=2, i!=1: base", "helm.modd.base.sum_rim_leaf"),
     br("n>=3, m=3: base + 4mn", "helm.modd.base.sum_rim_leaf"),
-    br("n>=3, i=1, m>=5", lambda m, n, i, j, _: 8 * m * n + 6 * j + n - 1),
+    br("n>=3, i=1, m>=5", "8mn + 6j + n - 1"),
     br("n>=3, i!=1, m>=5: base", "helm.modd.base.sum_rim_leaf"),
 )
 F.define("helm.modd.even-star.sum_outer_leaf",
@@ -269,7 +263,7 @@ F.define(
     br("n=2, i=2: base - n", "helm.modd.base.sum_rim_hub"),
     br("n=2, i!=2: base", "helm.modd.base.sum_rim_hub"),
     br("n>=3, m=3: base", "helm.modd.base.sum_rim_hub"),
-    br("n>=3, i=2, m>=5", lambda m, n, i, j, _: 8 * m * n * n + 6 * n * n + 3 * n),
+    br("n>=3, i=2, m>=5", "8mn^2 + 6n^2 + 3n"),
     br("n>=3, i!=2, m>=5: base", "helm.modd.base.sum_rim_hub"),
 )
 F.patch(
@@ -284,16 +278,16 @@ F.patch(
     ),
     "n=2, i=2: base - n", "n=2, i!=2: base",
     br("n>=3, m=3: base - 4mn^2", "helm.modd.base.sum_rim_hub"),
-    br("n>=3, i=2, m>=5", lambda m, n, i, j, _: 8 * m * n * n + 6 * n * n + 2 * n),
+    br("n>=3, i=2, m>=5", "8mn^2 + 6n^2 + 2n"),
     "n>=3, i!=2, m>=5: base",
 )
 F.define(
     "helm.modd.even-star.sum_outer_hub",
-    br("n=2, i=1", lambda m, n, i, j, _: n * (n + 1)),
+    br("n=2, i=1", "n(n+1)"),
     br("n=2, i!=1: base", "helm.modd.base.sum_outer_hub"),
-    br("n>=3, i=1, m>=5", lambda m, n, i, j, _: n * n),
+    br("n>=3, i=1, m>=5", "n^2"),
     br("n>=3, i!=1, m>=5: base", "helm.modd.base.sum_outer_hub"),
-    br("n>=3, i=1, m=3", lambda m, n, i, j, _: 4 * m * n * n + n * n),
+    br("n>=3, i=1, m=3", "4mn^2 + n^2"),
     br("n>=3, i!=1, m=3: base + 4mn^2 + n", "helm.modd.base.sum_outer_hub"),
 )
 F.patch(
@@ -334,26 +328,25 @@ F.patch(
 
 F.define(
     "helm.meven.base.hub",
-    br("i odd", lambda m, n, i, j, _: 4 * m * n + (i - 1) * n + 2 * j),
-    br("i even", lambda m, n, i, j, _: 5 * m * n + (m - i) * n + 2 * j),
+    br("i odd", "4mn + (i-1)n + 2j"),
+    br("i even", "5mn + (m-i)n + 2j"),
 )
 F.define(
     "helm.meven.base.pend_in",
-    br("i odd", lambda m, n, i, j, _: 2 * j + n * (i - 1)),
-    br("i even", lambda m, n, i, j, _: 2 * j + n * (2 * m - i)),
+    br("i odd", "2j + n(i-1)"),
+    br("i even", "2j + n(2m-i)"),
 )
 
 F.define(
     "helm.meven.base.pend_out",
-    br("i even, 2<=i<=2fl(m/4)", lambda m, n, i, j, _: 2 * j - 1 + n * (i - 2)),
-    br("i=m", lambda m, n, i, j, _: 2 * n * _fl4(m) + 2 * j - 1),
-    br("i even, 2fl(m/4)+2<=i<=m-2", lambda m, n, i, j, _: n * i + 2 * j - 1),
-    br("i=1, m!=4", lambda m, n, i, j, _: 2 * m * n - 2 * n * _cl4(m) + 2 * j - 1),
-    br("i=1, m=4", lambda m, n, i, j, _: 4 * n + 2 * j - 1),
-    br("i=3, m=4", lambda m, n, i, j, _: 6 * n + 2 * j - 1),
-    br("i odd, 2cl(m/4)+1<=i<=m-1", lambda m, n, i, j, _: n * (2 * m - 1 - i) + 2 * j - 1),
-    br("i odd, 3<=i<=2cl(m/4)-1, m!=4",
-       lambda m, n, i, j, _: 3 * m * n - 4 * n * _cl4(m) + (3 - i) * n + 2 * j - 1),
+    br("i even, 2<=i<=2fl(m/4)", "2j - 1 + n(i-2)"),
+    br("i=m", "2fl(m/4)n + 2j - 1"),
+    br("i even, 2fl(m/4)+2<=i<=m-2", "ni + 2j - 1"),
+    br("i=1, m!=4", "2mn - 2cl(m/4)n + 2j - 1"),
+    br("i=1, m=4", "4n + 2j - 1"),
+    br("i=3, m=4", "6n + 2j - 1"),
+    br("i odd, 2cl(m/4)+1<=i<=m-1", "n(2m-1-i) + 2j - 1"),
+    br("i odd, 3<=i<=2cl(m/4)-1, m!=4", "3mn - 4cl(m/4)n + (3-i)n + 2j - 1"),
 )
 F.patch(
     "helm.meven.base.pend_out",
@@ -369,36 +362,36 @@ F.patch(
     ),
     "i even, 2<=i<=2fl(m/4)", "i=m", "i even, 2fl(m/4)+2<=i<=m-2", "i=1, m!=4", "i=1, m=4",
     "i=3, m=4",
-    br("i odd, 2cl(m/4)+1<=i<=m-1, m!=4", lambda m, n, i, j, _: n * (2 * m - 1 - i) + 2 * j - 1),
-    br("i odd, 3<=i<=2cl(m/4)-1, m!=4", lambda m, n, i, j, _: n * (2 * m + 1 - i) + 2 * j - 1),
+    br("i odd, 2cl(m/4)+1<=i<=m-1, m!=4", "n(2m-1-i) + 2j - 1"),
+    br("i odd, 3<=i<=2cl(m/4)-1, m!=4", "n(2m+1-i) + 2j - 1"),
 )
 
 F.define(
     "helm.meven.base.rim_jv",
-    br("i odd", lambda m, n, i, j, _: (2 * m + i) * n + j),
-    br("i even", lambda m, n, i, j, _: (4 * m - i) * n + j),
+    br("i odd", "(2m+i)n + j"),
+    br("i even", "(4m-i)n + j"),
 )
 F.define(
     "helm.meven.base.rim_vj",
-    br("i odd", lambda m, n, i, j, _: (4 * m - i) * n + j),
-    br("i even", lambda m, n, i, j, _: (2 * m + i) * n + j),
+    br("i odd", "(4m-i)n + j"),
+    br("i even", "(2m+i)n + j"),
 )
 # The closing rim family is printed with a free rim index; the only rim
 # edges left are (w_1^j, w_m^0) and (w_m^j, w_1^0), so the family is read
 # at i = 1 like its m-odd analogue.
-F.define("helm.meven.base.rim_close_A", br("always", lambda m, n, i, j, _: 2 * m * n + j))
-F.define("helm.meven.base.rim_close_B", br("always", lambda m, n, i, j, _: 3 * m * n + j))
+F.define("helm.meven.base.rim_close_A", br("always", "2mn + j"))
+F.define("helm.meven.base.rim_close_B", br("always", "3mn + j"))
 
 F.define(
     "helm.meven.base.spoke",
-    br("i even, 2<=i<=2fl(m/4)", lambda m, n, i, j, _: 4 * m * n + (i - 2) * n + 2 * j - 1),
-    br("i=m", lambda m, n, i, j, _: 4 * m * n + 2 * _fl4(m) * n + 2 * j - 1),
-    br("i even, 2fl(m/4)+2<=i<=m-2", lambda m, n, i, j, _: 4 * m * n + n * i + 2 * j - 1),
-    br("i=1, m!=4", lambda m, n, i, j, _: 6 * m * n - 2 * _cl4(m) * n + 2 * j - 1),
-    br("i=1, m=4", lambda m, n, i, j, _: 4 * m * n + 4 * n + 2 * j - 1),
-    br("i odd, 3<=i<=2cl(m/4)-1, m!=4", lambda m, n, i, j, _: 6 * m * n + n - 1 + 2 * j - n * i),
-    br("i=3, m=4", lambda m, n, i, j, _: 4 * m * n + 6 * n + 2 * j - 1),
-    br("i odd, 2cl(m/4)+1<=i<=m-1", lambda m, n, i, j, _: 6 * m * n - n * (i + 1) + 2 * j - 1),
+    br("i even, 2<=i<=2fl(m/4)", "4mn + (i-2)n + 2j - 1"),
+    br("i=m", "4mn + 2fl(m/4)n + 2j - 1"),
+    br("i even, 2fl(m/4)+2<=i<=m-2", "4mn + ni + 2j - 1"),
+    br("i=1, m!=4", "6mn - 2cl(m/4)n + 2j - 1"),
+    br("i=1, m=4", "4mn + 4n + 2j - 1"),
+    br("i odd, 3<=i<=2cl(m/4)-1, m!=4", "6mn + n - 1 + 2j - ni"),
+    br("i=3, m=4", "4mn + 6n + 2j - 1"),
+    br("i odd, 2cl(m/4)+1<=i<=m-1", "6mn - n(i+1) + 2j - 1"),
 )
 F.patch(
     "helm.meven.base.spoke",
@@ -412,35 +405,27 @@ F.patch(
     ),
     "i even, 2<=i<=2fl(m/4)", "i=m", "i even, 2fl(m/4)+2<=i<=m-2", "i=1, m!=4", "i=1, m=4",
     "i odd, 3<=i<=2cl(m/4)-1, m!=4", "i=3, m=4",
-    br("i odd, 2cl(m/4)+1<=i<=m-1, m!=4",
-       lambda m, n, i, j, _: 6 * m * n - n * (i + 1) + 2 * j - 1),
+    br("i odd, 2cl(m/4)+1<=i<=m-1, m!=4", "6mn - n(i+1) + 2j - 1"),
 )
 
-F.define(
-    "helm.meven.base.sum_center",
-    br("always", lambda m, n, i, j, _: 5 * m * m * n * n + m * n),
-)
+F.define("helm.meven.base.sum_center", br("always", "5m^2n^2 + mn"))
 F.define(
     "helm.meven.base.sum_rim_leaf",
-    br("i odd", lambda m, n, i, j, _: 8 * m * n + 4 * i * n - 3 * n + 6 * j),
-    br("i even", lambda m, n, i, j, _: 16 * m * n - 4 * i * n + 6 * j + n),
+    br("i odd", "8mn + 4in - 3n + 6j"),
+    br("i even", "16mn - 4in + 6j + n"),
 )
 F.define("helm.meven.base.sum_outer_leaf", br("label of its one edge", "helm.meven.base.pend_out"))
 
 F.define(
     "helm.meven.base.sum_rim_hub",
-    br("i=1, m=4", lambda m, n, i, j, _: 13 * m * n * n + 2 * n * n + n),
-    br("i=3, m=4", lambda m, n, i, j, _: 13 * m * n * n + 6 * n * n + n),
-    br("i even, 2<=i<=2fl(m/4)",
-       lambda m, n, i, j, _: 8 * m * n * n + 4 * i * n * n - 2 * n * n + n),
-    br("i even, 2fl(m/4)+2<=i<=m-2",
-       lambda m, n, i, j, _: 8 * m * n * n + 4 * i * n * n + 2 * n * n + n),
-    br("i odd, 2cl(m/4)+1<=i<=m-1",
-       lambda m, n, i, j, _: 16 * m * n * n - 4 * i * n * n + 2 * n * n + n),
-    br("i=m", lambda m, n, i, j, _: 9 * m * n * n + 2 * n * n + 4 * n * n * _fl4(m) + n),
-    br("i=1, m!=4", lambda m, n, i, j, _: 15 * m * n * n - 2 * n * n + n - 2 * n * n * _cl4(m)),
-    br("i odd, 3<=i<=2cl(m/4)-1, m!=4",
-       lambda m, n, i, j, _: 16 * m * n * n + 4 * n * n - 6 * n * n * i + 4 * n * n * _cl4(m) + n),
+    br("i=1, m=4", "13mn^2 + 2n^2 + n"),
+    br("i=3, m=4", "13mn^2 + 6n^2 + n"),
+    br("i even, 2<=i<=2fl(m/4)", "8mn^2 + 4in^2 - 2n^2 + n"),
+    br("i even, 2fl(m/4)+2<=i<=m-2", "8mn^2 + 4in^2 + 2n^2 + n"),
+    br("i odd, 2cl(m/4)+1<=i<=m-1", "16mn^2 - 4in^2 + 2n^2 + n"),
+    br("i=m", "9mn^2 + 2n^2 + 4fl(m/4)n^2 + n"),
+    br("i=1, m!=4", "15mn^2 - 2n^2 + n - 2cl(m/4)n^2"),
+    br("i odd, 3<=i<=2cl(m/4)-1, m!=4", "16mn^2 + 4n^2 - 6n^2i + 4cl(m/4)n^2 + n"),
 )
 F.patch(
     "helm.meven.base.sum_rim_hub",
@@ -454,22 +439,18 @@ F.patch(
         "explicit i=3 row already applies"
     ),
     "i=1, m=4", "i=3, m=4", "i even, 2<=i<=2fl(m/4)", "i even, 2fl(m/4)+2<=i<=m-2",
-    br("i odd, 2cl(m/4)+1<=i<=m-1, m!=4",
-       lambda m, n, i, j, _: 16 * m * n * n - 4 * i * n * n + 2 * n * n + n),
+    br("i odd, 2cl(m/4)+1<=i<=m-1, m!=4", "16mn^2 - 4in^2 + 2n^2 + n"),
     "i=m",
-    br("i=1, m!=4", lambda m, n, i, j, _: (15 * m + 2 - 4 * _cl4(m)) * n * n + n),
-    br("i odd, 3<=i<=2cl(m/4)-1, m!=4", lambda m, n, i, j, _: (16 * m - 4 * i + 6) * n * n + n),
+    br("i=1, m!=4", "(15m+2-4cl(m/4))n^2 + n"),
+    br("i odd, 3<=i<=2cl(m/4)-1, m!=4", "(16m-4i+6)n^2 + n"),
 )
 
 F.define(
     "helm.meven.base.sum_outer_hub",
-    br("i odd", lambda m, n, i, j, _: (i - 1) * n * n + n * (n + 1)),
-    br("i even", lambda m, n, i, j, _: m * n * n + (m - i) * n * n + n * (n + 1)),
+    br("i odd", "(i-1)n^2 + n(n+1)"),
+    br("i even", "mn^2 + (m-i)n^2 + n(n+1)"),
 )
-F.define(
-    "helm.meven.base.sum_center_leaf",
-    br("always", lambda m, n, i, j, _: 5 * m * m * n - m * n + (2 * j - 1) * m),
-)
+F.define("helm.meven.base.sum_center_leaf", br("always", "5m^2n - mn + (2j-1)m"))
 
 # m even: shifted class
 
@@ -477,7 +458,7 @@ F.define("helm.meven.large-star.hub", br("= base", "helm.meven.base.hub"))
 F.define("helm.meven.large-star.pend_in", br("base + 4mn - 1", "helm.meven.base.pend_in"))
 F.define(
     "helm.meven.large-star.pend_out",
-    br("i=2", lambda m, n, i, j, _: 2 * j - 1),
+    br("i=2", "2j - 1"),
     br("i!=2: base + 1", "helm.meven.base.pend_out"),
 )
 F.define("helm.meven.large-star.rim_jv", br("= base", "helm.meven.base.rim_jv"))
@@ -486,18 +467,17 @@ F.define("helm.meven.large-star.rim_close_A", br("= base", "helm.meven.base.rim_
 F.define("helm.meven.large-star.rim_close_B", br("= base", "helm.meven.base.rim_close_B"))
 F.define(
     "helm.meven.large-star.spoke",
-    br("i=2", lambda m, n, i, j, _: 2 * j),
+    br("i=2", "2j"),
     br("i!=2: base - 4mn", "helm.meven.base.spoke"),
 )
 
-F.define("helm.meven.large-star.sum_center",
-         br("always", lambda m, n, i, j, _: 5 * m * m * n * n + m * n))
+F.define("helm.meven.large-star.sum_center", br("always", "5m^2n^2 + mn"))
 F.define("helm.meven.large-star.sum_rim_leaf", br("base + 4mn - 1", "helm.meven.base.sum_rim_leaf"))
 F.define("helm.meven.large-star.sum_outer_leaf",
          br("label of its one edge", "helm.meven.large-star.pend_out"))
 F.define(
     "helm.meven.large-star.sum_rim_hub",
-    br("i=2", lambda m, n, i, j, _: 4 * m * n * n + 2 * i * n * n + 2 * n * n + 2 * n),
+    br("i=2", "4mn^2 + 2in^2 + 2n^2 + 2n"),
     br("i!=2: base - 4mn^2 + n", "helm.meven.base.sum_rim_hub"),
 )
 F.define("helm.meven.large-star.sum_outer_hub",
@@ -509,19 +489,19 @@ F.define("helm.meven.large-star.sum_center_leaf",
 
 F.define(
     "helm.meven.even-star.hub",
-    br("i=1", lambda m, n, i, j, _: 4 * m * n + 2 * j),
+    br("i=1", "4mn + 2j"),
     br("i!=1: base - 1", "helm.meven.base.hub"),
 )
 F.define(
     "helm.meven.even-star.pend_in",
-    br("i=1, n!=2", lambda m, n, i, j, _: 2 * j - 1),
-    br("i=1, n=2", lambda m, n, i, j, _: 2 * j),
+    br("i=1, n!=2", "2j - 1"),
+    br("i=1, n=2", "2j"),
     br("i!=1: base", "helm.meven.base.pend_in"),
 )
 F.define(
     "helm.meven.even-star.pend_out",
-    br("i=2, n!=2", lambda m, n, i, j, _: 2 * j),
-    br("i=2, n=2", lambda m, n, i, j, _: 2 * j - 1),
+    br("i=2, n!=2", "2j"),
+    br("i=2, n=2", "2j - 1"),
     br("i!=2: base", "helm.meven.base.pend_out"),
 )
 F.define("helm.meven.even-star.rim_jv", br("= base", "helm.meven.base.rim_jv"))
@@ -530,12 +510,11 @@ F.define("helm.meven.even-star.rim_close_A", br("= base", "helm.meven.base.rim_c
 F.define("helm.meven.even-star.rim_close_B", br("= base", "helm.meven.base.rim_close_B"))
 F.define(
     "helm.meven.even-star.spoke",
-    br("i=2", lambda m, n, i, j, _: 4 * m * n + 2 * j - 1),
+    br("i=2", "4mn + 2j - 1"),
     br("i!=2: base + 1", "helm.meven.base.spoke"),
 )
 
-F.define("helm.meven.even-star.sum_center",
-         br("always", lambda m, n, i, j, _: 5 * m * m * n * n + n))
+F.define("helm.meven.even-star.sum_center", br("always", "5m^2n^2 + n"))
 F.define(
     "helm.meven.even-star.sum_rim_leaf",
     br("n=2, i=1: base", "helm.meven.base.sum_rim_leaf"),
@@ -552,8 +531,8 @@ F.define(
 )
 F.define(
     "helm.meven.even-star.sum_outer_hub",
-    br("i=1, n!=2", lambda m, n, i, j, _: n * n),
-    br("i=1, n=2", lambda m, n, i, j, _: n * (n + 1)),
+    br("i=1, n!=2", "n^2"),
+    br("i=1, n=2", "n(n+1)"),
     br("i!=1: base", "helm.meven.base.sum_outer_hub"),
 )
 F.define("helm.meven.even-star.sum_center_leaf",

@@ -18,7 +18,6 @@ from .conformance import (
     evaluate_vertex_families,
 )
 from .formula import Variant, VARIANTS, br, odd
-from .formula import cl4 as _cl4, fl4 as _fl4
 from .graphs import check_mn, product_graph
 
 # ---------------------------------------------------------------------------
@@ -26,19 +25,19 @@ from .graphs import check_mn, product_graph
 
 F.define(
     "wheel.modd.hub",
-    br("i!=1, i odd", lambda m, n, i, j, _: 2 * m * n + (i - 1) * n + 2 * j - 1),
-    br("i!=1, i even", lambda m, n, i, j, _: 3 * m * n + (i - 1) * n + 2 * j - 1),
-    br("i=1, n odd", lambda m, n, i, j, _: 2 * m * n + 2 * j - 1),
-    br("i=1, n even", lambda m, n, i, j, _: 2 * m * n + 2 * j),
+    br("i!=1, i odd", "2mn + (i-1)n + 2j - 1"),
+    br("i!=1, i even", "3mn + (i-1)n + 2j - 1"),
+    br("i=1, n odd", "2mn + 2j - 1"),
+    br("i=1, n even", "2mn + 2j"),
 )
 
-F.define("wheel.modd.rim_close_vj", br("always", lambda m, n, i, j, _: j))
-F.define("wheel.modd.rim_close_jv", br("always", lambda m, n, i, j, _: m * n + j))
+F.define("wheel.modd.rim_close_vj", br("always", "j"))
+F.define("wheel.modd.rim_close_jv", br("always", "mn + j"))
 
 F.define(
     "wheel.modd.rim_jv",
-    br("i even", lambda m, n, i, j, _: i * n + j),
-    br("i odd", lambda m, n, i, j, _: m * n + i * n + j),
+    br("i even", "in + j"),
+    br("i odd", "mn + in + j"),
 )
 F.patch(
     "wheel.modd.rim_jv",
@@ -50,52 +49,52 @@ F.patch(
         "sums for w_i^j and w_i^0 are reproduced exactly by swapping the parity "
         "split in this family alone and leaving its sibling as printed"
     ),
-    br("i odd", lambda m, n, i, j, _: i * n + j),
-    br("i even", lambda m, n, i, j, _: m * n + i * n + j),
+    br("i odd", "in + j"),
+    br("i even", "mn + in + j"),
 )
 
 F.define(
     "wheel.modd.rim_vj",
-    br("i even", lambda m, n, i, j, _: i * n + j),
-    br("i odd", lambda m, n, i, j, _: m * n + i * n + j),
+    br("i even", "in + j"),
+    br("i odd", "mn + in + j"),
 )
 
 F.define(
     "wheel.modd.center",
-    br("i!=2, i even", lambda m, n, i, j, _: 2 * m * n + (i - 2) * n + 2 * j),
-    br("i odd, i!=m", lambda m, n, i, j, _: 3 * m * n + i * n + 2 * j),
-    br("i=m", lambda m, n, i, j, _: 2 * m * n + (i - 1) * n + 2 * j),
-    br("i=2, n odd", lambda m, n, i, j, _: 2 * m * n + 2 * j),
-    br("i=2, n even", lambda m, n, i, j, _: 2 * m * n + 2 * j - 1),
+    br("i!=2, i even", "2mn + (i-2)n + 2j"),
+    br("i odd, i!=m", "3mn + in + 2j"),
+    br("i=m", "2mn + (i-1)n + 2j"),
+    br("i=2, n odd", "2mn + 2j"),
+    br("i=2, n even", "2mn + 2j - 1"),
 )
 
 F.define(
     "wheel.modd.sum_center",
-    br("n odd", lambda m, n, i, j, _: 3 * m * m * n * n),
-    br("n even", lambda m, n, i, j, _: 3 * m * m * n * n + n),
+    br("n odd", "3m^2n^2"),
+    br("n even", "3m^2n^2 + n"),
 )
 
 F.define(
     "wheel.modd.sum_rim_leaf",
-    br("i!=1, i odd", lambda m, n, i, j, _: (2 * m + 3 * i - 2) * n + 4 * j - 1),
-    br("i!=1, i even", lambda m, n, i, j, _: (5 * m + 3 * i - 2) * n + 4 * j - 1),
-    br("i=1, n odd", lambda m, n, i, j, _: (2 * m + 3 * i - 2) * n + 4 * j - 1),
-    br("i=1, n even", lambda m, n, i, j, _: (2 * m + 3 * i - 2) * n + 4 * j),
+    br("i!=1, i odd", "(2m+3i-2)n + 4j - 1"),
+    br("i!=1, i even", "(5m+3i-2)n + 4j - 1"),
+    br("i=1, n odd", "(2m+3i-2)n + 4j - 1"),
+    br("i=1, n even", "(2m+3i-2)n + 4j"),
 )
 
 F.define(
     "wheel.modd.sum_rim_hub",
-    br("i odd, i!=m", lambda m, n, i, j, _: (5 * m + 3 * i + 1) * n * n + 2 * n),
-    br("i!=2, i even", lambda m, n, i, j, _: (2 * m + 3 * i - 1) * n * n + 2 * n),
-    br("i=m", lambda m, n, i, j, _: 5 * i * n * n + 2 * n),
-    br("i=2, n odd", lambda m, n, i, j, _: (2 * m + 3 * i - 1) * n * n + 2 * n),
-    br("i=2, n even", lambda m, n, i, j, _: (2 * m + 3 * i - 1) * n * n + n),
+    br("i odd, i!=m", "(5m+3i+1)n^2 + 2n"),
+    br("i!=2, i even", "(2m+3i-1)n^2 + 2n"),
+    br("i=m", "5in^2 + 2n"),
+    br("i=2, n odd", "(2m+3i-1)n^2 + 2n"),
+    br("i=2, n even", "(2m+3i-1)n^2 + n"),
 )
 
 F.define(
     "wheel.modd.sum_center_leaf",
-    br("n odd", lambda m, n, i, j, _: (3 * m * n + 2 * j - n) * m),
-    br("n even", lambda m, n, i, j, _: (3 * m * n + 2 * j - n) * m - 1),
+    br("n odd", "(3mn+2j-n)m"),
+    br("n even", "(3mn+2j-n)m - 1"),
 )
 
 # ---------------------------------------------------------------------------
@@ -103,10 +102,10 @@ F.define(
 
 F.define(
     "wheel.meven.hub",
-    br("i!=1, i odd", lambda m, n, i, j, _: (2 * m + i - 1) * n + 2 * j - 1),
-    br("i!=1, i even", lambda m, n, i, j, _: (4 * m + 1 - i) * n - 5 + 2 * j),
-    br("i=1, n odd", lambda m, n, i, j, _: 2 * m * n + 2 * j - 1),
-    br("i=1, n even", lambda m, n, i, j, _: 2 * m * n + 2 * j),
+    br("i!=1, i odd", "(2m+i-1)n + 2j - 1"),
+    br("i!=1, i even", "(4m+1-i)n - 5 + 2j"),
+    br("i=1, n odd", "2mn + 2j - 1"),
+    br("i=1, n even", "2mn + 2j"),
 )
 F.patch(
     "wheel.meven.hub",
@@ -120,49 +119,49 @@ F.patch(
         "blocks exactly as the printed ordering observations require"
     ),
     "i!=1, i odd",
-    br("i!=1, i even", lambda m, n, i, j, _: (4 * m - i) * n + 2 * j - 1),
+    br("i!=1, i even", "(4m-i)n + 2j - 1"),
     "i=1, n odd", "i=1, n even",
 )
 
-F.define("wheel.meven.rim_close_vj", br("always", lambda m, n, i, j, _: j))
-F.define("wheel.meven.rim_close_jv", br("always", lambda m, n, i, j, _: m * n + j))
+F.define("wheel.meven.rim_close_vj", br("always", "j"))
+F.define("wheel.meven.rim_close_jv", br("always", "mn + j"))
 
 F.define(
     "wheel.meven.rim_jv",
-    br("i odd", lambda m, n, i, j, _: i * n + j),
-    br("i even", lambda m, n, i, j, _: n * (2 * m - i) + j),
+    br("i odd", "in + j"),
+    br("i even", "n(2m-i) + j"),
 )
 
 F.define(
     "wheel.meven.rim_vj",
-    br("i odd", lambda m, n, i, j, _: n * (2 * m - i) + j),
-    br("i even", lambda m, n, i, j, _: i * n + j),
+    br("i odd", "n(2m-i) + j"),
+    br("i even", "in + j"),
 )
 
 F.define(
     "wheel.meven.center",
-    br("i=2, n odd", lambda m, n, i, j, _: 2 * m * n + 2 * j),
-    br("i=2, n even", lambda m, n, i, j, _: 2 * m * n + 2 * j - 1),
-    br("i even, 4<=i<=2fl(m/4)", lambda m, n, i, j, _: n * (2 * m + i - 2) + 2 * j),
-    br("i=m", lambda m, n, i, j, _: n * (2 * m + 2 * _fl4(m)) + 2 * j),
-    br("i even, 2fl(m/4)+2<=i<=m-2", lambda m, n, i, j, _: n * (2 * m + i) + 2 * j),
-    br("i odd, 2cl(m/4)+1<=i<=m-1", lambda m, n, i, j, _: n * (4 * m - 1 - i) + 2 * j),
-    br("i=1", lambda m, n, i, j, _: n * (4 * m - 2 * _cl4(m)) + 2 * j),
-    br("i odd, 3<=i<=2cl(m/4)-1", lambda m, n, i, j, _: n * (4 * m + 1 - i) + 2 * j),
+    br("i=2, n odd", "2mn + 2j"),
+    br("i=2, n even", "2mn + 2j - 1"),
+    br("i even, 4<=i<=2fl(m/4)", "n(2m+i-2) + 2j"),
+    br("i=m", "n(2m+2fl(m/4)) + 2j"),
+    br("i even, 2fl(m/4)+2<=i<=m-2", "n(2m+i) + 2j"),
+    br("i odd, 2cl(m/4)+1<=i<=m-1", "n(4m-1-i) + 2j"),
+    br("i=1", "n(4m-2cl(m/4)) + 2j"),
+    br("i odd, 3<=i<=2cl(m/4)-1", "n(4m+1-i) + 2j"),
 )
 
 F.define(
     "wheel.meven.sum_center",
-    br("n odd", lambda m, n, i, j, _: 3 * m * m * n * n),
-    br("n even", lambda m, n, i, j, _: 3 * m * m * n * n + n),
+    br("n odd", "3m^2n^2"),
+    br("n even", "3m^2n^2 + n"),
 )
 
 F.define(
     "wheel.meven.sum_rim_leaf",
-    br("i!=1, i odd", lambda m, n, i, j, _: (2 * m + 3 * i - 2) * n + 4 * j - 1),
-    br("i!=1, i even", lambda m, n, i, j, _: (8 * m - 3 * i + 2) * n + 4 * j - 5),
-    br("i=1, n odd", lambda m, n, i, j, _: (2 * m + 3 * i - 2) * n + 4 * j - 1),
-    br("i=1, n even", lambda m, n, i, j, _: (2 * m + 3 * i - 2) * n + 4 * j),
+    br("i!=1, i odd", "(2m+3i-2)n + 4j - 1"),
+    br("i!=1, i even", "(8m-3i+2)n + 4j - 5"),
+    br("i=1, n odd", "(2m+3i-2)n + 4j - 1"),
+    br("i=1, n even", "(2m+3i-2)n + 4j"),
 )
 F.patch(
     "wheel.meven.sum_rim_leaf",
@@ -174,20 +173,20 @@ F.patch(
         "n=4 and contradicts the handshake identity elsewhere"
     ),
     "i!=1, i odd",
-    br("i!=1, i even", lambda m, n, i, j, _: (8 * m - 3 * i + 1) * n + 4 * j - 1),
+    br("i!=1, i even", "(8m-3i+1)n + 4j - 1"),
     "i=1, n odd", "i=1, n even",
 )
 
 F.define(
     "wheel.meven.sum_rim_hub",
-    br("i=2, n odd", lambda m, n, i, j, _: n * n * (2 * m + 5) + 2 * n),
-    br("i=2, n even", lambda m, n, i, j, _: n * n * (2 * m + 5) + n),
-    br("i even, 4<=i<=2fl(m/4)", lambda m, n, i, j, _: n * n * (3 * i + 2 * m - 1) + 2 * n),
-    br("i=m", lambda m, n, i, j, _: n * n * (3 * m + 1 + 2 * _fl4(m)) + 2 * n),
-    br("i even, 2fl(m/4)+2<=i<=m-2", lambda m, n, i, j, _: n * n * (3 * i + 2 * m + 1) + 2 * n),
-    br("i=1", lambda m, n, i, j, _: n * n * (7 * m + 1 - 2 * _cl4(m)) + 2 * n),
-    br("i odd, 3<=i<=2cl(m/4)-1", lambda m, n, i, j, _: n * n * (8 * m - 3 * i + 4) + 2 * n),
-    br("i odd, m-1<=i<=2cl(m/4)-1", lambda m, n, i, j, _: n * n * (8 * m - 3 * i + 2) + 2 * n),
+    br("i=2, n odd", "n^2(2m+5) + 2n"),
+    br("i=2, n even", "n^2(2m+5) + n"),
+    br("i even, 4<=i<=2fl(m/4)", "n^2(3i+2m-1) + 2n"),
+    br("i=m", "n^2(3m+1+2fl(m/4)) + 2n"),
+    br("i even, 2fl(m/4)+2<=i<=m-2", "n^2(3i+2m+1) + 2n"),
+    br("i=1", "n^2(7m+1-2cl(m/4)) + 2n"),
+    br("i odd, 3<=i<=2cl(m/4)-1", "n^2(8m-3i+4) + 2n"),
+    br("i odd, m-1<=i<=2cl(m/4)-1", "n^2(8m-3i+2) + 2n"),
 )
 F.patch(
     "wheel.meven.sum_rim_hub",
@@ -200,13 +199,13 @@ F.patch(
     ),
     "i=2, n odd", "i=2, n even", "i even, 4<=i<=2fl(m/4)", "i=m", "i even, 2fl(m/4)+2<=i<=m-2",
     "i=1", "i odd, 3<=i<=2cl(m/4)-1",
-    br("i odd, 2cl(m/4)+1<=i<=m-1", lambda m, n, i, j, _: n * n * (8 * m - 3 * i + 2) + 2 * n),
+    br("i odd, 2cl(m/4)+1<=i<=m-1", "n^2(8m-3i+2) + 2n"),
 )
 
 F.define(
     "wheel.meven.sum_center_leaf",
-    br("n odd", lambda m, n, i, j, _: (3 * m * n + 2 * j - n) * m),
-    br("n even", lambda m, n, i, j, _: (3 * m * n + 2 * j - n) * m - 1),
+    br("n odd", "(3mn+2j-n)m"),
+    br("n even", "(3mn+2j-n)m - 1"),
 )
 
 # ---------------------------------------------------------------------------

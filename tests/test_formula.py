@@ -42,12 +42,12 @@ def _pw(fid, *branches):
 
 
 def test_single_branch_evaluates():
-    pw = _pw("test.pw.single", br("always", lambda m, n, i, j, _: m + n + i + j))
+    pw = _pw("test.pw.single", br("always", "m + n + i + j"))
     assert pw(1, 2, 3, 4) == (10, "always")
 
 
 def test_gap_raises_coverage_error():
-    pw = _pw("test.pw.gap", br("i odd", lambda m, n, i, j, _: 1))
+    pw = _pw("test.pw.gap", br("i odd", "1"))
     with pytest.raises(CoverageError, match="no branch matches"):
         pw(3, 1, 2, 1)
 
@@ -55,8 +55,8 @@ def test_gap_raises_coverage_error():
 def test_overlap_raises_coverage_error():
     pw = _pw(
         "test.pw.overlap",
-        br("first", lambda m, n, i, j, _: 1),
-        br("i=2: second", lambda m, n, i, j, _: 2),
+        br("first", "1"),
+        br("i=2: second", "2"),
     )
     with pytest.raises(CoverageError, match="overlap"):
         pw(3, 1, 2, 1)
@@ -69,10 +69,10 @@ def test_zero_branch_formula_always_errors():
 
 
 def test_registry_variants_and_ledger():
-    F.define("test.reg.demo", br("always", lambda m, n, i, j, _: 5))
+    F.define("test.reg.demo", br("always", "5"))
     assert _evaluate("test.reg.demo", Variant.AS_PRINTED, 3, 1, 1, 1) == (5, "always")
     F.patch("test.reg.demo", "value is 6", "forced by the test",
-            br("always", lambda m, n, i, j, _: 6))
+            br("always", "6"))
     assert _evaluate("test.reg.demo", Variant.AS_PRINTED, 3, 1, 1, 1) == (5, "always")
     assert _evaluate("test.reg.demo", Variant.ERRATA, 3, 1, 1, 1) == (6, "always")
     ledger = errata("test.reg.")
@@ -82,16 +82,16 @@ def test_registry_variants_and_ledger():
 
 
 def test_ledger_is_append_only():
-    F.define("test.appendonly", br("always", lambda m, n, i, j, _: 1))
-    F.patch("test.appendonly", "x", "y", br("always", lambda m, n, i, j, _: 2))
+    F.define("test.appendonly", br("always", "1"))
+    F.patch("test.appendonly", "x", "y", br("always", "2"))
     with pytest.raises(ValueError, match="append-only"):
-        F.patch("test.appendonly", "z", "w", br("always", lambda m, n, i, j, _: 3))
+        F.patch("test.appendonly", "z", "w", br("always", "3"))
 
 
 def test_duplicate_definition_rejected():
-    F.define("test.dup", br("always", lambda m, n, i, j, _: 1))
+    F.define("test.dup", br("always", "1"))
     with pytest.raises(ValueError, match="already defined"):
-        F.define("test.dup", br("always", lambda m, n, i, j, _: 1))
+        F.define("test.dup", br("always", "1"))
 
 
 def test_every_scheme_erratum_has_evidence():
@@ -104,8 +104,8 @@ def test_every_scheme_erratum_has_evidence():
 
 
 def test_references_resolve_at_same_variant():
-    F.define("test.refbase", br("always", lambda m, n, i, j, _: 10))
-    F.patch("test.refbase", "now 20", "test", br("always", lambda m, n, i, j, _: 20))
+    F.define("test.refbase", br("always", "10"))
+    F.patch("test.refbase", "now 20", "test", br("always", "20"))
     F.define("test.refuser", br("base + 1", "test.refbase"))
     assert _evaluate("test.refuser", Variant.AS_PRINTED, 3, 1, 1, 1)[0] == 11
     assert _evaluate("test.refuser", Variant.ERRATA, 3, 1, 1, 1)[0] == 21
@@ -113,7 +113,7 @@ def test_references_resolve_at_same_variant():
 
 def test_repeated_branch_label_rejected():
     # branch hits are counted per fid[label], and patches keep branches by label
-    one = lambda m, n, i, j, _: 1
+    one = "1"
     with pytest.raises(ValueError, match=r"test\.repeat .*'x'"):
         F.define("test.repeat", br("x", one), br("x", one))
     F.define("test.repeat", br("i=1: x", one), br("i!=1: y", one))
@@ -123,13 +123,13 @@ def test_repeated_branch_label_rejected():
 
 
 def test_patch_keeps_printed_branches_by_label():
-    a = br("i=1: a", lambda m, n, i, j, _: 1)
-    b = br("i=2: b", lambda m, n, i, j, _: 2)
+    a = br("i=1: a", "1")
+    b = br("i=2: b", "2")
     F.define("test.keep", a, b)
     with pytest.raises(ValueError, match=r"test\.keep .*'c'"):
         F.patch("test.keep", "c kept", "test", "i=1: a", "c")
     assert errata("test.keep") == []
-    c = br("i=3: c", lambda m, n, i, j, _: 3)
+    c = br("i=3: c", "3")
     F.patch("test.keep", "a dropped, c added", "test", "i=2: b", c)
     kept, added = errata("test.keep")[0].replacement
     assert kept is b and added is c
@@ -171,19 +171,19 @@ LABEL_CELLS = [(m, n, i) for m in range(3, 14) for n in range(1, 6) for i in ran
 
 @pytest.mark.parametrize("label", LABEL_TRUTH)
 def test_a_label_compiles_to_the_condition_it_states(label):
-    guard, truth = br(label, None).guard, LABEL_TRUTH[label]
+    guard, truth = br(label, "0").guard, LABEL_TRUTH[label]
     assert [c for c in LABEL_CELLS if guard(*c, 1) != truth(*c)] == []
 
 
 def test_an_exact_quotient_matches_no_even_m():
-    guard = br("i=(m+1)/2", None).guard
+    guard = br("i=(m+1)/2", "0").guard
     even_m = [(m, n, i) for m in range(4, 40, 2) for n in (1, 2) for i in range(-2, m + 3)]
     assert not any(guard(*cell, 1) for cell in even_m)
     assert [i for i in range(-2, 12) if guard(9, 1, i, 1)] == [5]
 
 
 def test_otherwise_is_the_complement_of_its_siblings():
-    value = lambda m, n, i, j, _: 0
+    value = "0"
     assert br("otherwise: c", value).guard is None  # compiled once it has siblings
     F.define("test.otherwise", br("i=2, n=2: a", value), br("i=1 or i=m: b", value),
              br("otherwise: c", value))
@@ -208,7 +208,7 @@ def test_otherwise_is_the_complement_of_its_siblings():
 ])
 def test_a_label_that_states_no_condition_is_refused(label, refusal):
     with pytest.raises(ValueError, match=refusal):
-        br(label, None)
+        br(label, "0")
 
 
 # citing label -> the offset it adds to the formula it cites
@@ -234,7 +234,7 @@ def test_a_citing_label_compiles_to_the_offset_it_states(label):
 
 
 def test_an_otherwise_label_cites_where_its_siblings_do_not():
-    F.define("test.cite.base", br("always", lambda m, n, i, j, _: 10 * i))
+    F.define("test.cite.base", br("always", "10i"))
     F.define("test.cite.rest", br("i=1: base + 1", "test.cite.base"),
              br("otherwise: base", "test.cite.base"))
     assert _evaluate("test.cite.rest", Variant.AS_PRINTED, 3, 1, 1, 1) == (11, "i=1: base + 1")
@@ -255,6 +255,43 @@ def test_a_citing_label_that_states_no_offset_is_refused(label, refusal):
         br(label, "test.cited")
 
 
+# value text -> the value it states, stated without the translator: fl and
+# cl as Fractions, a cited formula as _cited
+VALUE_TEXTS = {
+    "2mn + (i-1)n + 2j - 1": lambda m, n, i, j: 2 * m * n + (i - 1) * n + 2 * j - 1,
+    "n(2m+2fl(m/4)) + 2j": lambda m, n, i, j: n * (2 * m + 2 * floor(Fraction(m, 4))) + 2 * j,
+    "n^2(7m+1-2cl(m/4)) + 2n": lambda m, n, i, j: (
+        n ** 2 * (7 * m + 1 - 2 * ceil(Fraction(m, 4))) + 2 * n),
+    "flower.n1.hub_outer + flower.n1.pend_vj": lambda m, n, i, j: (
+        _cited("flower.n1.hub_outer", m, n, i, j) + _cited("flower.n1.pend_vj", m, n, i, j)),
+    "2 * flower.meven.base.hub_outer + 2mn + 1": lambda m, n, i, j: (
+        2 * _cited("flower.meven.base.hub_outer", m, n, i, j) + 2 * m * n + 1),
+    # a fid holds m, n, i and hyphens, none of them read as the cell's
+    "ij - 3 * flower.meven.large-star.hub": lambda m, n, i, j: (
+        i * j - 3 * _cited("flower.meven.large-star.hub", m, n, i, j)),
+}
+
+
+@pytest.mark.parametrize("text", VALUE_TEXTS)
+def test_a_value_text_compiles_to_the_value_it_states(text):
+    value, truth = br("always", text).value, VALUE_TEXTS[text]
+    cells = [(*c, j) for c in LABEL_CELLS for j in (1, 2, 3)]
+    assert [c for c in cells if value(*c, _cited) != truth(*c)] == []
+
+
+@pytest.mark.parametrize("label, value, refusal", [
+    ("always", "2k + 1", "'2k' is no integer expression and no citation"),
+    ("always", "m/2", "'m/2' is no integer expression and no citation"),
+    ("always", "2 * base + 1", r"'2 \* base' is no integer expression and no citation"),
+    ("always", "2m+", "no integer arithmetic"),
+    # a Resolver picks one branch per row (fid, m, n, i) for every j of it
+    ("j=1: 2m", "2m", "not a list of conditions"),
+])
+def test_a_value_text_that_states_no_value_is_refused(label, value, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        br(label, value)
+
+
 def _inexact(guard) -> list:
     """The true divisions and the float constants in a guard's bytecode."""
     code = guard.__code__
@@ -272,22 +309,15 @@ def test_guards_use_only_exact_integer_arithmetic():
     assert len(branches) == 463
     assert [f"{fid}[{b.label}]" for fid, b in branches if _inexact(b.guard)] == []
 
-def _shape(fn):
-    """What a guard or value computes: bytecode, constants, names and
-    closure values, followed into closed-over callables.  Line numbers
-    are left out."""
-    if not isinstance(fn, FunctionType):
-        return fn
-    return _code_shape(fn.__code__), tuple(_shape(c.cell_contents) for c in fn.__closure__ or ())
-
-
 def _code_shape(code):
+    """What compiled code computes: bytecode, constants and names, without line numbers."""
     consts = tuple(_code_shape(c) if isinstance(c, CodeType) else c for c in code.co_consts)
     return code.co_code, consts, code.co_names
 
 
 def _computes(branch):
-    return _shape(branch.guard), _shape(branch.value)
+    # every guard and value is compiled from text, with no closure
+    return _code_shape(branch.guard.__code__), _code_shape(branch.value.__code__)
 
 
 def test_patches_spell_out_only_changed_branches():
@@ -304,31 +334,26 @@ def test_patches_spell_out_only_changed_branches():
     assert restated == []
 
 
-def _citations() -> tuple[dict[str, set[str]], set[str]]:
-    """The formulas each scheme formula cites at either variant, and those
-    that citing labels cite.
+def _citations() -> dict[str, set[str]]:
+    """The formulas each scheme formula cites at either variant.
 
     A value cites a formula by calling the resolver with its id, so the
-    ids are the strings among its code's constants.  A citing label's value
-    is compiled from the label; a hand-written value may also call the
-    resolver itself: ``g("fid", m, n, i, j)``.
+    ids are the strings among its code's constants, whether the value is
+    a citing label's or a value text that names the formula.
     """
     graph: dict[str, set[str]] = {}
-    by_label = set()
     for fid in (fid for fid in F._PRINTED if fid.startswith(SCHEMES)):
         for v in F.VARIANTS:
             for b in F.resolve(fid, v):
                 cited = {c for c in b.value.__code__.co_consts if isinstance(c, str)}
                 graph.setdefault(fid, set()).update(cited)
-                if b.value.__code__.co_filename == "<string>":  # br compiled it from the label
-                    by_label |= cited
-    return graph, by_label
+    return graph
 
 
 def test_every_cited_formula_is_defined():
-    graph, by_label = _citations()
-    assert len(by_label) == 67  # the printed schemes' citing labels cite 67 formulas
-    assert sorted(set().union(*graph.values()) - set(F._PRINTED)) == []
+    cited = set().union(*_citations().values())
+    assert len(cited) == 71  # 67 by the printed schemes' citing labels, 4 by value texts
+    assert sorted(cited - set(F._PRINTED)) == []
 
 
 def test_citations_have_no_cycle():
@@ -336,8 +361,7 @@ def test_citations_have_no_cycle():
     # which the conformance sweep does not turn into a coverage message
     with pytest.raises(graphlib.CycleError):
         graphlib.TopologicalSorter({"a": {"b"}, "b": {"a"}}).prepare()
-    graph, _ = _citations()
-    graphlib.TopologicalSorter(graph).prepare()
+    graphlib.TopologicalSorter(_citations()).prepare()
 
 
 def _reads_j(guard) -> bool:
@@ -566,7 +590,7 @@ def test_row_choice_equals_a_choice_per_cell(family, m, n, variant):
 def test_a_row_constant_in_j_repeats_its_first_value():
     # a step of 0: every cell takes the first value and counts one hit per
     # branch it takes, the cited formula's included
-    F.define("test.row.cited", br("always", lambda m, n, i, j, _: m + i))
+    F.define("test.row.cited", br("always", "m + i"))
     F.define("test.row.flat", br("base + 1", "test.row.cited"))
     resolver = F.Resolver(Variant.AS_PRINTED)
     values, failed = resolver.row("test.row.flat", 3, 1, 2, range(1, 5))

@@ -160,6 +160,38 @@ def test_every_package_name_has_a_reader():
     assert dead_names(package, [path.read_text() for path in READERS]) == []
 
 
+def values_not_text(source: str) -> list[str]:
+    """Each ``br`` call whose value is no string constant, and each lambda, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Lambda):
+            found.append(f"line {node.lineno}: lambda")
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("br", "F.br"):
+            value = node.args[1] if len(node.args) == 2 else None
+            if not (isinstance(value, ast.Constant) and isinstance(value.value, str)):
+                found.append(f"line {node.lineno}: br")
+    return sorted(found)
+
+
+def test_values_not_text_are_found():
+    source = (
+        "br('i odd', '2m + 1')\n"
+        "br('i even', lambda m, n, i, j, g: 2 * m)\n"
+        "F.br('always', VALUE)\n"
+        "F.define('x', br('always', 'j'), key=lambda b: b)\n"
+    )
+    assert values_not_text(source) == [
+        "line 2: br", "line 2: lambda", "line 3: br", "line 4: lambda",
+    ]
+
+
+@pytest.mark.parametrize("module", ["wheel", "helm", "flower"])
+def test_every_branch_value_is_text(module):
+    # a table is data that tests and tools can read: each value is text
+    # that formula.br compiles, and no callable hides in the table
+    assert values_not_text((PACKAGE / f"{module}.py").read_text()) == []
+
+
 # module -> the package modules it imports, at module level or inside a
 # function.  Text and graphs sit at the bottom, beside the formula ledger;
 # then the verifier, the scheme-independent searcher and the report layer;
