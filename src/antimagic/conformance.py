@@ -144,13 +144,14 @@ def _evaluate(prefix: str, names: tuple[str, ...], m: int, n: int, variant: Vari
 
     Row ``name`` evaluates formula ``prefix.name``.  One
     :class:`formula.Resolver` serves the whole (m, n, variant) and
-    evaluates each row i with :meth:`formula.Resolver.row`: as a
-    progression in j from its first two cells, or cell by cell where the
-    row is shorter or a cell raises a :class:`CoverageError`, so each such
-    cell has its own message and no value.  Cited formulas share the
-    resolver's branch choices.  The keys of a row are a progression too:
-    the code of the vertex (a, j), or of the edge from it to (c, 0), is
-    affine in j, so a row's keys are the range its first two codes start.
+    evaluates each row i with :meth:`formula.Resolver.row`, short, long or
+    failing, as a progression in j from its first two cells.  A row that
+    raises a :class:`CoverageError` fails at every cell: each has no value
+    and its own message, rebuilt from the one error at its j.  Cited
+    formulas share the resolver's branch choices.  The keys of a row are a
+    progression too: the code of the vertex (a, j), or of the edge from it
+    to (c, 0), is affine in j, so a row's keys are the range its first two
+    codes start.
     """
     values: dict = {}
     coverage: list[str] = []
@@ -170,7 +171,10 @@ def _evaluate(prefix: str, names: tuple[str, ...], m: int, n: int, variant: Vari
                 first, second = edge(vertex(a, start), other), edge(vertex(a, start + 1), other)
             step = second - first
             keys = range(first, first + step * width, step)
-            row, failed = resolver.row(fid, m, n, i, js)
+            try:
+                row, error = resolver.row(fid, m, n, i, js), None
+            except CoverageError as exc:
+                row, error = [None] * width, exc
             size = len(values)
             values.update(zip(keys, row))
             if len(values) != size + width:
@@ -178,9 +182,9 @@ def _evaluate(prefix: str, names: tuple[str, ...], m: int, n: int, variant: Vari
                 repeated = next(k for k in keys if k in seen or seen.add(k))
                 kind, name_of = ("vertex", vertex_name) if c is None else ("edge", edge_name)
                 raise RuntimeError(f"{kind} {name_of(repeated)} produced twice by the cell map")
-            for j, exc in failed:  # its value is None: the cell keeps only its message
-                coverage.append(_coverage_message(fid, m, n, i, j, exc))
-                failed_keys.append(keys[j - start])
+            if error:  # each cell's value is None: it keeps only its message
+                coverage.extend(_coverage_message(fid, m, n, i, j, error) for j in js)
+                failed_keys.extend(keys)
     # only now, so a later row that repeats a failed cell's key is refused too
     for key in failed_keys:
         del values[key]
@@ -188,6 +192,8 @@ def _evaluate(prefix: str, names: tuple[str, ...], m: int, n: int, variant: Vari
 
 
 def _coverage_message(fid: str, m: int, n: int, i: int, j: int, exc: CoverageError) -> str:
+    """The message of the cell (i, j) of a row of ``fid`` that raised ``exc`` at any j."""
+    exc = CoverageError(exc.fid, (m, n, i, j), exc.matched)
     if exc.fid == fid:
         return str(exc)
     return f"{fid} at (m={m}, n={n}, i={i}, j={j}): cited formula fails: {exc}"

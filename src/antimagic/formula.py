@@ -19,7 +19,8 @@ reads ``[conditions ":"] description``:
 - an expression may use implicit products (``2fl(m/4)``, ``mn``), powers
   ``x^k``, the floor ``fl(a/k)`` and ceiling ``cl(a/k)`` of a quotient by
   an integer, and a side of a chain may be an exact quotient such as
-  ``(m+1)/2``;
+  ``(m+1)/2``; only ``fl`` and ``cl`` floor a quotient, and Python's
+  ``//`` is refused;
 - a label with no condition part (``= base``, ``base + 4mn``) holds
   always, and ``otherwise: ...`` holds where none of its siblings does.
 
@@ -64,15 +65,16 @@ and reuses that choice for every ``j`` of the row, and it evaluates a
 whole row as an arithmetic progression: the values at the row's first
 two ``j`` give the start and the step of the rest.  Both are sound only
 because no guard reads ``j`` and every value is affine in ``j``, which
-tier-1 tests check on every printed and patch branch.  A row that
-matches no branch, or several, still raises one :class:`CoverageError`
-per cell, naming that cell.
+tier-1 tests check on every printed and patch branch.  A row of one or
+two cells, and a row that matches no branch or several, is evaluated the
+same way as a long one: a failing row raises one :class:`CoverageError`,
+from its first cell, and fails at every cell.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -103,7 +105,7 @@ class CoverageError(Exception):
     """A cell matched no branch, or several, of a piecewise formula."""
 
     def __init__(self, fid: str, cell: tuple[int, int, int, int], matched: list[str]):
-        self.fid = fid
+        self.fid, self.matched = fid, matched
         m, n, i, j = cell
         where = f"{fid} at (m={m}, n={n}, i={i}, j={j})"
         if matched:
@@ -148,6 +150,8 @@ _COMPILED: dict[str, Callable] = {}  # a lambda's source -> the lambda
 
 def _expression(text: str, names: re.Pattern = _SIDE) -> str | None:
     """An integer expression as Python, or None if ``text`` is none over ``names``."""
+    if "//" in text:  # only fl and cl floor a quotient
+        return None
     text = _FLOOR.sub(
         lambda f: f"(({f[2]})//{f[3]})" if f[1] == "fl" else f"(-(-({f[2]})//{f[3]}))", text
     )
@@ -351,9 +355,10 @@ class Resolver:
     key ``fid[label]``, and reused for every j of that row: no guard
     reads ``j``.  The resolver is also the ``ref`` every value callable
     receives, so cited formulas share the same choices and counts.
-    :meth:`row` evaluates a row of consecutive j from the calls at its
-    first two j: every value is affine in ``j``, and a cell takes the same
-    branches, cited ones included, at every j of its row.
+    :meth:`row` evaluates any row of consecutive j from the calls at its
+    first two j, and counts the first call's hits once per cell of the row:
+    every value is affine in ``j``, and a cell takes the same branches,
+    cited ones included, at every j of its row.
     """
 
     def __init__(self, variant: Variant):
@@ -362,9 +367,8 @@ class Resolver:
         # (fid, m, n, i) -> (value, hit key) of the branch taken, or the
         # labels of the branches matched when that is not one
         self._rows: dict[tuple[str, int, int, int], tuple[Value, str] | list[str]] = {}
-        # the hits of the cells :meth:`row` evaluates, while it does; a
-        # defaultdict counts a new key without a call back into Python
-        self._taken: defaultdict = defaultdict(int)
+        # the hits one call counts: the cells of the row :meth:`row` stands it for
+        self._weight = 1
 
     def __call__(self, fid: str, m: int, n: int, i: int, j: int) -> int:
         """The value of ``fid`` at the cell."""
@@ -385,45 +389,30 @@ class Resolver:
         if type(row) is list:
             raise CoverageError(fid, (m, n, i, j), row)
         value = row[0](m, n, i, j, self)
-        self.hits[row[1]] += 1
+        self.hits[row[1]] += self._weight
         return value
 
-    def row(
-        self, fid: str, m: int, n: int, i: int, js: range
-    ) -> tuple[Sequence[int | None], list[tuple[int, CoverageError]]]:
-        """The values of ``fid`` at (i, j) for each j of ``js``, a range of step 1,
-        and the (j, error) of each cell that raises, whose value is None.
+    def row(self, fid: str, m: int, n: int, i: int, js: range) -> Sequence[int]:
+        """The values of ``fid`` at (i, j) for each j of ``js``, a nonempty
+        range of step 1.
 
-        A row of three or more cells evaluates its first two cells; the
-        others continue the progression of their values and count the same
-        hits as each of them.  A shorter row, or one with a cell that
-        raises, is evaluated cell by cell, so its hits and errors are its
-        cells' own.
+        Every row, short, long or failing, is evaluated from its first two
+        cells: the first counts each hit it takes once per cell of the row,
+        the second counts none and gives the step of the progression the
+        others continue.  A :class:`CoverageError` of the first cell
+        propagates; the row's other cells take the same branches and fail
+        the same way.
         """
         count = len(js)
-        if count > 2:
-            hits, taken = self.hits, self._taken
-            taken.clear()
-            self.hits = taken
-            try:
-                first = self(fid, m, n, i, js[0])
-                step = self(fid, m, n, i, js[1]) - first
-            except CoverageError:
-                step = None  # the hits taken so far are dropped
-            finally:
-                self.hits = hits
-            if step is not None:
-                for key, k in taken.items():
-                    hits[key] += k // 2 * count
-                if step:
-                    return range(first, first + step * count, step), []
-                return [first] * count, []
-        values: list[int | None] = []
-        failed: list[tuple[int, CoverageError]] = []
-        for j in js:
-            try:
-                values.append(self(fid, m, n, i, j))
-            except CoverageError as exc:
-                values.append(None)
-                failed.append((j, exc))
-        return values, failed
+        self._weight = count
+        try:
+            first = self(fid, m, n, i, js[0])
+            if count == 1:
+                return [first]
+            self._weight = 0  # the second cell reuses the first's choices and keys
+            step = self(fid, m, n, i, js[1]) - first
+        finally:
+            self._weight = 1
+        if step:
+            return range(first, first + step * count, step)
+        return [first] * count

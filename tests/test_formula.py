@@ -204,6 +204,7 @@ def test_otherwise_is_the_complement_of_its_siblings():
     ("i==2", "not a list of conditions"),
     ("i = 2x", "not a list of conditions"),
     ("i od", "not a list of conditions"),
+    ("i<=m//2: x", "not a list of conditions"),  # only fl and cl floor a quotient
     ("i=m+: x", "no integer arithmetic"),
 ])
 def test_a_label_that_states_no_condition_is_refused(label, refusal):
@@ -246,6 +247,7 @@ def test_an_otherwise_label_cites_where_its_siblings_do_not():
     ("base + helm row", "cites 2 formulas"),
     ("base + 4mx", "'4mx' is no integer expression and no citation"),
     ("base + m/2", "'m/2' is no integer expression and no citation"),  # no comparison to scale
+    ("base + m//2", "'m//2' is no integer expression and no citation"),
     ("4mn - base", "'base' is no integer expression and no citation"),
     ("i odd", "states conditions and no value"),
     ("base + m+", "no integer arithmetic"),
@@ -282,6 +284,7 @@ def test_a_value_text_compiles_to_the_value_it_states(text):
 @pytest.mark.parametrize("label, value, refusal", [
     ("always", "2k + 1", "'2k' is no integer expression and no citation"),
     ("always", "m/2", "'m/2' is no integer expression and no citation"),
+    ("always", "m//2 + j", "'m//2' is no integer expression and no citation"),
     ("always", "2 * base + 1", r"'2 \* base' is no integer expression and no citation"),
     ("always", "2m+", "no integer arithmetic"),
     # a Resolver picks one branch per row (fid, m, n, i) for every j of it
@@ -593,8 +596,7 @@ def test_a_row_constant_in_j_repeats_its_first_value():
     F.define("test.row.cited", br("always", "m + i"))
     F.define("test.row.flat", br("base + 1", "test.row.cited"))
     resolver = F.Resolver(Variant.AS_PRINTED)
-    values, failed = resolver.row("test.row.flat", 3, 1, 2, range(1, 5))
-    assert (list(values), failed) == ([6, 6, 6, 6], [])
+    assert list(resolver.row("test.row.flat", 3, 1, 2, range(1, 5))) == [6, 6, 6, 6]
     assert resolver.hits == {"test.row.flat[base + 1]": 4, "test.row.cited[always]": 4}
 
 
@@ -614,6 +616,31 @@ def test_a_row_costs_the_resolver_calls_of_two_cells(monkeypatch):
     labels = flower.flower_labels(100, 100, Variant.ERRATA)
     assert len(labels.labels) == 80_000 and labels.total
     assert calls < 0.05 * 80_000
+
+
+def test_a_short_or_failing_row_costs_the_calls_of_its_first_two_cells(monkeypatch):
+    # A failing row raises from its first cell, after it counted the hits
+    # taken before the error once per cell; a one-cell row is one call.
+    F.define("test.fail.ok", br("always", "m"))
+    F.define("test.fail.gap", br("i=1", "m"))
+    F.define("test.fail.both", br("always", "test.fail.ok + test.fail.gap"))
+    calls = 0
+    call = F.Resolver.__call__
+
+    def counted(self, *cell):
+        nonlocal calls
+        calls += 1
+        return call(self, *cell)
+
+    monkeypatch.setattr(F.Resolver, "__call__", counted)
+    resolver = F.Resolver(Variant.AS_PRINTED)
+    with pytest.raises(CoverageError, match=r"test\.fail\.gap at \(m=3, n=1, i=2, j=1\)"):
+        resolver.row("test.fail.both", 3, 1, 2, range(1, 5))
+    assert calls == 3
+    assert resolver.hits == {"test.fail.ok[always]": 4}
+    calls = 0
+    assert list(resolver.row("test.fail.ok", 3, 1, 2, range(1, 2))) == [3]
+    assert calls == 1
 
 
 def test_readme_ledger_snippet_lists_every_patch():
